@@ -2,8 +2,8 @@
 // "scalable information search and aggregation services" deployment the
 // paper positions Omini inside (its Figure 3 takes requests from users
 // *and applications*). Aggregators POST pages and receive structured
-// objects; learned rules and wrappers are cached per site so repeat
-// extractions take the fast path.
+// objects; learned rules are cached per site so repeat extractions take
+// the fast path.
 //
 //	ominiserve -addr :8800 &
 //	curl -s --data-binary @page.html 'localhost:8800/extract?site=www.example.com'
@@ -14,8 +14,9 @@
 //
 //	POST /extract?site=S   -> objects, subtree path, separator, confidence
 //	POST /extract?trace=1  -> same, plus the inline JSON decision trace
-//	POST /records?site=S   -> wrapper records (named fields); learns the
-//	                          site's wrapper on first use
+//	POST /records?site=S   -> wrapper records (named fields), served through
+//	                          the same cached rule as /extract; the record
+//	                          schema is learned on first use (not persisted)
 //	GET  /rules            -> the cached extraction rules as JSON
 //	GET  /rulesz           -> wrapper-farm state: per-site rule versions,
 //	                          hit counts, drift-check readiness, store size
@@ -23,7 +24,6 @@
 //	                          slowest pinned); ?id=<traceId> for one span tree
 //	GET  /healthz          -> liveness
 //	GET  /readyz           -> readiness (503 until the -rules snapshot loads)
-//	GET  /statsz           -> JSON counter snapshot of the metrics registry
 //	GET  /metricsz         -> Prometheus-style exposition: counters, gauges,
 //	                          per-phase latency histograms with p50/p95/p99
 //	GET  /debug/pprof/*    -> the Go runtime profiles

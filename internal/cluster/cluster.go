@@ -1,11 +1,10 @@
 // Package cluster is the horizontal scale-out layer of ominiserve: a
 // stdlib-only (HTTP/JSON) cluster mode in which a coordinator/proxy
 // consistent-hash-partitions sites onto member nodes, so each node's
-// wrapper farm (internal/farm) and wrapper caches stay hot for its
-// shard (the paper's Table 17 fast path only pays off when repeat
-// traffic for a host lands on the node whose farm learned its rule —
-// TestFarmShardAffinity pins this to exactly one discovery per site
-// cluster-wide).
+// wrapper farm (internal/farm) stays hot for its shard (the paper's
+// Table 17 fast path only pays off when repeat traffic for a host lands
+// on the node whose farm learned its rule — TestFarmShardAffinity pins
+// this to exactly one discovery per site cluster-wide).
 //
 // Membership is tracked by periodic health checks (/healthz liveness
 // plus /readyz readiness on every node) with failure-count-based

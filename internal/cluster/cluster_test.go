@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,7 +78,7 @@ func postPage(t *testing.T, c *Coordinator, site, html string) (*http.Response, 
 // and the serving node is recorded in both the response header and the
 // JSON payload.
 func TestRouteStickyShards(t *testing.T) {
-	c, _, stats := newTestCluster(t, 3, nil)
+	c, nodes, stats := newTestCluster(t, 3, nil)
 	page := sitegen.Canoe()
 
 	servedBy := map[string]bool{}
@@ -101,6 +103,45 @@ func TestRouteStickyShards(t *testing.T) {
 		t.Errorf("cluster.proxied = %d, want 5", got)
 	}
 
+	// The relayed body is the owner's own payload plus exactly one
+	// "node" key: the coordinator stamps, it does not re-encode.
+	var owner string
+	for id := range servedBy {
+		owner = id
+	}
+	var direct map[string]any
+	for _, n := range nodes {
+		if n.id == owner {
+			resp, err := http.Post(n.ts.URL+"/extract?site="+page.Site, "text/html", strings.NewReader(page.HTML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&direct)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/extract?site="+page.Site, strings.NewReader(page.HTML))
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, req)
+	relayed := rec.Body.Bytes()
+	if n := topLevelKeyCount(t, relayed, "node"); n != 1 {
+		t.Errorf("relayed body has %d \"node\" keys, want 1: %s", n, relayed)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(relayed, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got["node"] != owner {
+		t.Errorf("relayed node = %v, want %q", got["node"], owner)
+	}
+	delete(got, "node")
+	if !reflect.DeepEqual(got, direct) {
+		t.Errorf("relayed payload differs from the owner's:\n got %v\nwant %v", got, direct)
+	}
+
 	// Different sites spread across the ring.
 	spread := map[string]bool{}
 	for i := 0; i < 12; i++ {
@@ -111,6 +152,60 @@ func TestRouteStickyShards(t *testing.T) {
 	}
 	if len(spread) < 2 {
 		t.Errorf("12 sites all landed on %d node(s); ring is not spreading shards", len(spread))
+	}
+}
+
+// topLevelKeyCount counts the members named key in a JSON object body.
+// Decoding into a map would fold duplicates into one.
+func topLevelKeyCount(t *testing.T, body []byte, key string) int {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("body is not a JSON object (%v, %v): %s", tok, err, body)
+	}
+	n := 0
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == key {
+			n++
+		}
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// stampNode splices the node ID into JSON objects, keeping the serving
+// node's bytes; anything else passes through untouched.
+func TestStampNode(t *testing.T) {
+	cases := []struct {
+		name, body, id, want string
+	}{
+		{"empty object", `{}`, "n1", `{"node": "n1"}`},
+		{"object", "{\n  \"site\": \"a\",\n  \"b\": 1\n}", "n1", "{\"node\": \"n1\",\n  \"site\": \"a\",\n  \"b\": 1\n}"},
+		{"leading whitespace", " \n\t{ }", "n2", " \n\t{\"node\": \"n2\" }"},
+		{"array", `[{"a":1}]`, "n1", `[{"a":1}]`},
+		{"invalid JSON", `{"a":`, "n1", `{"a":`},
+		{"escaped id", `{"a":1}`, "n\"1\\ (fallback)", `{"node": "n\"1\\ (fallback)","a":1}`},
+	}
+	for _, tc := range cases {
+		got := string(stampNode([]byte(tc.body), tc.id))
+		if got != tc.want {
+			t.Errorf("%s: stampNode(%q) = %q, want %q", tc.name, tc.body, got, tc.want)
+			continue
+		}
+		if got == tc.body {
+			continue
+		}
+		var obj map[string]any
+		if err := json.Unmarshal([]byte(got), &obj); err != nil || obj["node"] != tc.id {
+			t.Errorf("%s: stamped body decodes to %v (err %v), want node %q", tc.name, obj, err, tc.id)
+		}
 	}
 }
 

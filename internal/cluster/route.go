@@ -346,32 +346,33 @@ func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, res *hopResu
 	w.Header().Set(nodeHeader, id)
 	body := res.body
 	if res.status >= 200 && res.status < 300 {
-		if tagged, ok := injectNode(body, id); ok {
-			body = tagged
-		}
+		body = stampNode(body, id)
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(body)
 	c.log.Debug("cluster routed", "node", id, "site", r.URL.Query().Get("site"), "status", res.status)
 }
 
-// injectNode adds "node": id to a JSON object payload; non-object
-// payloads (arrays, invalid JSON) are passed through untouched.
-func injectNode(body []byte, id string) ([]byte, bool) {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return nil, false
+// stampNode adds "node": id as the first member of a JSON object
+// payload, splicing it in after the opening brace so the serving node's
+// bytes and key order pass through unchanged. Non-object payloads
+// (arrays, invalid JSON) are returned untouched.
+func stampNode(body []byte, id string) []byte {
+	open := len(body) - len(bytes.TrimLeft(body, " \t\r\n"))
+	if open == len(body) || body[open] != '{' || !json.Valid(body) {
+		return body
 	}
-	var obj map[string]any
-	if err := json.Unmarshal(body, &obj); err != nil {
-		return nil, false
+	quoted, _ := json.Marshal(id) // a string always encodes
+	rest := body[open+1:]
+	out := make([]byte, 0, len(body)+len(quoted)+len(`"node": ,`))
+	out = append(out, body[:open+1]...)
+	out = append(out, `"node": `...)
+	out = append(out, quoted...)
+	// A valid object has a closing brace; an empty one takes no comma.
+	if bytes.TrimLeft(rest, " \t\r\n")[0] != '}' {
+		out = append(out, ',')
 	}
-	obj["node"] = id
-	out, err := json.MarshalIndent(obj, "", "  ")
-	if err != nil {
-		return nil, false
-	}
-	return out, true
+	return append(out, rest...)
 }
 
 // setTraceHeader replaces h's X-Omini-Trace with the coordinator's
@@ -409,9 +410,7 @@ func (c *Coordinator) serveLocal(ctx context.Context, w http.ResponseWriter, r *
 	w.Header().Set(nodeHeader, node)
 	out := buf.body.Bytes()
 	if buf.status >= 200 && buf.status < 300 {
-		if injected, ok := injectNode(out, node); ok {
-			out = injected
-		}
+		out = stampNode(out, node)
 	}
 	w.WriteHeader(buf.status)
 	_, _ = w.Write(out)
@@ -441,9 +440,7 @@ func (c *Coordinator) fallbackLocal(ctx context.Context, w http.ResponseWriter, 
 	w.Header().Set(nodeHeader, node)
 	out := buf.body.Bytes()
 	if status >= 200 && status < 300 {
-		if injected, ok := injectNode(out, node); ok {
-			out = injected
-		}
+		out = stampNode(out, node)
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(out)

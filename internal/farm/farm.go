@@ -14,7 +14,9 @@
 // the ominiserve -rules snapshot path), each relearn bumps the rule's
 // version, and a background revalidator samples fast-path extractions
 // through wrapgen's drift detection so a site redesign evicts and
-// relearns the rule instead of serving silent garbage.
+// relearns the rule instead of serving silent garbage. Each rule's
+// record schema (Wrapper) lives on the same cache entry, so the rule
+// and the schema projected under it are one per-site artifact.
 //
 // Everything the farm does is observable: farm.* counters (hits,
 // misses, learns, coalesced, stale, drift checks/detections, relearns,
@@ -105,10 +107,10 @@ type Outcome struct {
 	Coalesced bool
 }
 
-// sample is one fast-path extraction queued for background drift
-// revalidation: the page (for relearning), its already-built tree (so
-// the drift check costs no reparse), and the training signature plus
-// version of the rule that served it.
+// sample is one served extraction to drift-check, queued for background
+// revalidation or checked inline by Wrapper: the page (for relearning),
+// its already-built tree (so the drift check costs no reparse), and the
+// training signature plus version of the rule that served it.
 type sample struct {
 	site    string
 	html    string
@@ -456,14 +458,48 @@ func (f *Farm) Get(site string) (rules.Rule, bool) {
 	if site == "" {
 		return rules.Rule{}, false
 	}
-	sh := f.shardFor(site)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.index[site]
-	if !ok {
+	e := f.shardFor(site).peek(site)
+	if e == nil {
 		return rules.Rule{}, false
 	}
-	return el.Value.(*lruItem).entry.rule, true
+	return e.rule, true
+}
+
+// Wrapper returns the record wrapper for a page Extract just served
+// as res: the field schema cached on the site's rule entry, learned on
+// first use from res (wrapgen.LearnFromResult). A page whose structure
+// drifted past the threshold from the rule's training page is
+// relearned first, like a drifted revalidation sample, so the wrapper
+// never mis-projects a redesigned site; the result to project is then
+// the relearned one, returned alongside the wrapper.
+func (f *Farm) Wrapper(ctx context.Context, site, html string, res *core.Result) (*wrapgen.Wrapper, *core.Result, error) {
+	e := f.shardFor(site).peek(site)
+	if e != nil {
+		relearned, err := f.revalidateOne(ctx, sample{site: site, html: html, root: res.Tree, sig: e.sig, version: e.rule.Version})
+		if err != nil {
+			return nil, nil, err
+		}
+		if relearned != nil {
+			res, e = relearned, f.shardFor(site).peek(site)
+		}
+	}
+	// A schema is cached only on the entry whose rule produced res; if
+	// the entry was evicted or replaced in between, the wrapper learned
+	// here serves this request alone.
+	cache := e != nil && e.rule.SubtreePath == res.SubtreePath && e.rule.Separator == res.Separator
+	if cache {
+		if w := e.wrapper.Load(); w != nil {
+			return w, res, nil
+		}
+	}
+	w, err := wrapgen.LearnFromResult(site, res)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cache && !e.wrapper.CompareAndSwap(nil, w) {
+		w = e.wrapper.Load() // a concurrent request learned it first
+	}
+	return w, res, nil
 }
 
 // Invalidate drops a site's cached rule, reporting whether one was
@@ -553,7 +589,7 @@ func (f *Farm) Revalidate(ctx context.Context) int {
 		}
 		select {
 		case s := <-f.samples:
-			f.revalidateOne(ctx, s)
+			_, _ = f.revalidateOne(ctx, s)
 			n++
 		default:
 			return n
@@ -561,14 +597,15 @@ func (f *Farm) Revalidate(ctx context.Context) int {
 	}
 }
 
-// revalidateOne drift-checks one sampled page against its rule's
+// revalidateOne drift-checks one served page against its rule's
 // training signature; past the threshold the rule is evicted and
-// relearned from the sampled page, version bumped.
-func (f *Farm) revalidateOne(ctx context.Context, s sample) {
+// relearned from the page, version bumped, and the relearned result is
+// returned. A page within the threshold returns a nil result.
+func (f *Farm) revalidateOne(ctx context.Context, s sample) (*core.Result, error) {
 	f.stats.Add(SeriesDriftChecks, 1)
 	drift := wrapgen.DriftScore(s.sig, s.root)
 	if drift <= f.cfg.DriftThreshold {
-		return
+		return nil, nil
 	}
 	f.stats.Add(SeriesDriftDetected, 1)
 	f.log.Warn("farm: layout drift detected; relearning",
@@ -577,12 +614,14 @@ func (f *Farm) revalidateOne(ctx context.Context, s sample) {
 	// Drift-evicted rules propagate as tombstones: a peer that has not
 	// seen the redesign yet must not hand the dead rule back.
 	f.entomb(s.site, s.version)
-	if _, _, err := f.learnVersioned(ctx, s.site, s.html, s.version); err != nil {
+	res, _, err := f.learnVersioned(ctx, s.site, s.html, s.version)
+	if err != nil {
 		f.stats.Add(SeriesRelearnFailures, 1)
 		f.log.Error("farm: relearn after drift failed", "site", s.site, "err", err.Error())
-		return
+		return nil, err
 	}
 	f.stats.Add(SeriesRelearn, 1)
+	return res, nil
 }
 
 // Run drives the farm's background work until ctx is cancelled:
@@ -607,7 +646,7 @@ func (f *Farm) Run(ctx context.Context) error {
 			f.saveIfDirty()
 			return ctx.Err()
 		case s := <-f.samples:
-			f.revalidateOne(ctx, s)
+			_, _ = f.revalidateOne(ctx, s)
 		case <-ticker.C:
 			_ = f.sweep(g)
 			f.saveIfDirty()

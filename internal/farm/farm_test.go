@@ -17,6 +17,7 @@ import (
 	"omini/internal/rules"
 	"omini/internal/sitegen"
 	"omini/internal/tagtree"
+	"omini/internal/wrapgen"
 )
 
 // unlimitedGuard returns an ungoverned guard for driving internal
@@ -483,5 +484,48 @@ func TestExtractorErrorsPropagate(t *testing.T) {
 	}
 	if f.Len() != 0 {
 		t.Fatalf("failed learn cached a rule: Len = %d", f.Len())
+	}
+}
+
+// TestWrapperSchemaLivesOnEntry: the record schema is learned once per
+// rule entry, reused by later pages, and dropped with the entry when a
+// peer's newer rule overwrites it — without the schema ever touching
+// the rule's version.
+func TestWrapperSchemaLivesOnEntry(t *testing.T) {
+	f, _ := newTestFarm(t, Config{})
+	ctx := context.Background()
+	spec := testSpec("schema.example", "row-table")
+	wrapperFor := func(i int) *wrapgen.Wrapper {
+		t.Helper()
+		html := spec.Page(i).HTML
+		res, _, err := f.Extract(ctx, spec.Name, html)
+		if err != nil {
+			t.Fatalf("page %d: Extract: %v", i, err)
+		}
+		w, got, err := f.Wrapper(ctx, spec.Name, html, res)
+		if err != nil || got != res {
+			t.Fatalf("page %d: Wrapper = (%v, relearned %v), want the served result", i, err, got != res)
+		}
+		if len(w.Project(res.Objects)) == 0 {
+			t.Fatalf("page %d: schema projected no records", i)
+		}
+		return w
+	}
+
+	first := wrapperFor(0)
+	if again := wrapperFor(1); again != first {
+		t.Error("second page relearned the schema instead of reusing the entry's")
+	}
+	if r, _ := f.Get(spec.Name); r.Version != 1 {
+		t.Errorf("rule version = %d after schema learning, want 1", r.Version)
+	}
+
+	cur, _ := f.Get(spec.Name)
+	cur.Version = 2
+	if !f.ApplyRemote(StoredRule{Rule: cur}) {
+		t.Fatal("ApplyRemote rejected a newer rule")
+	}
+	if after := wrapperFor(2); after == first {
+		t.Error("schema survived a replicated overwrite of its rule")
 	}
 }

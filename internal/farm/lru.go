@@ -4,10 +4,12 @@ import (
 	"container/list"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 
 	"omini/internal/govern"
 	"omini/internal/rules"
 	"omini/internal/tagtree"
+	"omini/internal/wrapgen"
 )
 
 // entry is one cached, compiled per-site rule: the replayable rule
@@ -19,6 +21,13 @@ type entry struct {
 	sig  tagtree.Signature
 
 	hits needsCheckCounter
+
+	// wrapper is the site's record schema (see Farm.Wrapper), learned
+	// lazily from the first result projected under this rule. It is
+	// neither persisted nor replicated: every insert builds a fresh
+	// entry, so a relearn, eviction or peer overwrite drops it with
+	// the rule it was learned under.
+	wrapper atomic.Pointer[wrapgen.Wrapper]
 }
 
 // needsCheckCounter bundles the per-entry sampling state. Kept as its
@@ -90,6 +99,17 @@ func (s *shard) get(site string) *entry {
 		return nil
 	}
 	s.order.MoveToFront(el)
+	return el.Value.(*lruItem).entry
+}
+
+// peek returns the site's entry without bumping its recency, or nil.
+func (s *shard) peek(site string) *entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.index[site]
+	if !ok {
+		return nil
+	}
 	return el.Value.(*lruItem).entry
 }
 

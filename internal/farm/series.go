@@ -21,7 +21,8 @@ const (
 	// evicted for relearning.
 	SeriesStale = "farm.stale"
 
-	// SeriesDriftChecks counts revalidation samples processed;
+	// SeriesDriftChecks counts drift checks run (revalidation samples
+	// processed plus the inline check of every Wrapper lookup);
 	// SeriesDriftDetected counts the ones whose page had drifted past
 	// the threshold (triggering evict + relearn).
 	SeriesDriftChecks   = "farm.drift_checks"

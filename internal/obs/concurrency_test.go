@@ -42,7 +42,6 @@ func TestRegistryConcurrentMixedUse(t *testing.T) {
 				if err := r.WritePrometheus(&b); err != nil {
 					t.Errorf("WritePrometheus: %v", err)
 				}
-				_ = r.Snapshot()
 				_ = r.Names()
 			}
 		}()

@@ -7,7 +7,7 @@
 // The package is stdlib-only and knows nothing about HTML or extraction;
 // the pipeline (internal/core, internal/fetch, internal/serve,
 // internal/resilience) publishes into it and the operational surfaces
-// (/metricsz, /statsz, ?trace=1, omini -trace) read out of it. The paper's
+// (/metricsz, /tracez, ?trace=1, omini -trace) read out of it. The paper's
 // evaluation (Sections 6-7) is built on exactly this visibility — which
 // heuristic drove each extraction and where the time went — and this
 // package makes the same questions answerable on a production instance
@@ -146,19 +146,6 @@ func (r *Registry) Observe(name string, v float64) {
 // site.
 func (r *Registry) ObserveExemplar(name string, v float64, traceID string) {
 	r.Histogram(name).ObserveExemplar(v, traceID)
-}
-
-// Snapshot returns a point-in-time copy of every counter. (Gauges and
-// histograms have their own read paths; this keeps the legacy /statsz
-// payload shape.)
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Load()
-	}
-	return out
 }
 
 // Names returns the registered counter names in sorted order.

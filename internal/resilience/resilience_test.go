@@ -276,10 +276,6 @@ func TestStatsConcurrent(t *testing.T) {
 	if got := s.Get("hits"); got != 8000 {
 		t.Errorf("hits = %d, want 8000", got)
 	}
-	snap := s.Snapshot()
-	if snap["hits"] != 8000 {
-		t.Errorf("snapshot hits = %d", snap["hits"])
-	}
 	if names := s.Names(); len(names) != 1 || names[0] != "hits" {
 		t.Errorf("names = %v", names)
 	}

@@ -1,10 +1,12 @@
 // Package serve implements the HTTP extraction service behind
 // cmd/ominiserve: Omini as a component of an information aggregation
 // system. Clients POST raw HTML and receive extracted objects or
-// wrapper-projected records; discovered rules and wrappers are cached per
-// site, so a site's first page pays for discovery and the rest take the
-// fast path. A rule that stops matching (the site changed) is relearned
-// transparently.
+// wrapper-projected records. Both endpoints serve through the wrapper
+// farm (internal/farm): discovered rules are cached per site, so a
+// site's first page pays for discovery and the rest take the fast path,
+// and /records projects the objects under a record schema learned
+// lazily on the same farm entry. A rule that stops matching (the site
+// changed) is relearned transparently.
 //
 // The handler chain is hardened for production traffic: a panic anywhere
 // in extraction returns a JSON 500 instead of killing the process, an
@@ -13,11 +15,10 @@
 //
 // Nothing the service does is silent: every extraction runs under the
 // obs registry, so /metricsz exposes Prometheus-style counters, gauges
-// and per-phase latency histograms, /statsz keeps the legacy JSON counter
-// view of the same registry, /debug/pprof/* serves the runtime profiles,
-// each request emits one structured access-log line with its decision
-// summary, and ?trace=1 on /extract returns the full decision trace
-// inline.
+// and per-phase latency histograms, /debug/pprof/* serves the runtime
+// profiles, each request emits one structured access-log line with its
+// decision summary, and ?trace=1 on /extract returns the full decision
+// trace inline.
 //
 // Extraction requests are additionally distributed-traced: each sampled
 // request gets a 128-bit trace ID (adopted from the X-Omini-Trace header
@@ -152,10 +153,9 @@ const (
 	seriesTraceStored  = "trace.stored"
 	seriesTraceEvicted = "trace.evicted"
 
-	gaugeInflight       = "serve.inflight"
-	gaugeCachedRules    = "serve.cached_rules"
-	gaugeCachedWrappers = "serve.cached_wrappers"
-	gaugeTraceBuffered  = "trace.buffered"
+	gaugeInflight      = "serve.inflight"
+	gaugeCachedRules   = "serve.cached_rules"
+	gaugeTraceBuffered = "trace.buffered"
 
 	// Request-latency series, one per public endpoint plus the pprof and
 	// catch-all buckets, keeping label cardinality bounded regardless of
@@ -166,7 +166,6 @@ const (
 	seriesReqRulesz   = `omini_request_seconds{path="/rulesz"}`
 	seriesReqHealthz  = `omini_request_seconds{path="/healthz"}`
 	seriesReqReadyz   = `omini_request_seconds{path="/readyz"}`
-	seriesReqStatsz   = `omini_request_seconds{path="/statsz"}`
 	seriesReqMetricsz = `omini_request_seconds{path="/metricsz"}`
 	seriesReqPprof    = `omini_request_seconds{path="/debug/pprof"}`
 	seriesReqTracez   = `omini_request_seconds{path="/tracez"}`
@@ -194,9 +193,6 @@ type Server struct {
 	// reports the conjunction.
 	ready  atomic.Bool
 	joined atomic.Bool
-
-	mu       sync.RWMutex
-	wrappers map[string]*wrapgen.Wrapper
 }
 
 // New returns a ready-to-serve handler.
@@ -234,7 +230,6 @@ func New(cfg Config) *Server {
 		log:       cfg.Logger,
 		traces:    cfg.Traces,
 		sampler:   obs.NewSampler(rate),
-		wrappers:  make(map[string]*wrapgen.Wrapper),
 	}
 	// The farm shares the server's extractor, registry and logger, so
 	// farm.* series land on this server's /metricsz next to serve.*.
@@ -258,7 +253,7 @@ func New(cfg Config) *Server {
 	s.loadRules()
 
 	// Extraction endpoints run behind the load shed and request deadline;
-	// health, stats and profiling probes stay outside so an overloaded
+	// health, metrics and profiling probes stay outside so an overloaded
 	// server still answers its operators.
 	api := http.NewServeMux()
 	api.HandleFunc("POST /extract", s.handleExtract)
@@ -273,7 +268,6 @@ func New(cfg Config) *Server {
 	root.HandleFunc("GET /readyz", s.handleReadyz)
 	root.HandleFunc("GET /rulesz", s.handleRulesz)
 	root.HandleFunc("GET /tracez", s.handleTracez)
-	root.HandleFunc("GET /statsz", s.handleStatsz)
 	root.HandleFunc("GET /metricsz", s.handleMetricsz)
 	root.HandleFunc("/debug/pprof/", pprof.Index)
 	root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -312,8 +306,8 @@ func (s *Server) registerMetrics() {
 	for _, name := range []string{
 		seriesReqExtract, seriesReqRecords, seriesReqRules,
 		seriesReqRulesz, seriesReqHealthz, seriesReqReadyz,
-		seriesReqStatsz, seriesReqMetricsz, seriesReqPprof,
-		seriesReqTracez, seriesReqOther,
+		seriesReqMetricsz, seriesReqPprof, seriesReqTracez,
+		seriesReqOther,
 	} {
 		s.stats.Histogram(name)
 	}
@@ -328,11 +322,6 @@ func (s *Server) registerMetrics() {
 	})
 	s.stats.RegisterGaugeFunc(gaugeCachedRules, func() float64 {
 		return float64(s.farm.Len())
-	})
-	s.stats.RegisterGaugeFunc(gaugeCachedWrappers, func() float64 {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return float64(len(s.wrappers))
 	})
 	s.stats.RegisterGaugeFunc(gaugeTraceBuffered, func() float64 {
 		return float64(s.traces.Len())
@@ -503,8 +492,6 @@ func requestSeries(path string) string {
 		return seriesReqHealthz
 	case path == "/readyz":
 		return seriesReqReadyz
-	case path == "/statsz":
-		return seriesReqStatsz
 	case path == "/metricsz":
 		return seriesReqMetricsz
 	case path == "/tracez":
@@ -520,7 +507,7 @@ func requestSeries(path string) string {
 // than Info, so scrapers and probes don't flood the log.
 func operational(path string) bool {
 	return path == "/healthz" || path == "/readyz" || path == "/rulesz" ||
-		path == "/statsz" || path == "/metricsz" || path == "/tracez" ||
+		path == "/metricsz" || path == "/tracez" ||
 		strings.HasPrefix(path, "/debug/pprof")
 }
 
@@ -717,37 +704,6 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 	return http.TimeoutHandler(next, s.cfg.RequestTimeout, string(body))
 }
 
-// statszResponse is the /statsz payload.
-type statszResponse struct {
-	// Counters are the cumulative counters of the shared obs registry —
-	// the same registry /metricsz exposes in Prometheus form.
-	Counters map[string]int64 `json:"counters"`
-	// InFlight is the number of extraction requests currently running.
-	InFlight int `json:"inFlight"`
-	// MaxInFlight is the shed threshold (0 = unlimited).
-	MaxInFlight int `json:"maxInFlight"`
-	// CachedRules and CachedWrappers size the per-site caches.
-	CachedRules    int `json:"cachedRules"`
-	CachedWrappers int `json:"cachedWrappers"`
-}
-
-// handleStatsz serves the legacy JSON counter view. It is a thin alias of
-// the /metricsz registry: both read the identical obs.Registry, so the two
-// endpoints can never disagree.
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	nrules := s.farm.Len()
-	s.mu.RLock()
-	nwrap := len(s.wrappers)
-	s.mu.RUnlock()
-	writeJSON(w, statszResponse{
-		Counters:       s.stats.Snapshot(),
-		InFlight:       s.limiter.InFlight(),
-		MaxInFlight:    s.limiter.Cap(),
-		CachedRules:    nrules,
-		CachedWrappers: nwrap,
-	})
-}
-
 // handleMetricsz serves the registry as Prometheus-style text: counters,
 // gauges, and the per-phase latency histograms with p50/p95/p99.
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
@@ -837,6 +793,9 @@ type recordResponse struct {
 	Records []wrapgen.Record `json:"records"`
 }
 
+// handleRecords serves /records through the same farm path as
+// /extract, then projects the objects under the site's record schema,
+// cached on the farm entry next to the rule that produced them.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	html, site, ok := s.readPage(w, r)
 	if !ok {
@@ -848,40 +807,19 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	infoFrom(ctx).setSite(site)
+	var res *core.Result
+	var wrapper *wrapgen.Wrapper
+	var err error
 	rpprof.Do(ctx, rpprof.Labels("site", site), func(pctx context.Context) {
-		s.serveRecords(pctx, w, site, html)
+		if res, _, err = s.extract(pctx, site, html); err == nil {
+			wrapper, res, err = s.farm.Wrapper(pctx, site, html, res)
+		}
 	})
-}
-
-// serveRecords is handleRecords' extraction body, split out so it runs
-// under the site pprof label.
-func (s *Server) serveRecords(ctx context.Context, w http.ResponseWriter, site, html string) {
-	wrapper, err := s.wrapperFor(site, html)
 	if err != nil {
 		httpError(ctx, w, err)
 		return
 	}
-	// Wrapper evolution: a page that no longer resembles the training page
-	// triggers relearning before extraction goes wrong quietly.
-	if stale, err := wrapper.Stale(html, wrapgen.DefaultDriftThreshold); err == nil && stale {
-		if relearned, err := s.relearnWrapper(site, html); err == nil {
-			wrapper = relearned
-		}
-	}
-	records, err := wrapper.Extract(html)
-	if err != nil {
-		// The cached wrapper no longer matches; relearn once.
-		wrapper, err = s.relearnWrapper(site, html)
-		if err != nil {
-			httpError(ctx, w, err)
-			return
-		}
-		if records, err = wrapper.Extract(html); err != nil {
-			httpError(ctx, w, err)
-			return
-		}
-	}
-	writeJSON(w, recordResponse{Site: site, Fields: wrapper.Fields, Records: records})
+	writeJSON(w, recordResponse{Site: site, Fields: wrapper.Fields, Records: wrapper.Project(res.Objects)})
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -1056,39 +994,9 @@ func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, 
 		s.stats.Add(seriesRuleHits, 1)
 	}
 	if out.Relearned {
-		// The site changed under its rule; the wrapper learned from the
-		// old layout is stale with it.
 		s.stats.Add(seriesRuleStale, 1)
-		s.mu.Lock()
-		delete(s.wrappers, site)
-		s.mu.Unlock()
 	}
 	return res, out.FromRule, nil
-}
-
-// wrapperFor returns the site's cached wrapper, learning one if needed.
-func (s *Server) wrapperFor(site, html string) (*wrapgen.Wrapper, error) {
-	s.mu.RLock()
-	wrapper := s.wrappers[site]
-	s.mu.RUnlock()
-	if wrapper != nil {
-		return wrapper, nil
-	}
-	return s.relearnWrapper(site, html)
-}
-
-func (s *Server) relearnWrapper(site, html string) (*wrapgen.Wrapper, error) {
-	wrapper, err := wrapgen.Learn(site, html)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.wrappers[site] = wrapper
-	s.mu.Unlock()
-	// The wrapper's rule joins the farm (with the training signature,
-	// so drift checks cover wrapper-learned rules too).
-	s.farm.Put(wrapper.Rule, wrapper.Signature)
-	return wrapper, nil
 }
 
 // readPage reads and validates the request body and site parameter.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"omini/internal/core"
+	"omini/internal/farm"
 	"omini/internal/govern"
 	"omini/internal/resilience"
 	"omini/internal/sitegen"
@@ -144,6 +145,64 @@ func TestRecordsEndpoint(t *testing.T) {
 	for i, rec := range out.Records {
 		if rec["title"] != page.Truth.ObjectTitles[i] {
 			t.Errorf("record %d title = %q", i, rec["title"])
+		}
+	}
+}
+
+// TestRecordsReusesFarmRule: /records serves through the same farm
+// entry /extract learned. On the rule hit it runs exactly one pipeline
+// pass (a replay, no discovery) under the request's trace, and learning
+// the record schema neither relearns nor re-versions the rule.
+func TestRecordsReusesFarmRule(t *testing.T) {
+	stats := resilience.NewStats()
+	ts := httptest.NewServer(New(Config{Stats: stats}))
+	defer ts.Close()
+	page := sitegen.Canoe()
+	if resp, body := post(t, ts.URL+"/extract?site="+page.Site, page.HTML); resp.StatusCode != http.StatusOK {
+		t.Fatalf("extract: status = %d: %s", resp.StatusCode, body)
+	}
+	discoveries := stats.Get(core.SeriesExtractions)
+	replays := stats.Get(core.SeriesRuleExtractions)
+
+	resp, body := post(t, ts.URL+"/records?site="+page.Site, page.HTML)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("records: status = %d: %s", resp.StatusCode, body)
+	}
+	var out recordResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Records) != page.Truth.ObjectCount {
+		t.Fatalf("records = %d, want %d", len(out.Records), page.Truth.ObjectCount)
+	}
+	if got := stats.Get(core.SeriesRuleExtractions) - replays; got != 1 {
+		t.Errorf("records ran %d rule replays, want 1", got)
+	}
+	if got := stats.Get(core.SeriesExtractions) - discoveries; got != 0 {
+		t.Errorf("records ran %d discoveries, want 0", got)
+	}
+	if got := stats.Get(farm.SeriesLearns); got != 1 {
+		t.Errorf("farm.learns = %d, want 1", got)
+	}
+
+	rresp, err := http.Get(ts.URL + "/rulesz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rresp.Body.Close()
+	var rz ruleszResponse
+	if err := json.NewDecoder(rresp.Body).Decode(&rz); err != nil {
+		t.Fatal(err)
+	}
+	if len(rz.Sites) != 1 || rz.Sites[0].Version != 1 {
+		t.Errorf("/rulesz sites = %+v, want one rule at version 1", rz.Sites)
+	}
+
+	// A rule replay runs every pipeline phase but separator discovery.
+	spans := spanNames(getTrace(t, ts.URL, traceFromHeader(t, resp)))
+	for _, name := range []string{"handler", "farm.fast", "tokenize", "tidy", "build", "subtree", "extract"} {
+		if _, ok := spans[name]; !ok {
+			t.Errorf("records trace missing span %q", name)
 		}
 	}
 }
@@ -372,41 +431,9 @@ func TestHealthzBypassesLoadShedding(t *testing.T) {
 		t.Errorf("healthz under load = %d, want 200", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
 	if rec.Code != http.StatusOK {
-		t.Errorf("statsz under load = %d, want 200", rec.Code)
-	}
-}
-
-func TestStatszEndpoint(t *testing.T) {
-	stats := resilience.NewStats()
-	ts := httptest.NewServer(New(Config{Stats: stats}))
-	defer ts.Close()
-
-	// Generate one shed-free extraction and one 413 so counters move.
-	page := sitegen.Canoe()
-	post(t, ts.URL+"/extract?site="+page.Site, page.HTML)
-
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var out statszResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("statsz not JSON: %v", err)
-	}
-	if out.MaxInFlight != defaultMaxInFlight {
-		t.Errorf("maxInFlight = %d, want %d", out.MaxInFlight, defaultMaxInFlight)
-	}
-	if out.CachedRules != 1 {
-		t.Errorf("cachedRules = %d, want 1", out.CachedRules)
-	}
-	if out.Counters == nil {
-		t.Error("counters missing")
+		t.Errorf("metricsz under load = %d, want 200", rec.Code)
 	}
 }
 
@@ -470,8 +497,10 @@ func TestExtractGovernedLimits(t *testing.T) {
 	}
 
 	big := "<html><body>" + strings.Repeat("<p>hello world</p>", 400) + "</body></html>"
-	resp, body = post(t, ts.URL+"/extract", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("big page: status = %d, want 413: %s", resp.StatusCode, body)
+	for _, path := range []string{"/extract", "/records?site=big.example"} {
+		resp, body = post(t, ts.URL+path, big)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("big page on %s: status = %d, want 413: %s", path, resp.StatusCode, body)
+		}
 	}
 }

@@ -18,6 +18,13 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# The serving benchmark is a nested module (perfbench/go.mod), so the
+# root ./... patterns skip it, yet it links against the serve, farm and
+# cluster APIs. Vetting it here keeps an API change from breaking the
+# benchmark build unnoticed.
+echo "==> go vet ./... (perfbench module)"
+(cd perfbench && GOFLAGS= GOWORK=off go vet ./...)
+
 # Project invariants: the governor, observability, error-wrapping,
 # context, purity, and concurrency/resource-hygiene contracts are
 # enforced mechanically (DESIGN.md §11, §16). Deliberate exceptions
