@@ -247,7 +247,7 @@ func (f *Farm) seedFile(g *govern.Guard, path string, allowMissing bool) error {
 		if err := g.Poll(); err != nil {
 			return err
 		}
-		f.insert(r.Rule, r.Signature, r.Hits)
+		f.insert(r.Rule, r.Signature, r.Hits, false)
 		n++
 	}
 	f.log.Info("farm: rule store loaded", "path", path, "rules", n, "tombstones", len(snap.Tombstones))
@@ -366,7 +366,7 @@ func (f *Farm) learnVersioned(ctx context.Context, site, html string, prevVersio
 	if res.Tree != nil {
 		sig = tagtree.PathSignature(res.Tree)
 	}
-	f.insert(rule, sig, 0)
+	f.insert(rule, sig, 0, false)
 	f.stats.Add(SeriesLearns, 1)
 	f.dirty.Store(true)
 	return res, Outcome{Learned: true, Relearned: prevVersion > 0}, nil
@@ -415,8 +415,9 @@ func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) 
 // insert stores a rule (with its training signature) in the cache,
 // reporting whether it was admitted. A tombstone at or above the
 // rule's version keeps the site dead (the eviction is newer
-// knowledge); a rule above the tombstone clears it.
-func (f *Farm) insert(rule rules.Rule, sig tagtree.Signature, hits int64) bool {
+// knowledge); a rule above the tombstone clears it. A cold rule enters
+// as the least recently used (see shard.putCold).
+func (f *Farm) insert(rule rules.Rule, sig tagtree.Signature, hits int64, cold bool) bool {
 	if rule.Site == "" || !rule.Valid() {
 		return false
 	}
@@ -428,7 +429,11 @@ func (f *Farm) insert(rule rules.Rule, sig tagtree.Signature, hits int64) bool {
 	}
 	e := &entry{rule: rule, sig: sig}
 	e.hits.count = hits
-	f.shardFor(rule.Site).put(rule.Site, e)
+	if cold {
+		f.shardFor(rule.Site).putCold(rule.Site, e)
+	} else {
+		f.shardFor(rule.Site).put(rule.Site, e)
+	}
 	return true
 }
 
@@ -447,7 +452,7 @@ func (f *Farm) Put(rule rules.Rule, sig tagtree.Signature) {
 		}
 		rule.Version = prev + 1
 	}
-	if f.insert(rule, sig, 0) {
+	if f.insert(rule, sig, 0, false) {
 		f.dirty.Store(true)
 	}
 }

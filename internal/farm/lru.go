@@ -125,15 +125,39 @@ func (s *shard) put(site string, e *entry) {
 	}
 	s.index[site] = s.order.PushFront(&lruItem{site: site, entry: e})
 	if s.cap > 0 && s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		if oldest != nil {
-			item := oldest.Value.(*lruItem)
-			s.order.Remove(oldest)
-			delete(s.index, item.site)
-			if s.evicted != nil {
-				s.evicted(item.site)
-			}
-		}
+		s.evictOldestLocked()
+	}
+}
+
+// putCold inserts the site's entry as the least recently used one. A
+// full shard gives up only its coldest entry, so a burst of cold
+// inserts larger than the shard churns that one slot and never
+// displaces the entries being served. An existing entry is replaced
+// in place and keeps its recency.
+func (s *shard) putCold(site string, e *entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.index[site]; ok {
+		el.Value.(*lruItem).entry = e
+		return
+	}
+	if s.cap > 0 && s.order.Len() >= s.cap {
+		s.evictOldestLocked()
+	}
+	s.index[site] = s.order.PushBack(&lruItem{site: site, entry: e})
+}
+
+// evictOldestLocked drops the least recently used entry; s.mu is held.
+func (s *shard) evictOldestLocked() {
+	oldest := s.order.Back()
+	if oldest == nil {
+		return
+	}
+	item := oldest.Value.(*lruItem)
+	s.order.Remove(oldest)
+	delete(s.index, item.site)
+	if s.evicted != nil {
+		s.evicted(item.site)
 	}
 }
 

@@ -115,7 +115,11 @@ func (f *Farm) Tombstones() []Tombstone {
 // is applied only when strictly newer than both the local rule and any
 // local tombstone for the site. Applied rules do not count as learns —
 // that is the whole point of replication — but they do mark the store
-// dirty so the next sweep persists them. Reports whether it applied.
+// dirty so the next sweep persists them. They enter the cache as least
+// recently used, so an anti-entropy round that pulls more rules than a
+// shard holds cannot evict the rules this node is serving (which it
+// would then relearn from whatever page came next). Reports whether it
+// applied.
 func (f *Farm) ApplyRemote(sr StoredRule) bool {
 	if sr.Site == "" || !sr.Valid() {
 		return false
@@ -126,7 +130,7 @@ func (f *Farm) ApplyRemote(sr StoredRule) bool {
 	if cur, ok := f.Get(sr.Site); ok && cur.Version >= sr.Version {
 		return false
 	}
-	if !f.insert(sr.Rule, sr.Signature, sr.Hits) {
+	if !f.insert(sr.Rule, sr.Signature, sr.Hits, true) {
 		return false
 	}
 	f.dirty.Store(true)

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -89,6 +90,36 @@ func TestRelearnLandsAboveTombstone(t *testing.T) {
 	}
 	if f.TombstoneCount() != 0 {
 		t.Fatalf("tombstone survived relearn: %+v", f.Tombstones())
+	}
+}
+
+// An anti-entropy round can pull more rules than a shard holds. The
+// pulled rules take only the coldest slot of a full shard, so the rule
+// the node serves survives the burst instead of being relearned from
+// another page.
+func TestApplyRemoteKeepsServedRules(t *testing.T) {
+	f, stats := newTestFarm(t, Config{Shards: 1, Capacity: 4})
+	f.Put(syncRule("served.example", 1), syncSig())
+	for i := 0; i < 10; i++ {
+		if !f.ApplyRemote(StoredRule{Rule: syncRule(fmt.Sprintf("peer-%d.example", i), 1), Signature: syncSig()}) {
+			t.Fatalf("ApplyRemote(peer-%d) rejected a new rule", i)
+		}
+	}
+	if _, ok := f.Get("served.example"); !ok {
+		t.Fatal("a burst of replicated rules evicted the served rule")
+	}
+	if f.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", f.Len())
+	}
+	// Three pulled rules filled the free slots; the other seven each
+	// displaced the previous occupant of the coldest slot.
+	if got := stats.Get(SeriesEvictions); got != 7 {
+		t.Fatalf("farm.evictions = %d, want 7", got)
+	}
+	for _, site := range []string{"peer-0.example", "peer-1.example", "peer-9.example"} {
+		if _, ok := f.Get(site); !ok {
+			t.Fatalf("%s not cached after the burst", site)
+		}
 	}
 }
 

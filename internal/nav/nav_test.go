@@ -51,6 +51,25 @@ func TestFindNextPrefersRelNext(t *testing.T) {
 	}
 }
 
+// rel is a space-separated token list: "next" among other keywords still
+// names the next page, in any case, and outranks next-flavored text.
+func TestFindNextRelTokenList(t *testing.T) {
+	for _, rel := range []string{"nofollow next", "next nofollow", "NoFollow\tNext", " next "} {
+		root := parse(t, `<body>
+			<a href="/wrong">Next</a>
+			<a href="/right" rel="`+rel+`">continue</a>
+		</body>`)
+		if got, ok := FindNext(root); !ok || got != "/right" {
+			t.Errorf("rel=%q: FindNext = %q, %v; want /right", rel, got, ok)
+		}
+	}
+	// A token that merely contains "next" is not the keyword.
+	root := parse(t, `<body><a href="/r" rel="nextpage">go</a></body>`)
+	if got, ok := FindNext(root); ok {
+		t.Errorf("rel=nextpage: FindNext = %q, want none", got)
+	}
+}
+
 func TestFindNextAbsent(t *testing.T) {
 	for _, src := range []string{
 		`<body><a href="/home">Home</a><a href="/about">About</a></body>`,
@@ -144,5 +163,30 @@ func TestNextOnEmptyPagination(t *testing.T) {
 	p := &Pagination{Links: map[int]string{}}
 	if got := p.Next(); got != "" {
 		t.Errorf("Next on empty bar = %q", got)
+	}
+}
+
+// FindNext runs on every served page; on a page without a pagination bar
+// it must not allocate.
+func TestFindNextAllocatesNothing(t *testing.T) {
+	for i, root := range corpusTrees(t) {
+		if FindPagination(root) != nil {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, func() { FindNext(root) }); n != 0 {
+			t.Fatalf("corpus page %d: FindNext made %v allocations, want 0", i, n)
+		}
+	}
+}
+
+// benchNext keeps BenchmarkFindNext's result live.
+var benchNext string
+
+func BenchmarkFindNext(b *testing.B) {
+	roots := corpusTrees(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchNext, _ = FindNext(roots[i%len(roots)])
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -159,6 +158,11 @@ type TraceData struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 	Charges map[string]int64  `json:"governorCharges,omitempty"`
 	Spans   []PhaseSample     `json:"spans,omitempty"`
+
+	// The sink's bookkeeping: pinned marks a member of its keep-slow
+	// set, seq the order in which the sink first stored the trace.
+	pinned bool
+	seq    uint64
 }
 
 // errored reports whether the trace should be pinned as a failure.
@@ -178,12 +182,18 @@ const DefaultTraceCapacity = 256
 // Recording a trace ID that is already stored merges the span sets,
 // which is how the coordinator half and the serve half of a
 // self-served request end up as one trace.
+//
+// The keep-slow set is kept incrementally: each Record compares the
+// new or merged trace with the set's weakest member, O(keepSlow) and
+// allocation-free, and a tie in duration keeps the earlier trace.
 type TraceSink struct {
 	mu       sync.Mutex
 	capacity int
 	keepSlow int
 	entries  map[string]*TraceData
-	order    []string // insertion order, oldest first
+	order    []string     // insertion order, oldest first
+	slow     []*TraceData // the keep-slow set, each member pinned
+	seq      uint64       // insertions so far
 }
 
 // NewTraceSink returns a sink holding up to capacity traces
@@ -200,10 +210,14 @@ func NewTraceSink(capacity int) *TraceSink {
 	if keepSlow > capacity {
 		keepSlow = capacity
 	}
+	// Record stores a trace before it evicts, so the buffer briefly
+	// holds capacity+1.
 	return &TraceSink{
 		capacity: capacity,
 		keepSlow: keepSlow,
-		entries:  make(map[string]*TraceData, capacity),
+		entries:  make(map[string]*TraceData, capacity+1),
+		order:    make([]string, 0, capacity+1),
+		slow:     make([]*TraceData, 0, keepSlow),
 	}
 }
 
@@ -235,10 +249,15 @@ func (s *TraceSink) Record(t *TraceData) (evicted int) {
 	defer s.mu.Unlock()
 	if existing := s.entries[t.TraceID]; existing != nil {
 		mergeTrace(existing, t)
+		// The merge may have raised DurationNS.
+		s.considerSlowLocked(existing)
 		return 0
 	}
+	s.seq++
+	t.pinned, t.seq = false, s.seq
 	s.entries[t.TraceID] = t
 	s.order = append(s.order, t.TraceID)
+	s.considerSlowLocked(t)
 	for len(s.entries) > s.capacity {
 		if !s.evictOneLocked() {
 			break
@@ -302,8 +321,38 @@ func mergeTrace(dst, src *TraceData) {
 	}
 }
 
+// slower orders traces for the keep-slow set: the longer duration
+// first, and on a tie the trace the sink stored first.
+func slower(a, b *TraceData) bool {
+	return a.DurationNS > b.DurationNS || (a.DurationNS == b.DurationNS && a.seq < b.seq)
+}
+
+// considerSlowLocked pins a stored trace that now belongs to the
+// keep-slow set, unpinning the set's weakest member if the set is full.
+func (s *TraceSink) considerSlowLocked(t *TraceData) {
+	if t.pinned {
+		return
+	}
+	if len(s.slow) < s.keepSlow {
+		t.pinned = true
+		s.slow = append(s.slow, t)
+		return
+	}
+	weakest := 0
+	for i, c := range s.slow {
+		if slower(s.slow[weakest], c) {
+			weakest = i
+		}
+	}
+	if slower(t, s.slow[weakest]) {
+		s.slow[weakest].pinned = false
+		t.pinned = true
+		s.slow[weakest] = t
+	}
+}
+
 // evictOneLocked removes one trace under the tail-sampling policy:
-// the oldest trace that is neither errored nor in the slowest-N set.
+// the oldest trace that is neither errored nor in the keep-slow set.
 // When everything is pinned, the oldest errored non-slow trace goes,
 // and as the final fallback the oldest trace of all — the bound always
 // holds. Reports whether anything was removed.
@@ -311,22 +360,16 @@ func (s *TraceSink) evictOneLocked() bool {
 	if len(s.order) == 0 {
 		return false
 	}
-	slow := s.slowestLocked()
 	victim := -1
 	for i, id := range s.order {
-		t := s.entries[id]
-		if t == nil {
-			victim = i // stale order entry; reclaim it
-			break
-		}
-		if !t.errored() && !slow[id] {
+		if t := s.entries[id]; !t.errored() && !t.pinned {
 			victim = i
 			break
 		}
 	}
 	if victim < 0 {
 		for i, id := range s.order {
-			if t := s.entries[id]; t != nil && !slow[id] {
+			if !s.entries[id].pinned {
 				victim = i
 				break
 			}
@@ -336,31 +379,28 @@ func (s *TraceSink) evictOneLocked() bool {
 		victim = 0
 	}
 	id := s.order[victim]
+	t := s.entries[id]
 	s.order = append(s.order[:victim], s.order[victim+1:]...)
 	delete(s.entries, id)
+	if t.pinned {
+		s.dropSlowLocked(t)
+	}
 	return true
 }
 
-// slowestLocked returns the IDs of the keepSlow slowest stored traces.
-func (s *TraceSink) slowestLocked() map[string]bool {
-	type slowEntry struct {
-		id  string
-		dur int64
+// dropSlowLocked removes an evicted trace from the keep-slow set. Only
+// the last-resort fallback evicts a pinned trace, and it runs only when
+// every stored trace is pinned, so there is no unpinned trace to take
+// the freed place: the set stays the slowest of what remains.
+func (s *TraceSink) dropSlowLocked(gone *TraceData) {
+	for i, c := range s.slow {
+		if c == gone {
+			last := len(s.slow) - 1
+			s.slow[i], s.slow[last] = s.slow[last], nil
+			s.slow = s.slow[:last]
+			return
+		}
 	}
-	all := make([]slowEntry, 0, len(s.entries))
-	for id, t := range s.entries {
-		all = append(all, slowEntry{id: id, dur: t.DurationNS})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].dur > all[j].dur })
-	n := s.keepSlow
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make(map[string]bool, n)
-	for _, e := range all[:n] {
-		out[e.id] = true
-	}
-	return out
 }
 
 // List returns summaries of every stored trace, newest first.
