@@ -39,31 +39,43 @@ func benchSubtreeOf(b *testing.B, html string) *tagtree.Node {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ranked := subtree.Compound().Rank(root)
-	if len(ranked) == 0 {
-		b.Fatal("no subtree candidates")
+	ranked, err := subtree.Compound().Rank(root, nil)
+	if err != nil || len(ranked) == 0 {
+		b.Fatalf("no subtree candidates: %v", err)
 	}
 	return ranked[0].Node
+}
+
+// benchTokens lexes html, outside the timed loop.
+func benchTokens(b *testing.B, html string) []htmlparse.Token {
+	b.Helper()
+	toks, err := htmlparse.Tokenize(html, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return toks
 }
 
 // BenchmarkTokenize measures the raw lexer pass alone.
 func BenchmarkTokenize(b *testing.B) {
 	forEachBenchPage(b, func(b *testing.B, html string) {
 		for i := 0; i < b.N; i++ {
-			if toks := htmlparse.Tokenize(html); len(toks) == 0 {
-				b.Fatal("no tokens")
+			if toks, err := htmlparse.Tokenize(html, nil); err != nil || len(toks) == 0 {
+				b.Fatalf("no tokens: %v", err)
 			}
 		}
 	})
 }
 
-// BenchmarkTidy measures syntactic normalization (lexing included, as the
-// normalizer consumes the lexer directly).
+// BenchmarkTidy measures syntactic normalization of a pre-lexed token
+// stream — the tidy phase in isolation, as the pipeline runs it.
 func BenchmarkTidy(b *testing.B) {
 	forEachBenchPage(b, func(b *testing.B, html string) {
+		raw := benchTokens(b, html)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if toks := tidy.NormalizeTokens(html); len(toks) == 0 {
-				b.Fatal("no tokens")
+			if toks, err := tidy.NormalizeTokens(raw, nil); err != nil || len(toks) == 0 {
+				b.Fatalf("no tokens: %v", err)
 			}
 		}
 	})
@@ -73,10 +85,13 @@ func BenchmarkTidy(b *testing.B) {
 // token stream — the tree-build phase in isolation.
 func BenchmarkBuildTree(b *testing.B) {
 	forEachBenchPage(b, func(b *testing.B, html string) {
-		toks := tidy.NormalizeTokens(html)
+		toks, err := tidy.NormalizeTokens(benchTokens(b, html), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tagtree.Build(toks); err != nil {
+			if _, err := tagtree.Build(toks, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -92,8 +107,8 @@ func BenchmarkSubtree(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if ranked := subtree.Compound().Rank(root); len(ranked) == 0 {
-				b.Fatal("no candidates")
+			if ranked, err := subtree.Compound().Rank(root, nil); err != nil || len(ranked) == 0 {
+				b.Fatalf("no candidates: %v", err)
 			}
 		}
 	})
@@ -107,8 +122,8 @@ func BenchmarkSeparator(b *testing.B) {
 		sub := benchSubtreeOf(b, html)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if cands := combine.Combine(sub, separator.All(), probs); len(cands) == 0 {
-				b.Fatal("no candidates")
+			if cands, _, err := combine.Combine(sub, separator.All(), probs, nil); err != nil || len(cands) == 0 {
+				b.Fatalf("no candidates: %v", err)
 			}
 		}
 	})

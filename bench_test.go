@@ -13,6 +13,7 @@ import (
 	"omini/internal/core"
 	"omini/internal/corpus"
 	"omini/internal/eval"
+	"omini/internal/htmlparse"
 	"omini/internal/separator"
 	"omini/internal/sitegen"
 	"omini/internal/subtree"
@@ -61,6 +62,16 @@ func truthSubtree(b *testing.B, page sitegen.Page) *tagtree.Node {
 	return sub
 }
 
+// separatorRank indexes sub and ranks it with h, inside the timed loop as
+// the pipeline's separator phase does.
+func separatorRank(b *testing.B, h separator.Heuristic, sub *tagtree.Node) []separator.Ranked {
+	st, err := separator.NewStats(sub, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h.Rank(st)
+}
+
 // BenchmarkTable1SubtreeHeuristics ranks the canoe tree with HF, GSI, LTC
 // and the compound algorithm (Table 1).
 func BenchmarkTable1SubtreeHeuristics(b *testing.B) {
@@ -69,8 +80,8 @@ func BenchmarkTable1SubtreeHeuristics(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, h := range heuristics {
-			if ranked := h.Rank(root); len(ranked) == 0 {
-				b.Fatal("empty ranking")
+			if ranked, err := h.Rank(root, nil); err != nil || len(ranked) == 0 {
+				b.Fatalf("empty ranking: %v", err)
 			}
 		}
 	}
@@ -81,7 +92,7 @@ func BenchmarkTable2SD(b *testing.B) {
 	sub := truthSubtree(b, sitegen.LOC())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ranked := separator.SD().Rank(sub); len(ranked) == 0 {
+		if ranked := separatorRank(b, separator.SD(), sub); len(ranked) == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -117,7 +128,7 @@ func BenchmarkTable8PP(b *testing.B) {
 	sub := truthSubtree(b, sitegen.Canoe())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ranked := separator.PP().Rank(sub); len(ranked) == 0 {
+		if ranked := separatorRank(b, separator.PP(), sub); len(ranked) == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -274,12 +285,12 @@ func BenchmarkAblationSubtreeCompoundVsHF(b *testing.B) {
 	root := canoeTree(b)
 	b.Run("HF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			subtree.HF().Rank(root)
+			subtree.HF().Rank(root, nil)
 		}
 	})
 	b.Run("Compound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			subtree.Compound().Rank(root)
+			subtree.Compound().Rank(root, nil)
 		}
 	})
 }
@@ -313,7 +324,8 @@ func BenchmarkAblationNormalization(b *testing.B) {
 	b.Run("normalized", func(b *testing.B) {
 		b.SetBytes(int64(len(html)))
 		for i := 0; i < b.N; i++ {
-			tidy.NormalizeTokens(html)
+			toks, _ := htmlparse.Tokenize(html, nil)
+			tidy.NormalizeTokens(toks, nil)
 		}
 	})
 	b.Run("public-api", func(b *testing.B) {
@@ -333,7 +345,7 @@ func BenchmarkAblationCandidateScope(b *testing.B) {
 	sub := truthSubtree(b, sitegen.Canoe())
 	b.Run("children-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			separator.HC().Rank(sub)
+			separatorRank(b, separator.HC(), sub)
 		}
 	})
 	b.Run("all-descendants", func(b *testing.B) {

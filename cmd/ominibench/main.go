@@ -196,7 +196,11 @@ func (h *harness) table1() error {
 	fmt.Fprintf(h.w, "%-4s  %-55s %-12s\n", "Rank", "Subtree", "Score")
 	for _, heur := range []subtree.Heuristic{subtree.HF(), subtree.GSI(), subtree.LTC(), subtree.Compound()} {
 		fmt.Fprintf(h.w, "-- %s --\n", heur.Name())
-		for i, r := range subtree.Top(heur.Rank(root), 5) {
+		ranked, err := heur.Rank(root, nil)
+		if err != nil {
+			return err
+		}
+		for i, r := range subtree.Top(ranked, 5) {
 			fmt.Fprintf(h.w, "%-4d  %-55s %12.1f\n", i+1, tagtree.Path(r.Node), r.Score)
 		}
 	}
@@ -210,8 +214,12 @@ func (h *harness) table2() error {
 	if err != nil {
 		return err
 	}
+	st, err := separator.NewStats(sub, nil)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(h.w, "%-4s %-6s %s\n", "Rank", "Tag", "Standard Deviation")
-	for i, r := range separator.SD().Rank(sub) {
+	for i, r := range separator.SD().Rank(st) {
 		fmt.Fprintf(h.w, "%-4d %-6s %8.1f\n", i+1, r.Tag, r.Score)
 	}
 	fmt.Fprintln(h.w)
@@ -295,8 +303,12 @@ func (h *harness) table8() error {
 			}
 			fmt.Fprintf(h.w, "%-44s %d\n", pc.Path, pc.Count)
 		}
+		st, err := separator.NewStats(sub, nil)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(h.w, "-- %s PP tag ranking --\n", page.Site)
-		for i, r := range separator.PP().Rank(sub) {
+		for i, r := range separator.PP().Rank(st) {
 			fmt.Fprintf(h.w, "%d. %-8s %.0f\n", i+1, r.Tag, r.Score)
 		}
 	}

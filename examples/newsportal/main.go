@@ -26,7 +26,11 @@ func main() {
 
 	fmt.Println("object-rich subtree, per heuristic (Table 1 behaviour):")
 	for _, h := range []subtree.Heuristic{subtree.HF(), subtree.GSI(), subtree.LTC(), subtree.Compound()} {
-		top := h.Rank(root)[0]
+		ranked, err := h.Rank(root, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		top := ranked[0]
 		marker := " "
 		if tagtree.Path(top.Node) == page.Truth.SubtreePath {
 			marker = "*"

@@ -27,6 +27,17 @@ func chosenSubtree(t *testing.T, page sitegen.Page) *tagtree.Node {
 
 // The paper's Section 6.2 example: compound probability of 78%, 63% and 85%
 // is 89% by inclusion–exclusion.
+// combine runs Combine with no guard, failing the test on an error a nil
+// guard must never produce.
+func combine(t *testing.T, sub *tagtree.Node, table ProbTable) ([]Candidate, []RankedList) {
+	t.Helper()
+	cands, lists, err := Combine(sub, separator.All(), table, nil)
+	if err != nil {
+		t.Fatalf("Combine: %v", err)
+	}
+	return cands, lists
+}
+
 func TestInclusionExclusionExample(t *testing.T) {
 	miss := (1 - 0.78) * (1 - 0.63) * (1 - 0.85)
 	got := 1 - miss
@@ -70,7 +81,7 @@ func TestCombineOnReplicas(t *testing.T) {
 	table := PaperProbs()
 	for _, page := range []sitegen.Page{sitegen.LOC(), sitegen.Canoe()} {
 		sub := chosenSubtree(t, page)
-		cands := Combine(sub, separator.All(), table)
+		cands, lists := combine(t, sub, table)
 		if len(cands) == 0 {
 			t.Fatalf("%s: no candidates", page.Name)
 		}
@@ -78,8 +89,11 @@ func TestCombineOnReplicas(t *testing.T) {
 			t.Errorf("%s: combined top = %q (p=%.3f), want one of %v",
 				page.Name, cands[0].Tag, cands[0].Prob, page.Truth.Separators)
 		}
-		if got := Best(sub, separator.All(), table); got != cands[0].Tag {
-			t.Errorf("Best = %q, Combine top = %q", got, cands[0].Tag)
+		for i, h := range separator.All() {
+			if lists[i].Name != h.Name() || len(lists[i].Ranked) == 0 {
+				t.Errorf("%s: list %d = %s with %d tags, want %s's ranking",
+					page.Name, i, lists[i].Name, len(lists[i].Ranked), h.Name())
+			}
 		}
 		// Probabilities must be valid and sorted descending.
 		for i, c := range cands {
@@ -97,7 +111,7 @@ func TestCombineOnReplicas(t *testing.T) {
 // probability than any tag seen by fewer heuristics.
 func TestCompoundEvidenceAccumulates(t *testing.T) {
 	sub := chosenSubtree(t, sitegen.Canoe())
-	cands := Combine(sub, separator.All(), PaperProbs())
+	cands, _ := combine(t, sub, PaperProbs())
 	if cands[0].Tag != "table" {
 		t.Fatalf("top = %q", cands[0].Tag)
 	}
@@ -121,11 +135,8 @@ func TestCombineEmptySubtree(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := root.FindAll("p")[0]
-	if cands := Combine(p, separator.All(), PaperProbs()); len(cands) != 0 {
+	if cands, _ := combine(t, p, PaperProbs()); len(cands) != 0 {
 		t.Errorf("candidates on leaf subtree: %v", cands)
-	}
-	if got := Best(p, separator.All(), PaperProbs()); got != "" {
-		t.Errorf("Best = %q, want empty", got)
 	}
 }
 

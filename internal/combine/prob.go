@@ -68,49 +68,21 @@ type RankedList struct {
 	Ranked []separator.Ranked
 }
 
-// RankAll runs each heuristic once on the subtree, sharing one
-// separator.Stats index across all of them. The result feeds CombineLists,
-// letting callers (like the 26-combination sweep) evaluate many combinations
-// without re-running the heuristics.
-func RankAll(sub *tagtree.Node, heuristics []separator.Heuristic) []RankedList {
-	return rankAllWith(separator.NewStats(sub), heuristics)
-}
-
-func rankAllWith(st *separator.Stats, heuristics []separator.Heuristic) []RankedList {
-	lists := make([]RankedList, len(heuristics))
-	for i, h := range heuristics {
-		lists[i] = RankedList{Name: h.Name(), Ranked: separator.RankWith(st, h)}
-	}
-	return lists
-}
-
 // Combine runs every heuristic on the subtree, converts ranks to
 // probabilities via the table, and merges per-tag evidence with
 // inclusion–exclusion: P(t) = 1 − Π_h (1 − p_h(t)). The result is sorted by
 // descending compound probability; ties prefer broader support, then the
 // tag's first appearance among the subtree's children. One Stats index over
-// the subtree serves every heuristic and the tie-break map.
-func Combine(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTable) []Candidate {
-	cands, _ := CombineDetailed(sub, heuristics, table)
-	return cands
-}
-
-// CombineDetailed is Combine, additionally returning each heuristic's own
-// ranking (already computed as the combination's input). The lists feed the
-// decision trace: per-heuristic candidate rankings with scores, at no cost
-// beyond what Combine already does.
-func CombineDetailed(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTable) ([]Candidate, []RankedList) {
-	cands, lists, _ := CombineDetailedGoverned(sub, heuristics, table, nil)
-	return cands, lists
-}
-
-// CombineDetailedGoverned is CombineDetailed under a resource guard:
-// the shared Stats index scan polls the page context and the guard is
-// re-checked between heuristics, so a cancelled or out-of-time page
-// stops after the current heuristic instead of ranking all of them.
-// A nil guard makes it identical to CombineDetailed.
-func CombineDetailedGoverned(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTable, g *govern.Guard) ([]Candidate, []RankedList, error) {
-	st, err := separator.NewStatsGoverned(sub, g)
+// the subtree serves every heuristic and the tie-break map. Each
+// heuristic's own ranking is returned too (the combination's input, for
+// the decision trace).
+//
+// The index scan polls the guard's page context and the guard is
+// re-checked between heuristics, so a cancelled or out-of-time page stops
+// after the current heuristic instead of ranking all of them. A nil guard
+// means unlimited.
+func Combine(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTable, g *govern.Guard) ([]Candidate, []RankedList, error) {
+	st, err := separator.NewStats(sub, g)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,19 +91,18 @@ func CombineDetailedGoverned(sub *tagtree.Node, heuristics []separator.Heuristic
 		if err := g.Check(); err != nil {
 			return nil, nil, err
 		}
-		lists[i] = RankedList{Name: h.Name(), Ranked: separator.RankWith(st, h)}
+		lists[i] = RankedList{Name: h.Name(), Ranked: h.Rank(st)}
 	}
 	if err := g.Check(); err != nil {
 		return nil, nil, err
 	}
-	return CombineLists(lists, table, st.FirstIndex()), lists, nil
+	return CombineLists(lists, table, st), lists, nil
 }
 
 // CombineLists merges pre-computed heuristic rankings, as Combine does.
-// tieBreak maps tags to their document position for deterministic ordering
-// of equal-probability candidates (ChildFirstIndex supplies it); nil is
-// allowed.
-func CombineLists(lists []RankedList, table ProbTable, tieBreak map[string]int) []Candidate {
+// Equal-probability candidates are ordered by their first appearance among
+// the children of the subtree st indexes (separator.Stats.FirstIndex).
+func CombineLists(lists []RankedList, table ProbTable, st *separator.Stats) []Candidate {
 	type acc struct {
 		miss    float64 // Π (1 − p_h)
 		support int
@@ -156,44 +127,13 @@ func CombineLists(lists []RankedList, table ProbTable, tieBreak map[string]int) 
 		a := accs[tag]
 		out = append(out, Candidate{Tag: tag, Prob: 1 - a.miss, Support: a.support})
 	}
-	sortCandidates(out, tieBreak)
+	sortCandidates(out, st)
 	return out
 }
 
-// ChildFirstIndex maps each child tag of sub to the index of its first
-// appearance, the tie-break CombineLists expects.
-func ChildFirstIndex(sub *tagtree.Node) map[string]int {
-	return childFirstIndex(sub)
-}
-
-// Best returns the combined algorithm's chosen separator tag, or "" when no
-// heuristic produced a candidate.
-func Best(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTable) string {
-	cands := Combine(sub, heuristics, table)
-	if len(cands) == 0 {
-		return ""
-	}
-	return cands[0].Tag
-}
-
-// childFirstIndex maps each child tag of sub to the index of its first
-// appearance, for deterministic tie-breaks.
-func childFirstIndex(sub *tagtree.Node) map[string]int {
-	m := make(map[string]int)
-	for i, c := range sub.Children {
-		if c.IsContent() {
-			continue
-		}
-		if _, ok := m[c.Tag]; !ok {
-			m[c.Tag] = i
-		}
-	}
-	return m
-}
-
-func sortCandidates(cands []Candidate, firstChild map[string]int) {
+func sortCandidates(cands []Candidate, st *separator.Stats) {
 	pos := func(tag string) int {
-		if p, ok := firstChild[tag]; ok {
+		if p, ok := st.FirstIndex(tag); ok {
 			return p
 		}
 		return 1 << 30

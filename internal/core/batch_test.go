@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"omini/internal/govern"
 	"omini/internal/rules"
 	"omini/internal/sitegen"
 	"omini/internal/subtree"
@@ -156,8 +157,10 @@ func TestExtractBatchStaleRule(t *testing.T) {
 // panicHeuristic stands in for a pipeline stage with a latent crash bug.
 type panicHeuristic struct{}
 
-func (panicHeuristic) Name() string                        { return "panic" }
-func (panicHeuristic) Rank(*tagtree.Node) []subtree.Ranked { panic("pathological page") }
+func (panicHeuristic) Name() string { return "panic" }
+func (panicHeuristic) Rank(*tagtree.Node, *govern.Guard) ([]subtree.Ranked, error) {
+	panic("pathological page")
+}
 
 func TestExtractBatchIsolatesPanics(t *testing.T) {
 	e := New(Options{Subtree: panicHeuristic{}})

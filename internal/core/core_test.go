@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"omini/internal/obs"
 	"omini/internal/rules"
 	"omini/internal/separator"
 	"omini/internal/sitegen"
@@ -55,16 +57,31 @@ func TestExtractCanoeEndToEnd(t *testing.T) {
 	}
 }
 
+// phaseCounts returns how many spans each of Phases recorded in reg, and
+// fails the test if a recorded phase has no wall time.
+func phaseCounts(t *testing.T, reg *obs.Registry) map[string]int64 {
+	t.Helper()
+	counts := make(map[string]int64, len(Phases))
+	for _, phase := range Phases {
+		h := reg.Histogram(obs.PhaseSeries(phase))
+		counts[phase] = h.Count()
+		if h.Count() > 0 && h.Sum() <= 0 {
+			t.Errorf("phase %q recorded %d spans but no time", phase, h.Count())
+		}
+	}
+	return counts
+}
+
 func TestExtractRecordsTimings(t *testing.T) {
-	res, err := New(Options{}).Extract(sitegen.Canoe().HTML)
-	if err != nil {
+	reg := obs.NewRegistry()
+	ctx := obs.WithRegistry(context.Background(), reg)
+	if _, err := New(Options{}).ExtractContext(ctx, sitegen.Canoe().HTML); err != nil {
 		t.Fatal(err)
 	}
-	if res.Timing.Parse <= 0 || res.Timing.Subtree <= 0 || res.Timing.Separator <= 0 {
-		t.Errorf("phases not timed: %+v", res.Timing)
-	}
-	if res.Timing.Total() <= 0 {
-		t.Error("total timing zero")
+	for phase, n := range phaseCounts(t, reg) {
+		if n != 1 {
+			t.Errorf("phase %q recorded %d spans, want 1", phase, n)
+		}
 	}
 }
 
@@ -80,7 +97,8 @@ func TestExtractWithRuleFastPath(t *testing.T) {
 		t.Fatalf("bad rule: %+v", rule)
 	}
 
-	fast, err := e.ExtractWithRule(page.HTML, rule)
+	reg := obs.NewRegistry()
+	fast, err := e.ExtractWithRuleContext(obs.WithRegistry(context.Background(), reg), page.HTML, rule)
 	if err != nil {
 		t.Fatalf("ExtractWithRule: %v", err)
 	}
@@ -90,8 +108,14 @@ func TestExtractWithRuleFastPath(t *testing.T) {
 	if len(fast.Objects) != len(full.Objects) {
 		t.Errorf("fast objects = %d, full = %d", len(fast.Objects), len(full.Objects))
 	}
-	if fast.Timing.Separator != 0 || fast.Timing.Combine != 0 {
-		t.Error("fast path should skip separator discovery")
+	for phase, n := range phaseCounts(t, reg) {
+		want := int64(1)
+		if phase == "separator" {
+			want = 0 // the fast path skips separator discovery
+		}
+		if n != want {
+			t.Errorf("fast path: phase %q recorded %d spans, want %d", phase, n, want)
+		}
 	}
 }
 

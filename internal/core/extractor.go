@@ -3,12 +3,12 @@
 // build its tag tree, locate the object-rich subtree, discover the object
 // separator with the combined heuristic algorithm, construct candidate
 // objects and refine them. It also implements the cached-rule fast path of
-// Section 6.6 and records per-phase timings for the Table 16/17
-// experiments.
+// Section 6.6.
 //
-// Every phase runs under an obs span (tokenize → tidy → build → subtree →
-// separator → extract), so extractions feed per-phase latency histograms
-// in the context's metrics registry; attach an obs.TraceRecorder to the
+// Every phase runs under an obs span (Phases: tokenize → tidy → build →
+// subtree → separator → extract), so extractions feed per-phase latency
+// histograms in the context's metrics registry; those are the measurements
+// behind the Table 16/17 experiments. Attach an obs.TraceRecorder to the
 // context and the result additionally carries a full decision trace —
 // which subtrees ranked where, how each separator heuristic voted, and
 // what the combination concluded.
@@ -31,6 +31,11 @@ import (
 	"omini/internal/tagtree"
 	"omini/internal/tidy"
 )
+
+// Phases are the spans an extraction records, in pipeline order; each
+// span's wall time lands in the obs.PhaseSeries histogram of its name.
+// Rule replay skips separator and times the rule's path lookup as subtree.
+var Phases = []string{"tokenize", "tidy", "build", "subtree", "separator", "extract"}
 
 // Errors the pipeline can return.
 var (
@@ -125,23 +130,6 @@ func countFailure(reg *obs.Registry, err error) {
 	}
 }
 
-// Timing records the wall-clock cost of each pipeline phase, the
-// measurements behind Tables 16 and 17. ReadFile is filled by callers that
-// perform I/O (package fetch); the remaining phases are measured here.
-type Timing struct {
-	ReadFile  time.Duration
-	Parse     time.Duration
-	Subtree   time.Duration
-	Separator time.Duration
-	Combine   time.Duration
-	Construct time.Duration
-}
-
-// Total sums all recorded phases.
-func (t Timing) Total() time.Duration {
-	return t.ReadFile + t.Parse + t.Subtree + t.Separator + t.Combine + t.Construct
-}
-
 // Result is the outcome of one extraction.
 type Result struct {
 	// Objects are the extracted data objects, refined unless disabled.
@@ -157,8 +145,6 @@ type Result struct {
 	Candidates []combine.Candidate
 	// Tree is the page's tag tree (for callers that inspect structure).
 	Tree *tagtree.Node
-	// Timing is the per-phase cost of this extraction.
-	Timing Timing
 	// Trace is the decision trace of this extraction, present only when
 	// the extraction ran under a context carrying an obs.TraceRecorder.
 	Trace *obs.DecisionTrace
@@ -194,17 +180,16 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 		// runs on every exit, so a blown budget shows what was consumed.
 		defer recordCharges(rec, g)
 	}
-	res := &Result{}
-	root, err := e.parse(ctx, html, res, g)
+	root, err := e.parse(ctx, html, g)
 	if err != nil {
 		countFailure(reg, err)
 		return nil, err
 	}
+	res := &Result{Tree: root}
 
 	_, sp := obs.StartSpan(ctx, "subtree")
-	ranked, err := subtree.RankGoverned(e.opts.Subtree, root, g)
+	ranked, err := e.opts.Subtree.Rank(root, g)
 	sp.End()
-	res.Timing.Subtree = sp.Duration()
 	if err != nil {
 		countFailure(reg, err)
 		return nil, fmt.Errorf("core: subtree: %w", err)
@@ -215,26 +200,22 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	}
 	res.SubtreePath = tagtree.Path(sub)
 
+	// The paper times "Object Separator" (running the heuristics) apart
+	// from "Combine Heuristics" (merging the rankings); here both happen
+	// inside combine.Combine, so the separator span covers both.
 	_, sp = obs.StartSpan(ctx, "separator")
-	cands, lists, err := combine.CombineDetailedGoverned(sub, e.opts.Separators, e.opts.Probs, g)
+	cands, lists, err := combine.Combine(sub, e.opts.Separators, e.opts.Probs, g)
 	sp.End()
-	res.Timing.Separator = sp.Duration()
 	if err != nil {
 		countFailure(reg, err)
 		return nil, fmt.Errorf("core: separator: %w", err)
 	}
-	// The paper times "Object Separator" (running the heuristics) apart
-	// from "Combine Heuristics" (merging the rankings); here both happen
-	// inside combine.CombineDetailed, so the split is attributed to
-	// Separator and Combine records only the final candidate selection.
-	start := time.Now()
 	if len(cands) == 0 {
 		reg.Add(SeriesErrors, 1)
 		return nil, fmt.Errorf("%w (subtree %s)", ErrNoObjects, res.SubtreePath)
 	}
 	res.Candidates = cands
 	res.Separator = cands[0].Tag
-	res.Timing.Combine = time.Since(start)
 
 	if err := e.construct(ctx, sub, res, g); err != nil {
 		countFailure(reg, err)
@@ -268,17 +249,16 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	if rec != nil {
 		defer recordCharges(rec, g)
 	}
-	res := &Result{}
-	root, err := e.parse(ctx, html, res, g)
+	root, err := e.parse(ctx, html, g)
 	if err != nil {
 		countFailure(reg, err)
 		return nil, err
 	}
+	res := &Result{Tree: root}
 
 	_, sp := obs.StartSpan(ctx, "subtree")
 	sub := tagtree.FindPath(root, rule.SubtreePath)
 	sp.End()
-	res.Timing.Subtree = sp.Duration()
 	if sub == nil {
 		reg.Add(SeriesRuleMismatches, 1)
 		return nil, fmt.Errorf("%w: path %s", ErrRuleMismatch, rule.SubtreePath)
@@ -303,50 +283,45 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 }
 
 // parse runs Phase 1 — lexing, syntactic normalization, tag tree
-// construction — as three observable spans, and records its combined
-// timing. Splitting tokenize from tidy costs one transient raw-token slice
-// relative to the fused streaming path; the per-phase visibility is the
-// point (DESIGN.md §9). Each phase runs under the page's guard, so an
-// input past MaxInputBytes, a token-budget blowout, or an
-// over-deep/over-large tree surfaces here as a typed govern error.
-func (e *Extractor) parse(ctx context.Context, html string, res *Result, g *govern.Guard) (*tagtree.Node, error) {
-	parseStart := time.Now()
+// construction — as three observable spans. Splitting tokenize from tidy
+// costs one transient raw-token slice relative to a fused lex→tidy stream;
+// the per-phase visibility is the point (DESIGN.md §9). Each phase runs
+// under the page's guard, so an input past MaxInputBytes, a token-budget
+// blowout, or an over-deep/over-large tree surfaces here as a typed govern
+// error.
+func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*tagtree.Node, error) {
 	_, sp := obs.StartSpan(ctx, "tokenize")
-	toks, err := htmlparse.TokenizeGoverned(html, g)
+	toks, err := htmlparse.Tokenize(html, g)
 	sp.End()
 	if err != nil {
-		res.Timing.Parse = time.Since(parseStart)
 		return nil, fmt.Errorf("core: tokenize: %w", err)
 	}
 	if !e.opts.SkipNormalize {
 		_, sp = obs.StartSpan(ctx, "tidy")
-		toks, err = tidy.NormalizeTokensFromGoverned(toks, g)
+		toks, err = tidy.NormalizeTokens(toks, g)
 		sp.End()
 		if err != nil {
-			res.Timing.Parse = time.Since(parseStart)
 			return nil, fmt.Errorf("core: tidy: %w", err)
 		}
 	}
 	// With SkipNormalize the raw stream is unbalanced; Build recovers what
 	// it can.
 	_, sp = obs.StartSpan(ctx, "build")
-	root, err := tagtree.BuildGoverned(toks, g)
+	root, err := tagtree.Build(toks, g)
 	sp.End()
-	res.Timing.Parse = time.Since(parseStart)
 	if err != nil {
 		return nil, fmt.Errorf("core: parse: %w", err)
 	}
-	res.Tree = root
 	return root, nil
 }
 
-// construct runs Phase 3 and records its timing.
+// construct runs Phase 3: object construction, then refinement unless
+// disabled.
 func (e *Extractor) construct(ctx context.Context, sub *tagtree.Node, res *Result, g *govern.Guard) error {
 	_, sp := obs.StartSpan(ctx, "extract")
-	defer func() { res.Timing.Construct = sp.Duration() }()
-	raw, err := extract.ConstructGoverned(sub, res.Separator, g)
+	defer sp.End()
+	raw, err := extract.Construct(sub, res.Separator, g)
 	if err != nil {
-		sp.End()
 		return fmt.Errorf("core: construct: %w", err)
 	}
 	res.Raw = raw
@@ -354,7 +329,6 @@ func (e *Extractor) construct(ctx context.Context, sub *tagtree.Node, res *Resul
 	if !e.opts.SkipRefine {
 		res.Objects = extract.Refine(res.Raw, e.opts.Refine)
 	}
-	sp.End()
 	return nil
 }
 

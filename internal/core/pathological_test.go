@@ -46,10 +46,10 @@ type gateHeuristic struct {
 
 func (g *gateHeuristic) Name() string { return "gate" }
 
-func (g *gateHeuristic) Rank(root *tagtree.Node) []subtree.Ranked {
+func (g *gateHeuristic) Rank(root *tagtree.Node, guard *govern.Guard) ([]subtree.Ranked, error) {
 	g.once.Do(func() { close(g.started) })
 	<-g.release
-	return subtree.Compound().Rank(root)
+	return subtree.Compound().Rank(root, guard)
 }
 
 // TestPathologicalBatchMidFlightCancel cancels a batch while a page is

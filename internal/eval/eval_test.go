@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"omini/internal/core"
 	"omini/internal/corpus"
 	"omini/internal/extract"
+	"omini/internal/obs"
 	"omini/internal/separator"
 	"omini/internal/sitegen"
 	"omini/internal/tagtree"
@@ -225,15 +227,29 @@ func TestMeasureTimingFullAndRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MeasureTiming rules: %v", err)
 	}
-	if fast.Separator != 0 || fast.Combine != 0 {
+	if fast.Separator != 0 {
 		t.Errorf("rule path measured separator discovery: %+v", fast)
 	}
 	// The paper's Table 16/17 claim: subtree+separator+construction is an
 	// order of magnitude faster with cached rules.
-	discoveryFull := full.Subtree + full.Separator + full.Combine + full.Construct
+	discoveryFull := full.Subtree + full.Separator + full.Construct
 	discoveryFast := fast.Subtree + fast.Construct
 	if discoveryFast >= discoveryFull {
 		t.Errorf("cached rules not faster: %.3fms vs %.3fms", discoveryFast, discoveryFull)
+	}
+}
+
+// The Table 16/17 reader must account for every span the pipeline
+// records: one millisecond in each of core.Phases totals len(core.Phases).
+func TestTimingRowReadsEveryPhase(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, phase := range core.Phases {
+		reg.Observe(obs.PhaseSeries(phase), 1e-3)
+	}
+	var row TimingRow
+	row.add(0, reg, 1)
+	if want := float64(len(core.Phases)); math.Abs(row.Total-want) > 1e-9 {
+		t.Errorf("total = %vms over %d phases, want %vms: %+v", row.Total, len(core.Phases), want, row)
 	}
 }
 
@@ -301,7 +317,11 @@ func TestScoreObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := tagtree.FindPath(root, page.Truth.SubtreePath)
-	objects := extract.Refine(extract.Construct(sub, "table"), extract.RefineOptions{})
+	raw, err := extract.Construct(sub, "table", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := extract.Refine(raw, extract.RefineOptions{})
 	p, r := scoreObjects(objects, page.Truth.ObjectTitles)
 	if p != 1 || r != 1 {
 		t.Errorf("canoe replica p=%v r=%v, want 1/1", p, r)

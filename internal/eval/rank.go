@@ -34,8 +34,8 @@ type PreparedPage struct {
 	Sub *tagtree.Node
 	// Lists holds each heuristic's ranking on Sub, by heuristic name.
 	Lists map[string][]separator.Ranked
-	// TieBreak is the candidate-order tie-break map for combination.
-	TieBreak map[string]int
+	// Stats indexes Sub; combination breaks ties with its FirstIndex.
+	Stats *separator.Stats
 }
 
 // PreparedSite is one site's prepared pages.
@@ -72,16 +72,19 @@ func preparePage(page sitegen.Page, heuristics []separator.Heuristic) (PreparedP
 	if sub == nil {
 		return PreparedPage{}, fmt.Errorf("truth path %q does not resolve", page.Truth.SubtreePath)
 	}
-	st := separator.NewStats(sub)
+	st, err := separator.NewStats(sub, nil)
+	if err != nil {
+		return PreparedPage{}, err
+	}
 	lists := make(map[string][]separator.Ranked, len(heuristics))
 	for _, h := range heuristics {
-		lists[h.Name()] = separator.RankWith(st, h)
+		lists[h.Name()] = h.Rank(st)
 	}
 	return PreparedPage{
-		Page:     page,
-		Sub:      sub,
-		Lists:    lists,
-		TieBreak: st.FirstIndex(),
+		Page:  page,
+		Sub:   sub,
+		Lists: lists,
+		Stats: st,
 	}, nil
 }
 
@@ -189,7 +192,7 @@ func CombinationDist(combo combine.Combination, table combine.ProbTable, sites [
 		for i, h := range combo.Heuristics {
 			lists[i] = combine.RankedList{Name: h.Name(), Ranked: p.Lists[h.Name()]}
 		}
-		cands := combine.CombineLists(lists, table, p.TieBreak)
+		cands := combine.CombineLists(lists, table, p.Stats)
 		tags := make([]string, len(cands))
 		for i, c := range cands {
 			tags[i] = c.Tag

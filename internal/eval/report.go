@@ -54,11 +54,11 @@ func WriteComboTable(w io.Writer, title string, dists []Dist) {
 func WriteTimingTable(w io.Writer, title string, withDiscovery bool, rows []TimingRow) {
 	fmt.Fprintf(w, "%s\n", title)
 	if withDiscovery {
-		fmt.Fprintf(w, "%-14s %8s %8s %8s %9s %8s %9s %8s\n",
-			"Web Site", "Read", "Parse", "Subtree", "Separator", "Combine", "Construct", "Total")
+		fmt.Fprintf(w, "%-14s %8s %8s %8s %9s %9s %8s\n",
+			"Web Site", "Read", "Parse", "Subtree", "Separator", "Construct", "Total")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%-14s %8.2f %8.2f %8.2f %9.2f %8.2f %9.2f %8.2f\n",
-				r.Label, r.ReadFile, r.Parse, r.Subtree, r.Separator, r.Combine, r.Construct, r.Total)
+			fmt.Fprintf(w, "%-14s %8.2f %8.2f %8.2f %9.2f %9.2f %8.2f\n",
+				r.Label, r.ReadFile, r.Parse, r.Subtree, r.Separator, r.Construct, r.Total)
 		}
 	} else {
 		fmt.Fprintf(w, "%-14s %8s %8s %8s %9s %8s\n",

@@ -34,7 +34,10 @@ func SubtreeHeuristicDist(h subtree.Heuristic, sites []corpus.SitePages) (Subtre
 			if err != nil {
 				return d, err
 			}
-			ranked := h.Rank(root)
+			ranked, err := h.Rank(root, nil)
+			if err != nil {
+				return d, err
+			}
 			limit := MaxRank
 			if len(ranked) < limit {
 				limit = len(ranked)

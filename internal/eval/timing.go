@@ -8,33 +8,44 @@ import (
 	"omini/internal/core"
 	"omini/internal/corpus"
 	"omini/internal/fetch"
+	"omini/internal/obs"
 	"omini/internal/rules"
 )
 
 // TimingRow is one row of Table 16 or 17: mean per-phase extraction cost in
-// milliseconds over a page collection.
+// milliseconds over a page collection. The paper's "Combine Heuristics"
+// time is inside Separator: combine.Combine runs the heuristics and merges
+// their rankings under one span.
 type TimingRow struct {
 	Label     string
 	ReadFile  float64
 	Parse     float64
 	Subtree   float64
 	Separator float64
-	Combine   float64
 	Construct float64
 	Total     float64
 	Pages     int
 }
 
-// add accumulates one page's timing (already averaged over repeats).
-func (r *TimingRow) add(read time.Duration, t core.Timing) {
-	const ms = float64(time.Millisecond)
-	r.ReadFile += float64(read) / ms
-	r.Parse += float64(t.Parse) / ms
-	r.Subtree += float64(t.Subtree) / ms
-	r.Separator += float64(t.Separator) / ms
-	r.Combine += float64(t.Combine) / ms
-	r.Construct += float64(t.Construct) / ms
-	r.Total += float64(read+t.Parse+t.Subtree+t.Separator+t.Combine+t.Construct) / ms
+// add accumulates one page's timing: read is the mean fetch time and reg
+// holds the phase spans (core.Phases) of repeats extractions of the page.
+// The series names are spelled out because the registry's naming contract
+// wants each one a constant.
+func (r *TimingRow) add(read time.Duration, reg *obs.Registry, repeats int) {
+	ms := func(h *obs.Histogram) float64 { return h.Sum() * 1e3 / float64(repeats) }
+	readMS := float64(read) / float64(time.Millisecond)
+	parse := ms(reg.Histogram(obs.PhaseSeries("tokenize"))) +
+		ms(reg.Histogram(obs.PhaseSeries("tidy"))) +
+		ms(reg.Histogram(obs.PhaseSeries("build")))
+	subtree := ms(reg.Histogram(obs.PhaseSeries("subtree")))
+	separator := ms(reg.Histogram(obs.PhaseSeries("separator")))
+	construct := ms(reg.Histogram(obs.PhaseSeries("extract")))
+	r.ReadFile += readMS
+	r.Parse += parse
+	r.Subtree += subtree
+	r.Separator += separator
+	r.Construct += construct
+	r.Total += readMS + parse + subtree + separator + construct
 	r.Pages++
 }
 
@@ -48,7 +59,6 @@ func (r *TimingRow) finish() {
 	r.Parse /= n
 	r.Subtree /= n
 	r.Separator /= n
-	r.Combine /= n
 	r.Construct /= n
 	r.Total /= n
 }
@@ -66,7 +76,8 @@ type TimingOptions struct {
 
 // MeasureTiming serves the collection over a loopback HTTP server, fetches
 // and extracts every page, and returns the mean per-phase cost — the
-// methodology behind Tables 16 and 17.
+// methodology behind Tables 16 and 17. Phase costs are the extraction's
+// own spans (core.Phases), read back from a registry private to the page.
 func MeasureTiming(label string, sites []corpus.SitePages, opts TimingOptions) (TimingRow, error) {
 	repeats := opts.Repeats
 	if repeats < 1 {
@@ -85,12 +96,11 @@ func MeasureTiming(label string, sites []corpus.SitePages, opts TimingOptions) (
 		f         fetch.Fetcher
 		extractor = core.New(core.Options{})
 		row       = TimingRow{Label: label}
-		ctx       = context.Background()
 	)
 	for _, sp := range sites {
 		var rule rules.Rule
 		if opts.UseRules && len(sp.Pages) > 0 {
-			body, err := f.Fetch(ctx, srv.URL(sp.Pages[0]))
+			body, err := f.Fetch(context.Background(), srv.URL(sp.Pages[0]))
 			if err != nil {
 				return row, fmt.Errorf("eval: fetch rule page: %w", err)
 			}
@@ -101,52 +111,30 @@ func MeasureTiming(label string, sites []corpus.SitePages, opts TimingOptions) (
 			rule = res.Rule(sp.Spec.Name)
 		}
 		for _, page := range sp.Pages {
-			var (
-				readSum time.Duration
-				sum     core.Timing
-			)
+			var readSum time.Duration
+			reg := obs.NewRegistry()
+			ctx := obs.WithRegistry(context.Background(), reg)
 			for rep := 0; rep < repeats; rep++ {
 				start := time.Now()
-				body, err := f.Fetch(ctx, srv.URL(page))
+				body, err := f.Fetch(context.Background(), srv.URL(page))
 				readSum += time.Since(start)
 				if err != nil {
 					return row, fmt.Errorf("eval: fetch %s: %w", page.Name, err)
 				}
-				var res *core.Result
 				if opts.UseRules {
-					res, err = extractor.ExtractWithRule(body, rule)
+					_, err = extractor.ExtractWithRuleContext(ctx, body, rule)
 				} else {
-					res, err = extractor.Extract(body)
+					_, err = extractor.ExtractContext(ctx, body)
 				}
 				if err != nil {
 					return row, fmt.Errorf("eval: extract %s: %w", page.Name, err)
 				}
-				sum = addTiming(sum, res.Timing)
 			}
-			row.add(readSum/time.Duration(repeats), divTiming(sum, repeats))
+			row.add(readSum/time.Duration(repeats), reg, repeats)
 		}
 	}
 	row.finish()
 	return row, nil
-}
-
-func addTiming(a, b core.Timing) core.Timing {
-	a.Parse += b.Parse
-	a.Subtree += b.Subtree
-	a.Separator += b.Separator
-	a.Combine += b.Combine
-	a.Construct += b.Construct
-	return a
-}
-
-func divTiming(t core.Timing, n int) core.Timing {
-	d := time.Duration(n)
-	t.Parse /= d
-	t.Subtree /= d
-	t.Separator /= d
-	t.Combine /= d
-	t.Construct /= d
-	return t
 }
 
 // CombineRows merges timing rows into their weighted combined row, matching
@@ -160,7 +148,6 @@ func CombineRows(label string, rows ...TimingRow) TimingRow {
 		out.Parse += r.Parse * n
 		out.Subtree += r.Subtree * n
 		out.Separator += r.Separator * n
-		out.Combine += r.Combine * n
 		out.Construct += r.Construct * n
 		out.Total += r.Total * n
 		out.Pages += r.Pages

@@ -80,17 +80,12 @@ const dividerContentFraction = 0.05
 //
 // Content before the first separator is emitted as a candidate object too
 // (a list header, typically) — Refine is responsible for dropping it.
-func Construct(sub *tagtree.Node, sepTag string) []Object {
-	objects, _ := ConstructGoverned(sub, sepTag, nil)
-	return objects
-}
-
-// ConstructGoverned is Construct under a resource guard: the child
-// partition polls the page context, and each flushed object is charged
-// against the object budget, so a page that would partition into
-// millions of objects fails typed instead of materializing them. A nil
-// guard makes it identical to Construct.
-func ConstructGoverned(sub *tagtree.Node, sepTag string, g *govern.Guard) ([]Object, error) {
+//
+// The child partition polls the guard's page context, and each flushed
+// object is charged against the object budget, so a page that would
+// partition into millions of objects fails typed instead of materializing
+// them. A nil guard means unlimited.
+func Construct(sub *tagtree.Node, sepTag string, g *govern.Guard) ([]Object, error) {
 	if sub == nil || sepTag == "" {
 		return nil, nil
 	}

@@ -10,6 +10,17 @@ import (
 
 var _ = tagtree.Path // keep import used across edits
 
+// construct runs Construct with no guard, failing the test on an error a
+// nil guard must never produce.
+func construct(t *testing.T, sub *tagtree.Node, sepTag string) []Object {
+	t.Helper()
+	objects, err := Construct(sub, sepTag, nil)
+	if err != nil {
+		t.Fatalf("Construct(%q): %v", sepTag, err)
+	}
+	return objects
+}
+
 func subtreeOf(t *testing.T, page sitegen.Page) *tagtree.Node {
 	t.Helper()
 	root, err := tagtree.Parse(page.HTML)
@@ -28,7 +39,7 @@ func subtreeOf(t *testing.T, page sitegen.Page) *tagtree.Node {
 func TestConstructDividerStyle(t *testing.T) {
 	page := sitegen.LOC()
 	body := subtreeOf(t, page)
-	objects := Construct(body, "hr")
+	objects := construct(t, body, "hr")
 	// 20 records + a leading header group (h1, i) + a trailing group.
 	if len(objects) != page.Truth.ObjectCount+2 {
 		t.Fatalf("got %d candidates, want %d records + header + footer",
@@ -57,7 +68,7 @@ func TestConstructDividerStyle(t *testing.T) {
 func TestConstructOpenerStyle(t *testing.T) {
 	page := sitegen.Canoe()
 	form := subtreeOf(t, page)
-	objects := Construct(form, "table")
+	objects := construct(t, form, "table")
 	// A leading img/br group plus 13 table-opened objects.
 	if len(objects) != 14 {
 		t.Fatalf("got %d objects, want 14", len(objects))
@@ -85,7 +96,7 @@ func TestConstructDtOpensRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl := root.FindAll("dl")[0]
-	objects := Construct(dl, "dt")
+	objects := construct(t, dl, "dt")
 	if len(objects) != 3 {
 		t.Fatalf("got %d objects, want 3", len(objects))
 	}
@@ -102,13 +113,13 @@ func TestConstructDtOpensRecord(t *testing.T) {
 func TestConstructEdgeCases(t *testing.T) {
 	page := sitegen.LOC()
 	body := subtreeOf(t, page)
-	if got := Construct(nil, "hr"); got != nil {
+	if got := construct(t, nil, "hr"); got != nil {
 		t.Error("Construct(nil) != nil")
 	}
-	if got := Construct(body, ""); got != nil {
+	if got := construct(t, body, ""); got != nil {
 		t.Error("Construct with empty tag != nil")
 	}
-	if got := Construct(body, "nosuchtag"); got != nil {
+	if got := construct(t, body, "nosuchtag"); got != nil {
 		t.Error("Construct with absent separator != nil")
 	}
 }
@@ -117,7 +128,7 @@ func TestConstructEdgeCases(t *testing.T) {
 func TestRefineDropsChromeOnLOC(t *testing.T) {
 	page := sitegen.LOC()
 	body := subtreeOf(t, page)
-	objects := Refine(Construct(body, "hr"), RefineOptions{})
+	objects := Refine(construct(t, body, "hr"), RefineOptions{})
 	if len(objects) != page.Truth.ObjectCount {
 		texts := make([]string, len(objects))
 		for i, o := range objects {
@@ -138,7 +149,7 @@ func TestRefineDropsChromeOnLOC(t *testing.T) {
 func TestRefineDropsChromeOnCanoe(t *testing.T) {
 	page := sitegen.Canoe()
 	form := subtreeOf(t, page)
-	objects := Refine(Construct(form, "table"), RefineOptions{})
+	objects := Refine(construct(t, form, "table"), RefineOptions{})
 	if len(objects) != page.Truth.ObjectCount {
 		t.Fatalf("refined to %d objects, want %d", len(objects), page.Truth.ObjectCount)
 	}
@@ -155,7 +166,7 @@ func TestRefineFewObjectsPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := root.FindAll("body")[0]
-	objects := Construct(body, "p")
+	objects := construct(t, body, "p")
 	if got := Refine(objects, RefineOptions{}); len(got) != len(objects) {
 		t.Errorf("refinement changed a %d-object set", len(objects))
 	}
@@ -175,7 +186,7 @@ func TestRefineSizeBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := root.FindAll("body")[0]
-	objects := Construct(body, "p")
+	objects := construct(t, body, "p")
 	if len(objects) != 11 {
 		t.Fatalf("constructed %d, want 11", len(objects))
 	}
@@ -199,7 +210,7 @@ func TestRefineUniqueTagLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := root.FindAll("body")[0]
-	refined := Refine(Construct(body, "p"), RefineOptions{})
+	refined := Refine(construct(t, body, "p"), RefineOptions{})
 	for _, o := range refined {
 		if o.TagSet()["table"] {
 			t.Error("structurally alien candidate survived refinement")
@@ -244,7 +255,7 @@ func TestConstructPartitionInvariants(t *testing.T) {
 	for _, page := range pages {
 		sub := subtreeOf(t, page)
 		for _, sep := range page.Truth.Separators {
-			objects := Construct(sub, sep)
+			objects := construct(t, sub, sep)
 			seen := make(map[*tagtree.Node]bool)
 			var flat []*tagtree.Node
 			for _, o := range objects {
@@ -281,7 +292,7 @@ func TestConstructPartitionInvariants(t *testing.T) {
 func TestRefineSubsetInvariant(t *testing.T) {
 	page := sitegen.Canoe()
 	sub := subtreeOf(t, page)
-	raw := Construct(sub, "table")
+	raw := construct(t, sub, "table")
 	refined := Refine(raw, RefineOptions{})
 	if len(refined) > len(raw) {
 		t.Fatal("refinement grew the object set")

@@ -648,16 +648,18 @@ func (f *Farm) Run(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			f.saveIfDirty()
+			// A failed save is logged and counted by saveIfDirty; the
+			// store stays dirty for Close to retry.
+			_ = f.saveIfDirty()
 			return ctx.Err()
 		case s := <-f.samples:
 			_, _ = f.revalidateOne(ctx, s)
 		case <-ticker.C:
 			_ = f.sweep(g)
-			f.saveIfDirty()
+			_ = f.saveIfDirty()
 		}
 	}
-	f.saveIfDirty()
+	_ = f.saveIfDirty()
 	return ctx.Err()
 }
 
@@ -674,16 +676,25 @@ func (f *Farm) sweep(g *govern.Guard) error {
 }
 
 // saveIfDirty persists the store when something changed since the
-// last save.
-func (f *Farm) saveIfDirty() {
-	if f.cfg.StorePath == "" || !f.dirty.Swap(false) {
-		return
+// last save. It holds saveMu across the dirty check, so a caller that
+// finds the store clean knows no save of it is still in flight. A
+// failed save is logged, counted, and left dirty for the next attempt.
+func (f *Farm) saveIfDirty() error {
+	if f.cfg.StorePath == "" {
+		return nil
 	}
-	if err := f.Save(); err != nil {
-		f.dirty.Store(true) // retry on the next sweep
+	f.saveMu.Lock()
+	defer f.saveMu.Unlock()
+	if !f.dirty.Swap(false) {
+		return nil
+	}
+	if err := f.save(); err != nil {
+		f.dirty.Store(true)
 		f.stats.Add(SeriesStoreErrors, 1)
 		f.log.Error("farm: rule store save failed", "path", f.cfg.StorePath, "err", err.Error())
+		return err
 	}
+	return nil
 }
 
 // Save persists the cache as a versioned snapshot at Config.StorePath
@@ -695,6 +706,11 @@ func (f *Farm) Save() error {
 	}
 	f.saveMu.Lock()
 	defer f.saveMu.Unlock()
+	return f.save()
+}
+
+// save writes the snapshot. The caller holds saveMu.
+func (f *Farm) save() error {
 	list, err := f.snapshotRules(govern.NewGuard(context.Background(), govern.Unlimited()))
 	if err != nil {
 		return err
@@ -713,11 +729,10 @@ func (f *Farm) Save() error {
 	return nil
 }
 
-// Close final-saves the store (when dirty). The farm has no other
-// resources to release; Run's goroutine stops with its context.
+// Close final-saves the store (when dirty), on the same path as Run's
+// final save: when Run is saving concurrently, Close returns once that
+// save has finished. The farm has no other resources to release; Run's
+// goroutine stops with its context.
 func (f *Farm) Close() error {
-	if f.cfg.StorePath == "" || !f.dirty.Swap(false) {
-		return nil
-	}
-	return f.Save()
+	return f.saveIfDirty()
 }

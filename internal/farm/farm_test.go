@@ -474,6 +474,40 @@ func TestRunDrainsSamplesAndSaves(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForRunFinalSave races the two final saves of a
+// shutdown: Run's, on cancellation, and Close's. Whichever wins, the
+// store must hold every rule once Close returns — a Close that finds
+// the store clean because Run's save is still writing must wait for it.
+func TestCloseWaitsForRunFinalSave(t *testing.T) {
+	const rounds, sites = 20, 50
+	for round := 0; round < rounds; round++ {
+		path := filepath.Join(t.TempDir(), "rules.json")
+		f, _ := newTestFarm(t, Config{StorePath: path})
+		for i := 0; i < sites; i++ {
+			f.Put(rules.Rule{Site: fmt.Sprintf("s%02d.example", i), SubtreePath: "html[1].body[1]", Separator: "li"}, nil)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		ran := make(chan error, 1)
+		go func() { ran <- f.Run(ctx) }()
+		closed := make(chan error, 1)
+		go func() { closed <- f.Close() }()
+		cancel()
+		if err := <-closed; err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+		snap, err := LoadSnapshot(path)
+		if err != nil {
+			t.Fatalf("round %d: store after Close: %v", round, err)
+		}
+		if len(snap.Rules) != sites {
+			t.Fatalf("round %d: store holds %d rules after Close, want %d", round, len(snap.Rules), sites)
+		}
+		if err := <-ran; err != context.Canceled {
+			t.Fatalf("round %d: Run returned %v, want context.Canceled", round, err)
+		}
+	}
+}
+
 func TestExtractorErrorsPropagate(t *testing.T) {
 	f, _ := newTestFarm(t, Config{
 		Extractor: core.New(core.Options{Limits: core.Limits{MaxInputBytes: 16}}),

@@ -66,7 +66,10 @@ func addFuzzSeeds(f *testing.F) {
 func FuzzTokenize(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		toks := htmlparse.Tokenize(src)
+		toks, err := htmlparse.Tokenize(src, nil)
+		if err != nil {
+			t.Fatalf("Tokenize(%q, nil): %v", src, err)
+		}
 		prev := 0
 		for i := range toks {
 			tok := &toks[i]
@@ -93,7 +96,7 @@ func FuzzTokenize(f *testing.F) {
 				}
 			}
 		}
-		if again := htmlparse.Tokenize(src); !reflect.DeepEqual(toks, again) {
+		if again, _ := htmlparse.Tokenize(src, nil); !reflect.DeepEqual(toks, again) {
 			t.Fatalf("tokenizing is not deterministic for %q", src)
 		}
 	})

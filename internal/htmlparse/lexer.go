@@ -42,17 +42,11 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src}
 }
 
-// Tokenize lexes the whole of src in one call.
-func Tokenize(src string) []Token {
-	toks, _ := TokenizeGoverned(src, nil)
-	return toks
-}
-
-// TokenizeGoverned lexes src under a resource guard: the input size is
-// checked up front and every produced token is charged against the
-// guard's token budget (which also polls the page context). A nil
-// guard makes it identical to Tokenize.
-func TokenizeGoverned(src string, g *govern.Guard) ([]Token, error) {
+// Tokenize lexes the whole of src under a resource guard: the input size
+// is checked up front and every produced token is charged against the
+// guard's token budget (which also polls the page context). A nil guard
+// means unlimited, and then Tokenize never fails.
+func Tokenize(src string, g *govern.Guard) ([]Token, error) {
 	if err := g.Input(len(src)); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// tokenize lexes src with no guard, failing the test on an error a nil
+// guard must never produce.
+func tokenize(t testing.TB, src string) []Token {
+	t.Helper()
+	toks, err := Tokenize(src, nil)
+	if err != nil {
+		t.Fatalf("Tokenize(%q, nil): %v", src, err)
+	}
+	return toks
+}
+
 func tokenTypes(toks []Token) []TokenType {
 	out := make([]TokenType, len(toks))
 	for i, t := range toks {
@@ -16,7 +27,7 @@ func tokenTypes(toks []Token) []TokenType {
 }
 
 func TestTokenizeSimpleDocument(t *testing.T) {
-	toks := Tokenize(`<html><body><p>Hello</p></body></html>`)
+	toks := tokenize(t, `<html><body><p>Hello</p></body></html>`)
 	want := []TokenType{
 		StartTagToken, StartTagToken, StartTagToken,
 		TextToken,
@@ -31,7 +42,7 @@ func TestTokenizeSimpleDocument(t *testing.T) {
 }
 
 func TestTokenizeTagNamesLowercased(t *testing.T) {
-	toks := Tokenize(`<TABLE><TR><TD>x</TD></TR></TABLE>`)
+	toks := tokenize(t, `<TABLE><TR><TD>x</TD></TR></TABLE>`)
 	for _, tok := range toks {
 		if tok.Type == TextToken {
 			continue
@@ -84,7 +95,7 @@ func TestTokenizeAttributes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			toks := Tokenize(tt.give)
+			toks := tokenize(t, tt.give)
 			if len(toks) != 1 {
 				t.Fatalf("got %d tokens, want 1", len(toks))
 			}
@@ -96,7 +107,7 @@ func TestTokenizeAttributes(t *testing.T) {
 }
 
 func TestTokenizeSelfClosing(t *testing.T) {
-	toks := Tokenize(`<br/><hr /><img src="x.gif"/>`)
+	toks := tokenize(t, `<br/><hr /><img src="x.gif"/>`)
 	if len(toks) != 3 {
 		t.Fatalf("got %d tokens, want 3", len(toks))
 	}
@@ -108,7 +119,7 @@ func TestTokenizeSelfClosing(t *testing.T) {
 }
 
 func TestTokenizeCommentAndDoctype(t *testing.T) {
-	toks := Tokenize(`<!DOCTYPE html><!-- a comment --><p>x</p>`)
+	toks := tokenize(t, `<!DOCTYPE html><!-- a comment --><p>x</p>`)
 	if toks[0].Type != DoctypeToken {
 		t.Errorf("first token = %v, want doctype", toks[0].Type)
 	}
@@ -119,7 +130,7 @@ func TestTokenizeCommentAndDoctype(t *testing.T) {
 
 func TestTokenizeScriptRawText(t *testing.T) {
 	src := `<script>if (a < b) { x = "<table>"; }</script><p>after</p>`
-	toks := Tokenize(src)
+	toks := tokenize(t, src)
 	if len(toks) < 4 {
 		t.Fatalf("got %d tokens: %v", len(toks), toks)
 	}
@@ -135,7 +146,7 @@ func TestTokenizeScriptRawText(t *testing.T) {
 }
 
 func TestTokenizeUnterminatedScript(t *testing.T) {
-	toks := Tokenize(`<script>var x = 1;`)
+	toks := tokenize(t, `<script>var x = 1;`)
 	if len(toks) != 2 {
 		t.Fatalf("got %d tokens, want 2", len(toks))
 	}
@@ -145,7 +156,7 @@ func TestTokenizeUnterminatedScript(t *testing.T) {
 }
 
 func TestTokenizeStrayAngleBracket(t *testing.T) {
-	toks := Tokenize(`<p>3 < 5 and 7 > 2</p>`)
+	toks := tokenize(t, `<p>3 < 5 and 7 > 2</p>`)
 	if len(toks) != 3 {
 		t.Fatalf("got %d tokens: %v", len(toks), toks)
 	}
@@ -155,18 +166,18 @@ func TestTokenizeStrayAngleBracket(t *testing.T) {
 }
 
 func TestTokenizeEndTagWithAttrs(t *testing.T) {
-	toks := Tokenize(`</font color="red">`)
+	toks := tokenize(t, `</font color="red">`)
 	if len(toks) != 1 || toks[0].Type != EndTagToken || toks[0].Data != "font" {
 		t.Fatalf("got %v", toks)
 	}
 }
 
 func TestTokenizeEmptyAndGarbage(t *testing.T) {
-	if toks := Tokenize(""); len(toks) != 0 {
+	if toks := tokenize(t, ""); len(toks) != 0 {
 		t.Errorf("empty input produced %d tokens", len(toks))
 	}
 	// Garbage must not panic and must preserve text.
-	toks := Tokenize("<<<>>><><")
+	toks := tokenize(t, "<<<>>><><")
 	var text strings.Builder
 	for _, tok := range toks {
 		if tok.Type == TextToken {
@@ -179,7 +190,7 @@ func TestTokenizeEmptyAndGarbage(t *testing.T) {
 }
 
 func TestTokenAttrLookup(t *testing.T) {
-	toks := Tokenize(`<a href="x" class="y">`)
+	toks := tokenize(t, `<a href="x" class="y">`)
 	if v, ok := toks[0].Attr("HREF"); !ok || v != "x" {
 		t.Errorf("Attr(HREF) = %q, %v", v, ok)
 	}
@@ -208,7 +219,7 @@ func TestTokenString(t *testing.T) {
 
 func TestTokenizeOffsets(t *testing.T) {
 	src := `<p>ab</p><b>c</b>`
-	toks := Tokenize(src)
+	toks := tokenize(t, src)
 	for _, tok := range toks {
 		if tok.Offset < 0 || tok.Offset >= len(src) {
 			t.Errorf("offset %d out of range for %v", tok.Offset, tok)
@@ -223,7 +234,7 @@ func TestTokenizeOffsets(t *testing.T) {
 // that the lexer recognized elsewhere; total consumed text is bounded.
 func TestTokenizeNeverPanicsProperty(t *testing.T) {
 	f := func(s string) bool {
-		toks := Tokenize(s)
+		toks := tokenize(t, s)
 		for _, tok := range toks {
 			if tok.Type == StartTagToken && tok.Data == "" {
 				return false
@@ -255,7 +266,7 @@ func TestTokenTypeString(t *testing.T) {
 }
 
 func TestTokenizeProcessingInstruction(t *testing.T) {
-	toks := Tokenize(`<?xml version="1.0"?><root>x</root>`)
+	toks := tokenize(t, `<?xml version="1.0"?><root>x</root>`)
 	if toks[0].Type != ProcInstToken {
 		t.Fatalf("first token = %v", toks[0].Type)
 	}
@@ -263,7 +274,7 @@ func TestTokenizeProcessingInstruction(t *testing.T) {
 		t.Errorf("proc-inst data = %q", toks[0].Data)
 	}
 	// Unterminated processing instruction consumes the rest.
-	toks = Tokenize(`<?php echo`)
+	toks = tokenize(t, `<?php echo`)
 	if len(toks) != 1 || toks[0].Type != ProcInstToken {
 		t.Errorf("unterminated PI tokens = %v", toks)
 	}
@@ -278,7 +289,7 @@ func TestTokenizeUnterminatedConstructs(t *testing.T) {
 		`</`,
 		`<`,
 	} {
-		toks := Tokenize(src) // must not panic or loop
+		toks := tokenize(t, src) // must not panic or loop
 		_ = toks
 	}
 }

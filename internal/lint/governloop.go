@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // governedPackages are the packages whose hot loops run under the
@@ -65,12 +64,6 @@ func runGovernloop(pass *Pass) {
 			gc.collectClosures(fd.Body)
 			switch {
 			case gc.takesGuard(fd):
-				gc.checkGoverned(fd)
-			case strings.HasSuffix(fd.Name.Name, "Governed"):
-				// The naming contract promises governed behavior; without a
-				// guard in reach the promise is empty.
-				pass.Reportf(fd.Name.Pos(),
-					"%s is named *Governed but takes no *govern.Guard parameter", fd.Name.Name)
 				gc.checkGoverned(fd)
 			case fd.Name.IsExported():
 				gc.checkEntryPoint(fd)
@@ -263,5 +256,5 @@ func (gc *governChecker) checkEntryPoint(fd *ast.FuncDecl) {
 		return
 	}
 	gc.pass.Reportf(fd.Name.Pos(),
-		"exported entry point %s loops without a *govern.Guard; add a Governed variant or delegate to one", funcKey(fd))
+		"exported entry point %s loops without a *govern.Guard; take a *govern.Guard or delegate to a function that does", funcKey(fd))
 }

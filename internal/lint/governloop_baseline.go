@@ -2,10 +2,9 @@ package lint
 
 // governloopBaseline grandfathers the ungoverned exported API that
 // predates the resource governor: convenience entry points and pure
-// accessors whose *Governed counterparts (or governed callers) carry
-// the budget. Keyed "pkg.Func" / "pkg.Recv.Method". New entries are
-// not added here — new looping entry points must take a *govern.Guard
-// or delegate to one.
+// accessors whose governed callers carry the budget. Keyed "pkg.Func" /
+// "pkg.Recv.Method". New entries are not added here — new looping entry
+// points must take a *govern.Guard or delegate to one.
 var governloopBaseline = map[string]bool{
 	"combine.Combinations":          true,
 	"combine.CombineLists":          true,
@@ -23,7 +22,6 @@ var governloopBaseline = map[string]bool{
 	"separator.RPPairs":             true,
 	"separator.RankOf":              true,
 	"separator.SBPairs":             true,
-	"separator.Stats.FirstIndex":    true,
 	"separator.Tags":                true,
 	"tagtree.Compile":               true,
 	"tagtree.FindPath":              true,

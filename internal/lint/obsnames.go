@@ -113,7 +113,7 @@ func (o *obsnames) run(pass *Pass) {
 // harvestPrereg collects the pre-registration set from registerMetrics:
 // every constant string in its body (including constants referenced
 // from other packages) and in the initializers of package-level vars it
-// ranges over (the pipeline phase list), each also mapped through the
+// ranges over (the serving phase list), each also mapped through the
 // per-phase latency family.
 func (o *obsnames) harvestPrereg(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {

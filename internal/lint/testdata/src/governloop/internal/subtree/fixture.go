@@ -1,6 +1,6 @@
 // Package subtree exercises the governloop analyzer: loops inside
-// governed functions must charge the guard, *Governed names must take
-// one, and exported entry points may not loop without one.
+// governed functions must charge the guard, and exported entry points
+// may not loop without one.
 package subtree
 
 import "fixture/internal/govern"
@@ -22,11 +22,6 @@ func LeakGoverned(xs []int, g *govern.Guard) int {
 		total += x
 	}
 	return total + len(xs)
-}
-
-// BadGoverned promises governed behavior without a guard in reach.
-func BadGoverned(xs []int) int { // want "takes no \\*govern.Guard parameter"
-	return len(xs)
 }
 
 // Join loops in an exported entry point with no guard anywhere.

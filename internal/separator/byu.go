@@ -1,10 +1,6 @@
 package separator
 
-import (
-	"sort"
-
-	"omini/internal/tagtree"
-)
+import "sort"
 
 // This file implements the two heuristics of the BYU record-boundary
 // discovery system (Embley, Jiang, Ng — SIGMOD'99) that Omini does NOT
@@ -26,9 +22,7 @@ func (hc) Name() string { return "HC" }
 
 func (hc) Letter() byte { return 'H' }
 
-func (h hc) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (hc) rankWith(st *Stats) []Ranked {
+func (hc) Rank(st *Stats) []Ranked {
 	stats := st.tags
 	type entry struct {
 		tag   string
@@ -37,6 +31,7 @@ func (hc) rankWith(st *Stats) []Ranked {
 	}
 	entries := make([]entry, 0, len(stats))
 	for tag, s := range stats {
+		st.g.Poll()
 		entries = append(entries, entry{tag: tag, count: s.count, first: s.first})
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -76,12 +71,11 @@ func (it) Name() string { return "IT" }
 
 func (it) Letter() byte { return 'T' }
 
-func (h it) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (it) rankWith(st *Stats) []Ranked {
+func (it) Rank(st *Stats) []Ranked {
 	stats := st.tags
 	var out []Ranked
 	for pos, tag := range itList {
+		st.g.Poll()
 		s, ok := stats[tag]
 		if !ok || s.count < itMinCount {
 			continue

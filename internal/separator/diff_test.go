@@ -101,7 +101,7 @@ func TestDifferentialRankings(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		for _, sub := range randSubtrees(t, rng, 12) {
 			for _, ref := range refs {
-				got := ref.h.Rank(sub)
+				got := rank(t, ref.h, sub)
 				want := ref.slow(sub)
 				if !sameRanking(got, want) {
 					t.Fatalf("trial %d: %s diverged on %s:\n got: %v\nwant: %v",

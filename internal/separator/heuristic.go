@@ -12,10 +12,6 @@
 // empty list when it has no answer (e.g. RP with no repeating pairs).
 package separator
 
-import (
-	"omini/internal/tagtree"
-)
-
 // Ranked is one entry of a heuristic's candidate-tag ranking.
 type Ranked struct {
 	// Tag is the candidate separator tag name.
@@ -34,9 +30,11 @@ type Heuristic interface {
 	// Letter returns the one-letter acronym used in combination names
 	// (SD→S, RP→R, IPS→I, PP→P, SB→B, HC→H, IT→T).
 	Letter() byte
-	// Rank returns candidate tags, best first. An empty slice means the
+	// Rank returns candidate tags for the subtree st indexes, best first,
+	// sharing the child scan and the cached pair/path listings with every
+	// other heuristic ranking the same subtree. An empty slice means the
 	// heuristic has no answer for this subtree.
-	Rank(sub *tagtree.Node) []Ranked
+	Rank(st *Stats) []Ranked
 }
 
 // All returns the five Omini heuristics in the paper's canonical order.

@@ -1,9 +1,5 @@
 package separator
 
-import (
-	"omini/internal/tagtree"
-)
-
 // ipsMinCount is the appearance threshold below which a tag cannot be an
 // IPS answer (Section 6.5). IPS demands three occurrences where IT accepts
 // two: a tag appearing twice (an intro paragraph and its blurb) is routine
@@ -49,14 +45,13 @@ func (ips) Name() string { return "IPS" }
 
 func (ips) Letter() byte { return 'I' }
 
-func (h ips) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (ips) rankWith(st *Stats) []Ranked {
+func (ips) Rank(st *Stats) []Ranked {
 	stats := st.tags
 	sub := st.sub
 	var out []Ranked
 	seen := make(map[string]bool)
 	appendTag := func(tag string, pos int) {
+		st.g.Poll()
 		if seen[tag] {
 			return
 		}

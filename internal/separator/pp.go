@@ -35,9 +35,7 @@ type PathCount struct {
 	Count int
 }
 
-func (h pp) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (pp) rankWith(st *Stats) []Ranked {
+func (pp) Rank(st *Stats) []Ranked {
 	trie := st.pp()
 	stats := st.tags
 	type best struct {
@@ -50,6 +48,7 @@ func (pp) rankWith(st *Stats) []Ranked {
 	bests := make(map[string]best, len(trie.children))
 	tags := make([]string, 0, len(trie.children))
 	for _, top := range trie.children {
+		st.g.Poll()
 		b := best{}
 		var scan func(t *ppTrieNode)
 		scan = func(t *ppTrieNode) {

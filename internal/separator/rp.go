@@ -48,14 +48,13 @@ type RPPair struct {
 	Diff int
 }
 
-func (h rp) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (rp) rankWith(st *Stats) []Ranked {
+func (rp) Rank(st *Stats) []Ranked {
 	pairs := st.rp()
 	stats := st.tags
 	var out []Ranked
 	seen := make(map[string]bool)
 	for _, p := range pairs {
+		st.g.Poll()
 		if p.Count < rpMinPairCount {
 			continue
 		}

@@ -29,14 +29,13 @@ type SBPair struct {
 	Count int
 }
 
-func (h sb) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (sb) rankWith(st *Stats) []Ranked {
+func (sb) Rank(st *Stats) []Ranked {
 	pairs := st.sb()
 	stats := st.tags
 	var out []Ranked
 	seen := make(map[string]bool)
 	for _, p := range pairs {
+		st.g.Poll()
 		tag := p.Pair.First
 		if _, isChild := stats[tag]; !isChild || seen[tag] {
 			continue

@@ -3,8 +3,6 @@ package separator
 import (
 	"math"
 	"sort"
-
-	"omini/internal/tagtree"
 )
 
 // sd is the Standard Deviation heuristic of Section 5.1 (adopted unchanged
@@ -21,9 +19,7 @@ func (sd) Name() string { return "SD" }
 
 func (sd) Letter() byte { return 'S' }
 
-func (h sd) Rank(sub *tagtree.Node) []Ranked { return h.rankWith(NewStats(sub)) }
-
-func (sd) rankWith(st *Stats) []Ranked {
+func (sd) Rank(st *Stats) []Ranked {
 	stats := st.tags
 	if len(stats) == 0 {
 		return nil
@@ -51,6 +47,7 @@ func (sd) rankWith(st *Stats) []Ranked {
 	}
 	var entries []entry
 	for tag, s := range stats {
+		st.g.Poll()
 		if s.count < threshold {
 			continue
 		}

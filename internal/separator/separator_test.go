@@ -25,6 +25,27 @@ func chosenSubtree(t *testing.T, page sitegen.Page) *tagtree.Node {
 	return sub
 }
 
+// rank indexes sub and ranks it with h, with no guard, failing the test
+// on an error a nil guard must never produce.
+func rank(t testing.TB, h Heuristic, sub *tagtree.Node) []Ranked {
+	t.Helper()
+	st, err := NewStats(sub, nil)
+	if err != nil {
+		t.Fatalf("NewStats: %v", err)
+	}
+	return h.Rank(st)
+}
+
+// subtreeRank runs a subtree heuristic with no guard.
+func subtreeRank(t testing.TB, h subtree.Heuristic, root *tagtree.Node) []subtree.Ranked {
+	t.Helper()
+	ranked, err := h.Rank(root, nil)
+	if err != nil {
+		t.Fatalf("%s.Rank: %v", h.Name(), err)
+	}
+	return ranked
+}
+
 func TestLOCReplicaShape(t *testing.T) {
 	body := chosenSubtree(t, sitegen.LOC())
 	counts := body.ChildTagCounts()
@@ -60,18 +81,18 @@ func TestCanoeSubtreeHeuristicsMatchTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hfTop := subtree.HF().Rank(root)[0].Node
+	hfTop := subtreeRank(t, subtree.HF(), root)[0].Node
 	if hfTop.Tag != "font" {
 		t.Errorf("HF top = %s, want the nav font (Table 1 rank 1)", tagtree.Path(hfTop))
 	}
 	for _, h := range []subtree.Heuristic{subtree.GSI(), subtree.LTC(), subtree.Compound()} {
-		top := h.Rank(root)[0].Node
+		top := subtreeRank(t, h, root)[0].Node
 		if got := tagtree.Path(top); got != page.Truth.SubtreePath {
 			t.Errorf("%s top = %s, want %s", h.Name(), got, page.Truth.SubtreePath)
 		}
 	}
 	// Table 1 ranks 2 and 3 for HF: form[4] then body.
-	hfRanked := subtree.HF().Rank(root)
+	hfRanked := subtreeRank(t, subtree.HF(), root)
 	if got := tagtree.Path(hfRanked[1].Node); got != "html[1].body[2].form[4]" {
 		t.Errorf("HF rank 2 = %s, want form[4]", got)
 	}
@@ -84,7 +105,7 @@ func TestCanoeSubtreeHeuristicsMatchTable1(t *testing.T) {
 // the separator first.
 func TestSDOnLOCMatchesTable2(t *testing.T) {
 	body := chosenSubtree(t, sitegen.LOC())
-	ranked := SD().Rank(body)
+	ranked := rank(t, SD(), body)
 	if len(ranked) != 3 {
 		t.Fatalf("SD returned %d candidates, want 3 (hr, pre, a): %v", len(ranked), ranked)
 	}
@@ -137,7 +158,7 @@ func TestRPOnCanoeMatchesTable3(t *testing.T) {
 	if !found {
 		t.Error("(img,br) pair missing")
 	}
-	ranked := RP().Rank(form)
+	ranked := rank(t, RP(), form)
 	if len(ranked) == 0 || ranked[0].Tag != "table" {
 		t.Errorf("RP rank 1 = %v, want table", ranked)
 	}
@@ -149,7 +170,7 @@ func TestRPEmptyWhenNoRepeatingPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := root.FindAll("body")[0]
-	if got := RP().Rank(body); len(got) != 0 {
+	if got := rank(t, RP(), body); len(got) != 0 {
 		t.Errorf("RP = %v, want empty (no answer)", got)
 	}
 }
@@ -206,10 +227,10 @@ func TestSBPairsMatchTable6(t *testing.T) {
 	if locPairs[0].Pair != (TagPair{First: "hr", Second: "pre"}) {
 		t.Errorf("LOC SB top pair = %v, want (hr,pre)", locPairs[0].Pair)
 	}
-	if got := SB().Rank(body); len(got) == 0 || got[0].Tag != "hr" {
+	if got := rank(t, SB(), body); len(got) == 0 || got[0].Tag != "hr" {
 		t.Errorf("LOC SB separator = %v, want hr", got)
 	}
-	if got := SB().Rank(form); len(got) == 0 || got[0].Tag != "table" {
+	if got := rank(t, SB(), form); len(got) == 0 || got[0].Tag != "table" {
 		t.Errorf("canoe SB separator = %v, want table", got)
 	}
 }
@@ -241,7 +262,7 @@ func TestPPMatchesTables7And8(t *testing.T) {
 		}
 	}
 
-	ranked := PP().Rank(form)
+	ranked := rank(t, PP(), form)
 	wantOrder := []string{"table", "form", "img", "br"} // map occurs once: below threshold
 	if got := Tags(ranked); !reflect.DeepEqual(got, wantOrder) {
 		t.Errorf("canoe PP ranking = %v, want %v (Table 8)", got, wantOrder)
@@ -251,7 +272,7 @@ func TestPPMatchesTables7And8(t *testing.T) {
 	}
 
 	body := chosenSubtree(t, sitegen.LOC())
-	locRanked := PP().Rank(body)
+	locRanked := rank(t, PP(), body)
 	if len(locRanked) < 4 {
 		t.Fatalf("LOC PP ranking too short: %v", locRanked)
 	}
@@ -273,7 +294,7 @@ func TestPPMatchesTables7And8(t *testing.T) {
 // subtrees, tr first for table subtrees, li for lists.
 func TestIPSUsesSubtreeTypeLists(t *testing.T) {
 	form := chosenSubtree(t, sitegen.Canoe())
-	ranked := IPS().Rank(form)
+	ranked := rank(t, IPS(), form)
 	if len(ranked) == 0 || ranked[0].Tag != "table" {
 		t.Errorf("IPS on form subtree = %v, want table first", Tags(ranked))
 	}
@@ -285,7 +306,7 @@ func TestIPSUsesSubtreeTypeLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	ul := root.FindAll("ul")[0]
-	ranked = IPS().Rank(ul)
+	ranked = rank(t, IPS(), ul)
 	if len(ranked) == 0 || ranked[0].Tag != "li" {
 		t.Errorf("IPS on ul subtree = %v, want li first", Tags(ranked))
 	}
@@ -296,7 +317,7 @@ func TestIPSUsesSubtreeTypeLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked = IPS().Rank(tbl.FindAll("table")[0])
+	ranked = rank(t, IPS(), tbl.FindAll("table")[0])
 	if len(ranked) == 0 || ranked[0].Tag != "tr" {
 		t.Errorf("IPS on table subtree = %v, want tr first", Tags(ranked))
 	}
@@ -309,7 +330,7 @@ func TestIPSThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	form := root.FindAll("form")[0]
-	if got := IPS().Rank(form); len(got) != 0 {
+	if got := rank(t, IPS(), form); len(got) != 0 {
 		t.Errorf("IPS = %v, want empty below threshold", Tags(got))
 	}
 }
@@ -323,7 +344,7 @@ func TestIPSFallsBackToGlobalList(t *testing.T) {
 		t.Fatal(err)
 	}
 	div := root.FindAll("div")[0]
-	ranked := IPS().Rank(div)
+	ranked := rank(t, IPS(), div)
 	if len(ranked) != 2 || ranked[0].Tag != "p" || ranked[1].Tag != "span" {
 		t.Errorf("IPS on div = %v, want [p span]", Tags(ranked))
 	}
@@ -332,7 +353,7 @@ func TestIPSFallsBackToGlobalList(t *testing.T) {
 // HC ranks by raw child appearance count.
 func TestHCRanking(t *testing.T) {
 	body := chosenSubtree(t, sitegen.LOC())
-	ranked := HC().Rank(body)
+	ranked := rank(t, HC(), body)
 	if len(ranked) == 0 {
 		t.Fatal("HC empty")
 	}
@@ -349,12 +370,12 @@ func TestHCRanking(t *testing.T) {
 // ranks hr/p/table by list position, ignoring the subtree type.
 func TestITFixedList(t *testing.T) {
 	form := chosenSubtree(t, sitegen.Canoe())
-	ranked := IT().Rank(form)
+	ranked := rank(t, IT(), form)
 	if len(ranked) == 0 || ranked[0].Tag != "table" {
 		t.Errorf("IT on canoe form = %v, want table first (only listed tag above threshold)", Tags(ranked))
 	}
 	body := chosenSubtree(t, sitegen.LOC())
-	ranked = IT().Rank(body)
+	ranked = rank(t, IT(), body)
 	if len(ranked) == 0 || ranked[0].Tag != "hr" {
 		t.Errorf("IT on LOC body = %v, want hr first", Tags(ranked))
 	}
@@ -402,7 +423,7 @@ func TestAllHeuristicsCorrectOnReplicas(t *testing.T) {
 	for _, page := range pages {
 		sub := chosenSubtree(t, page)
 		for _, h := range All() {
-			ranked := h.Rank(sub)
+			ranked := rank(t, h, sub)
 			if len(ranked) == 0 {
 				t.Errorf("%s on %s: no answer", h.Name(), page.Name)
 				continue
@@ -420,9 +441,9 @@ func TestHeuristicsDeterministic(t *testing.T) {
 	form := chosenSubtree(t, sitegen.Canoe())
 	heuristics := append(All(), HC(), IT())
 	for _, h := range heuristics {
-		first := Tags(h.Rank(form))
+		first := Tags(rank(t, h, form))
 		for i := 0; i < 3; i++ {
-			if again := Tags(h.Rank(form)); !reflect.DeepEqual(first, again) {
+			if again := Tags(rank(t, h, form)); !reflect.DeepEqual(first, again) {
 				t.Errorf("%s not deterministic: %v vs %v", h.Name(), first, again)
 			}
 		}
@@ -438,7 +459,7 @@ func TestHeuristicsOnDegenerateSubtrees(t *testing.T) {
 	p := root.FindAll("p")[0]
 	heuristics := append(All(), HC(), IT())
 	for _, h := range heuristics {
-		ranked := h.Rank(p) // p's only child is a content node
+		ranked := rank(t, h, p) // p's only child is a content node
 		if len(ranked) != 0 {
 			t.Errorf("%s on leaf-only subtree = %v, want empty", h.Name(), Tags(ranked))
 		}

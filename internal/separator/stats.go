@@ -10,10 +10,14 @@ import (
 // appearances, a running content-size prefix over the children (so SD's
 // inter-occurrence distances become O(1) lookups), per-tag occurrence
 // positions, and lazily cached pair/path listings for RP, SB and PP. Build
-// one with NewStats and hand it to RankWith to rank several heuristics
-// without rescanning the subtree once per heuristic.
+// one with NewStats and hand it to each Heuristic's Rank to rank several
+// heuristics without rescanning the subtree once per heuristic.
 type Stats struct {
-	sub  *tagtree.Node
+	sub *tagtree.Node
+	// g is the page's guard: heuristics ranking off the index charge
+	// their per-candidate loops to it, and combine.Combine checks it
+	// between heuristics.
+	g    *govern.Guard
 	tags map[string]tagStat
 	// prefix[i] is the total NodeSize of children[0:i]; the content spanned
 	// from child a up to (not including) child b is prefix[b]-prefix[a].
@@ -28,19 +32,14 @@ type Stats struct {
 	ppRoot  *ppTrieNode
 }
 
-// NewStats indexes the children of sub in a single pass.
-func NewStats(sub *tagtree.Node) *Stats {
-	st, _ := NewStatsGoverned(sub, nil)
-	return st
-}
-
-// NewStatsGoverned is NewStats under a resource guard: the child scan
-// polls the page context, so indexing a subtree with millions of
-// children stops when the page is cancelled or out of time. A nil
-// guard makes it identical to NewStats.
-func NewStatsGoverned(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
+// NewStats indexes the children of sub in a single pass. The scan polls
+// the guard's page context, so indexing a subtree with millions of
+// children stops when the page is cancelled or out of time; a nil guard
+// means unlimited, and then NewStats never fails.
+func NewStats(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
 	st := &Stats{
 		sub:    sub,
+		g:      g,
 		tags:   make(map[string]tagStat),
 		prefix: make([]int, len(sub.Children)+1),
 		occ:    make(map[string][]int),
@@ -64,17 +63,12 @@ func NewStatsGoverned(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
 	return st, nil
 }
 
-// Sub returns the subtree the index was built over.
-func (st *Stats) Sub() *tagtree.Node { return st.sub }
-
-// FirstIndex returns, for each child tag, the index of its first appearance
-// among the subtree's children — the tie-break combine.CombineLists expects.
-func (st *Stats) FirstIndex() map[string]int {
-	m := make(map[string]int, len(st.tags))
-	for tag, s := range st.tags {
-		m[tag] = s.first
-	}
-	return m
+// FirstIndex returns the index of tag's first appearance among the
+// subtree's children, and whether tag is a child tag at all — the
+// tie-break combine.CombineLists uses.
+func (st *Stats) FirstIndex(tag string) (int, bool) {
+	s, ok := st.tags[tag]
+	return s.first, ok
 }
 
 // gaps returns the content distances between consecutive occurrences of tag
@@ -87,6 +81,7 @@ func (st *Stats) gaps(tag string) []float64 {
 	}
 	out := make([]float64, len(pos)-1)
 	for i := range out {
+		st.g.Poll()
 		out[i] = float64(st.prefix[pos[i+1]] - st.prefix[pos[i]])
 	}
 	return out
@@ -116,19 +111,4 @@ func (st *Stats) pp() *ppTrieNode {
 		st.ppRoot = buildPPTrie(st.sub)
 	}
 	return st.ppRoot
-}
-
-// statsRanker is implemented by heuristics that can rank off a shared Stats.
-type statsRanker interface {
-	rankWith(st *Stats) []Ranked
-}
-
-// RankWith ranks candidate tags with h over a prebuilt index, sharing the
-// child scan and the cached pair/path listings across heuristics. It is
-// equivalent to h.Rank(st.Sub()).
-func RankWith(st *Stats, h Heuristic) []Ranked {
-	if sr, ok := h.(statsRanker); ok {
-		return sr.rankWith(st)
-	}
-	return h.Rank(st.Sub())
 }

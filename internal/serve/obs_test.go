@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"omini/internal/core"
 	"omini/internal/obs"
 	"omini/internal/resilience"
 	"omini/internal/sitegen"
@@ -72,7 +73,7 @@ func TestMetricszEndpoint(t *testing.T) {
 	if body == "" {
 		t.Fatal("empty exposition")
 	}
-	for _, phase := range pipelinePhases {
+	for _, phase := range core.Phases {
 		series := `omini_phase_seconds_bucket{phase="` + phase + `",le="+Inf"} `
 		if !strings.Contains(body, series) {
 			t.Errorf("exposition missing %q", series)
@@ -104,7 +105,7 @@ func TestMetricszNonEmptyAtBoot(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body := readAll(t, resp)
-	for _, phase := range pipelinePhases {
+	for _, phase := range core.Phases {
 		if !strings.Contains(body, `phase="`+phase+`"`) {
 			t.Errorf("boot exposition missing phase %q", phase)
 		}

@@ -124,14 +124,10 @@ const (
 	defaultRetryAfter     = time.Second
 )
 
-// pipelinePhases are the spans the extraction pipeline records; they are
-// pre-registered so /metricsz exposes every phase histogram from boot,
-// before the first request arrives.
-var pipelinePhases = []string{"tokenize", "tidy", "build", "subtree", "separator", "extract"}
-
 // servingPhases are the serving-layer spans recorded above the pipeline
 // on traced requests: the handler root span and the farm's fast/slow
-// path spans. Pre-registered for the same from-boot reason.
+// path spans. Pre-registered, like core.Phases, so /metricsz exposes
+// them from boot.
 var servingPhases = []string{"handler", "farm.fast", "farm.slow"}
 
 // Registry series emitted by this package. One constant per series;
@@ -311,7 +307,9 @@ func (s *Server) registerMetrics() {
 	} {
 		s.stats.Histogram(name)
 	}
-	for _, phase := range pipelinePhases {
+	// The pipeline's spans are pre-registered so /metricsz exposes every
+	// phase histogram from boot, before the first request arrives.
+	for _, phase := range core.Phases {
 		s.stats.Histogram(obs.PhaseSeries(phase))
 	}
 	for _, phase := range servingPhases {

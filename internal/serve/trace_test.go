@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"omini/internal/core"
 	"omini/internal/obs"
 	"omini/internal/resilience"
 	"omini/internal/sitegen"
@@ -94,7 +95,7 @@ func TestExtractTracedEndToEnd(t *testing.T) {
 	if farmSlow.ParentSpanID != handler.SpanID {
 		t.Errorf("farm.slow parent = %q, want handler %q", farmSlow.ParentSpanID, handler.SpanID)
 	}
-	for _, phase := range pipelinePhases {
+	for _, phase := range core.Phases {
 		if _, ok := spans[phase]; !ok {
 			t.Errorf("pipeline phase %q missing from span tree", phase)
 		}

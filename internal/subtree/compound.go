@@ -32,12 +32,7 @@ const compoundMinimalityRatio = 0.8
 // a region of one child cannot be the list of objects itself.
 const compoundMinimalityFanout = 3
 
-func (h compound) Rank(root *tagtree.Node) []Ranked {
-	out, _ := h.rankGoverned(root, nil)
-	return out
-}
-
-func (compound) rankGoverned(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
+func (compound) Rank(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
 	entries, err := rankCandidates(root, volume, g)
 	if err != nil {
 		return nil, err

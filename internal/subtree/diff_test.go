@@ -79,7 +79,7 @@ func TestDifferentialSubtreeRankings(t *testing.T) {
 			t.Fatalf("trial %d: parse: %v", trial, err)
 		}
 		for _, ref := range refs {
-			got := ref.h.Rank(root)
+			got := rank(t, ref.h, root)
 			want := ref.slow(root)
 			if at, ok := sameRanking(got, want); !ok {
 				t.Fatalf("trial %d: %s diverged at entry %d (of %d vs %d)",

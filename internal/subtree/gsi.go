@@ -17,12 +17,7 @@ func GSI() Heuristic { return gsi{} }
 
 func (gsi) Name() string { return "GSI" }
 
-func (h gsi) Rank(root *tagtree.Node) []Ranked {
-	out, _ := h.rankGoverned(root, nil)
-	return out
-}
-
-func (gsi) rankGoverned(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
+func (gsi) Rank(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
 	return rankCandidates(root, sizeIncrease, g)
 }
 

@@ -25,19 +25,11 @@ type Ranked struct {
 type Heuristic interface {
 	// Name returns the short name used in reports ("HF", "GSI", ...).
 	Name() string
-	// Rank returns candidate subtrees in descending order of merit.
-	Rank(root *tagtree.Node) []Ranked
-}
-
-// Extract runs the default (compound) heuristic and returns the top-ranked
-// object-rich subtree, or root itself when the document offers no better
-// candidate.
-func Extract(root *tagtree.Node) *tagtree.Node {
-	ranked := Compound().Rank(root)
-	if len(ranked) == 0 {
-		return root
-	}
-	return ranked[0].Node
+	// Rank returns candidate subtrees in descending order of merit. The
+	// candidate walk polls the guard's page context, so a cancelled or
+	// out-of-time page stops mid-walk with the guard's error; a nil
+	// guard means unlimited.
+	Rank(root *tagtree.Node, g *govern.Guard) ([]Ranked, error)
 }
 
 // candidates returns the subtree anchors a heuristic considers: every tag
@@ -46,30 +38,6 @@ func Extract(root *tagtree.Node) *tagtree.Node {
 func candidates(root *tagtree.Node) []*tagtree.Node {
 	cl, _ := collectCandidates(root, nil)
 	return cl.nodes
-}
-
-// governedRanker is the internal fast path of RankGoverned: the built-in
-// heuristics rank under a guard natively, threading cancellation polls
-// through their candidate walks.
-type governedRanker interface {
-	rankGoverned(root *tagtree.Node, g *govern.Guard) ([]Ranked, error)
-}
-
-// RankGoverned ranks with h under a resource guard: the candidate walk
-// polls the page context, so a cancelled or out-of-time page stops
-// mid-walk instead of ranking to completion. The built-in heuristics
-// (HF, GSI, LTC, Compound) cooperate natively; a custom Heuristic runs
-// ungoverned and only the context is checked after the fact. A nil
-// guard makes it equivalent to h.Rank.
-func RankGoverned(h Heuristic, root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
-	if gr, ok := h.(governedRanker); ok {
-		return gr.rankGoverned(root, g)
-	}
-	out := h.Rank(root)
-	if err := g.Check(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // candList holds the candidate anchors of one ranking pass in document

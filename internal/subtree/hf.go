@@ -16,12 +16,7 @@ func HF() Heuristic { return hf{} }
 
 func (hf) Name() string { return "HF" }
 
-func (h hf) Rank(root *tagtree.Node) []Ranked {
-	out, _ := h.rankGoverned(root, nil)
-	return out
-}
-
-func (hf) rankGoverned(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
+func (hf) Rank(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
 	return rankCandidates(root, func(n *tagtree.Node) float64 {
 		return float64(n.Fanout())
 	}, g)

@@ -26,12 +26,7 @@ func LTC() Heuristic { return ltc{window: ltcReexamineWindow} }
 
 func (ltc) Name() string { return "LTC" }
 
-func (h ltc) Rank(root *tagtree.Node) []Ranked {
-	out, _ := h.rankGoverned(root, nil)
-	return out
-}
-
-func (h ltc) rankGoverned(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
+func (h ltc) Rank(root *tagtree.Node, g *govern.Guard) ([]Ranked, error) {
 	entries, err := rankCandidates(root, func(n *tagtree.Node) float64 {
 		return float64(n.TagCount())
 	}, g)

@@ -39,6 +39,17 @@ func parse(t *testing.T, src string) *tagtree.Node {
 }
 
 // nodeByTag returns the unique node with the given tag.
+// rank runs h with no guard, failing the test on an error a nil guard
+// must never produce.
+func rank(t testing.TB, h Heuristic, root *tagtree.Node) []Ranked {
+	t.Helper()
+	ranked, err := h.Rank(root, nil)
+	if err != nil {
+		t.Fatalf("%s.Rank: %v", h.Name(), err)
+	}
+	return ranked
+}
+
 func nodeByTag(t *testing.T, root *tagtree.Node, tag string) *tagtree.Node {
 	t.Helper()
 	nodes := root.FindAll(tag)
@@ -50,7 +61,7 @@ func nodeByTag(t *testing.T, root *tagtree.Node, tag string) *tagtree.Node {
 
 func TestHFRanksByFanout(t *testing.T) {
 	root := parse(t, chromePage(30, 12))
-	ranked := HF().Rank(root)
+	ranked := rank(t, HF(), root)
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -67,7 +78,7 @@ func TestHFRanksByFanout(t *testing.T) {
 func TestGSIPrefersContentRegion(t *testing.T) {
 	root := parse(t, chromePage(30, 12))
 	form := nodeByTag(t, root, "form")
-	ranked := GSI().Rank(root)
+	ranked := rank(t, GSI(), root)
 	if ranked[0].Node != form {
 		t.Errorf("GSI top = %s, want form", tagtree.Path(ranked[0].Node))
 	}
@@ -76,7 +87,7 @@ func TestGSIPrefersContentRegion(t *testing.T) {
 func TestLTCPrefersContentRegion(t *testing.T) {
 	root := parse(t, chromePage(30, 12))
 	form := nodeByTag(t, root, "form")
-	ranked := LTC().Rank(root)
+	ranked := rank(t, LTC(), root)
 	if ranked[0].Node != form {
 		t.Errorf("LTC top = %s, want form", tagtree.Path(ranked[0].Node))
 	}
@@ -85,8 +96,8 @@ func TestLTCPrefersContentRegion(t *testing.T) {
 func TestCompoundPrefersContentRegion(t *testing.T) {
 	root := parse(t, chromePage(30, 12))
 	form := nodeByTag(t, root, "form")
-	if got := Extract(root); got != form {
-		t.Errorf("Extract = %s, want form", tagtree.Path(got))
+	if got := rank(t, Compound(), root)[0].Node; got != form {
+		t.Errorf("Compound top = %s, want form", tagtree.Path(got))
 	}
 }
 
@@ -120,7 +131,7 @@ func TestLTCAncestorReRanking(t *testing.T) {
 	b.WriteString(`</form></body></html>`)
 	root := parse(t, b.String())
 	forms := root.FindAll("form")
-	ranked := LTC().Rank(root)
+	ranked := rank(t, LTC(), root)
 	if ranked[0].Node != forms[1] {
 		t.Errorf("LTC top = %s, want the 5-table form", tagtree.Path(ranked[0].Node))
 	}
@@ -129,9 +140,9 @@ func TestLTCAncestorReRanking(t *testing.T) {
 func TestRankingsAreDeterministic(t *testing.T) {
 	root := parse(t, chromePage(10, 6))
 	for _, h := range []Heuristic{HF(), GSI(), LTC(), Compound()} {
-		first := h.Rank(root)
+		first := rank(t, h, root)
 		for i := 0; i < 3; i++ {
-			again := h.Rank(root)
+			again := rank(t, h, root)
 			if len(first) != len(again) {
 				t.Fatalf("%s: ranking length changed", h.Name())
 			}
@@ -149,7 +160,7 @@ func TestRankedScoresMonotone(t *testing.T) {
 	// Compound is excluded: its minimality pass deliberately promotes a
 	// descendant above a slightly higher-volume ancestor.
 	for _, h := range []Heuristic{HF(), GSI()} {
-		ranked := h.Rank(root)
+		ranked := rank(t, h, root)
 		for i := 1; i < len(ranked); i++ {
 			if ranked[i].Score > ranked[i-1].Score {
 				t.Errorf("%s: score increases at rank %d (%v > %v)",
@@ -173,7 +184,7 @@ func TestCandidatesExcludeLeavesAndContent(t *testing.T) {
 
 func TestTopHelper(t *testing.T) {
 	root := parse(t, chromePage(5, 5))
-	ranked := HF().Rank(root)
+	ranked := rank(t, HF(), root)
 	if got := Top(ranked, 3); len(got) != 3 {
 		t.Errorf("Top(3) returned %d", len(got))
 	}
@@ -184,12 +195,12 @@ func TestTopHelper(t *testing.T) {
 
 func TestExtractOnTinyDocument(t *testing.T) {
 	root := parse(t, `<html><body>x</body></html>`)
-	got := Extract(root)
-	if got == nil {
-		t.Fatal("Extract returned nil")
+	ranked := rank(t, Compound(), root)
+	if len(ranked) == 0 || ranked[0].Node == nil {
+		t.Fatal("Compound ranked no subtree")
 	}
-	if got.IsContent() {
-		t.Error("Extract returned a content node")
+	if ranked[0].Node.IsContent() {
+		t.Error("Compound ranked a content node first")
 	}
 }
 
@@ -212,7 +223,7 @@ func TestTieBreakPrefersMinimalSubtree(t *testing.T) {
 	// both section and ul here have fanout 1 and 3 — use nested singles.
 	root := parse(t, `<html><body><div><div><ul><li>aaaa</li><li>bbbb</li><li>cccc</li></ul></div></div></body></html>`)
 	ul := nodeByTag(t, root, "ul")
-	ranked := GSI().Rank(root)
+	ranked := rank(t, GSI(), root)
 	// outer div, inner div and ul all have nodeSize 12; ul has the larger
 	// size increase (12-4=8 vs 12-12=0), so ul must be first.
 	if ranked[0].Node != ul {

@@ -13,11 +13,18 @@ import (
 // ErrNoRoot is returned when a token stream contains no tag at all.
 var ErrNoRoot = errors.New("tagtree: document has no tag nodes")
 
-// Parse normalizes src (via package tidy) and builds its tag tree. This is
-// the Phase-1 pipeline of the paper: syntactic normalization followed by tag
-// tree construction.
+// Parse lexes src, normalizes it (via package tidy) and builds its tag
+// tree with no resource limits. This is the Phase-1 pipeline of the paper:
+// syntactic normalization followed by tag tree construction.
 func Parse(src string) (*Node, error) {
-	return Build(tidy.NormalizeTokens(src))
+	toks, err := htmlparse.Tokenize(src, nil)
+	if err != nil {
+		return nil, err
+	}
+	if toks, err = tidy.NormalizeTokens(toks, nil); err != nil {
+		return nil, err
+	}
+	return Build(toks, nil)
 }
 
 // arena allocates Nodes in fixed chunks so a whole tree costs a handful of
@@ -60,17 +67,13 @@ func (a *arena) newNode() *Node {
 // in this single pass (folded parent-ward as each element closes), so
 // construction performs no per-node allocation and no second finalize walk.
 // tagtree.Validate checks the resulting invariants in tests.
-func Build(toks []htmlparse.Token) (*Node, error) {
-	return BuildGoverned(toks, nil)
-}
-
-// BuildGoverned is Build under a resource guard: every created node is
-// charged against the node budget and the element stack is checked
-// against the depth limit on each push. Later phases walk the tree
-// recursively, so the depth bound here is what keeps their goroutine
-// stacks finite on adversarially nested input. A nil guard makes it
-// identical to Build.
-func BuildGoverned(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
+//
+// Every created node is charged against the guard's node budget and the
+// element stack is checked against its depth limit on each push. Later
+// phases walk the tree recursively, so the depth bound here is what keeps
+// their goroutine stacks finite on adversarially nested input. A nil guard
+// means unlimited.
+func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 	ar := arena{}
 	if est := len(toks); est > 0 {
 		size := est/2 + 8

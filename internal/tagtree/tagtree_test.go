@@ -208,8 +208,8 @@ func TestWhitespaceOnlyTextDropped(t *testing.T) {
 }
 
 func TestBuildErrNoRoot(t *testing.T) {
-	if _, err := Build(nil); err != ErrNoRoot {
-		t.Errorf("Build(nil) err = %v, want ErrNoRoot", err)
+	if _, err := Build(nil, nil); err != ErrNoRoot {
+		t.Errorf("Build(nil, nil) err = %v, want ErrNoRoot", err)
 	}
 }
 

@@ -33,51 +33,15 @@ type normalizer struct {
 	err error
 }
 
-// Normalize converts src into a well-formed HTML document and returns its
-// serialized form. The result round-trips through NormalizeTokens.
-func Normalize(src string) string {
-	return Serialize(NormalizeTokens(src))
-}
-
-// NormalizeTokens converts src into a balanced token stream: every
-// StartTagToken has a matching EndTagToken, nesting is proper, and the
-// stream has a single root "html" element with all flow content inside
-// "body". Comments, doctypes and processing instructions are dropped, as
-// the paper's tag tree contains only tag and content nodes.
-func NormalizeTokens(src string) []htmlparse.Token {
-	// Stream straight off the lexer instead of materializing the raw token
-	// slice first: the normalizer is the only consumer, and the raw stream
-	// of a large page is hundreds of kilobytes of short-lived tokens.
-	lx := htmlparse.NewLexer(src)
-	n := &normalizer{out: make([]htmlparse.Token, 0, len(src)/12+16)}
-	for {
-		tok, ok := lx.Next()
-		if !ok {
-			break
-		}
-		n.feed(&tok)
-	}
-	n.closeAll()
-	return n.out
-}
-
-// NormalizeTokensFrom balances an already-lexed token stream, exactly as
-// NormalizeTokens does for raw source. Callers that need the tokenize and
-// tidy phases separately observable (the instrumented pipeline of
-// internal/core) lex first with htmlparse.Tokenize and normalize here;
-// callers that don't should prefer NormalizeTokens, which skips the
-// intermediate slice.
-func NormalizeTokensFrom(toks []htmlparse.Token) []htmlparse.Token {
-	out, _ := NormalizeTokensFromGoverned(toks, nil)
-	return out
-}
-
-// NormalizeTokensFromGoverned balances an already-lexed token stream
-// under a resource guard: every emitted token is charged against the
-// token budget and the open-element stack is checked against the depth
-// limit on each push. A nil guard makes it identical to
-// NormalizeTokensFrom.
-func NormalizeTokensFromGoverned(toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
+// NormalizeTokens balances a lexed token stream: every StartTagToken gets
+// a matching EndTagToken, nesting is proper, and the stream has a single
+// root "html" element with all flow content inside "body". Comments,
+// doctypes and processing instructions are dropped, as the paper's tag
+// tree contains only tag and content nodes. Every emitted token is charged
+// against the guard's token budget and the open-element stack is checked
+// against its depth limit on each push; a nil guard means unlimited, and
+// then NormalizeTokens never fails.
+func NormalizeTokens(toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
 	n := &normalizer{out: make([]htmlparse.Token, 0, len(toks)+8), g: g}
 	for i := range toks {
 		if n.err != nil {

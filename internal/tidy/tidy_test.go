@@ -8,6 +8,28 @@ import (
 	"omini/internal/htmlparse"
 )
 
+// normalize lexes and balances src with no guard, failing the test on an
+// error a nil guard must never produce.
+func normalize(t testing.TB, src string) []htmlparse.Token {
+	t.Helper()
+	raw, err := htmlparse.Tokenize(src, nil)
+	if err != nil {
+		t.Fatalf("Tokenize(%.40q): %v", src, err)
+	}
+	toks, err := NormalizeTokens(raw, nil)
+	if err != nil {
+		t.Fatalf("NormalizeTokens(%.40q): %v", src, err)
+	}
+	return toks
+}
+
+// normalizeHTML is Serialize(NormalizeTokens(Tokenize(src, nil), nil)):
+// src as a well-formed document.
+func normalizeHTML(t testing.TB, src string) string {
+	t.Helper()
+	return Serialize(normalize(t, src))
+}
+
 // balanced verifies that every start tag has a matching end tag with proper
 // nesting, i.e. the stream is well formed in the paper's sense.
 func balanced(t *testing.T, toks []htmlparse.Token) {
@@ -57,7 +79,7 @@ func TestNormalizeBalancesEverything(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			balanced(t, NormalizeTokens(tt.give))
+			balanced(t, normalize(t, tt.give))
 		})
 	}
 }
@@ -74,7 +96,7 @@ func countTags(toks []htmlparse.Token) map[string]int {
 }
 
 func TestImplicitLiClosure(t *testing.T) {
-	toks := NormalizeTokens(`<ul><li>a<li>b<li>c</ul>`)
+	toks := normalize(t, `<ul><li>a<li>b<li>c</ul>`)
 	if got := countTags(toks)["li"]; got != 3 {
 		t.Errorf("li count = %d, want 3", got)
 	}
@@ -103,7 +125,7 @@ func TestImplicitLiClosure(t *testing.T) {
 }
 
 func TestNestedListKeepsInnerItems(t *testing.T) {
-	toks := NormalizeTokens(`<ul><li>a<ul><li>a1<li>a2</ul><li>b</ul>`)
+	toks := normalize(t, `<ul><li>a<ul><li>a1<li>a2</ul><li>b</ul>`)
 	if got := countTags(toks)["li"]; got != 4 {
 		t.Errorf("li count = %d, want 4", got)
 	}
@@ -113,7 +135,7 @@ func TestNestedListKeepsInnerItems(t *testing.T) {
 }
 
 func TestTableCellClosure(t *testing.T) {
-	toks := NormalizeTokens(`<table><tr><td>a<td>b<tr><td>c</table>`)
+	toks := normalize(t, `<table><tr><td>a<td>b<tr><td>c</table>`)
 	counts := countTags(toks)
 	if counts["tr"] != 2 || counts["td"] != 3 {
 		t.Errorf("tr=%d td=%d, want tr=2 td=3", counts["tr"], counts["td"])
@@ -121,7 +143,7 @@ func TestTableCellClosure(t *testing.T) {
 }
 
 func TestVoidElementsImmediatelyClosed(t *testing.T) {
-	toks := NormalizeTokens(`<body>a<br>b<hr>c</body>`)
+	toks := normalize(t, `<body>a<br>b<hr>c</body>`)
 	for i, tok := range toks {
 		if tok.Type == htmlparse.StartTagToken && IsVoid(tok.Data) {
 			if i+1 >= len(toks) || toks[i+1].Type != htmlparse.EndTagToken || toks[i+1].Data != tok.Data {
@@ -132,7 +154,7 @@ func TestVoidElementsImmediatelyClosed(t *testing.T) {
 }
 
 func TestEndBrIgnored(t *testing.T) {
-	toks := NormalizeTokens(`<body>a<br></br>b</body>`)
+	toks := normalize(t, `<body>a<br></br>b</body>`)
 	if got := countTags(toks)["br"]; got != 1 {
 		t.Errorf("br count = %d, want 1", got)
 	}
@@ -140,7 +162,7 @@ func TestEndBrIgnored(t *testing.T) {
 }
 
 func TestOverlapRepairReopensFormatting(t *testing.T) {
-	toks := NormalizeTokens(`<body><b>bold <i>both</b> italic</i></body>`)
+	toks := normalize(t, `<body><b>bold <i>both</b> italic</i></body>`)
 	balanced(t, toks)
 	if got := countTags(toks)["i"]; got != 2 {
 		t.Errorf("i count = %d, want 2 (closed and reopened)", got)
@@ -167,7 +189,7 @@ func TestOverlapRepairReopensFormatting(t *testing.T) {
 }
 
 func TestSynthesizesHTMLAndBody(t *testing.T) {
-	toks := NormalizeTokens(`<table><tr><td>x</td></tr></table>`)
+	toks := normalize(t, `<table><tr><td>x</td></tr></table>`)
 	counts := countTags(toks)
 	if counts["html"] != 1 || counts["body"] != 1 {
 		t.Errorf("html=%d body=%d, want 1 each", counts["html"], counts["body"])
@@ -178,7 +200,7 @@ func TestSynthesizesHTMLAndBody(t *testing.T) {
 }
 
 func TestHeadContentRouting(t *testing.T) {
-	toks := NormalizeTokens(`<title>t</title><p>body text</p>`)
+	toks := normalize(t, `<title>t</title><p>body text</p>`)
 	// title must be inside head, p inside body.
 	var stack []string
 	containerOf := make(map[string]string)
@@ -202,7 +224,7 @@ func TestHeadContentRouting(t *testing.T) {
 }
 
 func TestDuplicateHTMLAndBodyIgnored(t *testing.T) {
-	toks := NormalizeTokens(`<html><body>a</body></html><html><body>b</body></html>`)
+	toks := normalize(t, `<html><body>a</body></html><html><body>b</body></html>`)
 	balanced(t, toks)
 	counts := countTags(toks)
 	if counts["html"] != 1 {
@@ -211,7 +233,7 @@ func TestDuplicateHTMLAndBodyIgnored(t *testing.T) {
 }
 
 func TestParagraphClosedByTable(t *testing.T) {
-	toks := NormalizeTokens(`<body><p>intro<table><tr><td>x</td></tr></table></body>`)
+	toks := normalize(t, `<body><p>intro<table><tr><td>x</td></tr></table></body>`)
 	// The table must not be inside the p.
 	var stack []string
 	for _, tok := range toks {
@@ -233,15 +255,15 @@ func TestParagraphClosedByTable(t *testing.T) {
 
 func TestSerializeRoundTrip(t *testing.T) {
 	src := `<html><body><p>a &amp; b</p><table border="1"><tr><td>x</td></tr></table></body></html>`
-	once := Normalize(src)
-	twice := Normalize(once)
+	once := normalizeHTML(t, src)
+	twice := normalizeHTML(t, once)
 	if once != twice {
-		t.Errorf("Normalize not idempotent:\n once: %s\ntwice: %s", once, twice)
+		t.Errorf("normalization not idempotent:\n once: %s\ntwice: %s", once, twice)
 	}
 }
 
 func TestCommentsAndDoctypeDropped(t *testing.T) {
-	toks := NormalizeTokens(`<!DOCTYPE html><!-- hidden --><html><body>x</body></html>`)
+	toks := normalize(t, `<!DOCTYPE html><!-- hidden --><html><body>x</body></html>`)
 	for _, tok := range toks {
 		if tok.Type == htmlparse.CommentToken || tok.Type == htmlparse.DoctypeToken {
 			t.Errorf("normalized stream contains %v", tok.Type)
@@ -251,7 +273,7 @@ func TestCommentsAndDoctypeDropped(t *testing.T) {
 
 func TestTextPreserved(t *testing.T) {
 	src := `<html><body><p>alpha<p>beta<ul><li>gamma<li>delta</ul></body></html>`
-	toks := NormalizeTokens(src)
+	toks := normalize(t, src)
 	var text strings.Builder
 	for _, tok := range toks {
 		if tok.Type == htmlparse.TextToken {
@@ -269,7 +291,7 @@ func TestTextPreserved(t *testing.T) {
 // byte soup.
 func TestNormalizeAlwaysBalancedProperty(t *testing.T) {
 	f := func(s string) bool {
-		toks := NormalizeTokens(s)
+		toks := normalize(t, s)
 		var depth int
 		for _, tok := range toks {
 			switch tok.Type {
@@ -292,8 +314,8 @@ func TestNormalizeAlwaysBalancedProperty(t *testing.T) {
 // Property: normalization is idempotent at the serialized level.
 func TestNormalizeIdempotentProperty(t *testing.T) {
 	f := func(s string) bool {
-		once := Normalize(s)
-		return Normalize(once) == once
+		once := normalizeHTML(t, s)
+		return normalizeHTML(t, once) == once
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -304,7 +326,7 @@ func TestNormalizeIdempotentProperty(t *testing.T) {
 // <td> closes both the open link and the first cell (tag-soup pages with
 // no end tags at all depend on this).
 func TestImpliedClosureUnwindsFormatting(t *testing.T) {
-	toks := NormalizeTokens(`<table><tr><td><a href="/x">first<td>second<tr><td><b>third</table>`)
+	toks := normalize(t, `<table><tr><td><a href="/x">first<td>second<tr><td><b>third</table>`)
 	balanced(t, toks)
 	counts := countTags(toks)
 	if counts["td"] != 3 || counts["tr"] != 2 {
@@ -332,7 +354,7 @@ func TestImpliedClosureUnwindsFormatting(t *testing.T) {
 // Formatting elements do not unwind when no implied target lies below:
 // a <p> inside <b> inside <div> keeps the bold open.
 func TestFormattingKeptWithoutImpliedTarget(t *testing.T) {
-	toks := NormalizeTokens(`<div><b>bold <span>x</span> still bold</b></div>`)
+	toks := normalize(t, `<div><b>bold <span>x</span> still bold</b></div>`)
 	balanced(t, toks)
 	if got := countTags(toks)["b"]; got != 1 {
 		t.Errorf("b count = %d, want 1 (no spurious reopen)", got)
@@ -340,7 +362,7 @@ func TestFormattingKeptWithoutImpliedTarget(t *testing.T) {
 }
 
 func TestSelectOptionClosure(t *testing.T) {
-	toks := NormalizeTokens(`<select><option>a<option>b<option>c</select>`)
+	toks := normalize(t, `<select><option>a<option>b<option>c</select>`)
 	balanced(t, toks)
 	if got := countTags(toks)["option"]; got != 3 {
 		t.Errorf("option count = %d, want 3", got)
@@ -350,7 +372,7 @@ func TestSelectOptionClosure(t *testing.T) {
 func TestNestedTableEndTagScoping(t *testing.T) {
 	// A stray </table> inside a cell must not close the outer table's cell
 	// run; boundsClose confines td/tr matching to the nearest table.
-	toks := NormalizeTokens(`<table><tr><td><table><tr><td>inner</td></tr></table></td>` +
+	toks := normalize(t, `<table><tr><td><table><tr><td>inner</td></tr></table></td>`+
 		`<td>outer-continues</td></tr></table>`)
 	balanced(t, toks)
 	counts := countTags(toks)

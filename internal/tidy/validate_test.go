@@ -7,14 +7,13 @@ import (
 
 	"omini/internal/corpus"
 	"omini/internal/tagtree"
-	"omini/internal/tidy"
 )
 
-// TestNormalizedStreamBuildsValidTrees feeds the streaming normalizer's
-// output to the tree builder for every corpus bench page and for a handful
-// of malformed snippets, and checks the resulting trees with the exported
-// invariant validator: a balanced stream that builds a corrupt tree would
-// poison every heuristic downstream.
+// TestNormalizedStreamBuildsValidTrees feeds the normalizer's output to
+// the tree builder (tagtree.Parse) for every corpus bench page and for a
+// handful of malformed snippets, and checks the resulting trees with the
+// exported invariant validator: a balanced stream that builds a corrupt
+// tree would poison every heuristic downstream.
 func TestNormalizedStreamBuildsValidTrees(t *testing.T) {
 	var inputs []string
 	for _, size := range corpus.BenchSizes {
@@ -27,9 +26,9 @@ func TestNormalizedStreamBuildsValidTrees(t *testing.T) {
 		"bare text then <div>a div</div>",
 	)
 	for _, src := range inputs {
-		root, err := tagtree.Build(tidy.NormalizeTokens(src))
+		root, err := tagtree.Parse(src)
 		if err != nil {
-			t.Fatalf("Build(NormalizeTokens(%.40q)): %v", src, err)
+			t.Fatalf("Parse(%.40q): %v", src, err)
 		}
 		if err := tagtree.Validate(root); err != nil {
 			t.Errorf("input %.40q: %v", src, err)

@@ -33,12 +33,9 @@ func NewRuleStore() *RuleStore { return rules.NewStore() }
 func LoadRules(path string) (*RuleStore, error) { return rules.Load(path) }
 
 // Result is the full outcome of one extraction: the objects, the discovered
-// subtree path and separator tag, the combined candidate ranking, and
-// per-phase timings.
+// subtree path and separator tag, and the combined candidate ranking.
+// Per-phase timings land in the context's obs registry as phase spans.
 type Result = core.Result
-
-// Timing records per-phase extraction cost.
-type Timing = core.Timing
 
 // Errors surfaced by extraction; see the core package for details.
 var (

@@ -84,11 +84,10 @@ func TestGoldenDecisionTrace(t *testing.T) {
 			}
 
 			// The span list must cover every pipeline phase, in order.
-			wantPhases := []string{"tokenize", "tidy", "build", "subtree", "separator", "extract"}
-			if len(tr.Phases) != len(wantPhases) {
-				t.Fatalf("trace has %d phases, want %d: %+v", len(tr.Phases), len(wantPhases), tr.Phases)
+			if len(tr.Phases) != len(core.Phases) {
+				t.Fatalf("trace has %d phases, want %d: %+v", len(tr.Phases), len(core.Phases), tr.Phases)
 			}
-			for i, ph := range wantPhases {
+			for i, ph := range core.Phases {
 				if tr.Phases[i].Name != ph {
 					t.Errorf("phase %d = %q, want %q", i, tr.Phases[i].Name, ph)
 				}
