@@ -1,7 +1,6 @@
 // Command ominilint runs the project's static-analysis suite over the
-// module: governloop, obsnames, errwrap, ctxfirst, puredet, lockhold,
-// bodyclose, goleak, and spanend (see internal/lint and DESIGN.md §11,
-// §16).
+// module: governloop, errwrap, ctxfirst, puredet, lockhold, bodyclose,
+// goleak, and spanend (see internal/lint and DESIGN.md §11, §16).
 //
 // Usage:
 //

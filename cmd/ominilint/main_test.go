@@ -42,7 +42,7 @@ func TestFixtureExitCodes(t *testing.T) {
 	}
 	bin := buildLinter(t)
 	for _, fixture := range []string{
-		"governloop", "obsnames", "errwrap", "ctxfirst", "puredet",
+		"governloop", "errwrap", "ctxfirst", "puredet",
 		"lockhold", "bodyclose", "goleak", "spanend",
 	} {
 		dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", fixture)

@@ -112,8 +112,8 @@ func (c *Coordinator) extractPage(ctx context.Context, req core.BatchRequest) Ba
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"/extract?site="+url.QueryEscape(req.Site), strings.NewReader(req.HTML))
 	if err != nil {
-		c.stats.Add(SeriesBatchPages, 1)
-		c.stats.Add(SeriesBatchErrors, 1)
+		batchPages.Add(c.stats, 1)
+		batchErrors.Add(c.stats, 1)
 		return BatchResult{Site: req.Site, Err: fmt.Errorf("cluster: build batch request: %w", err)}
 	}
 	hr.Header.Set("Content-Type", "text/html")
@@ -132,10 +132,10 @@ func (c *Coordinator) extractPage(ctx context.Context, req core.BatchRequest) Ba
 		Status: buf.status,
 		Body:   buf.body.Bytes(),
 	}
-	c.stats.Add(SeriesBatchPages, 1)
+	batchPages.Add(c.stats, 1)
 	if owner != "" && out.Node != "" && out.Node != owner {
 		out.Redispatched = true
-		c.stats.Add(SeriesRedispatch, 1)
+		redispatches.Add(c.stats, 1)
 	}
 	switch {
 	case buf.status == http.StatusGatewayTimeout:
@@ -144,7 +144,7 @@ func (c *Coordinator) extractPage(ctx context.Context, req core.BatchRequest) Ba
 		out.Err = fmt.Errorf("cluster: page failed: status %d", buf.status)
 	}
 	if out.Err != nil {
-		c.stats.Add(SeriesBatchErrors, 1)
+		batchErrors.Add(c.stats, 1)
 	}
 	return out
 }

@@ -240,7 +240,16 @@ func New(cfg Config) *Coordinator {
 	// count are boot configuration, so the unguarded build cannot spin.
 	c.ring = c.rebuildLocked(nil)
 	c.mu.Unlock()
-	c.registerMetrics()
+	ringNodesGauge.Bind(c.stats, func() float64 {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		return float64(c.ring.size())
+	})
+	peersGauge.Bind(c.stats, func() float64 {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		return float64(len(c.members))
+	})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /clusterz", c.handleClusterz)

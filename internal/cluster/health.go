@@ -51,17 +51,17 @@ func (c *Coordinator) probeAll(ctx context.Context, g *govern.Guard) {
 		if err := g.Poll(); err != nil {
 			return
 		}
-		c.stats.Add(SeriesProbes, 1)
+		probes.Add(c.stats, 1)
 		err := c.probeOne(ctx, m.url)
 		c.mu.Lock()
 		if err != nil {
-			c.stats.Add(SeriesProbeFailures, 1)
+			probeFailures.Add(c.stats, 1)
 			m.fails++
 			m.lastErr = err.Error()
 			if m.healthy && m.fails >= c.cfg.FailThreshold {
 				m.healthy = false
 				changed = true
-				c.stats.Add(SeriesEjections, 1)
+				ejections.Add(c.stats, 1)
 				c.log.Warn("cluster member ejected",
 					"node", m.id, "fails", m.fails, "err", err.Error())
 			}
@@ -70,7 +70,7 @@ func (c *Coordinator) probeAll(ctx context.Context, g *govern.Guard) {
 				m.healthy = true
 				changed = true
 				readmitted = append(readmitted, m.id)
-				c.stats.Add(SeriesReadmissions, 1)
+				readmissions.Add(c.stats, 1)
 				c.log.Info("cluster member readmitted", "node", m.id)
 			}
 			m.fails = 0
@@ -134,6 +134,6 @@ func (c *Coordinator) KillForTest(id string) {
 	m.healthy = false
 	m.fails = c.cfg.FailThreshold
 	m.lastErr = "killed by test harness"
-	c.stats.Add(SeriesEjections, 1)
+	ejections.Add(c.stats, 1)
 	c.ring = c.rebuildLocked(nil)
 }

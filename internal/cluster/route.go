@@ -49,7 +49,7 @@ type shedResult struct {
 // X-Omini-Trace header so the serving node's spans parent into this
 // trace instead of starting their own.
 func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
-	c.stats.Add(SeriesRequests, 1)
+	requestCount.Add(c.stats, 1)
 	site := r.URL.Query().Get("site")
 
 	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
@@ -90,7 +90,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 	} else {
 		declined = obs.SpanContext{TraceID: obs.NewTraceID()}.Header()
 	}
-	rctx, root := obs.StartSpan(bctx, "route")
+	rctx, root := obs.StartSpan(bctx, phaseRoute)
 	var sw http.ResponseWriter = w
 	if rec != nil {
 		st := &statusRecorder{ResponseWriter: w}
@@ -120,7 +120,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 
 	candidates, err := c.candidates(g, site)
 	if err != nil {
-		c.stats.Add(SeriesDeadline, 1)
+		deadlineCount.Add(c.stats, 1)
 		writeError(rctx, sw, http.StatusGatewayTimeout, "cluster: routing budget exhausted")
 		return
 	}
@@ -131,7 +131,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if id == c.self {
-			c.stats.Add(SeriesLocal, 1)
+			localCount.Add(c.stats, 1)
 			c.serveLocal(rctx, sw, r, body, localTH)
 			return
 		}
@@ -141,7 +141,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 		}
 		br := c.breakers.For(id)
 		if !br.Allow() {
-			c.stats.Add(SeriesFailover, 1)
+			failoverCount.Add(c.stats, 1)
 			continue
 		}
 		hopBudget := time.Until(deadline) / time.Duration(len(candidates)-i)
@@ -163,7 +163,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 			// Budget gone, not node broken: don't charge the breaker.
 		default:
 			br.Failure()
-			c.stats.Add(SeriesFailover, 1)
+			failoverCount.Add(c.stats, 1)
 			c.log.Warn("cluster hop failed", "node", id, "site", site, "err", err.Error())
 		}
 		if bctx.Err() != nil {
@@ -173,10 +173,10 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case bctx.Err() != nil:
-		c.stats.Add(SeriesDeadline, 1)
+		deadlineCount.Add(c.stats, 1)
 		writeError(rctx, sw, http.StatusGatewayTimeout, "cluster: routing budget exhausted")
 	case shed != nil:
-		c.stats.Add(SeriesShedPropagated, 1)
+		shedPropagated.Add(c.stats, 1)
 		if shed.retryAfter != "" {
 			sw.Header().Set("Retry-After", shed.retryAfter)
 		}
@@ -266,7 +266,7 @@ func (c *Coordinator) memberByID(id string) (string, *member) {
 // successful hop records its latency per-node and cluster-wide, with a
 // trace exemplar when traced.
 func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url, id string, m *member, declined string, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
-	hctx, sp := obs.StartSpan(ctx, "hop")
+	hctx, sp := obs.StartSpan(ctx, phaseHop)
 	th := declined
 	if hsc := sp.Context(); hsc.Valid() {
 		th = hsc.Header()
@@ -281,7 +281,7 @@ func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url,
 	if err == nil {
 		secs := sp.Duration().Seconds()
 		m.lat.Observe(secs)
-		c.stats.ObserveExemplar(seriesHopSeconds, secs, obs.TraceIDStringFrom(ctx))
+		hopSeconds.ObserveExemplar(c.stats, secs, obs.TraceIDStringFrom(ctx))
 	}
 	return res, shed, err
 }
@@ -335,7 +335,7 @@ func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url, traceH
 // JSON object — in a "node" field, so decision traces downstream of
 // the coordinator can attribute the extraction.
 func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, res *hopResult, id string, m *member) {
-	c.stats.Add(SeriesProxied, 1)
+	proxiedCount.Add(c.stats, 1)
 	m.served.Add(1)
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -423,7 +423,7 @@ func (c *Coordinator) serveLocal(ctx context.Context, w http.ResponseWriter, r *
 // remapped to 503 with the limiter's Retry-After preserved; anything
 // else relays verbatim.
 func (c *Coordinator) fallbackLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte, traceHeader string) {
-	c.stats.Add(SeriesFallbackLocal, 1)
+	fallbackLocal.Add(c.stats, 1)
 	c.log.Warn("cluster degraded to local extraction", "site", r.URL.Query().Get("site"))
 	r2 := r.Clone(ctx)
 	r2.Body = io.NopCloser(bytes.NewReader(body))

@@ -2,86 +2,46 @@ package cluster
 
 import "omini/internal/obs"
 
-// Registry series emitted by this package. One constant per series —
-// the obsnames analyzer enforces that emission sites use these and
-// that registerMetrics pre-registers every one of them, so /metricsz
-// exposes the whole cluster surface from boot.
+// Registry series emitted by this package, by name (for reading with
+// Registry.Get) and as declared handles (for emitting).
 const (
-	// SeriesRequests counts requests that entered the router (a site
-	// parameter was present and a ring exists).
-	SeriesRequests = "cluster.requests"
-	// SeriesLocal counts routed requests served by this node's own
-	// shard (owner == self, no network hop).
-	SeriesLocal = "cluster.local"
-	// SeriesProxied counts routed requests served by a peer.
-	SeriesProxied = "cluster.proxied"
-	// SeriesFailover counts hop switches: a candidate node failed (or
-	// its breaker was open) and the router moved to the next node on
-	// the ring.
-	SeriesFailover = "cluster.failover"
-	// SeriesFallbackLocal counts degraded requests: every peer for the
-	// shard was down, so the coordinator extracted locally instead of
-	// erroring.
-	SeriesFallbackLocal = "cluster.fallback_local"
-	// SeriesShedPropagated counts downstream 429/503 load-shed
-	// responses relayed to the client (with Retry-After preserved)
-	// instead of being retried blindly.
+	SeriesRequests       = "cluster.requests"
+	SeriesLocal          = "cluster.local"
+	SeriesProxied        = "cluster.proxied"
+	SeriesFailover       = "cluster.failover"
+	SeriesFallbackLocal  = "cluster.fallback_local"
 	SeriesShedPropagated = "cluster.shed_propagated"
-	// SeriesDeadline counts requests that ran out of routing budget
-	// (mapped to 504).
-	SeriesDeadline = "cluster.deadline"
-
-	// SeriesEjections / SeriesReadmissions count health-checker
-	// membership transitions; SeriesProbes / SeriesProbeFailures count
-	// the checks themselves.
-	SeriesEjections     = "cluster.ejections"
-	SeriesReadmissions  = "cluster.readmissions"
-	SeriesProbes        = "cluster.probes"
-	SeriesProbeFailures = "cluster.probe_failures"
-
-	// SeriesBatchPages counts pages completed by distributed batches;
-	// SeriesRedispatch counts pages served by a node other than their
-	// ring owner (the owner died or was ejected mid-batch).
-	SeriesBatchPages  = "cluster.batch_pages"
-	SeriesRedispatch  = "cluster.redispatch"
-	SeriesBatchErrors = "cluster.batch_errors"
-
-	// gaugeRingNodes is the number of healthy (admitted) nodes on the
-	// ring; gaugePeers is the configured cluster size.
-	gaugeRingNodes = "cluster.ring_nodes"
-	gaugePeers     = "cluster.peers"
-
-	// seriesHopSeconds is the latency histogram of proxy hops across
-	// all peers; per-node p50/p99 live on /clusterz.
-	seriesHopSeconds = "cluster.hop_seconds"
+	SeriesDeadline       = "cluster.deadline"
+	SeriesEjections      = "cluster.ejections"
+	SeriesReadmissions   = "cluster.readmissions"
+	SeriesProbes         = "cluster.probes"
+	SeriesProbeFailures  = "cluster.probe_failures"
+	SeriesBatchPages     = "cluster.batch_pages"
+	SeriesRedispatch     = "cluster.redispatch"
+	SeriesBatchErrors    = "cluster.batch_errors"
 )
 
-// registerMetrics pre-touches every series this package emits, so a
-// scrape of a fresh process already shows the full cluster surface at
-// zero. The obsnames analyzer harvests this function as the boot
-// pre-registration set.
-func (c *Coordinator) registerMetrics() {
-	for _, name := range []string{
-		SeriesRequests, SeriesLocal, SeriesProxied, SeriesFailover,
-		SeriesFallbackLocal, SeriesShedPropagated, SeriesDeadline,
-		SeriesEjections, SeriesReadmissions, SeriesProbes, SeriesProbeFailures,
-		SeriesBatchPages, SeriesRedispatch, SeriesBatchErrors,
-	} {
-		c.stats.Counter(name)
-	}
-	c.stats.Histogram(seriesHopSeconds)
-	// The routing-path spans, pre-registered like serve's phases so the
-	// route/hop histograms exist from boot.
-	c.stats.Histogram(obs.PhaseSeries("route"))
-	c.stats.Histogram(obs.PhaseSeries("hop"))
-	c.stats.RegisterGaugeFunc(gaugeRingNodes, func() float64 {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return float64(c.ring.size())
-	})
-	c.stats.RegisterGaugeFunc(gaugePeers, func() float64 {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return float64(len(c.members))
-	})
-}
+var (
+	requestCount   = obs.NewCounter(SeriesRequests, "Requests that entered the router (a site parameter was present and a ring exists).")
+	localCount     = obs.NewCounter(SeriesLocal, "Routed requests served by this node's own shard, with no network hop.")
+	proxiedCount   = obs.NewCounter(SeriesProxied, "Routed requests served by a peer.")
+	failoverCount  = obs.NewCounter(SeriesFailover, "Hop switches: a candidate node failed or its breaker was open, and the router moved to the next node on the ring.")
+	fallbackLocal  = obs.NewCounter(SeriesFallbackLocal, "Degraded requests extracted locally because every peer for the shard was down.")
+	shedPropagated = obs.NewCounter(SeriesShedPropagated, "Downstream 429/503 load-shed responses relayed to the client with Retry-After preserved.")
+	deadlineCount  = obs.NewCounter(SeriesDeadline, "Requests that ran out of routing budget (mapped to 504).")
+	ejections      = obs.NewCounter(SeriesEjections, "Nodes ejected from the ring by the health checker.")
+	readmissions   = obs.NewCounter(SeriesReadmissions, "Ejected nodes readmitted by the health checker.")
+	probes         = obs.NewCounter(SeriesProbes, "Health checks run.")
+	probeFailures  = obs.NewCounter(SeriesProbeFailures, "Health checks that failed.")
+	batchPages     = obs.NewCounter(SeriesBatchPages, "Pages completed by distributed batches.")
+	redispatches   = obs.NewCounter(SeriesRedispatch, "Batch pages served by a node other than their ring owner (the owner died or was ejected mid-batch).")
+	batchErrors    = obs.NewCounter(SeriesBatchErrors, "Distributed batch pages that returned an error.")
+
+	ringNodesGauge = obs.NewGauge("cluster.ring_nodes", "Healthy (admitted) nodes on the ring.")
+	peersGauge     = obs.NewGauge("cluster.peers", "Configured cluster size.")
+
+	hopSeconds = obs.NewLatency("cluster.hop_seconds", "Latency of proxy hops across all peers; per-node p50/p99 live on /clusterz.")
+
+	phaseRoute = obs.NewPhase("route")
+	phaseHop   = obs.NewPhase("hop")
+)

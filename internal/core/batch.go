@@ -160,7 +160,7 @@ dispatch:
 // abandoned page can never double-count its result.
 func (e *Extractor) extractOne(ctx context.Context, req BatchRequest, store *rules.Store, timeout time.Duration) BatchResult {
 	reg := obs.RegistryFrom(ctx)
-	reg.Add(SeriesBatchPages, 1)
+	batchPageCount.Add(reg, 1)
 	pctx, cancel := ctx, context.CancelFunc(func() {})
 	if timeout > 0 {
 		pctx, cancel = context.WithTimeout(ctx, timeout)
@@ -181,17 +181,17 @@ func (e *Extractor) extractOne(ctx context.Context, req BatchRequest, store *rul
 			err := pctx.Err()
 			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 				// The watchdog fired, not the batch: dead-letter the page.
-				reg.Add(SeriesBatchWatchdog, 1)
+				batchWatchdog.Add(reg, 1)
 				err = fmt.Errorf("%w: %w", govern.ErrDeadline, err)
 			}
 			out = BatchResult{Site: req.Site, Err: err}
 		}
 	}
 	if out.Err != nil {
-		reg.Add(SeriesBatchErrors, 1)
+		batchErrors.Add(reg, 1)
 	}
 	if out.FromRule {
-		reg.Add(SeriesBatchRuleHits, 1)
+		batchRuleHits.Add(reg, 1)
 	}
 	return out
 }
@@ -202,7 +202,7 @@ func (e *Extractor) extractOne(ctx context.Context, req BatchRequest, store *rul
 func (e *Extractor) extractPage(ctx context.Context, reg *obs.Registry, req BatchRequest, store *rules.Store) (out BatchResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			reg.Add(SeriesBatchPanics, 1)
+			batchPanics.Add(reg, 1)
 			// Keep the panic value's own error chain intact when it has
 			// one, so errors.Is sees through ErrPanicked to the cause.
 			rerr, ok := r.(error)

@@ -32,11 +32,6 @@ import (
 	"omini/internal/tidy"
 )
 
-// Phases are the spans an extraction records, in pipeline order; each
-// span's wall time lands in the obs.PhaseSeries histogram of its name.
-// Rule replay skips separator and times the rule's path lookup as subtree.
-var Phases = []string{"tokenize", "tidy", "build", "subtree", "separator", "extract"}
-
 // Errors the pipeline can return.
 var (
 	// ErrNoObjects is returned when no separator candidate survives — the
@@ -118,15 +113,15 @@ func (e *Extractor) governed(ctx context.Context) (context.Context, context.Canc
 // expiry, one for caller cancellation — so /metricsz distinguishes
 // "pages are oversized" from "pages are slow".
 func countFailure(reg *obs.Registry, err error) {
-	reg.Add(SeriesErrors, 1)
+	extractErrors.Add(reg, 1)
 	var lim *govern.ErrLimitExceeded
 	switch {
 	case errors.As(err, &lim):
-		reg.Add(LimitSeries(lim.Kind), 1)
+		limitCounter(lim.Kind).Add(reg, 1)
 	case errors.Is(err, govern.ErrDeadline):
-		reg.Add(SeriesDeadlineExceeded, 1)
+		deadlineExceeded.Add(reg, 1)
 	case errors.Is(err, context.Canceled):
-		reg.Add(SeriesCancelled, 1)
+		cancelled.Add(reg, 1)
 	}
 }
 
@@ -171,7 +166,7 @@ func (e *Extractor) Extract(html string) (*Result, error) {
 // decisions.
 func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, error) {
 	reg := obs.RegistryFrom(ctx)
-	reg.Add(SeriesExtractions, 1)
+	extractions.Add(reg, 1)
 	ctx, cancel, g := e.governed(ctx)
 	defer cancel()
 	rec := obs.TraceRecorderFrom(ctx)
@@ -187,7 +182,7 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	}
 	res := &Result{Tree: root}
 
-	_, sp := obs.StartSpan(ctx, "subtree")
+	_, sp := obs.StartSpan(ctx, phaseSubtree)
 	ranked, err := e.opts.Subtree.Rank(root, g)
 	sp.End()
 	if err != nil {
@@ -203,7 +198,7 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	// The paper times "Object Separator" (running the heuristics) apart
 	// from "Combine Heuristics" (merging the rankings); here both happen
 	// inside combine.Combine, so the separator span covers both.
-	_, sp = obs.StartSpan(ctx, "separator")
+	_, sp = obs.StartSpan(ctx, phaseSeparator)
 	cands, lists, err := combine.Combine(sub, e.opts.Separators, e.opts.Probs, g)
 	sp.End()
 	if err != nil {
@@ -211,7 +206,7 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 		return nil, fmt.Errorf("core: separator: %w", err)
 	}
 	if len(cands) == 0 {
-		reg.Add(SeriesErrors, 1)
+		extractErrors.Add(reg, 1)
 		return nil, fmt.Errorf("%w (subtree %s)", ErrNoObjects, res.SubtreePath)
 	}
 	res.Candidates = cands
@@ -238,9 +233,9 @@ func (e *Extractor) ExtractWithRule(html string, rule rules.Rule) (*Result, erro
 // the same span and trace behavior as ExtractContext.
 func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rule rules.Rule) (*Result, error) {
 	reg := obs.RegistryFrom(ctx)
-	reg.Add(SeriesRuleExtractions, 1)
+	ruleExtractions.Add(reg, 1)
 	if !rule.Valid() {
-		reg.Add(SeriesRuleMismatches, 1)
+		ruleMismatches.Add(reg, 1)
 		return nil, fmt.Errorf("%w: rule is incomplete", ErrRuleMismatch)
 	}
 	ctx, cancel, g := e.governed(ctx)
@@ -256,11 +251,11 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	}
 	res := &Result{Tree: root}
 
-	_, sp := obs.StartSpan(ctx, "subtree")
+	_, sp := obs.StartSpan(ctx, phaseSubtree)
 	sub := tagtree.FindPath(root, rule.SubtreePath)
 	sp.End()
 	if sub == nil {
-		reg.Add(SeriesRuleMismatches, 1)
+		ruleMismatches.Add(reg, 1)
 		return nil, fmt.Errorf("%w: path %s", ErrRuleMismatch, rule.SubtreePath)
 	}
 	res.SubtreePath = rule.SubtreePath
@@ -271,7 +266,7 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 		return nil, err
 	}
 	if len(res.Raw) == 0 {
-		reg.Add(SeriesRuleMismatches, 1)
+		ruleMismatches.Add(reg, 1)
 		return nil, fmt.Errorf("%w: separator %q absent", ErrRuleMismatch, rule.Separator)
 	}
 	if rec != nil {
@@ -290,14 +285,14 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 // blowout, or an over-deep/over-large tree surfaces here as a typed govern
 // error.
 func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*tagtree.Node, error) {
-	_, sp := obs.StartSpan(ctx, "tokenize")
+	_, sp := obs.StartSpan(ctx, phaseTokenize)
 	toks, err := htmlparse.Tokenize(html, g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: tokenize: %w", err)
 	}
 	if !e.opts.SkipNormalize {
-		_, sp = obs.StartSpan(ctx, "tidy")
+		_, sp = obs.StartSpan(ctx, phaseTidy)
 		toks, err = tidy.NormalizeTokens(toks, g)
 		sp.End()
 		if err != nil {
@@ -306,7 +301,7 @@ func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*t
 	}
 	// With SkipNormalize the raw stream is unbalanced; Build recovers what
 	// it can.
-	_, sp = obs.StartSpan(ctx, "build")
+	_, sp = obs.StartSpan(ctx, phaseBuild)
 	root, err := tagtree.Build(toks, g)
 	sp.End()
 	if err != nil {
@@ -318,7 +313,7 @@ func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*t
 // construct runs Phase 3: object construction, then refinement unless
 // disabled.
 func (e *Extractor) construct(ctx context.Context, sub *tagtree.Node, res *Result, g *govern.Guard) error {
-	_, sp := obs.StartSpan(ctx, "extract")
+	_, sp := obs.StartSpan(ctx, phaseExtract)
 	defer sp.End()
 	raw, err := extract.Construct(sub, res.Separator, g)
 	if err != nil {

@@ -1,33 +1,26 @@
 package core
 
-import "omini/internal/govern"
+import (
+	"omini/internal/govern"
+	"omini/internal/obs"
+)
 
-// Registry series emitted by this package. One constant per series —
-// the obsnames analyzer enforces that emission sites use these and
-// that serve's boot pre-registration covers every one of them, so
-// /metricsz exposes each series from process start.
+// Registry series emitted by this package, by name (for reading with
+// Registry.Get) and as declared handles (for emitting).
 const (
-	// SeriesExtractions counts successful single-page extractions.
-	SeriesExtractions = "core.extractions"
-	// SeriesErrors counts failed extractions of any cause.
-	SeriesErrors = "core.errors"
-	// SeriesDeadlineExceeded counts pages that hit the page deadline.
+	SeriesExtractions      = "core.extractions"
+	SeriesErrors           = "core.errors"
 	SeriesDeadlineExceeded = "core.deadline_exceeded"
-	// SeriesCancelled counts pages cancelled by the caller.
-	SeriesCancelled = "core.cancelled"
-	// SeriesRuleExtractions / SeriesRuleMismatches count rule-cache fast
-	// paths and stale-rule fallbacks.
-	SeriesRuleExtractions = "core.rule_extractions"
-	SeriesRuleMismatches  = "core.rule_mismatches"
+	SeriesCancelled        = "core.cancelled"
+	SeriesRuleExtractions  = "core.rule_extractions"
+	SeriesRuleMismatches   = "core.rule_mismatches"
 
-	// Batch counters, reconciled against batch results by operators.
 	SeriesBatchPages    = "core.batch_pages"
 	SeriesBatchErrors   = "core.batch_errors"
 	SeriesBatchRuleHits = "core.batch_rule_hits"
 	SeriesBatchWatchdog = "core.batch_watchdog"
 	SeriesBatchPanics   = "core.batch_panics"
 
-	// Per-kind limit counters, one series per govern limit kind.
 	SeriesLimitInput   = `core.limit_exceeded{kind="input"}`
 	SeriesLimitTokens  = `core.limit_exceeded{kind="tokens"}`
 	SeriesLimitNodes   = `core.limit_exceeded{kind="nodes"}`
@@ -36,21 +29,62 @@ const (
 	SeriesLimitOther   = `core.limit_exceeded{kind="other"}`
 )
 
-// LimitSeries maps a govern limit kind to its counter series. Every
-// return is a compile-time constant, which is what lets call sites
-// stay within the constant-series contract while the kind is dynamic.
-func LimitSeries(kind string) string {
+// limitHelp is the help text of the per-kind limit family.
+const limitHelp = "Extractions stopped by a resource limit, one series per govern limit kind."
+
+var (
+	extractions      = obs.NewCounter(SeriesExtractions, "Full-discovery extractions attempted.")
+	extractErrors    = obs.NewCounter(SeriesErrors, "Failed extractions of any cause.")
+	deadlineExceeded = obs.NewCounter(SeriesDeadlineExceeded, "Pages that hit the page deadline.")
+	cancelled        = obs.NewCounter(SeriesCancelled, "Pages cancelled by the caller.")
+	ruleExtractions  = obs.NewCounter(SeriesRuleExtractions, "Cached-rule replays attempted (the fast path).")
+	ruleMismatches   = obs.NewCounter(SeriesRuleMismatches, "Cached rules that no longer matched their page.")
+
+	batchPageCount = obs.NewCounter(SeriesBatchPages, "Batch pages handled, one per request.")
+	batchErrors    = obs.NewCounter(SeriesBatchErrors, "Batch pages that returned an error.")
+	batchRuleHits  = obs.NewCounter(SeriesBatchRuleHits, "Batch pages served by a cached rule.")
+	batchWatchdog  = obs.NewCounter(SeriesBatchWatchdog, "Batch pages abandoned by the per-page watchdog.")
+	batchPanics    = obs.NewCounter(SeriesBatchPanics, "Batch pages whose extraction panicked.")
+
+	limitInput   = obs.NewCounter(SeriesLimitInput, limitHelp)
+	limitTokens  = obs.NewCounter(SeriesLimitTokens, limitHelp)
+	limitNodes   = obs.NewCounter(SeriesLimitNodes, limitHelp)
+	limitDepth   = obs.NewCounter(SeriesLimitDepth, limitHelp)
+	limitObjects = obs.NewCounter(SeriesLimitObjects, limitHelp)
+	limitOther   = obs.NewCounter(SeriesLimitOther, limitHelp)
+)
+
+// The pipeline's spans, in Phases order.
+var (
+	phaseTokenize  = obs.NewPhase("tokenize")
+	phaseTidy      = obs.NewPhase("tidy")
+	phaseBuild     = obs.NewPhase("build")
+	phaseSubtree   = obs.NewPhase("subtree")
+	phaseSeparator = obs.NewPhase("separator")
+	phaseExtract   = obs.NewPhase("extract")
+)
+
+// Phases are the spans an extraction records, in pipeline order; each
+// span's wall time lands in the obs.PhaseSeries histogram of its name.
+// Rule replay skips separator and times the rule's path lookup as subtree.
+var Phases = []string{
+	phaseTokenize.Name(), phaseTidy.Name(), phaseBuild.Name(),
+	phaseSubtree.Name(), phaseSeparator.Name(), phaseExtract.Name(),
+}
+
+// limitCounter maps a govern limit kind to its counter.
+func limitCounter(kind string) *obs.Counter {
 	switch kind {
 	case govern.KindInput:
-		return SeriesLimitInput
+		return limitInput
 	case govern.KindTokens:
-		return SeriesLimitTokens
+		return limitTokens
 	case govern.KindNodes:
-		return SeriesLimitNodes
+		return limitNodes
 	case govern.KindDepth:
-		return SeriesLimitDepth
+		return limitDepth
 	case govern.KindObjects:
-		return SeriesLimitObjects
+		return limitObjects
 	}
-	return SeriesLimitOther
+	return limitOther
 }

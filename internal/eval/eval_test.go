@@ -244,7 +244,7 @@ func TestMeasureTimingFullAndRules(t *testing.T) {
 func TestTimingRowReadsEveryPhase(t *testing.T) {
 	reg := obs.NewRegistry()
 	for _, phase := range core.Phases {
-		reg.Observe(obs.PhaseSeries(phase), 1e-3)
+		reg.Histogram(obs.PhaseSeries(phase)).Observe(1e-3)
 	}
 	var row TimingRow
 	row.add(0, reg, 1)

@@ -29,17 +29,14 @@ type TimingRow struct {
 
 // add accumulates one page's timing: read is the mean fetch time and reg
 // holds the phase spans (core.Phases) of repeats extractions of the page.
-// The series names are spelled out because the registry's naming contract
-// wants each one a constant.
+// The first three phases (tokenize, tidy, build) are the paper's Parse.
 func (r *TimingRow) add(read time.Duration, reg *obs.Registry, repeats int) {
-	ms := func(h *obs.Histogram) float64 { return h.Sum() * 1e3 / float64(repeats) }
+	var ms [6]float64
+	for i, phase := range core.Phases {
+		ms[i] = reg.Histogram(obs.PhaseSeries(phase)).Sum() * 1e3 / float64(repeats)
+	}
 	readMS := float64(read) / float64(time.Millisecond)
-	parse := ms(reg.Histogram(obs.PhaseSeries("tokenize"))) +
-		ms(reg.Histogram(obs.PhaseSeries("tidy"))) +
-		ms(reg.Histogram(obs.PhaseSeries("build")))
-	subtree := ms(reg.Histogram(obs.PhaseSeries("subtree")))
-	separator := ms(reg.Histogram(obs.PhaseSeries("separator")))
-	construct := ms(reg.Histogram(obs.PhaseSeries("extract")))
+	parse, subtree, separator, construct := ms[0]+ms[1]+ms[2], ms[3], ms[4], ms[5]
 	r.ReadFile += readMS
 	r.Parse += parse
 	r.Subtree += subtree

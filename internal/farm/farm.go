@@ -200,10 +200,12 @@ func New(cfg Config) (*Farm, error) {
 			break
 		}
 		f.shards[i] = newShard(perShard, func(string) {
-			f.stats.Add(SeriesEvictions, 1)
+			evictionCount.Add(f.stats, 1)
 		})
 	}
-	f.registerMetrics()
+	rulesGauge.Bind(f.stats, func() float64 { return float64(f.Len()) })
+	storeBytesGauge.Bind(f.stats, func() float64 { return float64(f.storeBytes.Load()) })
+	tombstonesGauge.Bind(f.stats, func() float64 { return float64(f.TombstoneCount()) })
 	if cfg.StorePath != "" {
 		if err := f.seedFile(g, cfg.StorePath, true); err != nil {
 			if !cfg.RecoverCorruptStore {
@@ -265,7 +267,7 @@ func (f *Farm) Extract(ctx context.Context, site, html string) (*core.Result, Ou
 	if e := f.shardFor(site).get(site); e != nil {
 		return f.serveFast(ctx, site, html, e)
 	}
-	f.stats.Add(SeriesMisses, 1)
+	missCount.Add(f.stats, 1)
 	return f.learnOrJoin(ctx, site, html)
 }
 
@@ -275,14 +277,14 @@ func (f *Farm) Extract(ctx context.Context, site, html string) (*core.Result, Ou
 func (f *Farm) serveFast(ctx context.Context, site, html string, e *entry) (*core.Result, Outcome, error) {
 	res, err := f.replayFast(ctx, html, e.rule)
 	if err == nil {
-		f.stats.Add(SeriesHits, 1)
+		hitCount.Add(f.stats, 1)
 		f.maybeSample(site, html, e, res)
 		return res, Outcome{FromRule: true}, nil
 	}
 	if !errors.Is(err, core.ErrRuleMismatch) {
 		return nil, Outcome{}, err
 	}
-	f.stats.Add(SeriesStale, 1)
+	staleCount.Add(f.stats, 1)
 	f.shardFor(site).remove(site)
 	// The eviction is knowledge worth replicating: without a tombstone a
 	// peer still holding this version would hand the dead rule straight
@@ -290,7 +292,7 @@ func (f *Farm) serveFast(ctx context.Context, site, html string, e *entry) (*cor
 	f.entomb(site, e.rule.Version)
 	res, out, err := f.learnVersioned(ctx, site, html, e.rule.Version)
 	if err == nil {
-		f.stats.Add(SeriesRelearn, 1)
+		relearnCount.Add(f.stats, 1)
 		out.Relearned = true
 	}
 	return res, out, err
@@ -337,10 +339,10 @@ func (f *Farm) join(ctx context.Context, fl *flight, site, html string) (*core.R
 	case <-ctx.Done():
 		return nil, Outcome{}, ctx.Err()
 	}
-	f.stats.Add(SeriesCoalesced, 1)
+	coalescedCount.Add(f.stats, 1)
 	if fl.err == nil {
 		if res, err := f.replayFast(ctx, html, fl.rule); err == nil {
-			f.stats.Add(SeriesHits, 1)
+			hitCount.Add(f.stats, 1)
 			return res, Outcome{FromRule: true, Coalesced: true}, nil
 		}
 	}
@@ -367,7 +369,7 @@ func (f *Farm) learnVersioned(ctx context.Context, site, html string, prevVersio
 		sig = tagtree.PathSignature(res.Tree)
 	}
 	f.insert(rule, sig, 0, false)
-	f.stats.Add(SeriesLearns, 1)
+	learnCount.Add(f.stats, 1)
 	f.dirty.Store(true)
 	return res, Outcome{Learned: true, Relearned: prevVersion > 0}, nil
 }
@@ -377,7 +379,7 @@ func (f *Farm) learnVersioned(ctx context.Context, site, html string, prevVersio
 // when the request is traced) on success.
 func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*core.Result, error) {
 	start := time.Now()
-	fctx, sp := obs.StartSpan(ctx, "farm.fast")
+	fctx, sp := obs.StartSpan(ctx, phaseFast)
 	var res *core.Result
 	var err error
 	pprof.Do(fctx, pprof.Labels("path", "fast"), func(pctx context.Context) {
@@ -388,7 +390,7 @@ func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*c
 		return nil, err
 	}
 	obs.AnnotateTrace(ctx, "path", "fast")
-	f.stats.ObserveExemplar(seriesFastSeconds, time.Since(start).Seconds(), obs.TraceIDStringFrom(ctx))
+	fastSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDStringFrom(ctx))
 	return res, nil
 }
 
@@ -397,7 +399,7 @@ func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*c
 // when the request is traced).
 func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) {
 	start := time.Now()
-	sctx, sp := obs.StartSpan(ctx, "farm.slow")
+	sctx, sp := obs.StartSpan(ctx, phaseSlow)
 	var res *core.Result
 	var err error
 	pprof.Do(sctx, pprof.Labels("path", "slow"), func(pctx context.Context) {
@@ -408,7 +410,7 @@ func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) 
 		return nil, err
 	}
 	obs.AnnotateTrace(ctx, "path", "slow")
-	f.stats.ObserveExemplar(seriesSlowSeconds, time.Since(start).Seconds(), obs.TraceIDStringFrom(ctx))
+	slowSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDStringFrom(ctx))
 	return res, nil
 }
 
@@ -575,7 +577,7 @@ func (f *Farm) maybeSample(site, html string, e *entry, res *core.Result) {
 	select {
 	case f.samples <- s:
 	default:
-		f.stats.Add(SeriesSampleDropped, 1)
+		samplesDropped.Add(f.stats, 1)
 		if forced {
 			e.hits.flag() // keep the sweep's claim for the next hit
 		}
@@ -607,12 +609,12 @@ func (f *Farm) Revalidate(ctx context.Context) int {
 // relearned from the page, version bumped, and the relearned result is
 // returned. A page within the threshold returns a nil result.
 func (f *Farm) revalidateOne(ctx context.Context, s sample) (*core.Result, error) {
-	f.stats.Add(SeriesDriftChecks, 1)
+	driftChecks.Add(f.stats, 1)
 	drift := wrapgen.DriftScore(s.sig, s.root)
 	if drift <= f.cfg.DriftThreshold {
 		return nil, nil
 	}
-	f.stats.Add(SeriesDriftDetected, 1)
+	driftDetected.Add(f.stats, 1)
 	f.log.Warn("farm: layout drift detected; relearning",
 		"site", s.site, "drift", drift, "ruleVersion", s.version)
 	f.shardFor(s.site).remove(s.site)
@@ -621,11 +623,11 @@ func (f *Farm) revalidateOne(ctx context.Context, s sample) (*core.Result, error
 	f.entomb(s.site, s.version)
 	res, _, err := f.learnVersioned(ctx, s.site, s.html, s.version)
 	if err != nil {
-		f.stats.Add(SeriesRelearnFailures, 1)
+		relearnFailures.Add(f.stats, 1)
 		f.log.Error("farm: relearn after drift failed", "site", s.site, "err", err.Error())
 		return nil, err
 	}
-	f.stats.Add(SeriesRelearn, 1)
+	relearnCount.Add(f.stats, 1)
 	return res, nil
 }
 
@@ -690,7 +692,7 @@ func (f *Farm) saveIfDirty() error {
 	}
 	if err := f.save(); err != nil {
 		f.dirty.Store(true)
-		f.stats.Add(SeriesStoreErrors, 1)
+		storeErrors.Add(f.stats, 1)
 		f.log.Error("farm: rule store save failed", "path", f.cfg.StorePath, "err", err.Error())
 		return err
 	}
@@ -724,7 +726,7 @@ func (f *Farm) save() error {
 		return err
 	}
 	f.storeBytes.Store(n)
-	f.stats.Add(SeriesStoreSaves, 1)
+	storeSaves.Add(f.stats, 1)
 	f.log.Info("farm: rule store saved", "path", f.cfg.StorePath, "rules", len(list), "bytes", n)
 	return nil
 }

@@ -61,6 +61,14 @@ const defaultMaxBytes = 8 << 20
 // permanent: the page will be just as big on the next attempt.
 var ErrBodyTooLarge = errors.New("fetch: response body exceeds size limit")
 
+var (
+	cacheHits   = obs.NewCounter("fetch.cache_hits", "Fetches served from the on-disk page cache.")
+	cacheMisses = obs.NewCounter("fetch.cache_misses", "Fetches the on-disk page cache could not serve.")
+	successes   = obs.NewCounter("fetch.success", "Fetches that returned a page (after any retries).")
+	failures    = obs.NewCounter("fetch.failures", "Fetches that failed after every retry.")
+	tooLarge    = obs.NewCounter("fetch.too_large", "Responses refused for exceeding the body size limit.")
+)
+
 // Fetch returns the page body for the URL, reading through the cache when
 // one is configured and applying the Retry policy and host Breakers when
 // they are set. Outcomes land in the context's metrics registry
@@ -70,10 +78,10 @@ func (f *Fetcher) Fetch(ctx context.Context, url string) (string, error) {
 	reg := obs.RegistryFrom(ctx)
 	if f.CacheDir != "" {
 		if body, err := os.ReadFile(f.cachePath(url)); err == nil {
-			reg.Add("fetch.cache_hits", 1)
+			cacheHits.Add(reg, 1)
 			return string(body), nil
 		}
-		reg.Add("fetch.cache_misses", 1)
+		cacheMisses.Add(reg, 1)
 	}
 	var breaker *resilience.Breaker
 	if f.Breakers != nil {
@@ -105,10 +113,10 @@ func (f *Fetcher) Fetch(ctx context.Context, url string) (string, error) {
 		return err
 	})
 	if err != nil {
-		reg.Add("fetch.failures", 1)
+		failures.Add(reg, 1)
 		return "", err
 	}
-	reg.Add("fetch.success", 1)
+	successes.Add(reg, 1)
 	if f.CacheDir != "" {
 		if err := f.store(url, body); err != nil {
 			return "", err
@@ -154,7 +162,7 @@ func (f *Fetcher) fetchOnce(ctx context.Context, url string) ([]byte, error) {
 		return nil, fmt.Errorf("fetch: read %s: %w", url, err)
 	}
 	if int64(len(body)) > limit {
-		obs.RegistryFrom(ctx).Add("fetch.too_large", 1)
+		tooLarge.Add(obs.RegistryFrom(ctx), 1)
 		return nil, resilience.Permanent(fmt.Errorf("fetch: read %s: %w (limit %d bytes)", url, ErrBodyTooLarge, limit))
 	}
 	return body, nil

@@ -7,9 +7,6 @@
 //   - governloop: governed phase loops must charge the govern.Guard,
 //     and no new exported entry point in a governed package may loop
 //     unboundedly without one.
-//   - obsnames: obs registry series names are compile-time constants
-//     following the registry grammar, declared once, and pre-registered
-//     at boot.
 //   - errwrap: errors are wrapped with %w and matched with errors.Is,
 //     so sentinel chains survive every layer.
 //   - ctxfirst: context.Context is the first parameter and never
@@ -103,27 +100,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Finding{Pos: p.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
-// Analyzer is one checked invariant. Analyzers are stateful across a
-// run (obsnames correlates serve and core), so NewAnalyzers returns
-// fresh instances per run.
+// Analyzer is one checked invariant. NewAnalyzers returns fresh
+// instances per run.
 type Analyzer struct {
-	// Name labels findings ("governloop", "obsnames", ...).
+	// Name labels findings ("governloop", "errwrap", ...).
 	Name string
 	// Doc is the one-line invariant description.
 	Doc string
 	// Run analyzes one package.
 	Run func(*Pass)
-	// Finish, if set, reports findings that need the whole-run view
-	// (cross-package registration sets, duplicate detection). It runs
-	// once after every package's Run.
-	Finish func(report func(token.Position, string))
 }
 
 // NewAnalyzers returns a fresh instance of every ominilint analyzer.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		newGovernloop(),
-		newObsnames(),
 		newErrwrap(),
 		newCtxfirst(),
 		newPuredet(),
@@ -139,8 +130,7 @@ func NewAnalyzers() []*Analyzer {
 type AnalyzerTiming struct {
 	// Name is the analyzer's name.
 	Name string
-	// Duration is the wall time the analyzer spent across all packages
-	// (including its Finish phase).
+	// Duration is the wall time the analyzer spent across all packages.
 	Duration time.Duration
 	// Findings counts the findings the analyzer produced.
 	Findings int
@@ -183,12 +173,6 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Ana
 				count++
 			}
 			a.Run(pass)
-		}
-		if a.Finish != nil {
-			a.Finish(func(pos token.Position, msg string) {
-				findings = append(findings, Finding{Pos: pos, Analyzer: a.Name, Message: msg})
-				count++
-			})
 		}
 		timings = append(timings, AnalyzerTiming{Name: name, Duration: time.Since(start), Findings: count})
 	}

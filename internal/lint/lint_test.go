@@ -101,7 +101,6 @@ func runFixture(t *testing.T, name string) {
 }
 
 func TestGovernloopFixture(t *testing.T) { runFixture(t, "governloop") }
-func TestObsnamesFixture(t *testing.T)   { runFixture(t, "obsnames") }
 func TestErrwrapFixture(t *testing.T)    { runFixture(t, "errwrap") }
 func TestCtxfirstFixture(t *testing.T)   { runFixture(t, "ctxfirst") }
 func TestPuredetFixture(t *testing.T)    { runFixture(t, "puredet") }

@@ -24,11 +24,11 @@ func TestRegistryConcurrentMixedUse(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				r.Add("shared.counter", 1)
-				r.Add("worker.counter", int64(n))
-				r.SetGauge("shared.gauge", int64(i))
-				r.Observe(PhaseSeries("tidy"), float64(i)*1e-6)
-				r.Observe(PhaseSeries("subtree"), float64(i)*1e-5)
+				testShared.Add(r, 1)
+				testWorker.Add(r, int64(n))
+				testInflight.Bind(r, func() float64 { return float64(i) })
+				phaseTidy.hist.Observe(r, float64(i)*1e-6)
+				phaseSubtree.hist.ObserveExemplar(r, float64(i)*1e-5, "0af7651916cd43dd8448eb211c80319c")
 			}
 		}(w)
 	}
@@ -42,13 +42,16 @@ func TestRegistryConcurrentMixedUse(t *testing.T) {
 				if err := r.WritePrometheus(&b); err != nil {
 					t.Errorf("WritePrometheus: %v", err)
 				}
-				_ = r.Names()
+				_ = r.Get("worker.counter")
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.Get("shared.counter"); got != workers*rounds {
 		t.Errorf("shared.counter = %d, want %d", got, workers*rounds)
+	}
+	if got := r.Get("worker.counter"); got != rounds*workers*(workers-1)/2 {
+		t.Errorf("worker.counter = %d, want %d", got, rounds*workers*(workers-1)/2)
 	}
 	if got := r.Histogram(PhaseSeries("tidy")).Count(); got != workers*rounds {
 		t.Errorf("tidy histogram count = %d, want %d", got, workers*rounds)
@@ -72,8 +75,8 @@ func TestSpansConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c, sp := StartSpan(ctx, "outer")
-				_, in := StartSpan(c, "inner")
+				c, sp := StartSpan(ctx, phaseOuter)
+				_, in := StartSpan(c, phaseInner)
 				in.End()
 				sp.End()
 			}

@@ -3,17 +3,17 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Prometheus-style text exposition. Registry names use friendly dotted
 // forms internally; exposition sanitizes them ("serve.panics" →
-// "serve_panics") and groups labeled histogram series
-// (`omini_phase_seconds{phase="tidy"}`) under one family with the standard
-// _bucket/_sum/_count series, plus estimated p50/p95/p99 as a companion
-// gauge family so dashboards get quantiles without server-side PromQL.
+// "serve_panics") and writes each family once: a # HELP line with the
+// declared help text, a # TYPE line, then its series. Histograms get the
+// standard _bucket/_sum/_count series, plus estimated p50/p95/p99 as a
+// companion <family>_quantile gauge family so dashboards get quantiles
+// without server-side PromQL.
 
 // quantiles reported for every histogram family.
 var expoQuantiles = []struct {
@@ -80,97 +80,66 @@ func exemplarSuffix(e *Exemplar) string {
 	return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, formatFloat(e.Value))
 }
 
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format: counters and gauges as-is, histograms as _bucket/_sum/_count plus
-// a <family>_quantile gauge family with p50/p95/p99 estimates. Output is
-// sorted so scrapes are diffable.
+// writeHeader writes a family's # HELP and # TYPE lines.
+func writeHeader(b *strings.Builder, name, help string, k kind) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, k)
+}
+
+// WritePrometheus writes every declared series of the registry in the
+// Prometheus text exposition format: counters, then gauges, then
+// histograms as _bucket/_sum/_count plus a <family>_quantile gauge family
+// with p50/p95/p99 estimates. Families and their series are sorted, so
+// scrapes are diffable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Load()
-	}
-	gauges := make(map[string]float64, len(r.gauges)+len(r.gaugefns))
-	for name, g := range r.gauges {
-		gauges[name] = float64(g.Load())
-	}
-	fns := make(map[string]func() float64, len(r.gaugefns))
-	for name, fn := range r.gaugefns {
-		fns[name] = fn
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	r.mu.RUnlock()
-	// Computed gauges run outside the lock: they may call back into code
-	// that touches the registry.
-	for name, fn := range fns {
-		gauges[name] = fn()
-	}
-
+	v := r.values()
 	var b strings.Builder
-	writeScalars := func(kind string, m map[string]float64, format func(float64) string) {
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			family, labels := splitSeries(name)
-			family = sanitizeName(family)
-			fmt.Fprintf(&b, "# TYPE %s %s\n", family, kind)
-			fmt.Fprintf(&b, "%s%s %s\n", family, joinLabels(labels, "", ""), format(m[name]))
-		}
-	}
-	cm := make(map[string]float64, len(counters))
-	for name, v := range counters {
-		cm[name] = float64(v)
-	}
-	writeScalars("counter", cm, func(v float64) string { return strconv.FormatInt(int64(v), 10) })
-	writeScalars("gauge", gauges, formatFloat)
-
-	// Histograms: group series by family so each family gets one TYPE line.
-	byFamily := make(map[string][]string)
-	for name := range hists {
-		family, _ := splitSeries(name)
-		byFamily[family] = append(byFamily[family], name)
-	}
-	families := make([]string, 0, len(byFamily))
-	for f := range byFamily {
-		families = append(families, f)
-	}
-	sort.Strings(families)
-	for _, family := range families {
-		series := byFamily[family]
-		sort.Strings(series)
-		fam := sanitizeName(family)
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", fam)
-		for _, name := range series {
-			_, labels := splitSeries(name)
-			s := hists[name].Snapshot()
-			var cum int64
-			for i, bound := range s.Bounds {
-				cum += s.Counts[i]
-				fmt.Fprintf(&b, "%s_bucket%s %d%s\n",
-					fam, joinLabels(labels, "le", formatFloat(bound)), cum,
-					exemplarSuffix(s.Exemplars[i]))
+	for _, f := range declared.families {
+		writeHeader(&b, f.name, f.help, f.kind)
+		switch f.kind {
+		case kindCounter:
+			for _, s := range f.series {
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, joinLabels(s.labels, "", ""), v.counters[s.index].Load())
 			}
-			fmt.Fprintf(&b, "%s_bucket%s %d%s\n", fam, joinLabels(labels, "le", "+Inf"), s.Count,
-				exemplarSuffix(s.Exemplars[len(s.Bounds)]))
-			fmt.Fprintf(&b, "%s_sum%s %s\n", fam, joinLabels(labels, "", ""), formatFloat(s.Sum))
-			fmt.Fprintf(&b, "%s_count%s %d\n", fam, joinLabels(labels, "", ""), s.Count)
-		}
-		fmt.Fprintf(&b, "# TYPE %s_quantile gauge\n", fam)
-		for _, name := range series {
-			_, labels := splitSeries(name)
-			s := hists[name].Snapshot()
-			for _, eq := range expoQuantiles {
-				fmt.Fprintf(&b, "%s_quantile%s %s\n",
-					fam, joinLabels(labels, "quantile", eq.label), formatFloat(s.Quantile(eq.q)))
+		case kindGauge:
+			for _, s := range f.series {
+				val := 0.0
+				if fn := v.gauges[s.index].Load(); fn != nil {
+					val = (*fn)()
+				}
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, joinLabels(s.labels, "", ""), formatFloat(val))
 			}
+		case kindHistogram:
+			writeHistograms(&b, f, v)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// writeHistograms writes one histogram family and its quantile family
+// from a single snapshot per series, so the two agree within a scrape.
+func writeHistograms(b *strings.Builder, f *family, v *values) {
+	snaps := make([]HistogramSnapshot, len(f.series))
+	for i, s := range f.series {
+		sn := v.hists[s.index].Snapshot()
+		snaps[i] = sn
+		var cum int64
+		for j, bound := range sn.Bounds {
+			cum += sn.Counts[j]
+			fmt.Fprintf(b, "%s_bucket%s %d%s\n",
+				f.name, joinLabels(s.labels, "le", formatFloat(bound)), cum,
+				exemplarSuffix(sn.Exemplars[j]))
+		}
+		fmt.Fprintf(b, "%s_bucket%s %d%s\n", f.name, joinLabels(s.labels, "le", "+Inf"), sn.Count,
+			exemplarSuffix(sn.Exemplars[len(sn.Bounds)]))
+		fmt.Fprintf(b, "%s_sum%s %s\n", f.name, joinLabels(s.labels, "", ""), formatFloat(sn.Sum))
+		fmt.Fprintf(b, "%s_count%s %d\n", f.name, joinLabels(s.labels, "", ""), sn.Count)
+	}
+	writeHeader(b, f.name+"_quantile", "Estimated p50, p95 and p99 of "+f.name+".", kindGauge)
+	for i, s := range f.series {
+		for _, eq := range expoQuantiles {
+			fmt.Fprintf(b, "%s_quantile%s %s\n",
+				f.name, joinLabels(s.labels, "quantile", eq.label), formatFloat(snaps[i].Quantile(eq.q)))
+		}
+	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -23,7 +24,8 @@ var DefaultBounds = []float64{
 
 // Histogram is a fixed-bucket histogram safe for concurrent observation.
 // Memory is bounded by the bucket count; observations are two atomic adds
-// and a CAS loop for the float sum. Quantiles are estimated by linear
+// and a CAS loop for the float sum (plus a short lock to stamp an
+// exemplar). Quantiles are estimated by linear
 // interpolation inside the winning bucket — exact enough for p50/p95/p99
 // dashboards, and the buckets themselves are exposed for anything finer.
 type Histogram struct {
@@ -31,7 +33,8 @@ type Histogram struct {
 	counts    []atomic.Int64 // len(bounds)+1
 	count     atomic.Int64
 	sum       atomic.Uint64 // float64 bits, CAS-updated
-	exemplars []atomic.Pointer[Exemplar]
+	exMu      sync.Mutex
+	exemplars []Exemplar // per bucket; an empty TraceID means none
 }
 
 // Exemplar links one observed value to the trace that produced it, in
@@ -50,7 +53,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    bounds,
 		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		exemplars: make([]Exemplar, len(bounds)+1),
 	}
 }
 
@@ -74,7 +77,9 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if traceID != "" {
 		i := sort.SearchFloat64s(h.bounds, v)
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
+		h.exMu.Lock()
+		h.exemplars[i] = Exemplar{TraceID: traceID, Value: v}
+		h.exMu.Unlock()
 	}
 	h.Observe(v)
 }
@@ -111,8 +116,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-		s.Exemplars[i] = h.exemplars[i].Load()
 	}
+	h.exMu.Lock()
+	for i, e := range h.exemplars {
+		if e.TraceID != "" {
+			s.Exemplars[i] = &e
+		}
+	}
+	h.exMu.Unlock()
 	return s
 }
 

@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the pipeline: a metrics
-// registry (atomic counters, gauges, bounded latency histograms with
-// quantile estimation, Prometheus-style text exposition), lightweight span
-// tracing propagated through context.Context, a structured per-extraction
-// decision trace, and a leveled JSON logger.
+// registry of declared series (atomic counters, computed gauges, bounded
+// latency histograms with quantile estimation, Prometheus-style text
+// exposition with help text), lightweight span tracing propagated
+// through context.Context, a structured per-extraction decision trace,
+// and a leveled JSON logger.
 //
 // The package is stdlib-only and knows nothing about HTML or extraction;
 // the pipeline (internal/core, internal/fetch, internal/serve,
@@ -16,148 +17,79 @@ package obs
 
 import (
 	"context"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
-// Registry is a process- or component-scoped collection of named metrics:
-// monotonic counters, gauges (stored or computed), and bounded histograms.
-// All methods are safe for concurrent use; the read paths (Get, Snapshot,
-// WritePrometheus) never block writers for long.
+// Registry is a process- or component-scoped set of values for every
+// declared series (series.go): counters, computed gauges and latency
+// histograms. All methods are safe for concurrent use, and no method
+// takes a lock: the values live in slices indexed by declaration order,
+// allocated on the registry's first use.
 //
 // Names use dotted lower-case ("serve.panics", "core.batch_pages") and are
 // sanitized to Prometheus conventions only at exposition time, so the
 // JSON-facing surfaces keep the friendly names.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*atomic.Int64
-	gauges   map[string]*atomic.Int64
-	gaugefns map[string]func() float64
-	hists    map[string]*Histogram
+	v atomic.Pointer[values]
+}
+
+// values holds one registry's series, indexed like the declarations.
+type values struct {
+	counters []atomic.Int64
+	gauges   []atomic.Pointer[func() float64]
+	hists    []*Histogram
 }
 
 // Default is the process-wide registry; components fall back to it when no
 // Registry is configured, so one /metricsz scrape sees everything.
 var Default = NewRegistry()
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns a registry holding every declared series at zero.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*atomic.Int64),
-		gauges:   make(map[string]*atomic.Int64),
-		gaugefns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{}
 }
 
-// Counter returns the named counter, creating it at zero on first use.
-func (r *Registry) Counter(name string) *atomic.Int64 {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
+// values returns the registry's series, sealing the declarations and
+// allocating them on first use.
+func (r *Registry) values() *values {
+	if v := r.v.Load(); v != nil {
+		return v
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = new(atomic.Int64)
-		r.counters[name] = c
+	n := seal()
+	v := &values{
+		counters: make([]atomic.Int64, n[kindCounter]),
+		gauges:   make([]atomic.Pointer[func() float64], n[kindGauge]),
+		hists:    make([]*Histogram, n[kindHistogram]),
 	}
-	return c
+	for i := range v.hists {
+		v.hists[i] = NewHistogram(nil)
+	}
+	if r.v.CompareAndSwap(nil, v) {
+		return v
+	}
+	return r.v.Load()
 }
 
-// Add increments the named counter by n.
-func (r *Registry) Add(name string, n int64) {
-	r.Counter(name).Add(n)
-}
-
-// Get returns the named counter's value (0 if never touched).
+// Get returns the named counter's value (0 for a name no counter was
+// declared under).
 func (r *Registry) Get(name string) int64 {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c == nil {
-		return 0
+	v := r.values()
+	if s := lookup(name, kindCounter); s != nil {
+		return v.counters[s.index].Load()
 	}
-	return c.Load()
+	return 0
 }
 
-// Gauge returns the named stored gauge, creating it at zero on first use.
-func (r *Registry) Gauge(name string) *atomic.Int64 {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = new(atomic.Int64)
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// SetGauge stores v in the named gauge.
-func (r *Registry) SetGauge(name string, v int64) {
-	r.Gauge(name).Store(v)
-}
-
-// RegisterGaugeFunc registers a gauge computed at exposition time (cache
-// sizes, in-flight requests). Re-registering a name replaces the function.
-func (r *Registry) RegisterGaugeFunc(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugefns[name] = fn
-}
-
-// Histogram returns the named histogram with the default latency bounds,
-// creating it on first use. The name may carry Prometheus-style labels
-// (`phase_seconds{phase="tidy"}`); series sharing the text before '{' are
-// grouped into one family at exposition.
+// Histogram returns the named histogram series, for reading. The name
+// may carry a label (`omini_phase_seconds{phase="tidy"}`). A name no
+// histogram was declared under returns an empty histogram that belongs
+// to no registry.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	v := r.values()
+	if s := lookup(name, kindHistogram); s != nil {
+		return v.hists[s.index]
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = NewHistogram(nil)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Observe records v into the named histogram.
-func (r *Registry) Observe(name string, v float64) {
-	r.Histogram(name).Observe(v)
-}
-
-// ObserveExemplar records v into the named histogram and attaches the
-// trace ID as the bucket's exemplar, so a latency outlier on /metricsz
-// links to the /tracez trace that caused it. An empty trace ID records
-// the value without an exemplar, so untraced requests share the call
-// site.
-func (r *Registry) ObserveExemplar(name string, v float64, traceID string) {
-	r.Histogram(name).ObserveExemplar(v, traceID)
-}
-
-// Names returns the registered counter names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return NewHistogram(nil)
 }
 
 // registryKey carries a Registry through a context.

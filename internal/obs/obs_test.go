@@ -9,28 +9,31 @@ import (
 
 func TestRegistryCounters(t *testing.T) {
 	r := NewRegistry()
-	r.Add("a.one", 3)
-	r.Add("a.one", 2)
-	r.Add("b.two", 1)
+	testCountA.Add(r, 3)
+	testCountA.Add(r, 2)
+	testCountB.Add(r, 1)
 	if got := r.Get("a.one"); got != 5 {
 		t.Errorf("Get(a.one) = %d, want 5", got)
 	}
 	if got := r.Get("missing"); got != 0 {
 		t.Errorf("Get(missing) = %d, want 0", got)
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a.one" || names[1] != "b.two" {
-		t.Errorf("Names = %v, want [a.one b.two]", names)
+	if got := r.Get("inflight"); got != 0 {
+		t.Errorf("Get(inflight) = %d, want 0: Get reads counters only", got)
+	}
+	if got := NewRegistry().Get("a.one"); got != 0 {
+		t.Errorf("a fresh registry's a.one = %d, want 0", got)
+	}
+	if h := r.Histogram("missing"); h.Count() != 0 || r.Histogram("missing") == h {
+		t.Error("Histogram(missing) must return a fresh empty histogram")
 	}
 }
 
 func TestRegistryGauges(t *testing.T) {
 	r := NewRegistry()
-	r.SetGauge("inflight", 7)
-	if got := r.Gauge("inflight").Load(); got != 7 {
-		t.Errorf("gauge = %d, want 7", got)
-	}
-	r.RegisterGaugeFunc("cache_size", func() float64 { return 42 })
+	testInflight.Bind(r, func() float64 { return 6 })
+	testInflight.Bind(r, func() float64 { return 7 }) // rebinding replaces
+	testCache.Bind(r, func() float64 { return 42 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -40,6 +43,13 @@ func TestRegistryGauges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	b.Reset()
+	if err := NewRegistry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ninflight 0\n") {
+		t.Errorf("an unbound gauge must read 0:\n%s", b.String())
 	}
 }
 
@@ -100,10 +110,10 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 
 func TestWritePrometheusHistogram(t *testing.T) {
 	r := NewRegistry()
-	r.Add("serve.panics", 2)
-	r.Observe(PhaseSeries("tidy"), 0.004)
-	r.Observe(PhaseSeries("tidy"), 0.004)
-	r.Observe(PhaseSeries("tokenize"), 0.001)
+	testPanics.Add(r, 2)
+	phaseTidy.hist.Observe(r, 0.004)
+	phaseTidy.hist.Observe(r, 0.004)
+	phaseTokenize.hist.Observe(r, 0.001)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

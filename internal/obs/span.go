@@ -12,12 +12,12 @@ import (
 )
 
 // PhaseFamily is the histogram family every span's wall time lands in, one
-// labeled series per span name. /metricsz therefore exposes a latency
+// labeled series per declared Phase. /metricsz therefore exposes a latency
 // histogram per pipeline phase with no per-phase registration code.
 const PhaseFamily = "omini_phase_seconds"
 
 // PhaseSeries returns the registry series name for one phase's latency
-// histogram.
+// histogram, for reading it back with Registry.Histogram.
 func PhaseSeries(phase string) string {
 	return fmt.Sprintf("%s{phase=%q}", PhaseFamily, phase)
 }
@@ -228,7 +228,7 @@ func TraceRecorderFrom(ctx context.Context) *TraceRecorder {
 
 // TraceIDStringFrom returns the hex trace ID of the context's trace,
 // or "" when the operation is not being traced — the exemplar argument
-// for Registry.ObserveExemplar.
+// for Latency.ObserveExemplar.
 func TraceIDStringFrom(ctx context.Context) string {
 	tr := TraceRecorderFrom(ctx)
 	if tr == nil {
@@ -261,7 +261,7 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 // Span is one in-flight timed region. Created by StartSpan; End records it
 // into the context's registry histogram and trace recorder.
 type Span struct {
-	name     string
+	phase    *Phase
 	parent   string
 	depth    int
 	id       SpanID
@@ -271,28 +271,32 @@ type Span struct {
 	dur      time.Duration
 	reg      *Registry
 	rec      *TraceRecorder
-	mem0     runtime.MemStats
-	ended    bool
+	// allocs0 and bytes0 are the process's allocation counters at the
+	// start, read only when the recorder samples allocations.
+	allocs0, bytes0 uint64
+	ended           bool
 }
 
-// StartSpan begins a named span under ctx and returns a derived context
-// (carrying the span, so nested StartSpan calls see their parent) plus the
-// span itself. The span's wall time always lands in the context registry's
-// per-phase histogram; when the context carries a TraceRecorder the span is
-// also appended to the trace with a span ID parented into the trace's span
-// tree. Always pair with End:
+// StartSpan begins a span of the declared phase under ctx and returns a
+// derived context (carrying the span, so nested StartSpan calls see their
+// parent) plus the span itself. The span's wall time always lands in the
+// context registry's per-phase histogram; when the context carries a
+// TraceRecorder the span is also appended to the trace with a span ID
+// parented into the trace's span tree. Always pair with End:
 //
-//	ctx, sp := obs.StartSpan(ctx, "tidy")
+//	var phaseTidy = obs.NewPhase("tidy") // package level
+//	...
+//	ctx, sp := obs.StartSpan(ctx, phaseTidy)
 //	... phase work ...
 //	sp.End()
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+func StartSpan(ctx context.Context, phase *Phase) (context.Context, *Span) {
 	sp := &Span{
-		name: name,
-		reg:  RegistryFrom(ctx),
-		rec:  TraceRecorderFrom(ctx),
+		phase: phase,
+		reg:   RegistryFrom(ctx),
+		rec:   TraceRecorderFrom(ctx),
 	}
 	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		sp.parent = parent.name
+		sp.parent = parent.phase.name
 		sp.depth = parent.depth + 1
 		sp.parentID = parent.id
 	} else if sp.rec != nil {
@@ -302,7 +306,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		sp.id = sp.rec.nextSpanID()
 		sp.startOff = time.Since(sp.rec.start).Nanoseconds()
 		if sp.rec.SampleAllocs {
-			runtime.ReadMemStats(&sp.mem0)
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			sp.allocs0, sp.bytes0 = m.Mallocs, m.TotalAlloc
 		}
 	}
 	sp.start = time.Now()
@@ -335,12 +341,12 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
-	s.reg.Observe(PhaseSeries(s.name), s.dur.Seconds())
+	s.phase.hist.Observe(s.reg, s.dur.Seconds())
 	if s.rec == nil {
 		return
 	}
 	sample := PhaseSample{
-		Name:         s.name,
+		Name:         s.phase.name,
 		Parent:       s.parent,
 		Depth:        s.depth,
 		DurationNS:   s.dur.Nanoseconds(),
@@ -354,8 +360,8 @@ func (s *Span) End() {
 	if s.rec.SampleAllocs {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		sample.AllocBytes = int64(m.TotalAlloc - s.mem0.TotalAlloc)
-		sample.Allocs = int64(m.Mallocs - s.mem0.Mallocs)
+		sample.AllocBytes = int64(m.TotalAlloc - s.bytes0)
+		sample.Allocs = int64(m.Mallocs - s.allocs0)
 	}
 	s.rec.add(sample)
 }

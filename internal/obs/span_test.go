@@ -11,7 +11,7 @@ func TestSpanRecordsIntoRegistryAndRecorder(t *testing.T) {
 	ctx := WithRegistry(context.Background(), r)
 	ctx, rec := WithTraceRecorder(ctx, false)
 
-	_, sp := StartSpan(ctx, "tidy")
+	_, sp := StartSpan(ctx, phaseTidy)
 	sp.End()
 
 	h := r.Histogram(PhaseSeries("tidy"))
@@ -34,14 +34,14 @@ func TestSpanNesting(t *testing.T) {
 	ctx := WithRegistry(context.Background(), NewRegistry())
 	ctx, rec := WithTraceRecorder(ctx, false)
 
-	ctx1, parent := StartSpan(ctx, "parse")
-	ctx2, child := StartSpan(ctx1, "tokenize")
-	_, grandchild := StartSpan(ctx2, "entities")
+	ctx1, parent := StartSpan(ctx, phaseParse)
+	ctx2, child := StartSpan(ctx1, phaseTokenize)
+	_, grandchild := StartSpan(ctx2, phaseEntities)
 	grandchild.End()
 	child.End()
 	// A sibling started from the parent's context nests under "parse",
 	// not under the already-ended "tokenize".
-	_, sibling := StartSpan(ctx1, "tidy")
+	_, sibling := StartSpan(ctx1, phaseTidy)
 	sibling.End()
 	parent.End()
 
@@ -79,7 +79,7 @@ func TestSpanNesting(t *testing.T) {
 func TestSpanEndIdempotent(t *testing.T) {
 	ctx := WithRegistry(context.Background(), NewRegistry())
 	ctx, rec := WithTraceRecorder(ctx, false)
-	_, sp := StartSpan(ctx, "x")
+	_, sp := StartSpan(ctx, phaseX)
 	sp.End()
 	sp.End()
 	if n := len(rec.Spans()); n != 1 {
@@ -94,7 +94,7 @@ var allocSink []byte
 
 func TestSpanAllocSampling(t *testing.T) {
 	ctx, rec := WithTraceRecorder(context.Background(), true)
-	_, sp := StartSpan(ctx, "alloc")
+	_, sp := StartSpan(ctx, phaseAlloc)
 	allocSink = make([]byte, 1<<20)
 	sp.End()
 	spans := rec.Spans()
@@ -112,7 +112,7 @@ func TestSpanAllocSampling(t *testing.T) {
 func TestSpanWithoutRecorderStillObserves(t *testing.T) {
 	r := NewRegistry()
 	ctx := WithRegistry(context.Background(), r)
-	_, sp := StartSpan(ctx, "solo")
+	_, sp := StartSpan(ctx, phaseSolo)
 	sp.End()
 	if r.Histogram(PhaseSeries("solo")).Count() != 1 {
 		t.Error("span without recorder did not feed the registry histogram")

@@ -201,8 +201,8 @@ func TestStartTraceAdoptsUpstreamIdentity(t *testing.T) {
 		t.Errorf("TraceID = %s, want adopted %s", rec.TraceID(), upstream.TraceID)
 	}
 
-	ctx1, root := StartSpan(ctx, "handler")
-	_, child := StartSpan(ctx1, "farm.slow")
+	ctx1, root := StartSpan(ctx, phaseHandler)
+	_, child := StartSpan(ctx1, phaseFarmSlow)
 	child.End()
 	root.End()
 
@@ -230,7 +230,7 @@ func TestStartTraceAdoptsUpstreamIdentity(t *testing.T) {
 	}
 
 	// The open child span's propagation context names itself as parent.
-	ctx2, open := StartSpan(ctx1, "hop")
+	ctx2, open := StartSpan(ctx1, phaseHop)
 	sc := SpanContextFrom(ctx2)
 	if !sc.Valid() || sc.SpanID != open.ID() || sc.TraceID != upstream.TraceID || !sc.Sampled {
 		t.Errorf("SpanContextFrom = %+v, want the open span's identity", sc)
@@ -248,8 +248,8 @@ func TestStartTraceMintsIDWhenZero(t *testing.T) {
 func TestObserveExemplarExposition(t *testing.T) {
 	r := NewRegistry()
 	tid := NewTraceID().String()
-	r.ObserveExemplar("serve.fast_seconds", 0.002, tid)
-	r.ObserveExemplar("serve.fast_seconds", 0.004, "") // untraced: plain observe
+	testFast.ObserveExemplar(r, 0.002, tid)
+	testFast.ObserveExemplar(r, 0.004, "") // untraced: plain observe
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

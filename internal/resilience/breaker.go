@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"omini/internal/obs"
 )
 
 // ErrOpen is returned (wrapped) by callers when a circuit breaker rejects
@@ -41,14 +43,16 @@ func (s BreakerState) String() string {
 // (open and closed both climbing) versus a stuck outage (open climbing
 // alone) straight off /metricsz.
 const (
-	// SeriesBreakerOpen counts transitions into the open state (a trip,
-	// from closed or from a failed half-open probe).
-	SeriesBreakerOpen = "resilience.breaker_open"
-	// SeriesBreakerHalfOpen counts cooldown expiries admitting a probe.
+	SeriesBreakerOpen     = "resilience.breaker_open"
 	SeriesBreakerHalfOpen = "resilience.breaker_half_open"
-	// SeriesBreakerClosed counts recoveries: a success observed while
-	// the breaker was open or half-open.
-	SeriesBreakerClosed = "resilience.breaker_closed"
+	SeriesBreakerClosed   = "resilience.breaker_closed"
+)
+
+var (
+	breakerOpen     = obs.NewCounter(SeriesBreakerOpen, "Breaker transitions into the open state (a trip, from closed or from a failed half-open probe).")
+	breakerHalfOpen = obs.NewCounter(SeriesBreakerHalfOpen, "Breaker cooldown expiries admitting a probe.")
+	breakerClosed   = obs.NewCounter(SeriesBreakerClosed, "Breaker recoveries: a success observed while the breaker was open or half-open.")
+	shortCircuits   = obs.NewCounter("breaker.short_circuit", "Requests a breaker rejected without trying them (open, or half-open with its probe out).")
 )
 
 // BreakerConfig tunes a Breaker. The zero value selects the defaults.
@@ -61,7 +65,7 @@ type BreakerConfig struct {
 	Cooldown time.Duration
 	// Clock overrides time.Now in tests.
 	Clock func() time.Time
-	// Stats receives the "breaker.opened" and "breaker.short_circuit"
+	// Stats receives the breaker's transition and short-circuit
 	// counters; nil uses Default.
 	Stats *Stats
 }
@@ -113,16 +117,16 @@ func (b *Breaker) Allow() bool {
 		return true
 	case StateOpen:
 		if b.cfg.Clock().Before(b.until) {
-			b.cfg.Stats.Add("breaker.short_circuit", 1)
+			shortCircuits.Add(b.cfg.Stats, 1)
 			return false
 		}
 		b.state = StateHalfOpen
 		b.probing = true
-		b.cfg.Stats.Add(SeriesBreakerHalfOpen, 1)
+		breakerHalfOpen.Add(b.cfg.Stats, 1)
 		return true
 	case StateHalfOpen:
 		if b.probing {
-			b.cfg.Stats.Add("breaker.short_circuit", 1)
+			shortCircuits.Add(b.cfg.Stats, 1)
 			return false
 		}
 		b.probing = true
@@ -137,7 +141,7 @@ func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != StateClosed {
-		b.cfg.Stats.Add(SeriesBreakerClosed, 1)
+		breakerClosed.Add(b.cfg.Stats, 1)
 	}
 	b.state = StateClosed
 	b.failures = 0
@@ -166,8 +170,7 @@ func (b *Breaker) trip() {
 	b.failures = 0
 	b.probing = false
 	b.until = b.cfg.Clock().Add(b.cfg.Cooldown)
-	b.cfg.Stats.Add("breaker.opened", 1) // legacy alias of SeriesBreakerOpen
-	b.cfg.Stats.Add(SeriesBreakerOpen, 1)
+	breakerOpen.Add(b.cfg.Stats, 1)
 }
 
 // State returns the current state (resolving an expired cooldown lazily is

@@ -262,21 +262,22 @@ func TestNilLimiterIsUnlimited(t *testing.T) {
 
 func TestStatsConcurrent(t *testing.T) {
 	s := NewStats()
+	p := &RetryPolicy{MaxAttempts: 1, Stats: s}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				s.Add("hits", 1)
+				_ = p.Do(context.Background(), func(context.Context) error { return nil })
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Get("hits"); got != 8000 {
-		t.Errorf("hits = %d, want 8000", got)
+	if got := s.Get("retry.attempts"); got != 8000 {
+		t.Errorf("retry.attempts = %d, want 8000", got)
 	}
-	if names := s.Names(); len(names) != 1 || names[0] != "hits" {
-		t.Errorf("names = %v", names)
+	if got := s.Get("retry.retries"); got != 0 {
+		t.Errorf("retry.retries = %d, want 0", got)
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"omini/internal/obs"
 )
 
 // RetryPolicy retries an operation with capped exponential backoff and
@@ -28,10 +30,15 @@ type RetryPolicy struct {
 	// AttemptTimeout bounds each individual attempt; 0 leaves attempts
 	// governed only by the caller's context.
 	AttemptTimeout time.Duration
-	// Stats receives the "retry.attempts" and "retry.retries" counters;
+	// Stats receives the retry.attempts and retry.retries counters;
 	// nil uses Default.
 	Stats *Stats
 }
+
+var (
+	retryAttempts = obs.NewCounter("retry.attempts", "Attempts made under retry policies, first tries included.")
+	retryRetries  = obs.NewCounter("retry.retries", "Attempts after the first, each after a backoff.")
+)
 
 const (
 	defaultMaxAttempts = 3
@@ -55,12 +62,12 @@ func (p *RetryPolicy) Do(ctx context.Context, op func(ctx context.Context) error
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			stats.Add("retry.retries", 1)
+			retryRetries.Add(stats, 1)
 			if werr := sleepCtx(ctx, p.backoff(i)); werr != nil {
 				return err // cancelled mid-backoff: report the last attempt
 			}
 		}
-		stats.Add("retry.attempts", 1)
+		retryAttempts.Add(stats, 1)
 		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
 		if p.AttemptTimeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)

@@ -172,7 +172,11 @@ func New(cfg Config) (*Replicator, error) {
 		kick:  make(chan struct{}, 1),
 		etags: make(map[string]string),
 	}
-	r.registerMetrics()
+	npeers := len(cfg.Peers)
+	if _, ok := cfg.Peers[cfg.Self]; ok {
+		npeers--
+	}
+	peersGauge.Bind(r.stats, func() float64 { return float64(npeers) })
 	return r, nil
 }
 
@@ -220,7 +224,7 @@ func (r *Replicator) Kick() {
 // missing degrade to learn-on-miss. The returned error reports what
 // was left incomplete; it is advisory, never fatal.
 func (r *Replicator) SyncOnJoin(ctx context.Context) error {
-	r.stats.Add(SeriesJoinSyncs, 1)
+	joinSyncs.Add(r.stats, 1)
 	jctx, cancel := context.WithTimeout(ctx, r.cfg.JoinBudget)
 	defer cancel()
 	start := time.Now()
@@ -249,16 +253,16 @@ func (r *Replicator) SyncAll(ctx context.Context) error {
 			return err
 		}
 		if err := r.syncPeer(ctx, g, p.id, p.url); err != nil {
-			r.stats.Add(SeriesPeerErrors, 1)
+			peerErrors.Add(r.stats, 1)
 			r.log.Warn("ruledist: peer sync failed", "peer", p.id, "err", err.Error())
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		r.stats.Add(SeriesPeerSyncs, 1)
+		peerSyncs.Add(r.stats, 1)
 	}
-	r.stats.Add(SeriesRounds, 1)
+	rounds.Add(r.stats, 1)
 	return firstErr
 }
 
@@ -274,11 +278,11 @@ type digest struct {
 // version diff, filtered pull, merge. The etag is cached only after a
 // round fully applies, so a failed pull retries the diff next round.
 func (r *Replicator) syncPeer(ctx context.Context, g *govern.Guard, id, base string) error {
-	sctx, sp := obs.StartSpan(ctx, "ruledist.sync")
+	sctx, sp := obs.StartSpan(ctx, phaseSync)
 	defer sp.End()
 	br := r.breakers.For(id)
 	if !br.Allow() {
-		r.stats.Add(SeriesBreakerSkips, 1)
+		breakerSkips.Add(r.stats, 1)
 		return fmt.Errorf("ruledist: peer %s: breaker open", id)
 	}
 	d, notMod, err := r.fetchDigest(sctx, id, base)
@@ -288,7 +292,7 @@ func (r *Replicator) syncPeer(ctx context.Context, g *govern.Guard, id, base str
 	}
 	if notMod {
 		br.Success()
-		r.stats.Add(SeriesNotModified, 1)
+		notModified.Add(r.stats, 1)
 		return nil
 	}
 	wants := r.wantSites(g, d)
@@ -379,12 +383,12 @@ func (r *Replicator) fetchDigest(ctx context.Context, id, base string) (d digest
 			return fmt.Errorf("ruledist: digest %s: read: %w", id, rerr)
 		}
 		if int64(len(body)) > r.cfg.MaxTransferBytes {
-			r.stats.Add(SeriesCorruptDiscarded, 1)
+			corruptDiscarded.Add(r.stats, 1)
 			return resilience.Permanent(fmt.Errorf("ruledist: digest %s: response exceeds %d bytes", id, r.cfg.MaxTransferBytes))
 		}
 		var parsed digest
 		if uerr := json.Unmarshal(body, &parsed); uerr != nil {
-			r.stats.Add(SeriesCorruptDiscarded, 1)
+			corruptDiscarded.Add(r.stats, 1)
 			return fmt.Errorf("ruledist: digest %s: decode: %w", id, uerr)
 		}
 		d = parsed
@@ -398,7 +402,7 @@ func (r *Replicator) fetchDigest(ctx context.Context, id, base string) (d digest
 // too-new body fails DecodeSnapshot and the whole transfer is
 // discarded — partial state never applies.
 func (r *Replicator) pull(ctx context.Context, id, base string, sites []string) (farm.Snapshot, error) {
-	pctx, sp := obs.StartSpan(ctx, "ruledist.pull")
+	pctx, sp := obs.StartSpan(ctx, phasePull)
 	defer sp.End()
 	var snap farm.Snapshot
 	q := url.Values{"view": {"sync"}, "sites": {strings.Join(sites, ",")}}
@@ -426,12 +430,12 @@ func (r *Replicator) pull(ctx context.Context, id, base string, sites []string) 
 			return fmt.Errorf("ruledist: pull %s: read: %w", id, rerr)
 		}
 		if int64(len(body)) > r.cfg.MaxTransferBytes {
-			r.stats.Add(SeriesCorruptDiscarded, 1)
+			corruptDiscarded.Add(r.stats, 1)
 			return resilience.Permanent(fmt.Errorf("ruledist: pull %s: transfer exceeds %d bytes", id, r.cfg.MaxTransferBytes))
 		}
 		s, derr := farm.DecodeSnapshot(body)
 		if derr != nil {
-			r.stats.Add(SeriesCorruptDiscarded, 1)
+			corruptDiscarded.Add(r.stats, 1)
 			return fmt.Errorf("ruledist: pull %s: discarded: %w", id, derr)
 		}
 		snap = s
@@ -451,7 +455,7 @@ func (r *Replicator) apply(g *govern.Guard, snap farm.Snapshot) (nrules, ntombs 
 		}
 		if r.farm.ApplyTombstone(t) {
 			ntombs++
-			r.stats.Add(SeriesTombstonesApplied, 1)
+			tombstonesApplied.Add(r.stats, 1)
 		}
 	}
 	for _, sr := range snap.Rules {
@@ -460,9 +464,9 @@ func (r *Replicator) apply(g *govern.Guard, snap farm.Snapshot) (nrules, ntombs 
 		}
 		if r.farm.ApplyRemote(sr) {
 			nrules++
-			r.stats.Add(SeriesRulesPulled, 1)
+			rulesPulled.Add(r.stats, 1)
 		} else {
-			r.stats.Add(SeriesStaleIgnored, 1)
+			staleIgnored.Add(r.stats, 1)
 		}
 	}
 	return nrules, ntombs

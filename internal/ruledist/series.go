@@ -2,65 +2,35 @@ package ruledist
 
 import "omini/internal/obs"
 
-// Registry series emitted by this package. One constant per series —
-// the obsnames analyzer enforces that emission sites use these and
-// that registerMetrics pre-registers every one of them, so /metricsz
-// exposes the whole replication surface from boot.
+// Registry series emitted by this package, by name (for reading with
+// Registry.Get) and as declared handles (for emitting).
 const (
-	// SeriesRounds counts completed anti-entropy rounds (SyncAll).
-	SeriesRounds = "ruledist.rounds"
-	// SeriesJoinSyncs counts budget-bounded warm-up rounds run before a
-	// node flipped ready (SyncOnJoin).
-	SeriesJoinSyncs = "ruledist.join_syncs"
-	// SeriesPeerSyncs counts per-peer conversations that fully applied;
-	// SeriesPeerErrors counts the ones that failed and were skipped.
-	SeriesPeerSyncs  = "ruledist.peer_syncs"
-	SeriesPeerErrors = "ruledist.peer_errors"
-	// SeriesBreakerSkips counts peers skipped because their circuit
-	// breaker was open (a dead peer costs one check, not a timeout).
-	SeriesBreakerSkips = "ruledist.skipped_breaker"
-	// SeriesNotModified counts digest polls answered 304 — the
-	// steady-state outcome once the cluster has converged.
-	SeriesNotModified = "ruledist.not_modified"
-	// SeriesRulesPulled counts remote rules merged into the local farm;
-	// SeriesStaleIgnored counts pulled rules rejected because the local
-	// version (rule or tombstone) was at least as new.
-	SeriesRulesPulled  = "ruledist.rules_pulled"
-	SeriesStaleIgnored = "ruledist.stale_ignored"
-	// SeriesTombstonesApplied counts remote evictions honored locally,
-	// removing a stale rule or preventing its resurrection.
+	SeriesRounds            = "ruledist.rounds"
+	SeriesJoinSyncs         = "ruledist.join_syncs"
+	SeriesPeerSyncs         = "ruledist.peer_syncs"
+	SeriesPeerErrors        = "ruledist.peer_errors"
+	SeriesBreakerSkips      = "ruledist.skipped_breaker"
+	SeriesNotModified       = "ruledist.not_modified"
+	SeriesRulesPulled       = "ruledist.rules_pulled"
+	SeriesStaleIgnored      = "ruledist.stale_ignored"
 	SeriesTombstonesApplied = "ruledist.tombstones_applied"
-	// SeriesCorruptDiscarded counts transfers thrown away whole —
-	// oversized, truncated or undecodable bodies. Nothing from a
-	// discarded transfer is ever applied.
-	SeriesCorruptDiscarded = "ruledist.corrupt_discarded"
-
-	// gaugePeers is the number of sync targets (the peer set minus this
-	// node).
-	gaugePeers = "ruledist.peers"
+	SeriesCorruptDiscarded  = "ruledist.corrupt_discarded"
 )
 
-// registerMetrics pre-touches every series this package emits, so a
-// scrape of a fresh process already shows the full replication surface
-// at zero. The obsnames analyzer harvests this function as the boot
-// pre-registration set.
-func (r *Replicator) registerMetrics() {
-	for _, name := range []string{
-		SeriesRounds, SeriesJoinSyncs, SeriesPeerSyncs, SeriesPeerErrors,
-		SeriesBreakerSkips, SeriesNotModified, SeriesRulesPulled,
-		SeriesStaleIgnored, SeriesTombstonesApplied, SeriesCorruptDiscarded,
-	} {
-		r.stats.Counter(name)
-	}
-	// The sync/pull spans land in the shared phase histograms; touch
-	// them so converged-idle processes still expose the series.
-	r.stats.Histogram(obs.PhaseSeries("ruledist.sync"))
-	r.stats.Histogram(obs.PhaseSeries("ruledist.pull"))
-	npeers := len(r.cfg.Peers)
-	if _, ok := r.cfg.Peers[r.cfg.Self]; ok {
-		npeers--
-	}
-	r.stats.RegisterGaugeFunc(gaugePeers, func() float64 {
-		return float64(npeers)
-	})
-}
+var (
+	rounds            = obs.NewCounter(SeriesRounds, "Completed anti-entropy rounds (SyncAll).")
+	joinSyncs         = obs.NewCounter(SeriesJoinSyncs, "Budget-bounded warm-up rounds run before a node flipped ready (SyncOnJoin).")
+	peerSyncs         = obs.NewCounter(SeriesPeerSyncs, "Per-peer conversations that fully applied.")
+	peerErrors        = obs.NewCounter(SeriesPeerErrors, "Per-peer conversations that failed and were skipped.")
+	breakerSkips      = obs.NewCounter(SeriesBreakerSkips, "Peers skipped because their circuit breaker was open.")
+	notModified       = obs.NewCounter(SeriesNotModified, "Digest polls answered 304, the steady state once the cluster has converged.")
+	rulesPulled       = obs.NewCounter(SeriesRulesPulled, "Remote rules merged into the local farm.")
+	staleIgnored      = obs.NewCounter(SeriesStaleIgnored, "Pulled rules rejected because the local version (rule or tombstone) was at least as new.")
+	tombstonesApplied = obs.NewCounter(SeriesTombstonesApplied, "Remote evictions honored locally.")
+	corruptDiscarded  = obs.NewCounter(SeriesCorruptDiscarded, "Transfers thrown away whole: oversized, truncated or undecodable bodies.")
+
+	peersGauge = obs.NewGauge("ruledist.peers", "Sync targets: the peer set minus this node.")
+
+	phaseSync = obs.NewPhase("ruledist.sync")
+	phasePull = obs.NewPhase("ruledist.pull")
+)

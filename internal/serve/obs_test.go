@@ -84,7 +84,7 @@ func TestMetricszEndpoint(t *testing.T) {
 		"omini_phase_seconds_quantile{",
 		"serve_requests",
 		"serve_inflight",
-		"\nserve_cached_rules 1\n",
+		"\nfarm_rules 1\n",
 		"omini_request_seconds_bucket{path=\"/extract\"",
 	} {
 		if !strings.Contains(body, want) {
@@ -110,8 +110,8 @@ func TestMetricszNonEmptyAtBoot(t *testing.T) {
 			t.Errorf("boot exposition missing phase %q", phase)
 		}
 	}
-	if !strings.Contains(body, "serve_panics 0") {
-		t.Error("boot exposition missing serve_panics 0")
+	if !strings.Contains(body, "# HELP serve_panics Handler panics recovered into a 500.\n# TYPE serve_panics counter\nserve_panics 0\n") {
+		t.Error("boot exposition missing serve_panics 0 under its HELP and TYPE lines")
 	}
 }
 

@@ -124,48 +124,38 @@ const (
 	defaultRetryAfter     = time.Second
 )
 
-// servingPhases are the serving-layer spans recorded above the pipeline
-// on traced requests: the handler root span and the farm's fast/slow
-// path spans. Pre-registered, like core.Phases, so /metricsz exposes
-// them from boot.
-var servingPhases = []string{"handler", "farm.fast", "farm.slow"}
+// requestHelp is the help text of the omini_request_seconds family.
+const requestHelp = "Request latency by endpoint; paths outside the public endpoints share one bucket."
 
-// Registry series emitted by this package. One constant per series;
-// registerMetrics pre-registers every one of them (plus core's) so a
-// scrape of a fresh process already shows the full metric surface.
-const (
-	seriesRequests  = "serve.requests"
-	seriesErrors    = "serve.errors"
-	seriesPanics    = "serve.panics"
-	seriesShed      = "serve.shed"
-	seriesRuleHits  = "serve.rule_hits"
-	seriesRuleStale = "serve.rule_stale"
+// The series this package emits, declared once; every registry exposes
+// them (and every other linked component's) from its first use.
+var (
+	requests  = obs.NewCounter("serve.requests", "Requests served, every endpoint.")
+	errors5xx = obs.NewCounter("serve.errors", "Requests answered with a 5xx status.")
+	panics    = obs.NewCounter("serve.panics", "Handler panics recovered into a 500.")
+	shed      = obs.NewCounter("serve.shed", "Requests shed with 429 past the in-flight cap.")
+	ruleStale = obs.NewCounter("serve.rule_stale", "Requests whose cached rule stopped matching and was relearned inline.")
 
-	// Trace lifecycle: sampled counts requests that recorded a trace,
-	// stored counts traces that reached the tail-sampling sink, evicted
-	// counts traces the full sink displaced; buffered is the sink's
-	// current size.
-	seriesTraceSampled = "trace.sampled"
-	seriesTraceStored  = "trace.stored"
-	seriesTraceEvicted = "trace.evicted"
+	traceSampled = obs.NewCounter("trace.sampled", "Requests that recorded a trace.")
+	traceStored  = obs.NewCounter("trace.stored", "Traces that reached the tail-sampling sink.")
+	traceEvicted = obs.NewCounter("trace.evicted", "Traces the full sink displaced.")
 
-	gaugeInflight      = "serve.inflight"
-	gaugeCachedRules   = "serve.cached_rules"
-	gaugeTraceBuffered = "trace.buffered"
+	inflightGauge      = obs.NewGauge("serve.inflight", "Requests holding an in-flight slot.")
+	traceBufferedGauge = obs.NewGauge("trace.buffered", "Traces held by the tail-sampling sink behind /tracez.")
 
-	// Request-latency series, one per public endpoint plus the pprof and
-	// catch-all buckets, keeping label cardinality bounded regardless of
-	// what paths clients probe.
-	seriesReqExtract  = `omini_request_seconds{path="/extract"}`
-	seriesReqRecords  = `omini_request_seconds{path="/records"}`
-	seriesReqRules    = `omini_request_seconds{path="/rules"}`
-	seriesReqRulesz   = `omini_request_seconds{path="/rulesz"}`
-	seriesReqHealthz  = `omini_request_seconds{path="/healthz"}`
-	seriesReqReadyz   = `omini_request_seconds{path="/readyz"}`
-	seriesReqMetricsz = `omini_request_seconds{path="/metricsz"}`
-	seriesReqPprof    = `omini_request_seconds{path="/debug/pprof"}`
-	seriesReqTracez   = `omini_request_seconds{path="/tracez"}`
-	seriesReqOther    = `omini_request_seconds{path="other"}`
+	reqExtract  = obs.NewLatency(`omini_request_seconds{path="/extract"}`, requestHelp)
+	reqRecords  = obs.NewLatency(`omini_request_seconds{path="/records"}`, requestHelp)
+	reqRules    = obs.NewLatency(`omini_request_seconds{path="/rules"}`, requestHelp)
+	reqRulesz   = obs.NewLatency(`omini_request_seconds{path="/rulesz"}`, requestHelp)
+	reqHealthz  = obs.NewLatency(`omini_request_seconds{path="/healthz"}`, requestHelp)
+	reqReadyz   = obs.NewLatency(`omini_request_seconds{path="/readyz"}`, requestHelp)
+	reqMetricsz = obs.NewLatency(`omini_request_seconds{path="/metricsz"}`, requestHelp)
+	reqPprof    = obs.NewLatency(`omini_request_seconds{path="/debug/pprof"}`, requestHelp)
+	reqTracez   = obs.NewLatency(`omini_request_seconds{path="/tracez"}`, requestHelp)
+	reqOther    = obs.NewLatency(`omini_request_seconds{path="other"}`, requestHelp)
+
+	// phaseHandler is the root span of a traced request.
+	phaseHandler = obs.NewPhase("handler")
 )
 
 // Server is the HTTP handler. Create with New.
@@ -245,7 +235,8 @@ func New(cfg Config) *Server {
 	}
 	s.farm = fm
 	s.joined.Store(!cfg.DeferReady)
-	s.registerMetrics()
+	inflightGauge.Bind(s.stats, func() float64 { return float64(s.limiter.InFlight()) })
+	traceBufferedGauge.Bind(s.stats, func() float64 { return float64(s.traces.Len()) })
 	s.loadRules()
 
 	// Extraction endpoints run behind the load shed and request deadline;
@@ -274,56 +265,6 @@ func New(cfg Config) *Server {
 
 	s.handler = s.withRecovery(s.withObs(root))
 	return s
-}
-
-// registerMetrics pre-touches the counters, phase histograms and computed
-// gauges the service exposes, so a scrape of a fresh process already shows
-// the full metric surface at zero.
-func (s *Server) registerMetrics() {
-	// Governor outcomes sit alongside the request counters: one series
-	// per limit kind, plus deadline and cancellation counts, so a scrape
-	// distinguishes oversized pages from slow ones before the first
-	// violation occurs.
-	for _, name := range []string{
-		seriesRequests, seriesErrors, seriesPanics, seriesShed,
-		seriesRuleHits, seriesRuleStale,
-		seriesTraceSampled, seriesTraceStored, seriesTraceEvicted,
-		core.SeriesExtractions, core.SeriesErrors,
-		core.SeriesDeadlineExceeded, core.SeriesCancelled,
-		core.SeriesRuleExtractions, core.SeriesRuleMismatches,
-		core.SeriesBatchPages, core.SeriesBatchErrors,
-		core.SeriesBatchRuleHits, core.SeriesBatchWatchdog,
-		core.SeriesBatchPanics,
-		core.SeriesLimitInput, core.SeriesLimitTokens, core.SeriesLimitNodes,
-		core.SeriesLimitDepth, core.SeriesLimitObjects, core.SeriesLimitOther,
-	} {
-		s.stats.Counter(name)
-	}
-	for _, name := range []string{
-		seriesReqExtract, seriesReqRecords, seriesReqRules,
-		seriesReqRulesz, seriesReqHealthz, seriesReqReadyz,
-		seriesReqMetricsz, seriesReqPprof, seriesReqTracez,
-		seriesReqOther,
-	} {
-		s.stats.Histogram(name)
-	}
-	// The pipeline's spans are pre-registered so /metricsz exposes every
-	// phase histogram from boot, before the first request arrives.
-	for _, phase := range core.Phases {
-		s.stats.Histogram(obs.PhaseSeries(phase))
-	}
-	for _, phase := range servingPhases {
-		s.stats.Histogram(obs.PhaseSeries(phase))
-	}
-	s.stats.RegisterGaugeFunc(gaugeInflight, func() float64 {
-		return float64(s.limiter.InFlight())
-	})
-	s.stats.RegisterGaugeFunc(gaugeCachedRules, func() float64 {
-		return float64(s.farm.Len())
-	})
-	s.stats.RegisterGaugeFunc(gaugeTraceBuffered, func() float64 {
-		return float64(s.traces.Len())
-	})
 }
 
 // ServeHTTP dispatches through the hardened middleware chain.
@@ -474,30 +415,30 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// requestSeries buckets request-latency series by endpoint, keeping label
+// requestLatency buckets request-latency series by endpoint, keeping label
 // cardinality bounded regardless of what paths clients probe.
-func requestSeries(path string) string {
+func requestLatency(path string) *obs.Latency {
 	switch {
 	case path == "/extract":
-		return seriesReqExtract
+		return reqExtract
 	case path == "/records":
-		return seriesReqRecords
+		return reqRecords
 	case path == "/rules":
-		return seriesReqRules
+		return reqRules
 	case path == "/rulesz":
-		return seriesReqRulesz
+		return reqRulesz
 	case path == "/healthz":
-		return seriesReqHealthz
+		return reqHealthz
 	case path == "/readyz":
-		return seriesReqReadyz
+		return reqReadyz
 	case path == "/metricsz":
-		return seriesReqMetricsz
+		return reqMetricsz
 	case path == "/tracez":
-		return seriesReqTracez
+		return reqTracez
 	case strings.HasPrefix(path, "/debug/pprof"):
-		return seriesReqPprof
+		return reqPprof
 	default:
-		return seriesReqOther
+		return reqOther
 	}
 }
 
@@ -551,8 +492,8 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			// Allocation sampling stays off on the serving path; wall
 			// times and span structure are the useful parts under traffic.
 			ctx, rec = obs.StartTrace(ctx, sc, false)
-			ctx, root = obs.StartSpan(ctx, "handler")
-			s.stats.Add(seriesTraceSampled, 1)
+			ctx, root = obs.StartSpan(ctx, phaseHandler)
+			traceSampled.Add(s.stats, 1)
 			// Set before the handler writes: the header doubles as the
 			// trace-ID channel for the recovery middleware, which sits
 			// outside this one and cannot see the request context.
@@ -567,16 +508,16 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		s.stats.Add(seriesRequests, 1)
+		requests.Add(s.stats, 1)
 		if status >= 500 {
-			s.stats.Add(seriesErrors, 1)
+			errors5xx.Add(s.stats, 1)
 		}
 		if rec != nil {
 			root.End()
-			s.stats.ObserveExemplar(requestSeries(r.URL.Path), elapsed.Seconds(), rec.TraceID().String())
+			requestLatency(r.URL.Path).ObserveExemplar(s.stats, elapsed.Seconds(), rec.TraceID().String())
 			s.recordTrace(rec, r, ri, status, elapsed)
 		} else {
-			s.stats.Observe(requestSeries(r.URL.Path), elapsed.Seconds())
+			requestLatency(r.URL.Path).Observe(s.stats, elapsed.Seconds())
 		}
 
 		kv := []any{
@@ -634,9 +575,9 @@ func (s *Server) recordTrace(rec *obs.TraceRecorder, r *http.Request, ri *reqInf
 	t.Error = ri.errMsg
 	ri.mu.Unlock()
 	evicted := s.traces.Record(t)
-	s.stats.Add(seriesTraceStored, 1)
+	traceStored.Add(s.stats, 1)
 	if evicted > 0 {
-		s.stats.Add(seriesTraceEvicted, int64(evicted))
+		traceEvicted.Add(s.stats, int64(evicted))
 	}
 }
 
@@ -654,7 +595,7 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 			if rec == http.ErrAbortHandler { // deliberate connection abort
 				panic(rec)
 			}
-			s.stats.Add(seriesPanics, 1)
+			panics.Add(s.stats, 1)
 			// Recovery sits outside the tracing middleware; the request
 			// context is gone, but withObs echoed the trace identity into
 			// the response header before the handler ran.
@@ -682,7 +623,7 @@ func (s *Server) withLimit(next http.Handler) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.limiter.TryAcquire() {
-			s.stats.Add(seriesShed, 1)
+			shed.Add(s.stats, 1)
 			w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 			writeError(r.Context(), w, http.StatusTooManyRequests, "server at capacity")
 			return
@@ -988,11 +929,8 @@ func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, 
 	if err != nil {
 		return nil, false, err
 	}
-	if out.FromRule {
-		s.stats.Add(seriesRuleHits, 1)
-	}
 	if out.Relearned {
-		s.stats.Add(seriesRuleStale, 1)
+		ruleStale.Add(s.stats, 1)
 	}
 	return res, out.FromRule, nil
 }

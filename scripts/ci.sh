@@ -144,6 +144,12 @@ if [ "$OBS_SMOKE" != "0" ]; then
         echo "/metricsz missing serve counters" >&2
         exit 1
     }
+    # Every family is self-describing and well-formed: its one # TYPE
+    # line comes right after its one # HELP line.
+    echo "$metrics" | awk '
+        /^# HELP / { if (help[$3]++) bad = bad " " $3 "(two HELP)"; last = $3; next }
+        /^# TYPE / { if ($3 != last || type[$3]++) bad = bad " " $3 "(TYPE without HELP, or twice)"; last = ""; next }
+        END { if (bad != "") { print "/metricsz families:" bad > "/dev/stderr"; exit 1 } }' || exit 1
     heap=$(curl -sf "http://$addr/debug/pprof/heap?debug=1")
     [ -n "$heap" ] || { echo "/debug/pprof/heap returned empty body" >&2; exit 1; }
     kill "$srv_pid"
