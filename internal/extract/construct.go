@@ -6,7 +6,7 @@
 package extract
 
 import (
-	"strings"
+	"bytes"
 
 	"omini/internal/govern"
 	"omini/internal/tagtree"
@@ -20,16 +20,32 @@ type Object struct {
 	Nodes []*tagtree.Node
 }
 
-// Text returns the object's visible text, with node texts joined by single
-// spaces.
+// Text returns the object's visible text: each top-level node's content
+// text, trimmed, with empty parts skipped and the rest joined by single
+// spaces. The content nodes are streamed into one buffer sized from the
+// object's content size.
 func (o Object) Text() string {
-	parts := make([]string, 0, len(o.Nodes))
+	buf := make([]byte, 0, o.Size()+len(o.Nodes))
 	for _, n := range o.Nodes {
-		if t := strings.TrimSpace(n.InnerText()); t != "" {
-			parts = append(parts, t)
+		mark := len(buf)
+		if mark > 0 {
+			buf = append(buf, ' ')
 		}
+		start := len(buf)
+		n.Walk(func(v *tagtree.Node) bool {
+			if v.IsContent() {
+				buf = append(buf, v.Text...)
+			}
+			return true
+		})
+		part := bytes.TrimSpace(buf[start:])
+		if len(part) == 0 {
+			buf = buf[:mark]
+			continue
+		}
+		buf = buf[:start+copy(buf[start:], part)]
 	}
-	return strings.Join(parts, " ")
+	return string(buf)
 }
 
 // Size returns the content size of the object in bytes.
@@ -39,21 +55,6 @@ func (o Object) Size() int {
 		total += n.NodeSize()
 	}
 	return total
-}
-
-// TagSet returns the set of tag names appearing anywhere in the object,
-// the structural signature refinement compares.
-func (o Object) TagSet() map[string]bool {
-	set := make(map[string]bool)
-	for _, n := range o.Nodes {
-		n.Walk(func(v *tagtree.Node) bool {
-			if !v.IsContent() {
-				set[v.Tag] = true
-			}
-			return true
-		})
-	}
-	return set
 }
 
 // dividerContentFraction is the share of the region's content below which
@@ -105,37 +106,37 @@ func Construct(sub *tagtree.Node, sepTag string, g *govern.Guard) ([]Object, err
 	}
 	divider := float64(sepContent) < dividerContentFraction*float64(sub.NodeSize())
 
+	// Every object is a run of consecutive children, so its Nodes is a
+	// capped sub-slice of sub.Children: an append by a caller
+	// reallocates instead of writing into the tree.
 	var (
-		objects []Object
-		current []*tagtree.Node
+		objects = make([]Object, 0, sepCount+1)
+		begin   int // first child of the pending object
 		err     error
 	)
-	flush := func() {
-		if err != nil || len(current) == 0 {
+	flush := func(end int) {
+		if err != nil || end == begin {
 			return
 		}
 		if err = g.Objects(1); err != nil {
 			return
 		}
-		objects = append(objects, Object{Nodes: current})
-		current = nil
+		objects = append(objects, Object{Nodes: sub.Children[begin:end:end]})
 	}
-	for _, c := range sub.Children {
+	for i, c := range sub.Children {
 		if err != nil {
 			return nil, err
 		}
-		isSep := !c.IsContent() && c.Tag == sepTag
-		if isSep {
-			flush()
-			if !divider {
-				current = append(current, c)
+		if !c.IsContent() && c.Tag == sepTag {
+			flush(i)
+			begin = i
+			if divider {
+				begin++ // a divider belongs to no object
 			}
-			continue
 		}
-		current = append(current, c)
 	}
-	flush()
-	if err != nil {
+	flush(len(sub.Children))
+	if err != nil || len(objects) == 0 {
 		return nil, err
 	}
 	return objects, nil

@@ -21,6 +21,17 @@ func construct(t *testing.T, sub *tagtree.Node, sepTag string) []Object {
 	return objects
 }
 
+// tagSet returns the set of tag names appearing anywhere in o.
+func tagSet(o Object) map[string]bool {
+	set := make(map[string]bool)
+	for _, n := range o.Nodes {
+		for _, v := range n.TagNodes() {
+			set[v.Tag] = true
+		}
+	}
+	return set
+}
+
 func subtreeOf(t *testing.T, page sitegen.Page) *tagtree.Node {
 	t.Helper()
 	root, err := tagtree.Parse(page.HTML)
@@ -154,7 +165,7 @@ func TestRefineDropsChromeOnCanoe(t *testing.T) {
 		t.Fatalf("refined to %d objects, want %d", len(objects), page.Truth.ObjectCount)
 	}
 	for i, o := range objects {
-		if set := o.TagSet(); !set["img"] || !set["font"] {
+		if set := tagSet(o); !set["img"] || !set["font"] {
 			t.Errorf("object %d lacks the news-item structure: %v", i, set)
 		}
 	}
@@ -212,7 +223,7 @@ func TestRefineUniqueTagLimit(t *testing.T) {
 	body := root.FindAll("body")[0]
 	refined := Refine(construct(t, body, "p"), RefineOptions{})
 	for _, o := range refined {
-		if o.TagSet()["table"] {
+		if tagSet(o)["table"] {
 			t.Error("structurally alien candidate survived refinement")
 		}
 	}
@@ -232,10 +243,10 @@ func TestObjectAccessors(t *testing.T) {
 	if got := o.Size(); got != len("hello")+len("world")+len("x") {
 		t.Errorf("Size = %d", got)
 	}
-	set := o.TagSet()
+	set := tagSet(o)
 	for _, tag := range []string{"p", "b", "span"} {
 		if !set[tag] {
-			t.Errorf("TagSet missing %q", tag)
+			t.Errorf("tag set missing %q", tag)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package extract
 
 import (
+	"math/bits"
 	"sort"
+
+	"omini/internal/tagtree"
 )
 
 // RefineOptions tune the object extraction refinement step. The zero value
@@ -55,42 +58,17 @@ func Refine(objects []Object, opts RefineOptions) []Object {
 	// Tag frequency across objects defines the majority structure: tags in
 	// at least half of the objects are "common"; tags in fewer than half
 	// are "unique" to their carriers.
-	freq := make(map[string]int)
-	tagSets := make([]map[string]bool, len(objects))
-	for i, o := range objects {
-		tagSets[i] = o.TagSet()
-		for tag := range tagSets[i] {
-			freq[tag]++
-		}
-	}
+	tags := newTagSets(objects)
 	half := (len(objects) + 1) / 2
-	var commonTags []string
-	for tag, n := range freq {
-		if n >= half {
-			commonTags = append(commonTags, tag)
-		}
-	}
+	common, nCommon := tags.common(half)
 
 	median := medianSize(objects)
 
 	out := make([]Object, 0, len(objects))
 	for i, o := range objects {
-		if len(commonTags) > 0 {
-			have := 0
-			for _, tag := range commonTags {
-				if tagSets[i][tag] {
-					have++
-				}
-			}
-			if float64(have) < opts.MinCommonTagFraction*float64(len(commonTags)) {
-				continue // missing the common structure
-			}
-		}
-		unique := 0
-		for tag := range tagSets[i] {
-			if freq[tag] < half {
-				unique++
-			}
+		have, unique := tags.split(i, common)
+		if nCommon > 0 && float64(have) < opts.MinCommonTagFraction*float64(nCommon) {
+			continue // missing the common structure
 		}
 		if unique > opts.MaxUniqueTags {
 			continue // too much structure of its own
@@ -121,4 +99,76 @@ func medianSize(objects []Object) float64 {
 		return float64(sizes[n/2])
 	}
 	return float64(sizes[n/2-1]+sizes[n/2]) / 2
+}
+
+// tagSets holds, for each object of one Refine call, the set of tag names
+// appearing anywhere in it — the structural signature refinement
+// compares. Tags are interned to small ints and each object's set is a
+// row of bits in one shared slab, so a call allocates the same few
+// slices however many objects it refines.
+type tagSets struct {
+	words int      // uint64 words per row
+	rows  []uint64 // row i is object i's set
+	freq  []int    // freq[id] is the number of objects carrying tag id
+}
+
+func newTagSets(objects []Object) tagSets {
+	ids := make(map[string]int)
+	for _, o := range objects {
+		eachTag(o, func(tag string) {
+			if _, ok := ids[tag]; !ok {
+				ids[tag] = len(ids)
+			}
+		})
+	}
+	t := tagSets{words: (len(ids) + 63) / 64, freq: make([]int, len(ids))}
+	t.rows = make([]uint64, t.words*len(objects))
+	for i, o := range objects {
+		row := t.row(i)
+		eachTag(o, func(tag string) {
+			id := ids[tag]
+			if row[id/64]&(1<<(id%64)) == 0 {
+				row[id/64] |= 1 << (id % 64)
+				t.freq[id]++
+			}
+		})
+	}
+	return t
+}
+
+// eachTag calls fn with the tag of every tag node in o, repeats included.
+func eachTag(o Object, fn func(tag string)) {
+	for _, n := range o.Nodes {
+		n.Walk(func(v *tagtree.Node) bool {
+			if !v.IsContent() {
+				fn(v.Tag)
+			}
+			return true
+		})
+	}
+}
+
+func (t tagSets) row(i int) []uint64 { return t.rows[i*t.words : (i+1)*t.words] }
+
+// common returns the set of tags carried by at least atLeast objects,
+// and its size.
+func (t tagSets) common(atLeast int) (set []uint64, n int) {
+	set = make([]uint64, t.words)
+	for id, f := range t.freq {
+		if f >= atLeast {
+			set[id/64] |= 1 << (id % 64)
+			n++
+		}
+	}
+	return set, n
+}
+
+// split returns how many of object i's tags are in common and how many
+// are not.
+func (t tagSets) split(i int, common []uint64) (have, other int) {
+	for k, w := range t.row(i) {
+		have += bits.OnesCount64(w & common[k])
+		other += bits.OnesCount64(w &^ common[k])
+	}
+	return have, other
 }

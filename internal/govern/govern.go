@@ -200,6 +200,16 @@ func (g *Guard) Nodes(n int) error {
 	return g.step(n)
 }
 
+// NodesLeft returns how many more nodes Nodes admits before it fails,
+// or -1 when the node budget is unlimited. The tree builder caps what
+// it pre-allocates with it.
+func (g *Guard) NodesLeft() int {
+	if g == nil || g.lim.MaxNodes <= 0 {
+		return -1
+	}
+	return max(g.lim.MaxNodes-g.nodes, 0)
+}
+
 // Depth checks the current nesting depth d against MaxTreeDepth.
 // Unlike the charge methods it is a pure threshold: depth rises and
 // falls with the open-element stack.

@@ -135,3 +135,20 @@ func TestWithDefaults(t *testing.T) {
 		t.Fatalf("zero fields not defaulted: %+v", l)
 	}
 }
+
+func TestNodesLeft(t *testing.T) {
+	var nilGuard *Guard
+	if got := nilGuard.NodesLeft(); got != -1 {
+		t.Errorf("nil guard: NodesLeft = %d, want -1", got)
+	}
+	if got := NewGuard(context.Background(), Unlimited()).NodesLeft(); got != -1 {
+		t.Errorf("unlimited: NodesLeft = %d, want -1", got)
+	}
+	g := NewGuard(context.Background(), Limits{MaxNodes: 4})
+	for _, step := range []struct{ charge, left int }{{0, 4}, {1, 3}, {3, 0}, {2, 0}} {
+		g.Nodes(step.charge)
+		if got := g.NodesLeft(); got != step.left {
+			t.Fatalf("after charging %d: NodesLeft = %d, want %d", step.charge, got, step.left)
+		}
+	}
+}

@@ -10,7 +10,6 @@ var governloopBaseline = map[string]bool{
 	"combine.CombineLists":          true,
 	"combine.NewCombination":        true,
 	"extract.Object.Size":           true,
-	"extract.Object.TagSet":         true,
 	"extract.Object.Text":           true,
 	"extract.Refine":                true,
 	"htmlparse.EscapeAttr":          true,

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"omini/internal/govern"
 	"omini/internal/htmlparse"
@@ -27,46 +29,29 @@ func Parse(src string) (*Node, error) {
 	return Build(toks, nil)
 }
 
-// arena allocates Nodes in fixed chunks so a whole tree costs a handful of
-// allocations instead of one per node. Chunks are never reallocated, so the
-// pointers handed out stay stable; a tree's nodes die together with the
-// tree, which is exactly the lifetime model of the immutable tag tree.
-type arena struct {
-	chunk []Node
-}
-
-// next chunk sizes: grow geometrically, bounded so a pathological document
-// cannot demand one giant allocation.
-const (
-	arenaMinChunk = 128
-	arenaMaxChunk = 16384
-)
-
-func (a *arena) newNode() *Node {
-	if len(a.chunk) == cap(a.chunk) {
-		size := 2 * cap(a.chunk)
-		if size < arenaMinChunk {
-			size = arenaMinChunk
-		}
-		if size > arenaMaxChunk {
-			size = arenaMaxChunk
-		}
-		a.chunk = make([]Node, 0, size)
-	}
-	a.chunk = a.chunk[:len(a.chunk)+1]
-	return &a.chunk[len(a.chunk)-1]
-}
-
 // Build constructs a tag tree from a balanced token stream, such as the
 // output of tidy.NormalizeTokens. Whitespace-only text between tags is
 // dropped (it carries no content and would distort nodeSize); all other
 // text becomes content nodes. If the stream has multiple top-level
 // elements, they are wrapped in a synthetic "html" root.
 //
-// Nodes come from a chunked arena and the size/count metrics are computed
-// in this single pass (folded parent-ward as each element closes), so
-// construction performs no per-node allocation and no second finalize walk.
-// tagtree.Validate checks the resulting invariants in tests.
+// The tree is flat in memory: a pre-count of the start-tag and content
+// tokens sizes three page-wide slabs, so a page costs a constant number of
+// allocations however many nodes it has.
+//
+//   - Every Node comes from one []Node slab.
+//   - Every Children slice is a capped sub-slice of one []*Node slab: an
+//     open element's children wait on a page-wide pending stack, and when
+//     the element closes they are copied into the slab in one piece. The
+//     capped cap means an append by a caller reallocates instead of
+//     overwriting a sibling's children.
+//   - Text that needs collapsing is collapsed into one page-wide
+//     strings.Builder and each such node's Text is a substring of it;
+//     already-collapsed text is used as is.
+//
+// The size/count metrics are folded parent-ward as each element closes,
+// so construction needs no second finalize walk. tagtree.Validate checks
+// the resulting invariants in tests.
 //
 // Every created node is charged against the guard's node budget and the
 // element stack is checked against its depth limit on each push. Later
@@ -74,38 +59,66 @@ func (a *arena) newNode() *Node {
 // their goroutine stacks finite on adversarially nested input. A nil guard
 // means unlimited.
 func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
-	ar := arena{}
-	if est := len(toks); est > 0 {
-		size := est/2 + 8
-		if size > arenaMaxChunk {
-			size = arenaMaxChunk
-		}
-		ar.chunk = make([]Node, 0, size)
+	nodeCount, textBytes := precount(toks)
+	if left := g.NodesLeft(); left >= 0 && nodeCount > left {
+		// The guard fails the build before node left+1 is made.
+		nodeCount = left
 	}
-	var roots []*Node
-	var stack []*Node
+	// One more node for a synthetic root; children and pending
+	// pointers share one allocation.
+	nodes := make([]Node, 0, nodeCount+1)
+	ptrs := make([]*Node, 2*nodeCount)
+	slab, pending := ptrs[:0:nodeCount], ptrs[nodeCount:nodeCount:2*nodeCount]
+	var text strings.Builder
+	text.Grow(textBytes)
 
+	// open is an element on the stack with the pending index of its
+	// first child; children at the bottom (start 0) are the roots.
+	type open struct {
+		n     *Node
+		start int
+	}
+	// Pages rarely nest 64 deep, so the stack usually stays off the heap.
+	stack := make([]open, 0, 64)
+	// Appends stay within the pre-counted capacities; were one to
+	// grow a slab, the nodes and children already handed out would keep
+	// the old backing array, so nothing is ever overwritten.
+	newNode := func() *Node {
+		nodes = append(nodes, Node{})
+		return &nodes[len(nodes)-1]
+	}
 	appendChild := func(c *Node) {
-		if len(stack) == 0 {
-			roots = append(roots, c)
-			return
+		start := 0
+		if len(stack) > 0 {
+			top := stack[len(stack)-1]
+			c.Parent, start = top.n, top.start
 		}
-		p := stack[len(stack)-1]
-		c.Parent = p
-		c.Index = len(p.Children) + 1
-		p.Children = append(p.Children, c)
+		pending = append(pending, c)
+		c.Index = len(pending) - start
+	}
+	// adopt moves the pending children from start on into the slab as
+	// p's Children.
+	adopt := func(p *Node, start int) {
+		kids := pending[start:]
+		if len(kids) > 0 {
+			off := len(slab)
+			slab = append(slab, kids...)
+			p.Children = slab[off:len(slab):len(slab)]
+		}
+		pending = pending[:start]
 	}
 	// pop closes the top element, folding its finished metrics into its
 	// parent on the stack.
 	pop := func() *Node {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		adopt(top.n, top.start)
 		if len(stack) > 0 {
-			p := stack[len(stack)-1]
-			p.nodeSize += top.nodeSize
-			p.tagCount += top.tagCount
+			p := stack[len(stack)-1].n
+			p.nodeSize += top.n.nodeSize
+			p.tagCount += top.n.tagCount
 		}
-		return top
+		return top.n
 	}
 
 	for i := range toks {
@@ -118,12 +131,12 @@ func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 			if err := g.Depth(len(stack) + 1); err != nil {
 				return nil, err
 			}
-			n := ar.newNode()
+			n := newNode()
 			n.Tag = tok.Data
 			n.Attrs = tok.Attrs
 			n.tagCount = 1
 			appendChild(n)
-			stack = append(stack, n)
+			stack = append(stack, open{n, len(pending)})
 		case htmlparse.EndTagToken:
 			// The stream is balanced; pop the matching element. Guard
 			// against malformed input anyway.
@@ -134,21 +147,21 @@ func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 				}
 			}
 		case htmlparse.TextToken:
-			text := collapseSpace(tok.Data)
-			if text == "" {
+			s := collapseSpace(tok.Data, &text)
+			if s == "" {
 				continue
 			}
 			if err := g.Nodes(1); err != nil {
 				return nil, err
 			}
-			n := ar.newNode()
-			n.Text = text
-			n.nodeSize = len(text)
+			n := newNode()
+			n.Text = s
+			n.nodeSize = len(s)
 			n.tagCount = 1
 			appendChild(n)
 			// Content nodes never sit on the stack: fold immediately.
 			if len(stack) > 0 {
-				p := stack[len(stack)-1]
+				p := stack[len(stack)-1].n
 				p.nodeSize += n.nodeSize
 				p.tagCount++
 			}
@@ -159,61 +172,115 @@ func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 		pop()
 	}
 
+	// What is left pending are the roots.
 	var root *Node
 	switch {
-	case len(roots) == 0:
+	case len(pending) == 0:
 		return nil, ErrNoRoot
-	case len(roots) == 1 && !roots[0].IsContent():
-		root = roots[0]
+	case len(pending) == 1 && !pending[0].IsContent():
+		root = pending[0]
 	default:
-		root = ar.newNode()
+		root = newNode()
 		root.Tag = "html"
 		root.tagCount = 1
-		root.Children = make([]*Node, len(roots))
-		for i, r := range roots {
+		for _, r := range pending {
 			g.Poll()
 			r.Parent = root
-			r.Index = i + 1
-			root.Children[i] = r
 			root.nodeSize += r.nodeSize
 			root.tagCount += r.tagCount
 		}
+		adopt(root, 0)
 	}
 	root.Index = 1
 	return root, nil
 }
 
-// collapseSpace trims text and collapses internal whitespace runs to single
-// spaces, the usual HTML rendering model. Returns "" for whitespace-only
+// precount returns an upper bound on the nodes Build makes from toks (one
+// per start tag, one per text token that is not all whitespace) and on
+// the bytes of collapsed text it writes (the length of every text that is
+// not already collapsed).
+func precount(toks []htmlparse.Token) (nodes, textBytes int) {
+	for i := range toks {
+		switch tok := &toks[i]; tok.Type {
+		case htmlparse.StartTagToken:
+			nodes++
+		case htmlparse.TextToken:
+			switch {
+			case isCollapsed(tok.Data):
+				nodes++
+			case !isBlank(tok.Data):
+				nodes++
+				textBytes += len(tok.Data)
+			}
+		}
+	}
+	return nodes, textBytes
+}
+
+// collapseSpace trims s and collapses its internal whitespace runs to
+// single spaces, the usual HTML rendering model: the result equals
+// strings.Join(strings.Fields(s), " "), and is "" for whitespace-only
 // input. Text that is already collapsed ASCII — the overwhelmingly common
-// case — is returned unchanged without allocating.
-func collapseSpace(s string) string {
+// case — is returned unchanged. Any other text is written into buf and
+// returned as a substring of it; bytes that are not whitespace, invalid
+// UTF-8 included, are copied verbatim.
+func collapseSpace(s string, buf *strings.Builder) string {
+	if isCollapsed(s) {
+		return s
+	}
+	start := buf.Len()
+	space := false // a whitespace run is pending
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(c) {
+			space = true
+		} else {
+			if space && buf.Len() > start {
+				buf.WriteByte(' ')
+			}
+			space = false
+			buf.WriteString(s[i : i+size])
+		}
+		i += size
+	}
+	// The builder only ever appends, so the substring stays valid as it
+	// grows.
+	return buf.String()[start:]
+}
+
+// isCollapsed reports whether s is non-empty ASCII without leading,
+// trailing or repeated spaces and without any other whitespace.
+// Non-ASCII text may hold unicode spaces, so it never qualifies.
+func isCollapsed(s string) bool {
 	prevSpace := true // a space at position 0 is a leading space
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
+		switch c := s[i]; {
 		case c == ' ':
 			if prevSpace {
-				return collapseSpaceSlow(s)
+				return false
 			}
 			prevSpace = true
-		case c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v' || c >= 0x80:
-			// Other whitespace always needs rewriting; non-ASCII may hold
-			// unicode spaces, which the slow path handles exactly.
-			return collapseSpaceSlow(s)
+		case c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v' || c >= utf8.RuneSelf:
+			return false
 		default:
 			prevSpace = false
 		}
 	}
-	if prevSpace {
-		// Trailing space (or empty input) needs a trim.
-		return collapseSpaceSlow(s)
-	}
-	return s
+	// A trailing space (or empty input) needs a trim.
+	return !prevSpace
 }
 
-func collapseSpaceSlow(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// isBlank reports whether s holds nothing but whitespace.
+func isBlank(s string) bool {
+	for _, c := range s {
+		if !unicode.IsSpace(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // Path returns the dot-notation path expression from the root to n, e.g.

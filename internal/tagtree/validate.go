@@ -14,7 +14,7 @@ import (
 //   - tagCount equals the number of nodes in the subtree;
 //   - content nodes carry no tag, no children and no attributes.
 //
-// It exists so tests of the arena/single-pass tree builder (and of every
+// It exists so tests of the flat single-pass tree builder (and of every
 // package that consumes trees) can prove the cached metrics are never
 // silently corrupted. It returns the first violation found, nil when the
 // tree is sound.

@@ -88,6 +88,7 @@ if [ "$FUZZTIME" != "0" ]; then
     echo "==> fuzz smoke (${FUZZTIME} per target)"
     go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "$FUZZTIME" ./internal/htmlparse/
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/tagtree/
+    go test -run '^$' -fuzz '^FuzzCollapseSpace$' -fuzztime "$FUZZTIME" ./internal/tagtree/
     go test -run '^$' -fuzz '^FuzzSnapshotCodec$' -fuzztime "$FUZZTIME" ./internal/farm/
     go test -run '^$' -fuzz '^FuzzFindNext$' -fuzztime "$FUZZTIME" ./internal/nav/
 fi
