@@ -119,8 +119,8 @@ func (c *Coordinator) extractPage(ctx context.Context, req core.BatchRequest) Ba
 	hr.Header.Set("Content-Type", "text/html")
 
 	buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
-	if c.routable(hr) {
-		c.route(buf, hr)
+	if q := c.routable(hr); q != nil {
+		c.route(buf, hr, q)
 	} else {
 		buf.header.Set(nodeHeader, "local")
 		c.local.ServeHTTP(buf, hr)

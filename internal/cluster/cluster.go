@@ -36,6 +36,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,28 +292,36 @@ const forwardedHeader = "X-Omini-Forwarded"
 // nodeHeader names the node that served a routed response.
 const nodeHeader = "X-Omini-Node"
 
-// routable reports whether the request goes through the ring: an
-// extraction POST carrying a site, not already forwarded by a peer,
-// with at least one node to route to.
-func (c *Coordinator) routable(r *http.Request) bool {
+// routable returns the query of a request that goes through the ring:
+// an extraction POST carrying a site, not already forwarded by a peer,
+// with at least one node to route to. It returns nil for any other
+// request.
+func (c *Coordinator) routable(r *http.Request) url.Values {
 	if r.Method != http.MethodPost {
-		return false
+		return nil
 	}
 	if p := r.URL.Path; p != "/extract" && p != "/records" {
-		return false
+		return nil
 	}
-	if r.URL.Query().Get("site") == "" || r.Header.Get(forwardedHeader) != "" {
-		return false
+	if r.Header.Get(forwardedHeader) != "" {
+		return nil
+	}
+	q := r.URL.Query()
+	if q.Get("site") == "" {
+		return nil
 	}
 	c.mu.RLock()
 	n := len(c.members)
 	c.mu.RUnlock()
-	return n > 0
+	if n == 0 {
+		return nil
+	}
+	return q
 }
 
 func (c *Coordinator) handleRoot(w http.ResponseWriter, r *http.Request) {
-	if c.routable(r) {
-		c.route(w, r)
+	if q := c.routable(r); q != nil {
+		c.route(w, r, q)
 		return
 	}
 	c.local.ServeHTTP(w, r)
@@ -365,9 +374,7 @@ func (c *Coordinator) handleClusterz(w http.ResponseWriter, _ *http.Request) {
 	c.mu.RUnlock()
 	sortNodes(resp.Nodes)
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 // sortNodes orders the /clusterz rows by ID for stable output.
@@ -386,7 +393,7 @@ type errorResponse struct {
 	Status int    `json:"status"`
 	// TraceID correlates the failure with its /tracez record, when the
 	// request was traced.
-	TraceID string `json:"traceId,omitempty"`
+	TraceID obs.TraceID `json:"traceId,omitzero"`
 }
 
 // writeError sends a structured JSON error with the given status,
@@ -394,7 +401,5 @@ type errorResponse struct {
 func writeError(ctx context.Context, w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(errorResponse{Error: msg, Status: status, TraceID: obs.TraceIDStringFrom(ctx)})
+	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg, Status: status, TraceID: obs.TraceIDFrom(ctx)})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	rpprof "runtime/pprof"
 	"strings"
 	"time"
@@ -48,9 +49,11 @@ type shedResult struct {
 // spans, and forwards the decision (and span context) in the
 // X-Omini-Trace header so the serving node's spans parent into this
 // trace instead of starting their own.
-func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
+//
+// q is the request's query, parsed once by routable.
+func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values) {
 	requestCount.Add(c.stats, 1)
-	site := r.URL.Query().Get("site")
+	site := q.Get("site")
 
 	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
 	if err != nil {
@@ -81,7 +84,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 	if scErr == nil && sc.Valid() {
 		sampled = sc.Sampled
 	} else {
-		sampled = forceTrace(r) || c.sampler.Sample()
+		sampled = forceTrace(q) || c.sampler.Sample()
 	}
 	var rec *obs.TraceRecorder
 	var declined string
@@ -149,7 +152,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case err == nil:
 			br.Success()
-			c.relay(sw, r, res, id, m)
+			c.relay(sw, site, res, id, m)
 			return
 		case errors.Is(err, errShed):
 			// Alive but refusing work: remember the first shed (the
@@ -182,14 +185,14 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(rctx, sw, shed.status, "cluster: downstream shedding load")
 	default:
-		c.fallbackLocal(rctx, sw, r, body, localTH)
+		c.fallbackLocal(rctx, sw, r, site, body, localTH)
 	}
 }
 
-// forceTrace reports whether the request explicitly opted into tracing
-// (the same ?trace= values serve honors for inline traces).
-func forceTrace(r *http.Request) bool {
-	switch r.URL.Query().Get("trace") {
+// forceTrace reports whether the request's query explicitly opted into
+// tracing (the same ?trace= values serve honors for inline traces).
+func forceTrace(q url.Values) bool {
+	switch q.Get("trace") {
 	case "1", "true", "yes":
 		return true
 	}
@@ -219,24 +222,25 @@ func (s *statusRecorder) Write(p []byte) (int, error) {
 
 // recordTrace folds the coordinator's routing half of a traced request
 // into the trace sink; on self-served requests the sink merges it with
-// the serve half recorded under the same trace ID.
+// the serve half recorded under the same trace ID. It runs after the
+// route span has ended and takes the recorder's state without copying.
 func (c *Coordinator) recordTrace(rec *obs.TraceRecorder, site string, status int, dur time.Duration) {
-	t := &obs.TraceData{
+	spans, attrs, charges := rec.Finish()
+	c.traces.Record(&obs.TraceData{
 		TraceSummary: obs.TraceSummary{
-			TraceID:    rec.TraceID().String(),
+			TraceID:    rec.TraceID(),
 			Node:       c.selfOrProxy(),
 			Op:         "route",
 			Site:       site,
 			Status:     status,
 			StartedAt:  rec.Start(),
 			DurationNS: dur.Nanoseconds(),
+			SpanCount:  len(spans),
 		},
-		Attrs:   rec.Attrs(),
-		Charges: rec.Charges(),
-		Spans:   rec.Spans(),
-	}
-	t.SpanCount = len(t.Spans)
-	c.traces.Record(t)
+		Attrs:   attrs,
+		Charges: charges,
+		Spans:   spans,
+	})
 }
 
 // candidates returns the site's failover chain: its ring owner first,
@@ -281,7 +285,7 @@ func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url,
 	if err == nil {
 		secs := sp.Duration().Seconds()
 		m.lat.Observe(secs)
-		hopSeconds.ObserveExemplar(c.stats, secs, obs.TraceIDStringFrom(ctx))
+		hopSeconds.ObserveExemplar(c.stats, secs, obs.TraceIDFrom(ctx))
 	}
 	return res, shed, err
 }
@@ -334,7 +338,7 @@ func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url, traceH
 // serving node in the X-Omini-Node header and — when the payload is a
 // JSON object — in a "node" field, so decision traces downstream of
 // the coordinator can attribute the extraction.
-func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, res *hopResult, id string, m *member) {
+func (c *Coordinator) relay(w http.ResponseWriter, site string, res *hopResult, id string, m *member) {
 	proxiedCount.Add(c.stats, 1)
 	m.served.Add(1)
 	if ct := res.header.Get("Content-Type"); ct != "" {
@@ -350,7 +354,7 @@ func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, res *hopResu
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(body)
-	c.log.Debug("cluster routed", "node", id, "site", r.URL.Query().Get("site"), "status", res.status)
+	c.log.Debug("cluster routed", "node", id, "site", site, "status", res.status)
 }
 
 // stampNode adds "node": id as the first member of a JSON object
@@ -422,9 +426,9 @@ func (c *Coordinator) serveLocal(ctx context.Context, w http.ResponseWriter, r *
 // load shed (429) — meaning the whole cluster is saturated — can be
 // remapped to 503 with the limiter's Retry-After preserved; anything
 // else relays verbatim.
-func (c *Coordinator) fallbackLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte, traceHeader string) {
+func (c *Coordinator) fallbackLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, site string, body []byte, traceHeader string) {
 	fallbackLocal.Add(c.stats, 1)
-	c.log.Warn("cluster degraded to local extraction", "site", r.URL.Query().Get("site"))
+	c.log.Warn("cluster degraded to local extraction", "site", site)
 	r2 := r.Clone(ctx)
 	r2.Body = io.NopCloser(bytes.NewReader(body))
 	r2.ContentLength = int64(len(body))

@@ -55,7 +55,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	if err != nil || !sc.Valid() {
 		t.Fatalf("bad response trace header %q: %v", resp.Header.Get(obs.TraceHeader), err)
 	}
-	tid := sc.TraceID.String()
+	tid := sc.TraceID
 	owner := resp.Header.Get("X-Omini-Node")
 	ownerSrv := servers[owner]
 	if ownerSrv == nil {
@@ -79,10 +79,10 @@ func TestClusterTracePropagation(t *testing.T) {
 			hop = s
 		}
 	}
-	if route.SpanID == "" || hop.SpanID == "" {
+	if route.SpanID.IsZero() || hop.SpanID.IsZero() {
 		t.Fatalf("coordinator spans incomplete: %+v", coordTD.Spans)
 	}
-	if route.ParentSpanID != "" {
+	if !route.ParentSpanID.IsZero() {
 		t.Errorf("route root has parent %q, want none", route.ParentSpanID)
 	}
 	if hop.ParentSpanID != route.SpanID {
@@ -101,7 +101,7 @@ func TestClusterTracePropagation(t *testing.T) {
 			handler = s
 		}
 	}
-	if handler.SpanID == "" {
+	if handler.SpanID.IsZero() {
 		t.Fatalf("owner trace has no handler span: %+v", ownerTD.Spans)
 	}
 	if handler.ParentSpanID != hop.SpanID {
@@ -162,7 +162,7 @@ func TestCoordinatorDeclineSuppressesOwnerSampling(t *testing.T) {
 	if err != nil || !sc.Valid() {
 		t.Fatalf("?trace=1 response header %q: %v", resp2.Header.Get(obs.TraceHeader), err)
 	}
-	if _, ok := srv.Traces().Get(sc.TraceID.String()); !ok {
+	if _, ok := srv.Traces().Get(sc.TraceID); !ok {
 		t.Error("?trace=1 through the coordinator did not reach the owner's sink")
 	}
 }
@@ -197,7 +197,7 @@ func TestSelfServedTraceMergesBothHalves(t *testing.T) {
 		t.Fatal("self-served response has no valid trace header")
 	}
 
-	td, ok := srv.Traces().Get(sc.TraceID.String())
+	td, ok := srv.Traces().Get(sc.TraceID)
 	if !ok {
 		t.Fatal("shared sink has no merged trace")
 	}
@@ -213,7 +213,7 @@ func TestSelfServedTraceMergesBothHalves(t *testing.T) {
 			handler = s
 		}
 	}
-	if route.SpanID == "" || handler.SpanID == "" {
+	if route.SpanID.IsZero() || handler.SpanID.IsZero() {
 		t.Fatalf("merged trace missing a half: %+v", td.Spans)
 	}
 	if handler.ParentSpanID != route.SpanID {

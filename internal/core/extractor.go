@@ -346,7 +346,7 @@ func recordCharges(rec *obs.TraceRecorder, g *govern.Guard) {
 // and lists are nil on the cached-rule path, which skips discovery.
 func buildTrace(res *Result, ranked []subtree.Ranked, lists []combine.RankedList, rec *obs.TraceRecorder) *obs.DecisionTrace {
 	tr := &obs.DecisionTrace{
-		TraceID:     rec.TraceID().String(),
+		TraceID:     rec.TraceID(),
 		SubtreePath: res.SubtreePath,
 		Separator:   res.Separator,
 		Confidence:  res.Confidence(),

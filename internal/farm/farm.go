@@ -390,7 +390,7 @@ func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*c
 		return nil, err
 	}
 	obs.AnnotateTrace(ctx, "path", "fast")
-	fastSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDStringFrom(ctx))
+	fastSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDFrom(ctx))
 	return res, nil
 }
 
@@ -410,7 +410,7 @@ func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) 
 		return nil, err
 	}
 	obs.AnnotateTrace(ctx, "path", "slow")
-	slowSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDStringFrom(ctx))
+	slowSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDFrom(ctx))
 	return res, nil
 }
 

@@ -28,7 +28,7 @@ func TestRegistryConcurrentMixedUse(t *testing.T) {
 				testWorker.Add(r, int64(n))
 				testInflight.Bind(r, func() float64 { return float64(i) })
 				phaseTidy.hist.Observe(r, float64(i)*1e-6)
-				phaseSubtree.hist.ObserveExemplar(r, float64(i)*1e-5, "0af7651916cd43dd8448eb211c80319c")
+				phaseSubtree.hist.ObserveExemplar(r, float64(i)*1e-5, TraceID{0x0a, 0xf7, 0x65, 0x19, 0x16, 0xcd, 0x43, 0xdd, 0x84, 0x48, 0xeb, 0x21, 0x1c, 0x80, 0x31, 0x9c})
 			}
 		}(w)
 	}

@@ -77,7 +77,7 @@ func exemplarSuffix(e *Exemplar) string {
 	if e == nil {
 		return ""
 	}
-	return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, formatFloat(e.Value))
+	return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID.String(), formatFloat(e.Value))
 }
 
 // writeHeader writes a family's # HELP and # TYPE lines.

@@ -34,13 +34,14 @@ type Histogram struct {
 	count     atomic.Int64
 	sum       atomic.Uint64 // float64 bits, CAS-updated
 	exMu      sync.Mutex
-	exemplars []Exemplar // per bucket; an empty TraceID means none
+	exemplars []Exemplar // per bucket; a zero TraceID means none
 }
 
 // Exemplar links one observed value to the trace that produced it, in
 // the OpenMetrics sense: the most recent traced observation per bucket.
+// The trace ID stays binary until a scrape renders it.
 type Exemplar struct {
-	TraceID string
+	TraceID TraceID
 	Value   float64
 }
 
@@ -71,11 +72,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one value and, when traceID is non-empty,
+// ObserveExemplar records one value and, when traceID is non-zero,
 // stamps it as the winning bucket's exemplar (last writer wins — the
 // freshest trace is the useful one).
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if traceID != "" {
+func (h *Histogram) ObserveExemplar(v float64, traceID TraceID) {
+	if !traceID.IsZero() {
 		i := sort.SearchFloat64s(h.bounds, v)
 		h.exMu.Lock()
 		h.exemplars[i] = Exemplar{TraceID: traceID, Value: v}
@@ -119,7 +120,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	h.exMu.Lock()
 	for i, e := range h.exemplars {
-		if e.TraceID != "" {
+		if !e.TraceID.IsZero() {
 			s.Exemplars[i] = &e
 		}
 	}

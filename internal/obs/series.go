@@ -189,10 +189,10 @@ func (l *Latency) Observe(r *Registry, seconds float64) {
 }
 
 // ObserveExemplar records seconds into the histogram in r and, when
-// traceID is non-empty, attaches it as the bucket's exemplar, so a
+// traceID is non-zero, attaches it as the bucket's exemplar, so a
 // latency outlier on /metricsz links to the /tracez trace that caused
-// it. Untraced requests pass "" and share the call site.
-func (l *Latency) ObserveExemplar(r *Registry, seconds float64, traceID string) {
+// it. Untraced requests pass the zero ID and share the call site.
+func (l *Latency) ObserveExemplar(r *Registry, seconds float64, traceID TraceID) {
 	r.values().hists[l.s.index].ObserveExemplar(seconds, traceID)
 }
 

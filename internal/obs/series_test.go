@@ -141,12 +141,12 @@ func TestExpositionOneHeaderPerFamily(t *testing.T) {
 // untraced span.
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
-	tid := NewTraceID().String()
+	tid := NewTraceID()
 	for name, f := range map[string]func(){
 		"counter add":       func() { testCountA.Add(r, 1) },
 		"observe":           func() { testFast.Observe(r, 0.002) },
 		"observe exemplar":  func() { testFast.ObserveExemplar(r, 0.002, tid) },
-		"observe untraced":  func() { testFast.ObserveExemplar(r, 0.002, "") },
+		"observe untraced":  func() { testFast.ObserveExemplar(r, 0.002, TraceID{}) },
 		"untraced span end": spanEnder(WithRegistry(context.Background(), r)),
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {

@@ -38,11 +38,13 @@ type PhaseSample struct {
 	// DurationNS is the span's wall time in nanoseconds.
 	DurationNS int64 `json:"durationNs"`
 	// SpanID / ParentSpanID identify the span in its distributed trace
-	// (16 hex digits; empty on untraced extractions). A root span's
-	// ParentSpanID may name a span recorded on another node — the
-	// cluster hop that forwarded the request here.
-	SpanID       string `json:"spanId,omitempty"`
-	ParentSpanID string `json:"parentSpanId,omitempty"`
+	// (zero, and omitted from JSON, on untraced extractions and on a
+	// root without a remote parent). A root span's ParentSpanID may name
+	// a span recorded on another node — the cluster hop that forwarded
+	// the request here. They stay binary until rendered: JSON encodes
+	// them as 16 hex digits through SpanID.MarshalText.
+	SpanID       SpanID `json:"spanId,omitzero"`
+	ParentSpanID SpanID `json:"parentSpanId,omitzero"`
 	// StartNS is the span's start offset from the recorder's start, in
 	// nanoseconds. Offsets are node-local clocks; spans from different
 	// nodes of one trace are not mutually aligned.
@@ -75,7 +77,15 @@ type TraceRecorder struct {
 	spans   []PhaseSample
 	attrs   map[string]string
 	charges map[string]int64
+	// spanBuf backs spans up to its length, so a request's spans are
+	// recorded without growing a slice.
+	spanBuf [recorderSpans]PhaseSample
 }
+
+// recorderSpans is how many spans a recorder holds before its span
+// slice grows: a traced request records about ten (handler, farm path,
+// six pipeline phases, and the cluster's route and hop).
+const recorderSpans = 16
 
 // TraceID returns the trace's identity.
 func (tr *TraceRecorder) TraceID() TraceID {
@@ -123,23 +133,6 @@ func (tr *TraceRecorder) Annotate(k, v string) {
 	tr.mu.Unlock()
 }
 
-// Attrs returns a copy of the trace's attributes (nil when none).
-func (tr *TraceRecorder) Attrs() map[string]string {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if len(tr.attrs) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(tr.attrs))
-	for k, v := range tr.attrs {
-		out[k] = v
-	}
-	return out
-}
-
 // SetCharge records one governor charge (tokens, nodes, objects)
 // consumed by the traced operation. Last write wins.
 func (tr *TraceRecorder) SetCharge(kind string, v int64) {
@@ -181,6 +174,18 @@ func (tr *TraceRecorder) Spans() []PhaseSample {
 	return out
 }
 
+// Finish hands the recorder's spans, attributes and charges to the
+// caller without copying them, and leaves the recorder empty: anything
+// reported afterwards starts fresh state that the caller never sees.
+// Call it once the root span has ended, to build the trace's TraceData.
+func (tr *TraceRecorder) Finish() (spans []PhaseSample, attrs map[string]string, charges map[string]int64) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	spans, attrs, charges = tr.spans, tr.attrs, tr.charges
+	tr.spans, tr.attrs, tr.charges = nil, nil, nil
+	return spans, attrs, charges
+}
+
 func (tr *TraceRecorder) add(s PhaseSample) {
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, s)
@@ -203,6 +208,7 @@ func StartTrace(ctx context.Context, sc SpanContext, sampleAllocs bool) (context
 		start:        time.Now(),
 		base:         rand.Uint64(),
 	}
+	tr.spans = tr.spanBuf[:0]
 	if tr.traceID.IsZero() {
 		tr.traceID = NewTraceID()
 	}
@@ -226,15 +232,11 @@ func TraceRecorderFrom(ctx context.Context) *TraceRecorder {
 	return tr
 }
 
-// TraceIDStringFrom returns the hex trace ID of the context's trace,
-// or "" when the operation is not being traced — the exemplar argument
-// for Latency.ObserveExemplar.
-func TraceIDStringFrom(ctx context.Context) string {
-	tr := TraceRecorderFrom(ctx)
-	if tr == nil {
-		return ""
-	}
-	return tr.traceID.String()
+// TraceIDFrom returns the trace ID of the context's trace, or the zero
+// ID when the operation is not being traced — the exemplar argument for
+// Latency.ObserveExemplar.
+func TraceIDFrom(ctx context.Context) TraceID {
+	return TraceRecorderFrom(ctx).TraceID()
 }
 
 // AnnotateTrace attaches a key/value attribute to the context's trace;
@@ -350,12 +352,9 @@ func (s *Span) End() {
 		Parent:       s.parent,
 		Depth:        s.depth,
 		DurationNS:   s.dur.Nanoseconds(),
-		SpanID:       s.id.String(),
-		ParentSpanID: s.parentID.String(),
+		SpanID:       s.id,
+		ParentSpanID: s.parentID,
 		StartNS:      s.startOff,
-	}
-	if s.parentID.IsZero() {
-		sample.ParentSpanID = ""
 	}
 	if s.rec.SampleAllocs {
 		var m runtime.MemStats

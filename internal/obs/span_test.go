@@ -125,3 +125,31 @@ func TestSpanWithoutRecorderStillObserves(t *testing.T) {
 		t.Errorf("exposition missing solo phase:\n%s", b.String())
 	}
 }
+
+// TestFinishHandsOffRecordedState: Finish returns what was recorded,
+// in a span slice that did not grow, and reports made after it do not
+// reach the handed-off state.
+func TestFinishHandsOffRecordedState(t *testing.T) {
+	ctx, rec := WithTraceRecorder(WithRegistry(context.Background(), NewRegistry()), false)
+	for i := 0; i < recorderSpans; i++ {
+		_, sp := StartSpan(ctx, phaseTidy)
+		sp.End()
+	}
+	if cap(rec.spans) != recorderSpans {
+		t.Errorf("span slice grew to cap %d within %d spans", cap(rec.spans), recorderSpans)
+	}
+	rec.spans = rec.spans[:3]
+	rec.Annotate("path", "fast")
+	rec.SetCharge("tokens", 7)
+	spans, attrs, charges := rec.Finish()
+	if len(spans) != 3 || attrs["path"] != "fast" || charges["tokens"] != 7 {
+		t.Fatalf("Finish = %d spans, %v, %v", len(spans), attrs, charges)
+	}
+	_, late := StartSpan(ctx, phaseSubtree)
+	late.End()
+	rec.Annotate("late", "x")
+	rec.SetCharge("nodes", 1)
+	if spans[:4][3].Name == "subtree" || len(attrs) != 1 || len(charges) != 1 {
+		t.Errorf("reports after Finish reached the handed-off state: %v, %v, %v", spans[:4], attrs, charges)
+	}
+}

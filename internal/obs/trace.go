@@ -29,10 +29,11 @@ type Ranking struct {
 // encoding/json; ?trace=1 on the HTTP service and `omini -trace` both emit
 // exactly this structure.
 type DecisionTrace struct {
-	// TraceID is the distributed trace this extraction belongs to (32
-	// hex digits), correlating the inline trace with /tracez, the access
-	// log and histogram exemplars. Empty on recorders without identity.
-	TraceID string `json:"traceId,omitempty"`
+	// TraceID is the distributed trace this extraction belongs to,
+	// correlating the inline trace with /tracez, the access log and
+	// histogram exemplars. JSON renders it as 32 hex digits, and omits
+	// the zero ID of a recorder without identity.
+	TraceID TraceID `json:"traceId,omitzero"`
 	// SubtreePath is the chosen object-rich subtree.
 	SubtreePath string `json:"subtreePath"`
 	// SubtreeRanking lists the top-ranked subtree candidates (path + score)

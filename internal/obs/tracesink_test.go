@@ -1,12 +1,21 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 )
+
+// testID returns a distinct non-zero trace ID for each n.
+func testID(n int) TraceID {
+	var id TraceID
+	id[0] = 1
+	binary.BigEndian.PutUint64(id[8:], uint64(n))
+	return id
+}
 
 // sinkModel is the brute-force reference for TraceSink's eviction: it
 // re-sorts every stored trace on each eviction, the way the sink did
@@ -19,13 +28,13 @@ type sinkModel struct {
 }
 
 type modelTrace struct {
-	id     string
+	id     TraceID
 	dur    int64
 	status int
 	seq    int
 }
 
-func (m *sinkModel) record(id string, dur int64, status int) {
+func (m *sinkModel) record(id TraceID, dur int64, status int) {
 	for _, t := range m.traces {
 		if t.id == id {
 			// mergeTrace: the larger duration, the first non-zero status.
@@ -100,7 +109,7 @@ func TestTraceSinkMatchesSortOracle(t *testing.T) {
 			model := &sinkModel{capacity: capacity, keepSlow: wantKeep}
 			ids := 2*capacity + 4 // a pool small enough that IDs recur: merges
 			for step := 0; step < 200; step++ {
-				id := fmt.Sprintf("%032x", rng.Intn(ids))
+				id := testID(rng.Intn(ids))
 				dur := int64(rng.Intn(8)) // few values: ties
 				status := []int{0, 200, 200, 200, 503}[rng.Intn(5)]
 				before := storedErrored(sink)
@@ -118,8 +127,8 @@ func TestTraceSinkMatchesSortOracle(t *testing.T) {
 }
 
 // storedErrored lists the errored traces in the sink.
-func storedErrored(s *TraceSink) []string {
-	var out []string
+func storedErrored(s *TraceSink) []TraceID {
+	var out []TraceID
 	for id, t := range s.entries {
 		if t.errored() {
 			out = append(out, id)
@@ -128,7 +137,7 @@ func storedErrored(s *TraceSink) []string {
 	return out
 }
 
-func checkSinkInvariants(t *testing.T, where string, s *TraceSink, erroredBefore []string) {
+func checkSinkInvariants(t *testing.T, where string, s *TraceSink, erroredBefore []TraceID) {
 	t.Helper()
 	if s.Len() > s.Capacity() {
 		t.Errorf("%s: Len %d > capacity %d", where, s.Len(), s.Capacity())
@@ -204,7 +213,7 @@ func TestTraceSinkConcurrentRecord(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
 				sink.Record(&TraceData{TraceSummary: TraceSummary{
-					TraceID:    fmt.Sprintf("%032x", (i*7+w)%97),
+					TraceID:    testID((i*7 + w) % 97),
 					Status:     []int{200, 503}[i%9/8],
 					DurationNS: int64((i * 31 * (w + 1)) % 1000),
 				}})
@@ -229,7 +238,7 @@ func BenchmarkTraceSinkRecord(b *testing.B) {
 			status = 503
 		}
 		return &TraceData{TraceSummary: TraceSummary{
-			TraceID: fmt.Sprintf("%032x", i), Status: status, DurationNS: rng.Int63n(int64(1e9)),
+			TraceID: testID(i), Status: status, DurationNS: rng.Int63n(int64(1e9)),
 		}}
 	}
 	fill := make([]*TraceData, DefaultTraceCapacity)

@@ -50,11 +50,57 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // String renders the ID as 32 lower-case hex digits.
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
+// AppendText appends the ID's text form to b: 32 lower-case hex digits,
+// or nothing for the zero ID, so an absent identity renders as absent.
+// It never allocates when b has room.
+func (t TraceID) AppendText(b []byte) ([]byte, error) {
+	if t.IsZero() {
+		return b, nil
+	}
+	return hex.AppendEncode(b, t[:]), nil
+}
+
+// MarshalText renders the ID as AppendText does; JSON fields of this
+// type therefore read as the hex strings they always were.
+func (t TraceID) MarshalText() ([]byte, error) { return t.AppendText(nil) }
+
+// UnmarshalText parses 32 hex digits; empty text is the zero ID.
+func (t *TraceID) UnmarshalText(b []byte) error { return decodeID(t[:], b) }
+
 // IsZero reports whether the ID is the invalid all-zero value.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 // String renders the ID as 16 lower-case hex digits.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+
+// AppendText appends the ID's text form to b: 16 lower-case hex digits,
+// or nothing for the zero ID.
+func (s SpanID) AppendText(b []byte) ([]byte, error) {
+	if s.IsZero() {
+		return b, nil
+	}
+	return hex.AppendEncode(b, s[:]), nil
+}
+
+// MarshalText renders the ID as AppendText does.
+func (s SpanID) MarshalText() ([]byte, error) { return s.AppendText(nil) }
+
+// UnmarshalText parses 16 hex digits; empty text is the zero ID.
+func (s *SpanID) UnmarshalText(b []byte) error { return decodeID(s[:], b) }
+
+// decodeID decodes an ID's hex text into dst, which must be filled
+// exactly; empty text leaves dst zero.
+func decodeID(dst, text []byte) error {
+	if len(text) == 0 {
+		clear(dst)
+		return nil
+	}
+	if len(text) != 2*len(dst) {
+		return fmt.Errorf("obs: id %q is not %d hex digits", text, 2*len(dst))
+	}
+	_, err := hex.Decode(dst, text)
+	return err
+}
 
 // SpanContext is the propagated identity of one span: the trace it
 // belongs to, its own ID (the parent of whatever the receiver starts),
@@ -68,13 +114,24 @@ type SpanContext struct {
 // Valid reports whether the context carries a usable trace ID.
 func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() }
 
-// Header encodes the context in the TraceHeader wire format.
+// headerLen is the length of a TraceHeader value.
+const headerLen = len("00-") + 32 + len("-") + 16 + len("-00")
+
+// Header encodes the context in the TraceHeader wire format. The value
+// is assembled on the stack, so the returned string is its only
+// allocation.
 func (sc SpanContext) Header() string {
-	flags := "00"
+	var buf [headerLen]byte
+	b := append(buf[:0], "00-"...)
+	b = hex.AppendEncode(b, sc.TraceID[:])
+	b = append(b, '-')
+	b = hex.AppendEncode(b, sc.SpanID[:])
 	if sc.Sampled {
-		flags = "01"
+		b = append(b, "-01"...)
+	} else {
+		b = append(b, "-00"...)
 	}
-	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-" + flags
+	return string(b)
 }
 
 // ParseTraceHeader decodes a TraceHeader value. An empty string is not
@@ -85,19 +142,20 @@ func ParseTraceHeader(s string) (SpanContext, error) {
 	if s == "" {
 		return SpanContext{}, nil
 	}
-	parts := strings.Split(s, "-")
-	if len(parts) != 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
+	// The shape check is strings.Split's "four parts of 2, 32, 16 and
+	// 2 characters", without building the parts.
+	if len(s) != headerLen || s[2] != '-' || s[35] != '-' || s[52] != '-' || strings.Count(s, "-") != 3 {
 		return SpanContext{}, fmt.Errorf("obs: malformed trace header %q", s)
 	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], []byte(parts[1])); err != nil {
+	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
 		return SpanContext{}, fmt.Errorf("obs: bad trace id in header %q: %w", s, err)
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(parts[2])); err != nil {
+	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
 		return SpanContext{}, fmt.Errorf("obs: bad span id in header %q: %w", s, err)
 	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(parts[3])); err != nil {
+	if _, err := hex.Decode(flags[:], []byte(s[53:])); err != nil {
 		return SpanContext{}, fmt.Errorf("obs: bad flags in header %q: %w", s, err)
 	}
 	if sc.TraceID.IsZero() {
@@ -132,7 +190,8 @@ func (s *Sampler) Sample() bool {
 
 // TraceSummary is one trace's /tracez list row.
 type TraceSummary struct {
-	TraceID string `json:"traceId"`
+	// TraceID is always present: the sink stores no zero ID.
+	TraceID TraceID `json:"traceId"`
 	// Node is the cluster node that recorded this trace ("" single-node).
 	Node string `json:"node,omitempty"`
 	// Op is the operation ("/extract", "/records", "route").
@@ -190,8 +249,8 @@ type TraceSink struct {
 	mu       sync.Mutex
 	capacity int
 	keepSlow int
-	entries  map[string]*TraceData
-	order    []string     // insertion order, oldest first
+	entries  map[TraceID]*TraceData
+	order    []TraceID    // insertion order, oldest first
 	slow     []*TraceData // the keep-slow set, each member pinned
 	seq      uint64       // insertions so far
 }
@@ -215,8 +274,8 @@ func NewTraceSink(capacity int) *TraceSink {
 	return &TraceSink{
 		capacity: capacity,
 		keepSlow: keepSlow,
-		entries:  make(map[string]*TraceData, capacity+1),
-		order:    make([]string, 0, capacity+1),
+		entries:  make(map[TraceID]*TraceData, capacity+1),
+		order:    make([]TraceID, 0, capacity+1),
 		slow:     make([]*TraceData, 0, keepSlow),
 	}
 }
@@ -242,7 +301,7 @@ func (s *TraceSink) Len() int {
 // Record stores (or merges) one finished trace and returns how many
 // traces were evicted to make room. The sink takes ownership of t.
 func (s *TraceSink) Record(t *TraceData) (evicted int) {
-	if s == nil || t == nil || t.TraceID == "" {
+	if s == nil || t == nil || t.TraceID.IsZero() {
 		return 0
 	}
 	s.mu.Lock()
@@ -420,7 +479,7 @@ func (s *TraceSink) List() []TraceSummary {
 }
 
 // Get returns a copy of one stored trace by ID.
-func (s *TraceSink) Get(id string) (TraceData, bool) {
+func (s *TraceSink) Get(id TraceID) (TraceData, bool) {
 	if s == nil {
 		return TraceData{}, false
 	}

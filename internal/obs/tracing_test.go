@@ -86,7 +86,7 @@ func TestSamplerRates(t *testing.T) {
 // the route half's view outermost.
 func TestTraceSinkMerge(t *testing.T) {
 	sink := NewTraceSink(8)
-	id := NewTraceID().String()
+	id := NewTraceID()
 	sink.Record(&TraceData{
 		TraceSummary: TraceSummary{TraceID: id, Op: "/extract", Site: "example.com", Status: 200, DurationNS: 100},
 		Attrs:        map[string]string{"path": "fast"},
@@ -103,7 +103,7 @@ func TestTraceSinkMerge(t *testing.T) {
 	}
 	got, ok := sink.Get(id)
 	if !ok {
-		t.Fatalf("Get(%q) missed", id)
+		t.Fatalf("Get(%s) missed", id)
 	}
 	if got.Op != "route" {
 		t.Errorf("Op = %q, want the route half to win as outermost", got.Op)
@@ -129,11 +129,11 @@ func TestTraceSinkTailSampling(t *testing.T) {
 	const capacity = 16
 	sink := NewTraceSink(capacity)
 
-	erroredID := fmt.Sprintf("%032x", 1)
+	erroredID := testID(1)
 	sink.Record(&TraceData{TraceSummary: TraceSummary{TraceID: erroredID, Status: 504, DurationNS: 10}})
-	slowIDs := make([]string, 0, 4)
+	slowIDs := make([]TraceID, 0, 4)
 	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("%032x", 100+i)
+		id := testID(100 + i)
 		slowIDs = append(slowIDs, id)
 		sink.Record(&TraceData{TraceSummary: TraceSummary{TraceID: id, Status: 200, DurationNS: int64(time.Second) * int64(10+i)}})
 	}
@@ -141,7 +141,7 @@ func TestTraceSinkTailSampling(t *testing.T) {
 	evicted := 0
 	for i := 0; i < 500; i++ {
 		evicted += sink.Record(&TraceData{TraceSummary: TraceSummary{
-			TraceID:    fmt.Sprintf("%032x", 1000+i),
+			TraceID:    testID(1000 + i),
 			Status:     200,
 			DurationNS: int64(i), // all faster than the slow set
 		}})
@@ -162,7 +162,7 @@ func TestTraceSinkTailSampling(t *testing.T) {
 		}
 	}
 	// The newest ordinary trace should still be present (it just arrived).
-	if _, ok := sink.Get(fmt.Sprintf("%032x", 1499)); !ok {
+	if _, ok := sink.Get(testID(1499)); !ok {
 		t.Error("the newest trace should survive its own insertion")
 	}
 
@@ -177,13 +177,13 @@ func TestTraceSinkTailSampling(t *testing.T) {
 
 func TestTraceSinkNilSafety(t *testing.T) {
 	var sink *TraceSink
-	if n := sink.Record(&TraceData{TraceSummary: TraceSummary{TraceID: "x"}}); n != 0 {
+	if n := sink.Record(&TraceData{TraceSummary: TraceSummary{TraceID: NewTraceID()}}); n != 0 {
 		t.Errorf("nil sink Record = %d, want 0", n)
 	}
 	if sink.Len() != 0 || sink.Capacity() != 0 || sink.List() != nil {
 		t.Error("nil sink accessors should be zero-valued")
 	}
-	if _, ok := sink.Get("x"); ok {
+	if _, ok := sink.Get(NewTraceID()); ok {
 		t.Error("nil sink Get should miss")
 	}
 }
@@ -219,13 +219,13 @@ func TestStartTraceAdoptsUpstreamIdentity(t *testing.T) {
 			childSample = s
 		}
 	}
-	if rootSample.ParentSpanID != upstream.SpanID.String() {
+	if rootSample.ParentSpanID != upstream.SpanID {
 		t.Errorf("root parent = %q, want the remote span %q", rootSample.ParentSpanID, upstream.SpanID)
 	}
 	if childSample.ParentSpanID != rootSample.SpanID {
 		t.Errorf("child parent = %q, want the root span %q", childSample.ParentSpanID, rootSample.SpanID)
 	}
-	if rootSample.SpanID == childSample.SpanID || rootSample.SpanID == "" {
+	if rootSample.SpanID == childSample.SpanID || rootSample.SpanID.IsZero() {
 		t.Errorf("span IDs must be unique and non-empty: %q vs %q", rootSample.SpanID, childSample.SpanID)
 	}
 
@@ -247,16 +247,16 @@ func TestStartTraceMintsIDWhenZero(t *testing.T) {
 
 func TestObserveExemplarExposition(t *testing.T) {
 	r := NewRegistry()
-	tid := NewTraceID().String()
+	tid := NewTraceID()
 	testFast.ObserveExemplar(r, 0.002, tid)
-	testFast.ObserveExemplar(r, 0.004, "") // untraced: plain observe
+	testFast.ObserveExemplar(r, 0.004, TraceID{}) // untraced: plain observe
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
-	want := fmt.Sprintf("# {trace_id=%q}", tid)
+	want := fmt.Sprintf("# {trace_id=%q}", tid.String())
 	if !strings.Contains(out, want) {
 		t.Errorf("exposition lacks exemplar %s:\n%s", want, out)
 	}

@@ -38,6 +38,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
+	"os"
 	"runtime/debug"
 	rpprof "runtime/pprof"
 	"strconv"
@@ -65,7 +67,9 @@ type Config struct {
 	// disables the cap.
 	MaxInFlight int
 	// RequestTimeout bounds each extraction request; timed-out requests
-	// get 503. 0 selects the default (30s); negative disables it.
+	// get 503. It is a context deadline, which the pipeline's governor
+	// honours, plus a read deadline on the request body. 0 selects the
+	// default (30s); negative disables it.
 	RequestTimeout time.Duration
 	// RetryAfter is the Retry-After hint on shed requests (default 1s).
 	RetryAfter time.Duration
@@ -336,6 +340,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // reqInfo is the per-request decision summary handlers fill in for the
 // access log: what was extracted and why, in one line.
 type reqInfo struct {
+	// query is the request's parsed query string, parsed once by withObs
+	// on the extraction endpoints (nil elsewhere).
+	query url.Values
+
 	mu         sync.Mutex
 	site       string
 	separator  string
@@ -395,11 +403,23 @@ func (ri *reqInfo) fail(msg string) {
 	ri.mu.Unlock()
 }
 
+// queryOf returns the request's parsed query: the one withObs parsed,
+// or a fresh parse outside it.
+func queryOf(r *http.Request) url.Values {
+	if ri := infoFrom(r.Context()); ri != nil && ri.query != nil {
+		return ri.query
+	}
+	return r.URL.Query()
+}
+
 // statusWriter captures the response status for metrics and the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 }
+
+// Unwrap exposes the connection's writer to http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.status == 0 {
@@ -473,6 +493,9 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ri := &reqInfo{}
+		if traceable(r) {
+			ri.query = r.URL.Query()
+		}
 		ctx := obs.WithRegistry(r.Context(), s.stats)
 		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
 
@@ -483,8 +506,8 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		var sampled bool
 		if scErr == nil && sc.Valid() {
 			sampled = sc.Sampled
-		} else if traceable(r) {
-			sampled = wantTrace(r) || s.sampler.Sample()
+		} else if ri.query != nil {
+			sampled = wantTrace(ri.query) || s.sampler.Sample()
 		}
 		var rec *obs.TraceRecorder
 		var root *obs.Span
@@ -514,20 +537,22 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		if rec != nil {
 			root.End()
-			requestLatency(r.URL.Path).ObserveExemplar(s.stats, elapsed.Seconds(), rec.TraceID().String())
+			requestLatency(r.URL.Path).ObserveExemplar(s.stats, elapsed.Seconds(), rec.TraceID())
 			s.recordTrace(rec, r, ri, status, elapsed)
 		} else {
 			requestLatency(r.URL.Path).Observe(s.stats, elapsed.Seconds())
 		}
 
-		kv := []any{
+		// Sized for every field below, so the line's pairs never regrow.
+		kv := make([]any, 0, 24)
+		kv = append(kv,
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", status,
-			"durMs", float64(elapsed.Microseconds()) / 1000,
-		}
+			"durMs", float64(elapsed.Microseconds())/1000,
+		)
 		if rec != nil {
-			kv = append(kv, "trace", rec.TraceID().String())
+			kv = append(kv, "trace", rec.TraceID())
 		}
 		ri.mu.Lock()
 		if ri.filled {
@@ -553,23 +578,24 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 }
 
 // recordTrace folds one finished traced request into the tail-sampling
-// sink behind /tracez.
+// sink behind /tracez. It runs after the root span has ended and takes
+// the recorder's spans, attributes and charges without copying them.
 func (s *Server) recordTrace(rec *obs.TraceRecorder, r *http.Request, ri *reqInfo, status int, elapsed time.Duration) {
-	attrs := rec.Attrs()
+	spans, attrs, charges := rec.Finish()
 	t := &obs.TraceData{
 		TraceSummary: obs.TraceSummary{
-			TraceID:    rec.TraceID().String(),
+			TraceID:    rec.TraceID(),
 			Op:         r.URL.Path,
 			Path:       attrs["path"],
 			Status:     status,
 			StartedAt:  rec.Start(),
 			DurationNS: elapsed.Nanoseconds(),
+			SpanCount:  len(spans),
 		},
 		Attrs:   attrs,
-		Charges: rec.Charges(),
-		Spans:   rec.Spans(),
+		Charges: charges,
+		Spans:   spans,
 	}
-	t.SpanCount = len(t.Spans)
 	ri.mu.Lock()
 	t.Site = ri.site
 	t.Error = ri.errMsg
@@ -599,14 +625,15 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 			// Recovery sits outside the tracing middleware; the request
 			// context is gone, but withObs echoed the trace identity into
 			// the response header before the handler ran.
-			var tid string
+			var tid obs.TraceID
+			var tidText string
 			if sc, err := obs.ParseTraceHeader(w.Header().Get(obs.TraceHeader)); err == nil && sc.Valid() {
-				tid = sc.TraceID.String()
+				tid, tidText = sc.TraceID, sc.TraceID.String()
 			}
 			s.log.Error("recovered panic",
 				"method", r.Method,
 				"path", r.URL.Path,
-				"trace", tid,
+				"trace", tidText,
 				"panic", fmt.Sprint(rec),
 				"stack", string(debug.Stack()),
 			)
@@ -633,14 +660,55 @@ func (s *Server) withLimit(next http.Handler) http.Handler {
 	})
 }
 
-// withTimeout bounds each request; http.TimeoutHandler handles the
-// handler-vs-deadline write race.
+// errRequestTimeout is the cancellation cause of a request that ran
+// past Config.RequestTimeout.
+var errRequestTimeout = errors.New("serve: request timed out")
+
+// timeoutBody is the 503 answer to a request that ran out of time.
+var timeoutBody, _ = json.Marshal(errorResponse{Error: "request timed out", Status: http.StatusServiceUnavailable})
+
+// withTimeout bounds each request with a context deadline whose cause
+// is errRequestTimeout: the governor stops the pipeline at its next
+// poll and httpError answers 503. The context cannot interrupt a body
+// read, so the connection's read deadline bounds that. A handler that
+// returns without writing after the deadline gets the 503 here. The
+// handler runs on the request's goroutine and writes straight through.
 func (s *Server) withTimeout(next http.Handler) http.Handler {
 	if s.cfg.RequestTimeout <= 0 {
 		return next
 	}
-	body, _ := json.Marshal(errorResponse{Error: "request timed out", Status: http.StatusServiceUnavailable})
-	return http.TimeoutHandler(next, s.cfg.RequestTimeout, string(body))
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeoutCause(r.Context(), s.cfg.RequestTimeout, errRequestTimeout)
+		defer cancel()
+		deadline, _ := ctx.Deadline()
+		// A recorder or wrapper without a connection cannot take a read
+		// deadline (http.ErrNotSupported); its body is not a socket.
+		_ = http.NewResponseController(w).SetReadDeadline(deadline)
+		// withObs's writer already tracks whether the handler wrote;
+		// wrap only a writer that does not.
+		sw, ok := w.(*statusWriter)
+		if !ok {
+			sw = &statusWriter{ResponseWriter: w}
+		}
+		next.ServeHTTP(sw, r.WithContext(ctx))
+		if sw.status == 0 && timedOut(ctx) {
+			writeTimeout(ctx, sw)
+		}
+	})
+}
+
+// timedOut reports whether the request ran past its RequestTimeout.
+func timedOut(ctx context.Context) bool {
+	return errors.Is(context.Cause(ctx), errRequestTimeout)
+}
+
+// writeTimeout answers a request that ran out of time with 503 and the
+// fixed timeout body.
+func writeTimeout(ctx context.Context, w http.ResponseWriter) {
+	infoFrom(ctx).fail("request timed out")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	_, _ = w.Write(timeoutBody)
 }
 
 // handleMetricsz serves the registry as Prometheus-style text: counters,
@@ -674,10 +742,10 @@ type objectDTO struct {
 	Size  int    `json:"sizeBytes"`
 }
 
-// wantTrace reports whether the request opted into an inline decision
-// trace.
-func wantTrace(r *http.Request) bool {
-	switch r.URL.Query().Get("trace") {
+// wantTrace reports whether the request's query opted into an inline
+// decision trace.
+func wantTrace(q url.Values) bool {
+	switch q.Get("trace") {
 	case "1", "true", "yes":
 		return true
 	}
@@ -685,7 +753,8 @@ func wantTrace(r *http.Request) bool {
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	html, site, ok := s.readPage(w, r)
+	q := queryOf(r)
+	html, site, ok := s.readPage(w, r, q)
 	if !ok {
 		return
 	}
@@ -709,7 +778,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		Confidence:  res.Confidence(),
 		FromRule:    fromRule,
 	}
-	if wantTrace(r) {
+	if wantTrace(q) {
 		// The inline trace ships only on request; sampled requests that
 		// did not ask still reach /tracez by trace ID.
 		resp.Trace = res.Trace
@@ -736,7 +805,7 @@ type recordResponse struct {
 // /extract, then projects the objects under the site's record schema,
 // cached on the farm entry next to the rule that produced them.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	html, site, ok := s.readPage(w, r)
+	html, site, ok := s.readPage(w, r, queryOf(r))
 	if !ok {
 		return
 	}
@@ -904,10 +973,14 @@ type tracezResponse struct {
 // by default, one full trace (span tree, attributes, governor charges)
 // with ?id=<traceId>.
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("id"); id != "" {
+	if raw := r.URL.Query().Get("id"); raw != "" {
+		// A malformed ID misses like an unknown one; the zero ID is never
+		// stored.
+		var id obs.TraceID
+		err := id.UnmarshalText([]byte(raw))
 		t, ok := s.traces.Get(id)
-		if !ok {
-			writeError(r.Context(), w, http.StatusNotFound, "trace not found: "+id)
+		if err != nil || !ok {
+			writeError(r.Context(), w, http.StatusNotFound, "trace not found: "+raw)
 			return
 		}
 		writeJSON(w, t)
@@ -935,11 +1008,17 @@ func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, 
 	return res, out.FromRule, nil
 }
 
-// readPage reads and validates the request body and site parameter.
-func (s *Server) readPage(w http.ResponseWriter, r *http.Request) (html, site string, ok bool) {
+// readPage reads and validates the request body and the site
+// parameter of the request's query q. A read cut off by the request
+// timeout's read deadline answers the timeout's 503.
+func (s *Server) readPage(w http.ResponseWriter, r *http.Request, q url.Values) (html, site string, ok bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
 	if err != nil {
-		writeError(r.Context(), w, http.StatusBadRequest, "read body: "+err.Error())
+		if errors.Is(err, os.ErrDeadlineExceeded) || timedOut(r.Context()) {
+			writeTimeout(r.Context(), w)
+		} else {
+			writeError(r.Context(), w, http.StatusBadRequest, "read body: "+err.Error())
+		}
 		return "", "", false
 	}
 	if int64(len(body)) > s.cfg.MaxBodyBytes {
@@ -951,14 +1030,12 @@ func (s *Server) readPage(w http.ResponseWriter, r *http.Request) (html, site st
 		writeError(r.Context(), w, http.StatusBadRequest, "empty body")
 		return "", "", false
 	}
-	return string(body), r.URL.Query().Get("site"), true
+	return string(body), q.Get("site"), true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorResponse is the structured error payload every failure returns.
@@ -967,7 +1044,7 @@ type errorResponse struct {
 	Status int    `json:"status"`
 	// TraceID correlates the failure with its /tracez record, access-log
 	// line and histogram exemplars, when the request was traced.
-	TraceID string `json:"traceId,omitempty"`
+	TraceID obs.TraceID `json:"traceId,omitzero"`
 }
 
 // writeError sends a structured JSON error with the given status,
@@ -975,24 +1052,27 @@ type errorResponse struct {
 // request's log summary.
 func writeError(ctx context.Context, w http.ResponseWriter, status int, msg string) {
 	infoFrom(ctx).fail(msg)
-	writeErrorID(w, status, msg, obs.TraceIDStringFrom(ctx))
+	writeErrorID(w, status, msg, obs.TraceIDFrom(ctx))
 }
 
 // writeErrorID is writeError with an explicit trace ID, for callers —
 // the recovery middleware — that no longer hold the traced context.
-func writeErrorID(w http.ResponseWriter, status int, msg, traceID string) {
+func writeErrorID(w http.ResponseWriter, status int, msg string, traceID obs.TraceID) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(errorResponse{Error: msg, Status: status, TraceID: traceID})
+	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg, Status: status, TraceID: traceID})
 }
 
-// httpError maps extraction failures to status codes.
+// httpError maps extraction failures to status codes. A deadline
+// that is the request timeout's, not the page's, answers the request
+// timeout's 503.
 func httpError(ctx context.Context, w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var lim *govern.ErrLimitExceeded
 	switch {
+	case errors.Is(err, context.DeadlineExceeded) && timedOut(ctx):
+		writeTimeout(ctx, w)
+		return
 	case errors.As(err, &lim):
 		// An oversized input is the client's fault (413); any other
 		// blown budget means the page is structurally unprocessable

@@ -15,7 +15,7 @@ import (
 
 // traceFromHeader parses and validates the response's X-Omini-Trace
 // header, returning the trace ID.
-func traceFromHeader(t *testing.T, resp *http.Response) string {
+func traceFromHeader(t *testing.T, resp *http.Response) obs.TraceID {
 	t.Helper()
 	h := resp.Header.Get(obs.TraceHeader)
 	if h == "" {
@@ -28,13 +28,13 @@ func traceFromHeader(t *testing.T, resp *http.Response) string {
 	if !sc.Sampled {
 		t.Errorf("response header %q not marked sampled", h)
 	}
-	return sc.TraceID.String()
+	return sc.TraceID
 }
 
 // getTrace fetches one trace by ID from /tracez.
-func getTrace(t *testing.T, base, id string) obs.TraceData {
+func getTrace(t *testing.T, base string, id obs.TraceID) obs.TraceData {
 	t.Helper()
-	resp, err := http.Get(base + "/tracez?id=" + id)
+	resp, err := http.Get(base + "/tracez?id=" + id.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExtractTracedEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatalf("no handler root span; spans: %v", td.Spans)
 	}
-	if handler.ParentSpanID != "" {
+	if !handler.ParentSpanID.IsZero() {
 		t.Errorf("locally-rooted handler span has parent %q", handler.ParentSpanID)
 	}
 	farmSlow, ok := spans["farm.slow"]
@@ -136,13 +136,16 @@ func TestExtractTracedEndToEnd(t *testing.T) {
 func TestTracezUnknownIDIs404(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Stats: resilience.NewStats()}))
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/tracez?id=" + strings.Repeat("ab", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404", resp.StatusCode)
+	// Unknown, malformed and the zero ID.
+	for _, id := range []string{strings.Repeat("ab", 16), "not-hex", strings.Repeat("ab", 15), strings.Repeat("0", 32)} {
+		resp, err := http.Get(ts.URL + "/tracez?id=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("id %q: status = %d, want 404", id, resp.StatusCode)
+		}
 	}
 }
 
@@ -171,7 +174,7 @@ func TestTraceSamplingDisabledStillHonorsExplicitAsk(t *testing.T) {
 		t.Fatal("?trace=1 response lacks the inline trace")
 	}
 	if out.Trace.TraceID != id {
-		t.Errorf("inline trace ID %q != header trace ID %q", out.Trace.TraceID, id)
+		t.Errorf("inline trace ID %s != header trace ID %s", out.Trace.TraceID, id)
 	}
 	if len(out.Trace.Charges) == 0 {
 		t.Error("inline trace lacks governor charges")
@@ -211,7 +214,7 @@ func TestErrorBodyCarriesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.TraceID != id {
-		t.Errorf("error body traceId = %q, want header's %q", e.TraceID, id)
+		t.Errorf("error body traceId = %s, want header's %s", e.TraceID, id)
 	}
 
 	// The errored trace is pinned in the sink with the failure recorded.
@@ -241,14 +244,14 @@ func TestUpstreamHeaderDecisionWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if id := traceFromHeader(t, resp); id != up.TraceID.String() {
-		t.Errorf("trace ID %q, want the upstream's %q", id, up.TraceID)
+	if id := traceFromHeader(t, resp); id != up.TraceID {
+		t.Errorf("trace ID %s, want the upstream's %s", id, up.TraceID)
 	}
-	td, ok := srv.Traces().Get(up.TraceID.String())
+	td, ok := srv.Traces().Get(up.TraceID)
 	if !ok {
 		t.Fatal("adopted trace missing from the sink")
 	}
-	if h, ok := spanNames(td)["handler"]; !ok || h.ParentSpanID != up.SpanID.String() {
+	if h, ok := spanNames(td)["handler"]; !ok || h.ParentSpanID != up.SpanID {
 		t.Errorf("handler parent = %+v, want upstream span %s", h, up.SpanID)
 	}
 
@@ -265,7 +268,7 @@ func TestUpstreamHeaderDecisionWins(t *testing.T) {
 	if h := resp2.Header.Get(obs.TraceHeader); h != "" {
 		t.Errorf("unsampled upstream decision ignored; response header %q", h)
 	}
-	if _, ok := srv.Traces().Get(down.TraceID.String()); ok {
+	if _, ok := srv.Traces().Get(down.TraceID); ok {
 		t.Error("unsampled request was recorded anyway")
 	}
 }
@@ -282,7 +285,7 @@ func TestRequestHistogramCarriesExemplar(t *testing.T) {
 	if err := stats.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `trace_id="`+id+`"`) {
+	if !strings.Contains(sb.String(), `trace_id="`+id.String()+`"`) {
 		t.Errorf("no exemplar for trace %s in exposition", id)
 	}
 }

@@ -91,6 +91,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzCollapseSpace$' -fuzztime "$FUZZTIME" ./internal/tagtree/
     go test -run '^$' -fuzz '^FuzzSnapshotCodec$' -fuzztime "$FUZZTIME" ./internal/farm/
     go test -run '^$' -fuzz '^FuzzFindNext$' -fuzztime "$FUZZTIME" ./internal/nav/
+    go test -run '^$' -fuzz '^FuzzLogLine$' -fuzztime "$FUZZTIME" ./internal/obs/
 fi
 
 # Wrapper farm: the fast/slow-path parity suite is the farm's core
@@ -225,25 +226,26 @@ if [ "$FARM_SMOKE" != "0" ]; then
     # above were all sampled (default -trace-sample 1.0), so /tracez
     # must hold both farm paths — the first request per host traced the
     # slow (discovery) path, the replays the fast path — and a trace
-    # fetched by ID must carry its handler root span.
+    # fetched by ID must carry its handler root span. Responses are
+    # compact JSON.
     traces=$(curl -sf "http://$addr/tracez")
-    echo "$traces" | grep -q '"path": "fast"' || {
+    echo "$traces" | grep -q '"path":"fast"' || {
         echo "/tracez holds no fast-path trace" >&2
         echo "$traces" | head -n 20 >&2
         exit 1
     }
-    echo "$traces" | grep -q '"path": "slow"' || {
+    echo "$traces" | grep -q '"path":"slow"' || {
         echo "/tracez holds no slow-path trace" >&2
         echo "$traces" | head -n 20 >&2
         exit 1
     }
-    tid=$(echo "$traces" | sed -n 's/.*"traceId": "\([0-9a-f]\{32\}\)".*/\1/p' | head -n 1)
+    tid=$(echo "$traces" | grep -o '"traceId":"[0-9a-f]\{32\}"' | sed -n 's/.*:"\(.*\)"/\1/p' | head -n 1)
     if [ -z "$tid" ]; then
         echo "/tracez summaries carry no well-formed 32-hex traceId" >&2
         exit 1
     fi
     trace_detail=$(curl -sf "http://$addr/tracez?id=$tid")
-    echo "$trace_detail" | grep -q '"name": "handler"' || {
+    echo "$trace_detail" | grep -q '"name":"handler"' || {
         echo "/tracez?id=$tid lacks the handler root span" >&2
         echo "$trace_detail" | head -n 20 >&2
         exit 1
