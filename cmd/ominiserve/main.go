@@ -97,7 +97,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8800", "listen address")
 		maxBytes = flag.Int64("max-bytes", 8<<20, "maximum request body size")
 		inflight = flag.Int("max-inflight", 256, "concurrent extraction cap; excess requests get 429 (negative = unlimited)")
-		reqTO    = flag.Duration("request-timeout", 30*time.Second, "per-request deadline on the context and the body read; 503 on expiry (negative = none)")
+		reqTO    = flag.Duration("request-timeout", 30*time.Second, "per-request deadline on the pipeline context and the body read; 503 when the pipeline or read runs past it (negative = none)")
 		grace    = flag.Duration("shutdown-grace", 15*time.Second, "drain window for in-flight requests on SIGTERM")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		timeout  = flag.Duration("timeout", 0, "per-page extraction deadline enforced by the resource governor (0 = default 10s, negative = unlimited)")

@@ -403,15 +403,6 @@ func (ri *reqInfo) fail(msg string) {
 	ri.mu.Unlock()
 }
 
-// queryOf returns the request's parsed query: the one withObs parsed,
-// or a fresh parse outside it.
-func queryOf(r *http.Request) url.Values {
-	if ri := infoFrom(r.Context()); ri != nil && ri.query != nil {
-		return ri.query
-	}
-	return r.URL.Query()
-}
-
 // statusWriter captures the response status for metrics and the access log.
 type statusWriter struct {
 	http.ResponseWriter
@@ -670,9 +661,10 @@ var timeoutBody, _ = json.Marshal(errorResponse{Error: "request timed out", Stat
 // withTimeout bounds each request with a context deadline whose cause
 // is errRequestTimeout: the governor stops the pipeline at its next
 // poll and httpError answers 503. The context cannot interrupt a body
-// read, so the connection's read deadline bounds that. A handler that
-// returns without writing after the deadline gets the 503 here. The
-// handler runs on the request's goroutine and writes straight through.
+// read, so readPage bounds that with the connection's read deadline. A
+// handler that returns without writing after the deadline gets the 503
+// here. The handler runs on the request's goroutine and writes straight
+// through.
 func (s *Server) withTimeout(next http.Handler) http.Handler {
 	if s.cfg.RequestTimeout <= 0 {
 		return next
@@ -680,16 +672,7 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeoutCause(r.Context(), s.cfg.RequestTimeout, errRequestTimeout)
 		defer cancel()
-		deadline, _ := ctx.Deadline()
-		// A recorder or wrapper without a connection cannot take a read
-		// deadline (http.ErrNotSupported); its body is not a socket.
-		_ = http.NewResponseController(w).SetReadDeadline(deadline)
-		// withObs's writer already tracks whether the handler wrote;
-		// wrap only a writer that does not.
-		sw, ok := w.(*statusWriter)
-		if !ok {
-			sw = &statusWriter{ResponseWriter: w}
-		}
+		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		if sw.status == 0 && timedOut(ctx) {
 			writeTimeout(ctx, sw)
@@ -753,7 +736,7 @@ func wantTrace(q url.Values) bool {
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	q := queryOf(r)
+	q := infoFrom(r.Context()).query
 	html, site, ok := s.readPage(w, r, q)
 	if !ok {
 		return
@@ -805,7 +788,7 @@ type recordResponse struct {
 // /extract, then projects the objects under the site's record schema,
 // cached on the farm entry next to the rule that produced them.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	html, site, ok := s.readPage(w, r, queryOf(r))
+	html, site, ok := s.readPage(w, r, infoFrom(r.Context()).query)
 	if !ok {
 		return
 	}
@@ -1009,10 +992,11 @@ func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, 
 }
 
 // readPage reads and validates the request body and the site
-// parameter of the request's query q. A read cut off by the request
-// timeout's read deadline answers the timeout's 503.
+// parameter of the request's query q. The request's deadline bounds
+// the read as the connection's read deadline; a read it cuts off
+// answers the timeout's 503.
 func (s *Server) readPage(w http.ResponseWriter, r *http.Request, q url.Values) (html, site string, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes+1)
 	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) || timedOut(r.Context()) {
 			writeTimeout(r.Context(), w)
@@ -1031,6 +1015,23 @@ func (s *Server) readPage(w http.ResponseWriter, r *http.Request, q url.Values) 
 		return "", "", false
 	}
 	return string(body), q.Get("site"), true
+}
+
+// readBody reads up to limit bytes of r's body under the request
+// context's deadline, set as the connection's read deadline for the
+// read alone and cleared after it: net/http's own read for the next
+// request on the connection begins when the body ends, and a deadline
+// left behind would cut that read off and cancel the connection. A
+// bodiless request has nothing to bound, and a writer without a
+// connection cannot take a deadline (http.ErrNotSupported).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if deadline, ok := r.Context().Deadline(); ok && r.Body != http.NoBody {
+		rc := http.NewResponseController(w)
+		if rc.SetReadDeadline(deadline) == nil {
+			defer func() { _ = rc.SetReadDeadline(time.Time{}) }()
+		}
+	}
+	return io.ReadAll(io.LimitReader(r.Body, limit))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"omini/internal/core"
 	"omini/internal/obs"
 	"omini/internal/resilience"
+	"omini/internal/sitegen"
 )
 
 // wantTimeoutBody is the request timeout's 503 body, byte for byte.
@@ -119,6 +121,85 @@ func TestTrickledBodyCutOffByReadDeadline(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != wantTimeoutBody {
 		t.Errorf("got %d %q, want 503 %q", resp.StatusCode, body, wantTimeoutBody)
+	}
+}
+
+// postReused POSTs body to url through client, reporting whether the
+// request went out on a kept-alive connection.
+func postReused(t *testing.T, client *http.Client, url, body string) (status int, out string, reused bool) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+	}))
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b), reused
+}
+
+// TestTimedOutRequestLeavesConnectionUsable: a request whose timeout
+// expires inside the pipeline answers the 503, and the next request on
+// the same kept-alive connection is served normally — the timeout must
+// not outlive its request on the connection.
+func TestTimedOutRequestLeavesConnectionUsable(t *testing.T) {
+	html := bigPage(20000)
+	budget := pipelineBudget(t, html)
+	ts := httptest.NewServer(quietServer(Config{RequestTimeout: budget}))
+	defer ts.Close()
+	client := ts.Client()
+
+	status, body, _ := postReused(t, client, ts.URL+"/extract?site=big.example", html)
+	if status != http.StatusServiceUnavailable || body != wantTimeoutBody {
+		t.Fatalf("timed-out request: got %d %q, want 503 %q", status, body, wantTimeoutBody)
+	}
+	// Past the first request's deadline, so a read deadline it left on
+	// the connection would already have fired.
+	time.Sleep(budget)
+	page := sitegen.Canoe()
+	status, body, reused := postReused(t, client, ts.URL+"/extract?site="+page.Site, page.HTML)
+	if status != http.StatusOK {
+		t.Fatalf("next request on the connection: status %d: %s", status, body)
+	}
+	if !reused {
+		t.Error("next request did not reuse the kept-alive connection")
+	}
+}
+
+// TestSlowBodilessRequestLeavesConnectionUsable: a request without a
+// body that runs past its timeout leaves the connection's context
+// intact for the next request on it.
+func TestSlowBodilessRequestLeavesConnectionUsable(t *testing.T) {
+	s := quietServer(Config{RequestTimeout: 50 * time.Millisecond})
+	ts := httptest.NewServer(s.withTimeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/slow" {
+			<-r.Context().Done()
+			time.Sleep(50 * time.Millisecond)
+			return
+		}
+		if err := r.Context().Err(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})))
+	defer ts.Close()
+	client := ts.Client()
+
+	status, body, _ := postReused(t, client, ts.URL+"/slow", "")
+	if status != http.StatusServiceUnavailable || body != wantTimeoutBody {
+		t.Fatalf("slow request: got %d %q, want 503 %q", status, body, wantTimeoutBody)
+	}
+	status, body, reused := postReused(t, client, ts.URL+"/fast", "")
+	if status != http.StatusOK {
+		t.Fatalf("next request on the connection: status %d: %s", status, body)
+	}
+	if !reused {
+		t.Error("next request did not reuse the kept-alive connection")
 	}
 }
 
