@@ -25,11 +25,12 @@
 // JSON responses recording which node served).
 //
 // Routed requests are distributed-traced end to end: the coordinator
-// makes one sampling decision per request, records "route" and "hop"
-// spans, and forwards the hop span's context in the X-Omini-Trace
-// header, so the serving node's handler and pipeline spans parent into
-// the coordinator's span tree under one 128-bit trace ID. Both halves
-// land in the tail-sampling sink behind the nodes' GET /tracez.
+// makes one sampling decision per request at its obs trace boundary,
+// records "route" and "hop" spans, and its client's obs.Transport
+// forwards the hop span's context in the X-Omini-Trace header, so the
+// serving node's handler and pipeline spans parent into the
+// coordinator's span tree under one 128-bit trace ID. Both halves land
+// in the tail-sampling sink behind the nodes' GET /tracez.
 package cluster
 
 import (
@@ -98,7 +99,8 @@ type Config struct {
 	// obs.DefaultLogger().
 	Logger *obs.Logger
 	// Client performs proxy hops and health probes; nil uses a
-	// dedicated client with sane connection reuse.
+	// dedicated client with sane connection reuse. The coordinator
+	// sends through a copy whose transport stamps the trace header.
 	Client *http.Client
 	// Traces receives the coordinator's half of each traced request's
 	// span tree. Share the local serve.Server's sink so the route and
@@ -213,6 +215,10 @@ func New(cfg Config) *Coordinator {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
+	// Every hop and probe goes through the trace boundary's transport:
+	// a hop carries its span's decision, a probe (no trace in its
+	// context) no header at all.
+	client = obs.TracingClient(client)
 	bcfg := cfg.Breaker
 	bcfg.Stats = cfg.Stats
 	c := &Coordinator{

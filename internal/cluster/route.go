@@ -44,11 +44,13 @@ type shedResult struct {
 // and circuit breakers, degrade to local extraction when the chain is
 // exhausted without a shed to propagate.
 //
-// It is also the cluster's tracing root: the coordinator makes the one
-// sampling decision for the whole request, records "route" and "hop"
-// spans, and forwards the decision (and span context) in the
-// X-Omini-Trace header so the serving node's spans parent into this
-// trace instead of starting their own.
+// It is also the cluster's trace boundary (obs.Enter): the coordinator
+// makes the one sampling decision for the whole request and records
+// "route" and "hop" spans. The decision travels with the context, and
+// the peer client's obs.Transport (or obs.Inject, for the in-process
+// local handler) forwards it in the X-Omini-Trace header, so the
+// serving node's spans parent into this trace instead of starting
+// their own.
 //
 // q is the request's query, parsed once by routable.
 func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values) {
@@ -79,44 +81,13 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 	// header's decision is adopted, otherwise this coordinator samples.
 	// Either way the decision travels in the forwarded header, so the
 	// serving node never samples independently (no partial traces).
-	sc, scErr := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-	var sampled bool
-	if scErr == nil && sc.Valid() {
-		sampled = sc.Sampled
-	} else {
-		sampled = forceTrace(q) || c.sampler.Sample()
-	}
-	var rec *obs.TraceRecorder
-	var declined string
-	if sampled {
-		bctx, rec = obs.StartTrace(bctx, sc, false)
-	} else {
-		declined = obs.SpanContext{TraceID: obs.NewTraceID()}.Header()
-	}
-	rctx, root := obs.StartSpan(bctx, phaseRoute)
-	var sw http.ResponseWriter = w
-	if rec != nil {
-		st := &statusRecorder{ResponseWriter: w}
-		sw = st
-		w.Header().Set(obs.TraceHeader, root.Context().Header())
-		defer func() {
-			root.End()
-			status := st.code
-			if status == 0 {
-				status = http.StatusOK
-			}
-			c.recordTrace(rec, site, status, root.Duration())
-		}()
-	} else {
-		defer root.End()
-	}
-	// The header forwarded when this node serves the request itself:
-	// the route span's context when traced, the declined decision
-	// otherwise.
-	localTH := declined
-	if hsc := obs.SpanContextFrom(rctx); hsc.Valid() {
-		localTH = hsc.Header()
-	}
+	rctx, sw := obs.Enter(bctx, w, r.Header, q, phaseRoute, c.sampler)
+	defer func() {
+		if t := sw.End(); t != nil {
+			t.Node, t.Op, t.Site = c.selfOrProxy(), "route", site
+			c.traces.Record(t)
+		}
+	}()
 
 	deadline, _ := bctx.Deadline()
 	g := govern.NewGuard(bctx, govern.Unlimited())
@@ -135,7 +106,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 		}
 		if id == c.self {
 			localCount.Add(c.stats, 1)
-			c.serveLocal(rctx, sw, r, body, localTH)
+			c.serveLocal(rctx, sw, r, body)
 			return
 		}
 		url, m := c.memberByID(id)
@@ -148,7 +119,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 			continue
 		}
 		hopBudget := time.Until(deadline) / time.Duration(len(candidates)-i)
-		res, hopShed, err := c.hopSpanned(rctx, hopBudget, url, id, m, declined, r, body)
+		res, hopShed, err := c.hopSpanned(rctx, hopBudget, url, id, m, r, body)
 		switch {
 		case err == nil:
 			br.Success()
@@ -185,62 +156,8 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 		}
 		writeError(rctx, sw, shed.status, "cluster: downstream shedding load")
 	default:
-		c.fallbackLocal(rctx, sw, r, site, body, localTH)
+		c.fallbackLocal(rctx, sw, r, site, body)
 	}
-}
-
-// forceTrace reports whether the request's query explicitly opted into
-// tracing (the same ?trace= values serve honors for inline traces).
-func forceTrace(q url.Values) bool {
-	switch q.Get("trace") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
-// statusRecorder captures the final status written to a routed
-// response, for the trace summary.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (s *statusRecorder) WriteHeader(code int) {
-	if s.code == 0 {
-		s.code = code
-	}
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *statusRecorder) Write(p []byte) (int, error) {
-	if s.code == 0 {
-		s.code = http.StatusOK
-	}
-	return s.ResponseWriter.Write(p)
-}
-
-// recordTrace folds the coordinator's routing half of a traced request
-// into the trace sink; on self-served requests the sink merges it with
-// the serve half recorded under the same trace ID. It runs after the
-// route span has ended and takes the recorder's state without copying.
-func (c *Coordinator) recordTrace(rec *obs.TraceRecorder, site string, status int, dur time.Duration) {
-	spans, attrs, charges := rec.Finish()
-	c.traces.Record(&obs.TraceData{
-		TraceSummary: obs.TraceSummary{
-			TraceID:    rec.TraceID(),
-			Node:       c.selfOrProxy(),
-			Op:         "route",
-			Site:       site,
-			Status:     status,
-			StartedAt:  rec.Start(),
-			DurationNS: dur.Nanoseconds(),
-			SpanCount:  len(spans),
-		},
-		Attrs:   attrs,
-		Charges: charges,
-		Spans:   spans,
-	})
 }
 
 // candidates returns the site's failover chain: its ring owner first,
@@ -264,22 +181,18 @@ func (c *Coordinator) memberByID(id string) (string, *member) {
 }
 
 // hopSpanned runs one proxy hop under a "hop" span and pprof hop
-// label. The forwarded X-Omini-Trace header carries the hop span's
-// context on traced requests — the serving node's handler span parents
-// to it — and the coordinator's declined decision otherwise. A
-// successful hop records its latency per-node and cluster-wide, with a
-// trace exemplar when traced.
-func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url, id string, m *member, declined string, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
+// label. The client's obs.Transport forwards the hop span's context on
+// traced requests — the serving node's handler span parents to it —
+// and the coordinator's declined decision otherwise. A successful hop
+// records its latency per-node and cluster-wide, with a trace exemplar
+// when traced.
+func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url, id string, m *member, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
 	hctx, sp := obs.StartSpan(ctx, phaseHop)
-	th := declined
-	if hsc := sp.Context(); hsc.Valid() {
-		th = hsc.Header()
-	}
 	var res *hopResult
 	var shed *shedResult
 	var err error
 	rpprof.Do(hctx, rpprof.Labels("hop", id), func(pctx context.Context) {
-		res, shed, err = c.hop(pctx, budget, url, th, r, body)
+		res, shed, err = c.hop(pctx, budget, url, r, body)
 	})
 	sp.End()
 	if err == nil {
@@ -293,11 +206,11 @@ func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url,
 // hop forwards the request to one node, retrying transient failures
 // with capped backoff+jitter inside the hop's slice of the routing
 // budget. Load sheds and client errors are permanent for the retry
-// policy: more attempts cannot change them. traceHeader replaces the
-// inbound X-Omini-Trace header on the forwarded request — the
-// coordinator's trace context, not the client's, is what the serving
-// node must continue.
-func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url, traceHeader string, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
+// policy: more attempts cannot change them. The client's obs.Transport
+// replaces the inbound X-Omini-Trace header on the forwarded request —
+// the coordinator's trace context, not the client's, is what the
+// serving node must continue.
+func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url string, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
 	hctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 	var res *hopResult
@@ -309,7 +222,6 @@ func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url, traceH
 		}
 		copyHeader(req.Header, r.Header)
 		req.Header.Set(forwardedHeader, c.selfOrProxy())
-		setTraceHeader(req.Header, traceHeader)
 		resp, err := c.client.Do(req)
 		if err != nil {
 			return fmt.Errorf("cluster: hop: %w", err)
@@ -379,31 +291,19 @@ func stampNode(body []byte, id string) []byte {
 	return append(out, rest...)
 }
 
-// setTraceHeader replaces h's X-Omini-Trace with the coordinator's
-// value (span context or declined decision); an empty value clears the
-// inbound header so a downstream node never continues the client's raw
-// context behind the coordinator's back.
-func setTraceHeader(h http.Header, value string) {
-	if value != "" {
-		h.Set(obs.TraceHeader, value)
-	} else {
-		h.Del(obs.TraceHeader)
-	}
-}
-
 // serveLocal serves the request from this node's own shard, replaying
-// the buffered body into the local handler. The forwarded trace header
-// parents the local handler's spans into the route span. Callers count
-// the routing outcome (SeriesLocal) themselves so series names stay
-// constant at their emission sites.
-func (c *Coordinator) serveLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte, traceHeader string) {
+// the buffered body into the local handler. obs.Inject stamps the route
+// span's decision, so the local handler's spans parent into the route
+// span. Callers count the routing outcome (SeriesLocal) themselves so
+// series names stay constant at their emission sites.
+func (c *Coordinator) serveLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte) {
 	if _, m := c.memberByID(c.self); m != nil {
 		m.served.Add(1)
 	}
 	r2 := r.Clone(ctx)
 	r2.Body = io.NopCloser(bytes.NewReader(body))
 	r2.ContentLength = int64(len(body))
-	setTraceHeader(r2.Header, traceHeader)
+	obs.Inject(ctx, r2.Header)
 	node := c.self
 	if node == "" {
 		node = "local"
@@ -426,13 +326,13 @@ func (c *Coordinator) serveLocal(ctx context.Context, w http.ResponseWriter, r *
 // load shed (429) — meaning the whole cluster is saturated — can be
 // remapped to 503 with the limiter's Retry-After preserved; anything
 // else relays verbatim.
-func (c *Coordinator) fallbackLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, site string, body []byte, traceHeader string) {
+func (c *Coordinator) fallbackLocal(ctx context.Context, w http.ResponseWriter, r *http.Request, site string, body []byte) {
 	fallbackLocal.Add(c.stats, 1)
 	c.log.Warn("cluster degraded to local extraction", "site", site)
 	r2 := r.Clone(ctx)
 	r2.Body = io.NopCloser(bytes.NewReader(body))
 	r2.ContentLength = int64(len(body))
-	setTraceHeader(r2.Header, traceHeader)
+	obs.Inject(ctx, r2.Header)
 	buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
 	c.local.ServeHTTP(buf, r2)
 	status := buf.status

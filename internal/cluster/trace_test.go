@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,5 +223,78 @@ func TestSelfServedTraceMergesBothHalves(t *testing.T) {
 	}
 	if srv.Traces().Len() != 1 {
 		t.Errorf("sink holds %d traces, want the two halves merged into 1", srv.Traces().Len())
+	}
+}
+
+// TestHealthProbesCarryNoTraceHeader: probes share the coordinator's
+// stamping client, but their context carries no trace, so no /healthz
+// or /readyz request fabricates a trace root on the peer — while a
+// routed request through the same client does carry its hop's context.
+func TestHealthProbesCarryNoTraceHeader(t *testing.T) {
+	srv := serve.New(serve.Config{Stats: resilience.NewStats()})
+	var mu sync.Mutex
+	var probes, stamped int
+	var hops []string
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		switch r.URL.Path {
+		case "/healthz", "/readyz":
+			probes++
+			if _, ok := r.Header[obs.TraceHeader]; ok {
+				stamped++
+			}
+		case "/extract":
+			hops = append(hops, r.Header.Get(obs.TraceHeader))
+		}
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(peer.Close)
+	c := New(Config{
+		Peers:         map[string]string{"n0": peer.URL},
+		Local:         serve.New(serve.Config{Stats: resilience.NewStats()}),
+		Stats:         resilience.NewStats(),
+		ProbeInterval: 5 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = c.Run(ctx) }()
+
+	page := sitegen.Canoe()
+	req := httptest.NewRequest(http.MethodPost, "/extract?site="+page.Site, strings.NewReader(page.HTML))
+	const clientHeader = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
+	req.Header.Set(obs.TraceHeader, clientHeader)
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("routed request status = %d", rec.Code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := probes
+		mu.Unlock()
+		if n >= 6 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	<-done
+
+	mu.Lock()
+	defer mu.Unlock()
+	if probes < 6 {
+		t.Fatalf("peer saw %d probe requests, want at least 6", probes)
+	}
+	if stamped != 0 {
+		t.Errorf("%d of %d probe requests carried %s", stamped, probes, obs.TraceHeader)
+	}
+	if len(hops) != 1 {
+		t.Fatalf("peer saw %d hops, want 1", len(hops))
+	}
+	if sc, err := obs.ParseTraceHeader(hops[0]); err != nil || !sc.Sampled || hops[0] == clientHeader {
+		t.Errorf("hop header %q, want the coordinator's sampled hop context", hops[0])
 	}
 }

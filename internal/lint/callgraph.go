@@ -2,8 +2,7 @@ package lint
 
 // Cross-function call-graph facts for the control-flow analyzers:
 // which functions block (HTTP round-trips, channel operations,
-// waits), which take sync locks, which stamp the X-Omini-Trace header
-// on an outbound request, and which close the body of an
+// waits), which take sync locks, and which close the body of an
 // *http.Response parameter. Facts are computed once per run over
 // every loaded package, seeded from an intrinsics table for the
 // standard library (whose bodies are not analyzed) and propagated
@@ -53,7 +52,6 @@ var blockingIntrinsics = map[string]bool{
 type CallFacts struct {
 	blocking map[*types.Func]bool
 	locking  map[*types.Func]bool
-	stamping map[*types.Func]bool
 	// bodyCloser maps a function to the index of the *http.Response
 	// parameter whose Body it closes.
 	bodyCloser map[*types.Func]int
@@ -124,7 +122,6 @@ func BuildCallFacts(pkgs []*Package) *CallFacts {
 	cf := &CallFacts{
 		blocking:   make(map[*types.Func]bool),
 		locking:    make(map[*types.Func]bool),
-		stamping:   make(map[*types.Func]bool),
 		bodyCloser: make(map[*types.Func]int),
 	}
 	// callers[f] lists the module functions that call f, for upward
@@ -146,7 +143,6 @@ func BuildCallFacts(pkgs []*Package) *CallFacts {
 		}
 	}
 	cf.propagate(cf.blocking, callers)
-	cf.propagate(cf.stamping, callers)
 	return cf
 }
 
@@ -182,9 +178,6 @@ func (cf *CallFacts) seed(info *types.Info, fn *types.Func, fd *ast.FuncDecl, ca
 			}
 			if mutexLockCall(info, n) != "" {
 				cf.locking[fn] = true
-			}
-			if stampsTraceHeader(info, n) {
-				cf.stamping[fn] = true
 			}
 			if callee, ok := calleeObject(info, n).(*types.Func); ok {
 				callers[callee] = append(callers[callee], fn)
@@ -249,31 +242,6 @@ func mutexCall(info *types.Info, call *ast.CallExpr, names ...string) string {
 		return ""
 	}
 	return types.ExprString(sel.X)
-}
-
-// stampsTraceHeader reports whether the call sets the X-Omini-Trace
-// header on an http.Header: h.Set(obs.TraceHeader, …) or a Set call
-// whose first argument is the literal header name.
-func stampsTraceHeader(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Set" && sel.Sel.Name != "Add") || len(call.Args) == 0 {
-		return false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || !namedType(tv.Type, "http", "Header") {
-		return false
-	}
-	arg := ast.Unparen(call.Args[0])
-	if v, ok := constStringOf(info, arg); ok && v == "X-Omini-Trace" {
-		return true
-	}
-	if s, ok := arg.(*ast.SelectorExpr); ok {
-		if c, ok := info.Uses[s.Sel].(*types.Const); ok &&
-			c.Pkg() != nil && c.Pkg().Name() == "obs" && c.Name() == "TraceHeader" {
-			return true
-		}
-	}
-	return false
 }
 
 // closesResponseParam reports the index of an *http.Response parameter
@@ -362,12 +330,6 @@ func (cf *CallFacts) FuncBlocks(fn *types.Func) bool {
 // sync.RWMutex.
 func (cf *CallFacts) FuncLocks(fn *types.Func) bool {
 	return fn != nil && cf.locking[fn]
-}
-
-// FuncStamps reports whether fn (transitively) stamps the
-// X-Omini-Trace header on an outbound header set.
-func (cf *CallFacts) FuncStamps(fn *types.Func) bool {
-	return fn != nil && cf.stamping[fn]
 }
 
 // BodyCloserParam reports the *http.Response parameter index whose

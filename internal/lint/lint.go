@@ -20,13 +20,12 @@
 //     control-flow paths, and remote reads go through io.LimitReader.
 //   - goleak: goroutines in the long-lived packages are tied to a
 //     lifecycle (WaitGroup, context, or captured stop channel).
-//   - spanend: every obs.StartSpan span is ended on all paths, and
-//     outbound cluster/ruledist requests stamp X-Omini-Trace.
+//   - spanend: every obs.StartSpan span is ended on all paths.
 //
 // The last four are control-flow aware: the driver builds a
 // per-function basic-block CFG (cfg.go) and run-wide call-graph facts
-// (callgraph.go) that classify callees as blocking, lock-taking,
-// trace-stamping, or body-closing, both exposed through Pass.
+// (callgraph.go) that classify callees as blocking, lock-taking, or
+// body-closing, both exposed through Pass.
 //
 // The paper's system (Buttler, Liu, Pu, ICDCS 2001) is motivated by
 // fully automated extraction at production scale; production Go stacks
@@ -73,8 +72,8 @@ type Pass struct {
 	// Files are the package's parsed files (tests excluded).
 	Files []*ast.File
 	// Facts are the run-wide call-graph classifications (blocking,
-	// lock-taking, trace-stamping, body-closing callees), shared by
-	// every pass of the run.
+	// lock-taking, body-closing callees), shared by every pass of the
+	// run.
 	Facts *CallFacts
 
 	report func(Finding)

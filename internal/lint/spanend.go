@@ -1,31 +1,21 @@
 package lint
 
-// spanend keeps PR 8's tracing complete by construction. Two
-// invariants: (1) every span returned by obs.StartSpan reaches End()
-// on all control-flow paths — an unended span never lands in its
-// trace recorder, so the request's trace silently loses a phase; (2)
-// in the packages that make peer-to-peer requests (cluster,
-// ruledist), a function that builds an outbound *http.Request must
-// stamp the X-Omini-Trace header — directly or through a helper the
-// call-graph facts classify as trace-stamping — so cross-node spans
-// keep parenting to the hop that caused them.
+// spanend keeps tracing complete: every span returned by
+// obs.StartSpan reaches End() on all control-flow paths — an unended
+// span never lands in its trace recorder, so the request's trace
+// silently loses a phase. Trace propagation needs no check: peer
+// clients stamp the X-Omini-Trace header in obs.Transport, so no
+// outbound request can skip it.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// tracedClientPackages make outbound peer requests that must carry
-// trace context.
-var tracedClientPackages = map[string]bool{
-	"cluster":  true,
-	"ruledist": true,
-}
-
 func newSpanend() *Analyzer {
 	return &Analyzer{
 		Name: "spanend",
-		Doc:  "obs.StartSpan spans are ended on all paths; outbound cluster requests stamp X-Omini-Trace",
+		Doc:  "obs.StartSpan spans are ended on all paths",
 		Run:  runSpanend,
 	}
 }
@@ -44,9 +34,6 @@ func runSpanend(pass *Pass) {
 				}
 				return true
 			})
-			if tracedClientPackages[lastSegment(pass.Path)] {
-				checkTraceStamp(pass, fd)
-			}
 		}
 	}
 }
@@ -174,36 +161,4 @@ func spanEndedIn(info *types.Info, n ast.Node, v types.Object) bool {
 		return true
 	})
 	return found
-}
-
-// checkTraceStamp requires a function that builds an outbound
-// *http.Request to also stamp the trace header, directly or through
-// a stamping helper.
-func checkTraceStamp(pass *Pass, fd *ast.FuncDecl) {
-	creates := false
-	stamps := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn, ok := calleeObject(pass.Info, call).(*types.Func); ok {
-			switch funcFactKey(fn) {
-			case "http.NewRequest", "http.NewRequestWithContext":
-				creates = true
-			default:
-				if pass.Facts.FuncStamps(fn) {
-					stamps = true
-				}
-			}
-		}
-		if stampsTraceHeader(pass.Info, call) {
-			stamps = true
-		}
-		return true
-	})
-	if creates && !stamps {
-		pass.Reportf(fd.Name.Pos(),
-			"%s builds an outbound request but never stamps the X-Omini-Trace header (directly or via a stamping helper)", funcKey(fd))
-	}
 }

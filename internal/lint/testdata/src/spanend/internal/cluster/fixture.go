@@ -1,19 +1,14 @@
-// Package cluster exercises spanend in a traced-client package: every
-// span from obs.StartSpan must reach End on all paths, and every
-// function that builds an outbound request must stamp the
-// X-Omini-Trace header, directly or via a stamping helper.
+// Package cluster exercises spanend: every span from obs.StartSpan
+// must reach End on all paths.
 package cluster
 
 import (
 	"context"
 
-	"fixture/internal/http"
 	"fixture/internal/obs"
 )
 
-type Coordinator struct {
-	client *http.Client
-}
+type Coordinator struct{}
 
 // The sanctioned shape: deferred End covers every path.
 func (c *Coordinator) goodDefer(ctx context.Context) error {
@@ -62,62 +57,6 @@ func (c *Coordinator) goodDeferClosure(ctx context.Context) {
 func (c *Coordinator) goodHandOff(ctx context.Context) (context.Context, *obs.Span) {
 	sctx, sp := obs.StartSpan(ctx, "cluster.handoff")
 	return sctx, sp
-}
-
-// An outbound request with a direct header stamp.
-func (c *Coordinator) goodStampDirect(ctx context.Context, base string) error {
-	sctx, sp := obs.StartSpan(ctx, "cluster.hop")
-	defer sp.End()
-	req, err := http.NewRequestWithContext(sctx, "GET", base, nil)
-	if err != nil {
-		return err
-	}
-	if sc := obs.SpanContextFrom(sctx); sc.Valid() {
-		req.Header.Set(obs.TraceHeader, sc.Header())
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	return nil
-}
-
-// An outbound request stamped through a helper the call-graph facts
-// classify as stamping.
-func (c *Coordinator) goodStampHelper(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", base, nil)
-	if err != nil {
-		return err
-	}
-	c.stamp(ctx, req.Header)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	return nil
-}
-
-func (c *Coordinator) stamp(ctx context.Context, h http.Header) {
-	if sc := obs.SpanContextFrom(ctx); sc.Valid() {
-		h.Set(obs.TraceHeader, sc.Header())
-	}
-}
-
-// An outbound request with no stamp at all: the hop's span cannot
-// parent to the peer's handler span.
-func (c *Coordinator) badNoStamp(ctx context.Context, base string) error { // want "never stamps the X-Omini-Trace header"
-	req, err := http.NewRequestWithContext(ctx, "GET", base, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	return nil
 }
 
 var errDown = error(nil)

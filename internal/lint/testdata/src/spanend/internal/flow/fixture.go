@@ -1,27 +1,12 @@
-// Package flow is not a traced-client package: the stamp rule does
-// not apply here, but span endings are still checked everywhere.
+// Package flow is outside the serving packages: span endings are
+// checked in every package.
 package flow
 
 import (
 	"context"
 
-	"fixture/internal/http"
 	"fixture/internal/obs"
 )
-
-// Building a request without a stamp is fine outside cluster/ruledist.
-func Probe(ctx context.Context, c *http.Client, url string) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	return nil
-}
 
 // Span endings are checked in every package.
 func badSpan(ctx context.Context, fail bool) error {

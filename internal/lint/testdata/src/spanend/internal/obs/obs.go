@@ -1,13 +1,9 @@
 // Package obs is a minimal stand-in for the real tracing registry so
 // the fixture packages type-check inside their own module. spanend
-// matches the package name, function names, and the TraceHeader
-// constant — not the import path.
+// matches the package name and function names, not the import path.
 package obs
 
 import "context"
-
-// TraceHeader mirrors the real header constant.
-const TraceHeader = "X-Omini-Trace"
 
 type Span struct{}
 
@@ -16,10 +12,3 @@ func (s *Span) End() {}
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ctx, &Span{}
 }
-
-type SpanContext struct{}
-
-func (sc SpanContext) Valid() bool    { return false }
-func (sc SpanContext) Header() string { return "" }
-
-func SpanContextFrom(ctx context.Context) SpanContext { return SpanContext{} }

@@ -277,6 +277,10 @@ type Span struct {
 	// start, read only when the recorder samples allocations.
 	allocs0, bytes0 uint64
 	ended           bool
+	// declined marks an untraced span of a request whose boundary
+	// decided not to sample it; children inherit it, and Inject
+	// forwards the decision.
+	declined bool
 }
 
 // StartSpan begins a span of the declared phase under ctx and returns a
@@ -301,6 +305,7 @@ func StartSpan(ctx context.Context, phase *Phase) (context.Context, *Span) {
 		sp.parent = parent.phase.name
 		sp.depth = parent.depth + 1
 		sp.parentID = parent.id
+		sp.declined = parent.declined
 	} else if sp.rec != nil {
 		sp.parentID = sp.rec.remote
 	}

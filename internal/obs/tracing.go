@@ -4,8 +4,7 @@ package obs
 // span IDs, a W3C-traceparent-style header codec for propagating them
 // across cluster hops, a cheap probabilistic head sampler, and a
 // bounded tail-sampling sink that always keeps errored and slowest-N
-// traces. The types are transport-agnostic; internal/serve and
-// internal/cluster wire them to HTTP.
+// traces. boundary.go carries them across HTTP.
 
 import (
 	"encoding/binary"
@@ -122,16 +121,19 @@ const headerLen = len("00-") + 32 + len("-") + 16 + len("-00")
 // allocation.
 func (sc SpanContext) Header() string {
 	var buf [headerLen]byte
-	b := append(buf[:0], "00-"...)
+	return string(sc.appendHeader(buf[:0]))
+}
+
+// appendHeader appends the context's TraceHeader value to b.
+func (sc SpanContext) appendHeader(b []byte) []byte {
+	b = append(b, "00-"...)
 	b = hex.AppendEncode(b, sc.TraceID[:])
 	b = append(b, '-')
 	b = hex.AppendEncode(b, sc.SpanID[:])
 	if sc.Sampled {
-		b = append(b, "-01"...)
-	} else {
-		b = append(b, "-00"...)
+		return append(b, "-01"...)
 	}
-	return string(b)
+	return append(b, "-00"...)
 }
 
 // ParseTraceHeader decodes a TraceHeader value. An empty string is not

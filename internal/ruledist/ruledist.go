@@ -82,7 +82,9 @@ type Config struct {
 	Stats *resilience.Stats
 	// Logger receives sync events; nil uses obs.DefaultLogger().
 	Logger *obs.Logger
-	// Client performs the peer HTTP calls; nil builds one.
+	// Client performs the peer HTTP calls; nil builds one. The
+	// replicator sends through a copy whose transport stamps the trace
+	// header.
 	Client *http.Client
 }
 
@@ -149,9 +151,9 @@ func New(cfg Config) (*Replicator, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.DefaultLogger()
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
+	// Digest and pull requests carry the sync round's trace decision
+	// through the trace boundary's transport.
+	cfg.Client = obs.TracingClient(cfg.Client)
 	if cfg.Breaker.Stats == nil {
 		cfg.Breaker.Stats = cfg.Stats
 	}
@@ -359,9 +361,6 @@ func (r *Replicator) fetchDigest(ctx context.Context, id, base string) (d digest
 		if etag := r.lastEtag(id); etag != "" {
 			req.Header.Set("If-None-Match", `"`+etag+`"`)
 		}
-		if sc := obs.SpanContextFrom(actx); sc.Valid() {
-			req.Header.Set(obs.TraceHeader, sc.Header())
-		}
 		resp, rerr := r.client.Do(req)
 		if rerr != nil {
 			return fmt.Errorf("ruledist: digest %s: %w", id, rerr)
@@ -410,9 +409,6 @@ func (r *Replicator) pull(ctx context.Context, id, base string, sites []string) 
 		req, rerr := http.NewRequestWithContext(actx, http.MethodGet, base+"/rulesz?"+q.Encode(), nil)
 		if rerr != nil {
 			return resilience.Permanent(fmt.Errorf("ruledist: pull %s: %w", id, rerr))
-		}
-		if sc := obs.SpanContextFrom(actx); sc.Valid() {
-			req.Header.Set(obs.TraceHeader, sc.Header())
 		}
 		resp, rerr := r.client.Do(req)
 		if rerr != nil {

@@ -267,7 +267,7 @@ func New(cfg Config) *Server {
 	root.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	root.Handle("/", s.withLimit(s.withTimeout(api)))
 
-	s.handler = s.withRecovery(s.withObs(root))
+	s.handler = s.withObs(s.withRecovery(root))
 	return s
 }
 
@@ -403,29 +403,6 @@ func (ri *reqInfo) fail(msg string) {
 	ri.mu.Unlock()
 }
 
-// statusWriter captures the response status for metrics and the access log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// Unwrap exposes the connection's writer to http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
 // requestLatency buckets request-latency series by endpoint, keeping label
 // cardinality bounded regardless of what paths clients probe.
 func requestLatency(path string) *obs.Latency {
@@ -474,12 +451,14 @@ func traceable(r *http.Request) bool {
 // request, counts it, and emits one structured access-log line carrying
 // the handler's decision summary.
 //
-// It is also the tracing middleware: a sampled request gets a trace
-// recorder and a "handler" root span in its context (continuing the
-// X-Omini-Trace header's trace when a coordinator forwarded one), the
-// trace ID is echoed in the response's X-Omini-Trace header and stamped
-// into the log line and the latency histogram's exemplar, and the
-// finished span tree is recorded into the tail-sampling sink.
+// It is also the request's trace boundary (obs.Enter): an extraction
+// request, or one whose X-Omini-Trace header says sampled, gets a
+// "handler" root span; a sampled one also gets a trace recorder, its
+// trace ID echoed in the response's X-Omini-Trace header and stamped
+// into the log line and the latency histogram's exemplar, and its
+// finished span tree recorded into the tail-sampling sink. Recovery
+// runs inside it, so a panicked request is counted, logged and traced
+// as the 500 it answers.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -489,112 +468,69 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		ctx := obs.WithRegistry(r.Context(), s.stats)
 		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-
-		// An inbound header carries the upstream hop's sampling decision
-		// for the whole request; without one, local requests to the
-		// extraction endpoints decide here (?trace=1 always traces).
-		sc, scErr := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		var sampled bool
-		if scErr == nil && sc.Valid() {
-			sampled = sc.Sampled
-		} else if ri.query != nil {
-			sampled = wantTrace(ri.query) || s.sampler.Sample()
-		}
-		var rec *obs.TraceRecorder
-		var root *obs.Span
-		if sampled {
-			// Allocation sampling stays off on the serving path; wall
-			// times and span structure are the useful parts under traffic.
-			ctx, rec = obs.StartTrace(ctx, sc, false)
-			ctx, root = obs.StartSpan(ctx, phaseHandler)
-			traceSampled.Add(s.stats, 1)
-			// Set before the handler writes: the header doubles as the
-			// trace-ID channel for the recovery middleware, which sits
-			// outside this one and cannot see the request context.
-			w.Header().Set(obs.TraceHeader, root.Context().Header())
-		}
-
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-
-		elapsed := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		requests.Add(s.stats, 1)
-		if status >= 500 {
-			errors5xx.Add(s.stats, 1)
-		}
-		if rec != nil {
-			root.End()
-			requestLatency(r.URL.Path).ObserveExemplar(s.stats, elapsed.Seconds(), rec.TraceID())
-			s.recordTrace(rec, r, ri, status, elapsed)
-		} else {
-			requestLatency(r.URL.Path).Observe(s.stats, elapsed.Seconds())
-		}
-
-		// Sized for every field below, so the line's pairs never regrow.
-		kv := make([]any, 0, 24)
-		kv = append(kv,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", status,
-			"durMs", float64(elapsed.Microseconds())/1000,
-		)
-		if rec != nil {
-			kv = append(kv, "trace", rec.TraceID())
-		}
-		ri.mu.Lock()
-		if ri.filled {
-			kv = append(kv,
-				"site", ri.site,
-				"subtree", ri.subtree,
-				"separator", ri.separator,
-				"objects", ri.objects,
-				"fromRule", ri.fromRule,
-				"confidence", ri.confidence,
-			)
-		}
-		if ri.errMsg != "" {
-			kv = append(kv, "err", ri.errMsg)
-		}
-		ri.mu.Unlock()
-		if operational(r.URL.Path) {
-			s.log.Debug("request", kv...)
-		} else {
-			s.log.Info("request", kv...)
-		}
+		ctx, b := obs.Enter(ctx, w, r.Header, ri.query, phaseHandler, s.sampler)
+		defer s.finish(b, r, ri, start)
+		next.ServeHTTP(b, r.WithContext(ctx))
 	})
 }
 
-// recordTrace folds one finished traced request into the tail-sampling
-// sink behind /tracez. It runs after the root span has ended and takes
-// the recorder's spans, attributes and charges without copying them.
-func (s *Server) recordTrace(rec *obs.TraceRecorder, r *http.Request, ri *reqInfo, status int, elapsed time.Duration) {
-	spans, attrs, charges := rec.Finish()
-	t := &obs.TraceData{
-		TraceSummary: obs.TraceSummary{
-			TraceID:    rec.TraceID(),
-			Op:         r.URL.Path,
-			Path:       attrs["path"],
-			Status:     status,
-			StartedAt:  rec.Start(),
-			DurationNS: elapsed.Nanoseconds(),
-			SpanCount:  len(spans),
-		},
-		Attrs:   attrs,
-		Charges: charges,
-		Spans:   spans,
+// finish closes one request's trace boundary: it counts the request,
+// observes its latency (with the trace as exemplar), records its trace
+// into the tail-sampling sink, and writes its access-log line.
+func (s *Server) finish(b *obs.Boundary, r *http.Request, ri *reqInfo, start time.Time) {
+	t := b.End()
+	elapsed := time.Since(start)
+	status := b.Status()
+	requests.Add(s.stats, 1)
+	if status >= 500 {
+		errors5xx.Add(s.stats, 1)
+	}
+	tid := b.TraceID()
+	requestLatency(r.URL.Path).ObserveExemplar(s.stats, elapsed.Seconds(), tid)
+	if t != nil {
+		traceSampled.Add(s.stats, 1)
+		t.Op = r.URL.Path
+		t.Path = t.Attrs["path"]
+		ri.mu.Lock()
+		t.Site = ri.site
+		t.Error = ri.errMsg
+		ri.mu.Unlock()
+		if evicted := s.traces.Record(t); evicted > 0 {
+			traceEvicted.Add(s.stats, int64(evicted))
+		}
+		traceStored.Add(s.stats, 1)
+	}
+
+	// Sized for every field below, so the line's pairs never regrow.
+	kv := make([]any, 0, 24)
+	kv = append(kv,
+		"method", r.Method,
+		"path", r.URL.Path,
+		"status", status,
+		"durMs", float64(elapsed.Microseconds())/1000,
+	)
+	if !tid.IsZero() {
+		kv = append(kv, "trace", tid)
 	}
 	ri.mu.Lock()
-	t.Site = ri.site
-	t.Error = ri.errMsg
+	if ri.filled {
+		kv = append(kv,
+			"site", ri.site,
+			"subtree", ri.subtree,
+			"separator", ri.separator,
+			"objects", ri.objects,
+			"fromRule", ri.fromRule,
+			"confidence", ri.confidence,
+		)
+	}
+	if ri.errMsg != "" {
+		kv = append(kv, "err", ri.errMsg)
+	}
 	ri.mu.Unlock()
-	evicted := s.traces.Record(t)
-	traceStored.Add(s.stats, 1)
-	if evicted > 0 {
-		traceEvicted.Add(s.stats, int64(evicted))
+	if operational(r.URL.Path) {
+		s.log.Debug("request", kv...)
+	} else {
+		s.log.Info("request", kv...)
 	}
 }
 
@@ -613,22 +549,18 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				panic(rec)
 			}
 			panics.Add(s.stats, 1)
-			// Recovery sits outside the tracing middleware; the request
-			// context is gone, but withObs echoed the trace identity into
-			// the response header before the handler ran.
-			var tid obs.TraceID
-			var tidText string
-			if sc, err := obs.ParseTraceHeader(w.Header().Get(obs.TraceHeader)); err == nil && sc.Valid() {
-				tid, tidText = sc.TraceID, sc.TraceID.String()
+			trace := ""
+			if tid := obs.TraceIDFrom(r.Context()); !tid.IsZero() {
+				trace = tid.String()
 			}
 			s.log.Error("recovered panic",
 				"method", r.Method,
 				"path", r.URL.Path,
-				"trace", tidText,
+				"trace", trace,
 				"panic", fmt.Sprint(rec),
 				"stack", string(debug.Stack()),
 			)
-			writeErrorID(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec), tid)
+			writeError(r.Context(), w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec))
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -672,9 +604,9 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeoutCause(r.Context(), s.cfg.RequestTimeout, errRequestTimeout)
 		defer cancel()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		if sw.status == 0 && timedOut(ctx) {
+		if !sw.Wrote() && timedOut(ctx) {
 			writeTimeout(ctx, sw)
 		}
 	})
@@ -725,16 +657,6 @@ type objectDTO struct {
 	Size  int    `json:"sizeBytes"`
 }
 
-// wantTrace reports whether the request's query opted into an inline
-// decision trace.
-func wantTrace(q url.Values) bool {
-	switch q.Get("trace") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	q := infoFrom(r.Context()).query
 	html, site, ok := s.readPage(w, r, q)
@@ -761,7 +683,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		Confidence:  res.Confidence(),
 		FromRule:    fromRule,
 	}
-	if wantTrace(q) {
+	if obs.WantTrace(q) {
 		// The inline trace ships only on request; sampled requests that
 		// did not ask still reach /tracez by trace ID.
 		resp.Trace = res.Trace
@@ -1053,15 +975,9 @@ type errorResponse struct {
 // request's log summary.
 func writeError(ctx context.Context, w http.ResponseWriter, status int, msg string) {
 	infoFrom(ctx).fail(msg)
-	writeErrorID(w, status, msg, obs.TraceIDFrom(ctx))
-}
-
-// writeErrorID is writeError with an explicit trace ID, for callers —
-// the recovery middleware — that no longer hold the traced context.
-func writeErrorID(w http.ResponseWriter, status int, msg string, traceID obs.TraceID) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg, Status: status, TraceID: traceID})
+	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg, Status: status, TraceID: obs.TraceIDFrom(ctx)})
 }
 
 // httpError maps extraction failures to status codes. A deadline

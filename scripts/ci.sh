@@ -251,6 +251,21 @@ if [ "$FARM_SMOKE" != "0" ]; then
         exit 1
     }
     echo "    tracez: fast + slow path traces present, $tid has a span tree"
+    # The trace boundary end to end: the X-Omini-Trace header a client
+    # gets back names a trace that /tracez serves with its handler root.
+    first_page=$(ls "$tmpdir/corpus"/*/*.html | head -n 1)
+    first_site=$(basename "$(dirname "$first_page")")
+    hdr_tid=$(curl -si --data-binary @"$first_page" "http://$addr/extract?site=$first_site" |
+        tr -d '\r' | sed -n 's/^[Xx]-[Oo]mini-[Tt]race: 00-\([0-9a-f]\{32\}\)-[0-9a-f]\{16\}-01$/\1/p')
+    if [ -z "$hdr_tid" ]; then
+        echo "/extract response carries no sampled X-Omini-Trace header" >&2
+        exit 1
+    fi
+    curl -sf "http://$addr/tracez?id=$hdr_tid" | grep -q '"name":"handler"' || {
+        echo "/tracez?id=$hdr_tid (from the response header) lacks the handler root span" >&2
+        exit 1
+    }
+    echo "    boundary: response header trace $hdr_tid served by /tracez"
     kill "$srv_pid"
     wait "$srv_pid" 2>/dev/null || true
     grep -q '"version": 2' "$tmpdir/rules.json" || {
