@@ -49,7 +49,7 @@ func benchSubtreeOf(b *testing.B, html string) *tagtree.Node {
 // benchTokens lexes html, outside the timed loop.
 func benchTokens(b *testing.B, html string) []htmlparse.Token {
 	b.Helper()
-	toks, err := htmlparse.Tokenize(html, nil)
+	toks, err := htmlparse.Tokenize(nil, html, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func benchTokens(b *testing.B, html string) []htmlparse.Token {
 func BenchmarkTokenize(b *testing.B) {
 	forEachBenchPage(b, func(b *testing.B, html string) {
 		for i := 0; i < b.N; i++ {
-			if toks, err := htmlparse.Tokenize(html, nil); err != nil || len(toks) == 0 {
+			if toks, err := htmlparse.Tokenize(nil, html, nil); err != nil || len(toks) == 0 {
 				b.Fatalf("no tokens: %v", err)
 			}
 		}
@@ -74,7 +74,7 @@ func BenchmarkTidy(b *testing.B) {
 		raw := benchTokens(b, html)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if toks, err := tidy.NormalizeTokens(raw, nil); err != nil || len(toks) == 0 {
+			if toks, err := tidy.NormalizeTokens(nil, raw, nil); err != nil || len(toks) == 0 {
 				b.Fatalf("no tokens: %v", err)
 			}
 		}
@@ -85,7 +85,7 @@ func BenchmarkTidy(b *testing.B) {
 // token stream — the tree-build phase in isolation.
 func BenchmarkBuildTree(b *testing.B) {
 	forEachBenchPage(b, func(b *testing.B, html string) {
-		toks, err := tidy.NormalizeTokens(benchTokens(b, html), nil)
+		toks, err := tidy.NormalizeTokens(nil, benchTokens(b, html), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

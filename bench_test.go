@@ -324,8 +324,8 @@ func BenchmarkAblationNormalization(b *testing.B) {
 	b.Run("normalized", func(b *testing.B) {
 		b.SetBytes(int64(len(html)))
 		for i := 0; i < b.N; i++ {
-			toks, _ := htmlparse.Tokenize(html, nil)
-			tidy.NormalizeTokens(toks, nil)
+			toks, _ := htmlparse.Tokenize(nil, html, nil)
+			tidy.NormalizeTokens(nil, toks, nil)
 		}
 	})
 	b.Run("public-api", func(b *testing.B) {

@@ -8,16 +8,18 @@
 // Every phase runs under an obs span (Phases: tokenize → tidy → build →
 // subtree → separator → extract), so extractions feed per-phase latency
 // histograms in the context's metrics registry; those are the measurements
-// behind the Table 16/17 experiments. Attach an obs.TraceRecorder to the
-// context and the result additionally carries a full decision trace —
-// which subtrees ranked where, how each separator heuristic voted, and
-// what the combination concluded.
+// behind the Table 16/17 experiments. Attach an obs.TraceRecorder that
+// wants decisions (obs.WithTraceRecorder) to the context and the result
+// additionally carries a full decision trace — which subtrees ranked
+// where, how each separator heuristic voted, and what the combination
+// concluded.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"omini/internal/combine"
@@ -96,18 +98,6 @@ func New(opts Options) *Extractor {
 	return &Extractor{opts: opts}
 }
 
-// governed derives the per-page context and guard from the extractor's
-// limits. The returned cancel releases the deadline timer and must be
-// called when the extraction finishes.
-func (e *Extractor) governed(ctx context.Context) (context.Context, context.CancelFunc, *govern.Guard) {
-	lim := e.opts.Limits
-	cancel := func() {}
-	if lim.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, lim.Deadline)
-	}
-	return ctx, cancel, govern.NewGuard(ctx, lim)
-}
-
 // countFailure records a failed extraction: always core.errors, plus a
 // per-cause counter — one series per limit kind, one for deadline
 // expiry, one for caller cancellation — so /metricsz distinguishes
@@ -141,7 +131,8 @@ type Result struct {
 	// Tree is the page's tag tree (for callers that inspect structure).
 	Tree *tagtree.Node
 	// Trace is the decision trace of this extraction, present only when
-	// the extraction ran under a context carrying an obs.TraceRecorder.
+	// the extraction ran under a context carrying an obs.TraceRecorder
+	// that wants decisions (TraceRecorder.WantsDecisions).
 	Trace *obs.DecisionTrace
 }
 
@@ -167,8 +158,8 @@ func (e *Extractor) Extract(html string) (*Result, error) {
 func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, error) {
 	reg := obs.RegistryFrom(ctx)
 	extractions.Add(reg, 1)
-	ctx, cancel, g := e.governed(ctx)
-	defer cancel()
+	// The guard owns the page deadline (Limits.Deadline).
+	g := govern.NewGuard(ctx, e.opts.Limits)
 	rec := obs.TraceRecorderFrom(ctx)
 	if rec != nil {
 		// Failed extractions carry their charges too: the deferred write
@@ -182,7 +173,7 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	}
 	res := &Result{Tree: root}
 
-	_, sp := obs.StartSpan(ctx, phaseSubtree)
+	sp := obs.StartLeaf(ctx, phaseSubtree)
 	ranked, err := e.opts.Subtree.Rank(root, g)
 	sp.End()
 	if err != nil {
@@ -198,7 +189,7 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	// The paper times "Object Separator" (running the heuristics) apart
 	// from "Combine Heuristics" (merging the rankings); here both happen
 	// inside combine.Combine, so the separator span covers both.
-	_, sp = obs.StartSpan(ctx, phaseSeparator)
+	sp = obs.StartLeaf(ctx, phaseSeparator)
 	cands, lists, err := combine.Combine(sub, e.opts.Separators, e.opts.Probs, g)
 	sp.End()
 	if err != nil {
@@ -218,7 +209,9 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	}
 	if rec != nil {
 		recordCharges(rec, g)
-		res.Trace = buildTrace(res, ranked, lists, rec)
+		if rec.WantsDecisions() {
+			res.Trace = buildTrace(res, ranked, lists, rec)
+		}
 	}
 	return res, nil
 }
@@ -238,8 +231,7 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 		ruleMismatches.Add(reg, 1)
 		return nil, fmt.Errorf("%w: rule is incomplete", ErrRuleMismatch)
 	}
-	ctx, cancel, g := e.governed(ctx)
-	defer cancel()
+	g := govern.NewGuard(ctx, e.opts.Limits)
 	rec := obs.TraceRecorderFrom(ctx)
 	if rec != nil {
 		defer recordCharges(rec, g)
@@ -251,7 +243,7 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	}
 	res := &Result{Tree: root}
 
-	_, sp := obs.StartSpan(ctx, phaseSubtree)
+	sp := obs.StartLeaf(ctx, phaseSubtree)
 	sub := tagtree.FindPath(root, rule.SubtreePath)
 	sp.End()
 	if sub == nil {
@@ -271,8 +263,10 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	}
 	if rec != nil {
 		recordCharges(rec, g)
-		res.Trace = buildTrace(res, nil, nil, rec)
-		res.Trace.FromRule = true
+		if rec.WantsDecisions() {
+			res.Trace = buildTrace(res, nil, nil, rec)
+			res.Trace.FromRule = true
+		}
 	}
 	return res, nil
 }
@@ -280,40 +274,81 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 // parse runs Phase 1 — lexing, syntactic normalization, tag tree
 // construction — as three observable spans. Splitting tokenize from tidy
 // costs one transient raw-token slice relative to a fused lex→tidy stream;
-// the per-phase visibility is the point (DESIGN.md §9). Each phase runs
-// under the page's guard, so an input past MaxInputBytes, a token-budget
-// blowout, or an over-deep/over-large tree surfaces here as a typed govern
-// error.
+// the per-phase visibility is the point (DESIGN.md §9). Both token
+// slices live only until the tree is built, so their backing arrays come
+// from a pool (phase1Bufs). Each phase runs under the page's guard, so
+// an input past MaxInputBytes, a token-budget blowout, or an
+// over-deep/over-large tree surfaces here as a typed govern error.
 func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*tagtree.Node, error) {
-	_, sp := obs.StartSpan(ctx, phaseTokenize)
-	toks, err := htmlparse.Tokenize(html, g)
+	bufs := phase1Pool.Get().(*phase1Bufs)
+	sp := obs.StartLeaf(ctx, phaseTokenize)
+	toks, err := htmlparse.Tokenize(bufs.raw, html, g)
 	sp.End()
 	if err != nil {
+		// A failed page leaves its buffers to the collector.
 		return nil, fmt.Errorf("core: tokenize: %w", err)
 	}
+	bufs.raw = toks
 	if !e.opts.SkipNormalize {
-		_, sp = obs.StartSpan(ctx, phaseTidy)
-		toks, err = tidy.NormalizeTokens(toks, g)
+		sp = obs.StartLeaf(ctx, phaseTidy)
+		toks, err = tidy.NormalizeTokens(bufs.norm, toks, g)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: tidy: %w", err)
 		}
+		bufs.norm = toks
 	}
 	// With SkipNormalize the raw stream is unbalanced; Build recovers what
 	// it can.
-	_, sp = obs.StartSpan(ctx, phaseBuild)
+	sp = obs.StartLeaf(ctx, phaseBuild)
 	root, err := tagtree.Build(toks, g)
 	sp.End()
+	bufs.release()
 	if err != nil {
 		return nil, fmt.Errorf("core: parse: %w", err)
 	}
 	return root, nil
 }
 
+// phase1Bufs holds the backing arrays of Phase 1's two token slices,
+// raw (the lexer's output) and norm (tidy's), reused across pages.
+// Reuse is safe by construction: tagtree.Build copies each token's
+// Data and Attrs headers into its nodes, and those point into the page
+// string and the lexer's attribute arena, neither of which is pooled.
+// Nothing holds a token slice once Build has returned.
+type phase1Bufs struct {
+	raw, norm []htmlparse.Token
+}
+
+// maxPooledTokens caps the capacity a token array may have and still
+// go back to the pool, so one pathological page does not pin its
+// arrays for the process's lifetime. It holds the tokens of a page of
+// several hundred KB.
+const maxPooledTokens = 1 << 15
+
+var phase1Pool = sync.Pool{New: func() any { return new(phase1Bufs) }}
+
+// release clears both slices — dropping their references to the page,
+// and poisoning any token a stale reference would still read — and
+// returns them, emptied, to the pool. An array past maxPooledTokens is
+// dropped instead.
+func (b *phase1Bufs) release() {
+	clear(b.raw)
+	clear(b.norm)
+	b.raw, b.norm = b.raw[:0], b.norm[:0]
+	if cap(b.raw) > maxPooledTokens {
+		b.raw = nil
+	}
+	if cap(b.norm) > maxPooledTokens {
+		b.norm = nil
+	}
+	phase1Pool.Put(b)
+}
+
 // construct runs Phase 3: object construction, then refinement unless
 // disabled.
 func (e *Extractor) construct(ctx context.Context, sub *tagtree.Node, res *Result, g *govern.Guard) error {
-	_, sp := obs.StartSpan(ctx, phaseExtract)
+	sp := obs.StartLeaf(ctx, phaseExtract)
 	defer sp.End()
 	raw, err := extract.Construct(sub, res.Separator, g)
 	if err != nil {

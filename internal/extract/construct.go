@@ -20,32 +20,37 @@ type Object struct {
 	Nodes []*tagtree.Node
 }
 
-// Text returns the object's visible text: each top-level node's content
-// text, trimmed, with empty parts skipped and the rest joined by single
-// spaces. The content nodes are streamed into one buffer sized from the
-// object's content size.
+// Text returns the object's visible text, as AppendText renders it.
 func (o Object) Text() string {
-	buf := make([]byte, 0, o.Size()+len(o.Nodes))
+	return string(o.AppendText(make([]byte, 0, o.Size()+len(o.Nodes))))
+}
+
+// AppendText appends the object's visible text to dst and returns the
+// extended buffer: each top-level node's content text, trimmed, with
+// empty parts skipped and the rest joined by single spaces. The content
+// nodes are streamed straight into dst.
+func (o Object) AppendText(dst []byte) []byte {
+	base := len(dst)
 	for _, n := range o.Nodes {
-		mark := len(buf)
-		if mark > 0 {
-			buf = append(buf, ' ')
+		mark := len(dst)
+		if mark > base {
+			dst = append(dst, ' ')
 		}
-		start := len(buf)
+		start := len(dst)
 		n.Walk(func(v *tagtree.Node) bool {
 			if v.IsContent() {
-				buf = append(buf, v.Text...)
+				dst = append(dst, v.Text...)
 			}
 			return true
 		})
-		part := bytes.TrimSpace(buf[start:])
+		part := bytes.TrimSpace(dst[start:])
 		if len(part) == 0 {
-			buf = buf[:mark]
+			dst = dst[:mark]
 			continue
 		}
-		buf = buf[:start+copy(buf[start:], part)]
+		dst = dst[:start+copy(dst[start:], part)]
 	}
-	return string(buf)
+	return dst
 }
 
 // Size returns the content size of the object in bytes.

@@ -10,7 +10,8 @@
 // phase threads a *Guard through its hot loop and charges the work it
 // does; when a budget is exceeded the phase returns a typed
 // ErrLimitExceeded, and when the page's context expires it returns
-// ErrDeadline (or the raw cancellation error). Both wrap cleanly, so
+// ErrDeadline (or the raw cancellation error); the guard itself owns
+// the page deadline, so a page costs no timer. Both wrap cleanly, so
 // callers dispatch with errors.As / errors.Is.
 //
 // The package is a leaf: it imports only the standard library and is
@@ -44,9 +45,9 @@ type Limits struct {
 	MaxTreeDepth int
 	// MaxObjects caps the number of objects constructed in Phase 3.
 	MaxObjects int
-	// Deadline is the per-page wall-clock budget. The core layer
-	// derives a context.WithTimeout from it; the guard surfaces the
-	// expiry as ErrDeadline.
+	// Deadline is the per-page wall-clock budget, counted from
+	// NewGuard. The guard checks it at its context polls and surfaces
+	// the expiry as ErrDeadline, like a context deadline's.
 	Deadline time.Duration
 }
 
@@ -144,6 +145,9 @@ var ErrDeadline = errors.New("govern: page deadline exceeded")
 type Guard struct {
 	ctx context.Context
 	lim Limits
+	// deadline is when the page's Limits.Deadline runs out; zero when
+	// the page has none.
+	deadline time.Time
 
 	tokens  int
 	nodes   int
@@ -157,10 +161,16 @@ type Guard struct {
 // work on any realistic page.
 const pollEvery = 1024
 
-// NewGuard returns a Guard enforcing lim for work done under ctx.
-// The caller owns deriving the deadline context from Limits.Deadline.
+// NewGuard returns a Guard enforcing lim for work done under ctx. A
+// positive lim.Deadline starts the page's clock now: the guard's polls
+// fail with ErrDeadline once it has run out, as they do when ctx's own
+// deadline passes, so the page needs no context or timer of its own.
 func NewGuard(ctx context.Context, lim Limits) *Guard {
-	return &Guard{ctx: ctx, lim: lim}
+	g := &Guard{ctx: ctx, lim: lim}
+	if lim.Deadline > 0 {
+		g.deadline = time.Now().Add(lim.Deadline)
+	}
+	return g
 }
 
 // Input checks the raw input size n against MaxInputBytes.
@@ -267,18 +277,25 @@ func (g *Guard) step(n int) error {
 	return g.Check()
 }
 
-// Check polls the context immediately, mapping expiry to ErrDeadline
-// so callers can tell "the page ran out of time" from "the batch was
-// cancelled": cancellation surfaces as the raw context error.
+// Check polls the context and the page deadline immediately, mapping
+// expiry of either to ErrDeadline so callers can tell "the page ran
+// out of time" from "the batch was cancelled": cancellation surfaces
+// as the raw context error. The context is polled first, so a caller's
+// own deadline keeps its cause when both have passed.
 func (g *Guard) Check() error {
-	if g == nil || g.ctx == nil {
+	if g == nil {
 		return nil
 	}
-	if err := g.ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("%w: %w", ErrDeadline, err)
+	if g.ctx != nil {
+		if err := g.ctx.Err(); err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("%w: %w", ErrDeadline, err)
+			}
+			return err
 		}
-		return err
+	}
+	if !g.deadline.IsZero() && !time.Now().Before(g.deadline) {
+		return fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded)
 	}
 	return nil
 }

@@ -152,3 +152,37 @@ func TestNodesLeft(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardOwnsPageDeadline: Limits.Deadline runs from NewGuard, with
+// no context deadline behind it. Its expiry fails the next poll as a
+// context deadline does — ErrDeadline wrapping DeadlineExceeded — and
+// a cancelled context still surfaces raw even once the page deadline
+// has passed. A guard without a deadline never expires.
+func TestGuardOwnsPageDeadline(t *testing.T) {
+	g := NewGuard(context.Background(), Limits{Deadline: time.Millisecond})
+	if err := g.Check(); err != nil {
+		t.Fatalf("fresh guard: %v", err)
+	}
+	time.Sleep(2 * time.Millisecond)
+	var err error
+	for i := 0; i < 2*pollEvery && err == nil; i++ {
+		err = g.Poll()
+	}
+	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("poll past the page deadline: got %v, want ErrDeadline wrapping context.DeadlineExceeded", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	g = NewGuard(ctx, Limits{Deadline: time.Nanosecond})
+	cancel()
+	time.Sleep(time.Millisecond)
+	if err := g.Check(); !errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadline) {
+		t.Fatalf("cancelled past the page deadline: got %v, want bare context.Canceled", err)
+	}
+
+	for _, lim := range []Limits{{}, Unlimited()} {
+		if err := NewGuard(context.Background(), lim).Check(); err != nil {
+			t.Errorf("no page deadline (%v): %v", lim.Deadline, err)
+		}
+	}
+}

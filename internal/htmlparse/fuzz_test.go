@@ -66,9 +66,9 @@ func addFuzzSeeds(f *testing.F) {
 func FuzzTokenize(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := htmlparse.Tokenize(src, nil)
+		toks, err := htmlparse.Tokenize(nil, src, nil)
 		if err != nil {
-			t.Fatalf("Tokenize(%q, nil): %v", src, err)
+			t.Fatalf("Tokenize(nil, %q, nil): %v", src, err)
 		}
 		prev := 0
 		for i := range toks {
@@ -96,7 +96,7 @@ func FuzzTokenize(f *testing.F) {
 				}
 			}
 		}
-		if again, _ := htmlparse.Tokenize(src, nil); !reflect.DeepEqual(toks, again) {
+		if again, _ := htmlparse.Tokenize(nil, src, nil); !reflect.DeepEqual(toks, again) {
 			t.Fatalf("tokenizing is not deterministic for %q", src)
 		}
 	})

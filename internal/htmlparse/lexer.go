@@ -1,6 +1,7 @@
 package htmlparse
 
 import (
+	"slices"
 	"strings"
 
 	"omini/internal/govern"
@@ -42,17 +43,21 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src}
 }
 
-// Tokenize lexes the whole of src under a resource guard: the input size
-// is checked up front and every produced token is charged against the
-// guard's token budget (which also polls the page context). A nil guard
-// means unlimited, and then Tokenize never fails.
-func Tokenize(src string, g *govern.Guard) ([]Token, error) {
+// Tokenize lexes the whole of src under a resource guard, appending the
+// tokens to dst (nil for a fresh slice) and returning the extended
+// slice: the input size is checked up front and every produced token
+// is charged against the guard's token budget (which also polls the
+// page context). A nil guard means unlimited, and then Tokenize never
+// fails. The tokens reference src and the lexer's own attribute arena,
+// never dst's backing array, so a caller may reuse that array once it
+// is done with the tokens.
+func Tokenize(dst []Token, src string, g *govern.Guard) ([]Token, error) {
 	if err := g.Input(len(src)); err != nil {
 		return nil, err
 	}
 	lx := NewLexer(src)
 	// A typical page has roughly one token per 20 bytes.
-	toks := make([]Token, 0, len(src)/20+8)
+	toks := slices.Grow(dst, len(src)/20+8)
 	for {
 		tok, ok := lx.Next()
 		if !ok {

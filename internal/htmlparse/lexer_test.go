@@ -11,9 +11,9 @@ import (
 // guard must never produce.
 func tokenize(t testing.TB, src string) []Token {
 	t.Helper()
-	toks, err := Tokenize(src, nil)
+	toks, err := Tokenize(nil, src, nil)
 	if err != nil {
-		t.Fatalf("Tokenize(%q, nil): %v", src, err)
+		t.Fatalf("Tokenize(nil, %q, nil): %v", src, err)
 	}
 	return toks
 }

@@ -10,7 +10,7 @@ var governloopBaseline = map[string]bool{
 	"combine.CombineLists":          true,
 	"combine.NewCombination":        true,
 	"extract.Object.Size":           true,
-	"extract.Object.Text":           true,
+	"extract.Object.AppendText":     true,
 	"extract.Refine":                true,
 	"htmlparse.EscapeAttr":          true,
 	"htmlparse.EscapeText":          true,

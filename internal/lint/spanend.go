@@ -1,9 +1,9 @@
 package lint
 
 // spanend keeps tracing complete: every span returned by
-// obs.StartSpan reaches End() on all control-flow paths — an unended
-// span never lands in its trace recorder, so the request's trace
-// silently loses a phase. Trace propagation needs no check: peer
+// obs.StartSpan, or by its leaf form obs.StartLeaf, reaches End() on
+// all control-flow paths — an unended span never lands in its trace
+// recorder, so the request's trace silently loses a phase. Trace propagation needs no check: peer
 // clients stamp the X-Omini-Trace header in obs.Transport, so no
 // outbound request can skip it.
 
@@ -15,7 +15,7 @@ import (
 func newSpanend() *Analyzer {
 	return &Analyzer{
 		Name: "spanend",
-		Doc:  "obs.StartSpan spans are ended on all paths",
+		Doc:  "obs.StartSpan and obs.StartLeaf spans are ended on all paths",
 		Run:  runSpanend,
 	}
 }
@@ -38,26 +38,19 @@ func runSpanend(pass *Pass) {
 	}
 }
 
-// checkSpanEnds verifies every `ctx, sp := obs.StartSpan(…)` in one
-// function body ends sp on all paths to exit.
+// checkSpanEnds verifies every `ctx, sp := obs.StartSpan(…)` and
+// every `sp := obs.StartLeaf(…)` in one function body ends sp on all
+// paths to exit.
 func checkSpanEnds(pass *Pass, body *ast.BlockStmt) {
 	cfg := pass.FuncCFG(body)
 	for _, b := range cfg.Blocks {
 		for i, n := range b.Stmts {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
+			id, start := spanStart(pass, n)
+			if start == "" {
 				continue
 			}
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok || !isPkgFunc(pass.Info, call, "obs", "StartSpan") {
-				continue
-			}
-			id, ok := as.Lhs[1].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if id.Name == "_" {
-				pass.Reportf(as.Pos(), "span from obs.StartSpan is discarded and never ended")
+			if id == nil || id.Name == "_" {
+				pass.Reportf(n.Pos(), "span from obs.%s is discarded and never ended", start)
 				continue
 			}
 			sp := pass.Info.Defs[id]
@@ -71,10 +64,46 @@ func checkSpanEnds(pass *Pass, body *ast.BlockStmt) {
 				return endsOrHandsOffSpan(pass, m, sp)
 			}, nil)
 			if escaped {
-				pass.Reportf(as.Pos(), "span %s from obs.StartSpan does not reach End on every path", id.Name)
+				pass.Reportf(n.Pos(), "span %s from obs.%s does not reach End on every path", id.Name, start)
 			}
 		}
 	}
+}
+
+// spanStart matches a statement that starts a span: the span's
+// assigned identifier (nil when the statement discards the result
+// outright) and the starting function's name, "" when n starts none.
+func spanStart(pass *Pass, n ast.Node) (*ast.Ident, string) {
+	if es, ok := n.(*ast.ExprStmt); ok {
+		if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok && isPkgFunc(pass.Info, call, "obs", "StartLeaf") {
+			return nil, "StartLeaf"
+		}
+		return nil, ""
+	}
+	as, ok := n.(*ast.AssignStmt)
+	if !ok || len(as.Rhs) != 1 {
+		return nil, ""
+	}
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return nil, ""
+	}
+	var lhs ast.Expr
+	var start string
+	switch {
+	case len(as.Lhs) == 2 && isPkgFunc(pass.Info, call, "obs", "StartSpan"):
+		lhs, start = as.Lhs[1], "StartSpan"
+	case len(as.Lhs) == 1 && isPkgFunc(pass.Info, call, "obs", "StartLeaf"):
+		lhs, start = as.Lhs[0], "StartLeaf"
+	default:
+		return nil, ""
+	}
+	id, ok := lhs.(*ast.Ident)
+	if !ok {
+		// A span stored into a field or element is handed off.
+		return nil, ""
+	}
+	return id, start
 }
 
 // endsOrHandsOffSpan reports whether node n discharges the End

@@ -1,5 +1,5 @@
-// Package cluster exercises spanend: every span from obs.StartSpan
-// must reach End on all paths.
+// Package cluster exercises spanend: every span from obs.StartSpan or
+// obs.StartLeaf must reach End on all paths.
 package cluster
 
 import (
@@ -57,6 +57,30 @@ func (c *Coordinator) goodDeferClosure(ctx context.Context) {
 func (c *Coordinator) goodHandOff(ctx context.Context) (context.Context, *obs.Span) {
 	sctx, sp := obs.StartSpan(ctx, "cluster.handoff")
 	return sctx, sp
+}
+
+// The leaf form: a span value, ended directly and then restarted.
+func (c *Coordinator) goodLeaf(ctx context.Context) {
+	sp := obs.StartLeaf(ctx, "cluster.leaf")
+	sp.End()
+	sp = obs.StartLeaf(ctx, "cluster.leaf2")
+	defer sp.End()
+}
+
+// A leaf span ended on one branch only leaks on the other.
+func (c *Coordinator) badLeafBranch(ctx context.Context, fail bool) error {
+	sp := obs.StartLeaf(ctx, "cluster.leafbranch") // want "span sp from obs.StartLeaf does not reach End on every path"
+	if fail {
+		return errDown
+	}
+	sp.End()
+	return nil
+}
+
+// A leaf span nobody holds can never be ended.
+func (c *Coordinator) badLeafDiscard(ctx context.Context) {
+	obs.StartLeaf(ctx, "cluster.leafdiscard")   // want "span from obs.StartLeaf is discarded and never ended"
+	_ = obs.StartLeaf(ctx, "cluster.leafblank") // want "span from obs.StartLeaf is discarded and never ended"
 }
 
 var errDown = error(nil)

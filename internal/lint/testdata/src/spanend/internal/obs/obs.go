@@ -12,3 +12,7 @@ func (s *Span) End() {}
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ctx, &Span{}
 }
+
+func StartLeaf(ctx context.Context, name string) Span {
+	return Span{}
+}

@@ -77,8 +77,9 @@ type Boundary struct {
 // for a request that is not — is sampled when it asks with ?trace=1 or
 // when s says yes.
 //
-// A sampled request gets a recorder continuing the header's trace and
-// has its root span's context echoed in w's X-Omini-Trace header. Every
+// A sampled request gets a recorder continuing the header's trace —
+// wanting the decision trace only on ?trace=1 — and has its root
+// span's context echoed in w's X-Omini-Trace header. Every
 // eligible or sampled request gets a root span of the given phase;
 // unsampled, it carries the declined decision, which Inject forwards so
 // the next hop does not sample on its own. The returned context carries
@@ -101,6 +102,9 @@ func Enter(ctx context.Context, w http.ResponseWriter, h http.Header, q url.Valu
 		// Allocation sampling stays off on the serving path; wall times
 		// and span structure are the useful parts under traffic.
 		ctx, b.rec = StartTrace(ctx, sc, false)
+		// Only ?trace=1 returns the decision trace; /tracez serves
+		// spans, attributes and charges.
+		b.rec.decisions = WantTrace(q)
 	}
 	ctx, b.root = StartSpan(ctx, root)
 	if sampled {

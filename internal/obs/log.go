@@ -105,7 +105,9 @@ func (l *Logger) Enabled(lv Level) bool {
 	return l != nil && lv >= l.level
 }
 
-// Log writes one record at lv with alternating key/value pairs.
+// Log writes one record at lv with alternating key/value pairs, each
+// pair converted into a Field of the value kind; LogFields writes the
+// same record from typed Fields.
 //
 // The line is appended into a pooled buffer, field by field, and equals
 // json.Marshal of the record as a map byte for byte: keys sorted, the
@@ -118,29 +120,52 @@ func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	if !l.Enabled(lv) {
 		return
 	}
-	var stack [24]logField
-	fields := append(stack[:0],
-		logField{key: "ts", kind: fieldTime},
-		logField{key: "level", kind: fieldString, str: lv.String()},
-		logField{key: "msg", kind: fieldString, str: msg})
+	var stack [24]Field
+	fields := recordHead(stack[:0], lv, msg)
 	for i := 0; i < len(kv); i += 2 {
 		key, ok := kv[i].(string)
 		if !ok {
 			key = fmt.Sprint(kv[i])
 		}
-		f := logField{key: key, kind: fieldMissing}
+		f := Field{key: key, kind: fieldMissing}
 		if i+1 < len(kv) {
 			f.kind, f.val = fieldValue, kv[i+1]
 		}
 		fields = append(fields, f)
 	}
+	l.write(lv, msg, fields)
+}
+
+// LogFields writes one record at lv with the given fields. It encodes
+// exactly as Log does for the same keys and values, but a typed Field
+// boxes nothing, so a caller that builds its fields in a local array
+// pays no allocation per value.
+func (l *Logger) LogFields(lv Level, msg string, fs ...Field) {
+	if !l.Enabled(lv) {
+		return
+	}
+	var stack [24]Field
+	l.write(lv, msg, append(recordHead(stack[:0], lv, msg), fs...))
+}
+
+// recordHead appends the fields every record starts with.
+func recordHead(fields []Field, lv Level, msg string) []Field {
+	return append(fields,
+		Field{key: "ts", kind: fieldTime},
+		Field{key: "level", kind: fieldString, str: lv.String()},
+		Field{key: "msg", kind: fieldString, str: msg})
+}
+
+// write encodes the record's fields, the record's head first, as one
+// line.
+func (l *Logger) write(lv Level, msg string, fields []Field) {
 	// Stable, so among equal keys the last written stays last.
-	slices.SortStableFunc(fields, func(a, b logField) int { return strings.Compare(a.key, b.key) })
+	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.key, b.key) })
 
 	bp := logBufs.Get().(*[]byte)
 	line, ok := appendRecord((*bp)[:0], fields, l.now)
 	if !ok {
-		line = append(line[:0], l.mapLine(lv, msg, kv)...)
+		line = append(line[:0], l.mapLine(lv, msg, fields)...)
 	}
 	line = append(line, '\n')
 	l.mu.Lock()
@@ -163,34 +188,88 @@ type fieldKind uint8
 
 const (
 	fieldTime    fieldKind = iota // the record's timestamp
-	fieldString                   // str (level and msg)
+	fieldString                   // str
+	fieldInt                      // num, an int64
+	fieldFloat                    // num, float64 bits
+	fieldBool                     // num, 0 or 1
+	fieldTraceID                  // id
 	fieldValue                    // val, a caller's value
 	fieldMissing                  // a dangling key: "!MISSING"
 )
 
-// logField is one key of a record with its not yet encoded value.
-type logField struct {
+// Field is one key of a log record with its not yet encoded value.
+// String, Int, Float64, Bool and TraceIDField build typed fields for
+// LogFields; Log turns each of its key/value pairs into a field of the
+// value kind.
+type Field struct {
 	key  string
 	kind fieldKind
 	str  string
+	num  uint64
+	id   TraceID
 	val  any
+}
+
+// String returns a string field.
+func String(key, v string) Field { return Field{key: key, kind: fieldString, str: v} }
+
+// Int returns an integer field.
+func Int(key string, v int) Field { return Field{key: key, kind: fieldInt, num: uint64(int64(v))} }
+
+// Float64 returns a float field; it encodes as Log encodes a float64.
+func Float64(key string, v float64) Field {
+	return Field{key: key, kind: fieldFloat, num: math.Float64bits(v)}
+}
+
+// Bool returns a boolean field.
+func Bool(key string, v bool) Field {
+	f := Field{key: key, kind: fieldBool}
+	if v {
+		f.num = 1
+	}
+	return f
+}
+
+// TraceIDField returns a trace ID field: 32 hex digits, as Log writes a
+// TraceID value.
+func TraceIDField(key string, v TraceID) Field { return Field{key: key, kind: fieldTraceID, id: v} }
+
+// value returns the field's value as Log's caller would have passed
+// it, for the whole-record map path.
+func (f *Field) value() any {
+	switch f.kind {
+	case fieldString:
+		return f.str
+	case fieldInt:
+		return int64(f.num)
+	case fieldFloat:
+		return math.Float64frombits(f.num)
+	case fieldBool:
+		return f.num != 0
+	case fieldTraceID:
+		return f.id
+	case fieldMissing:
+		return "!MISSING"
+	}
+	return f.val
 }
 
 // appendRecord appends the record's JSON object to b: fields sorted by
 // key, and of each run of equal keys only the last. It reports false
 // when a value has no JSON encoding, for the caller to fall back on
 // the map path.
-func appendRecord(b []byte, fields []logField, now func() time.Time) ([]byte, bool) {
+func appendRecord(b []byte, fields []Field, now func() time.Time) ([]byte, bool) {
 	b = append(b, '{')
 	open := len(b)
-	for i, f := range fields {
+	for i := range fields {
+		f := &fields[i]
 		if i+1 < len(fields) && fields[i+1].key == f.key {
 			continue // a later write of the same key wins
 		}
 		if len(b) > open {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, f.key)
+		b = AppendJSONString(b, f.key)
 		b = append(b, ':')
 		switch f.kind {
 		case fieldTime:
@@ -199,9 +278,20 @@ func appendRecord(b []byte, fields []logField, now func() time.Time) ([]byte, bo
 			b = now().UTC().AppendFormat(b, time.RFC3339Nano)
 			b = append(b, '"')
 		case fieldString:
-			b = appendJSONString(b, f.str)
+			b = AppendJSONString(b, f.str)
+		case fieldInt:
+			b = strconv.AppendInt(b, int64(f.num), 10)
+		case fieldFloat:
+			var ok bool
+			if b, ok = AppendJSONFloat(b, math.Float64frombits(f.num), 64); !ok {
+				return b, false
+			}
+		case fieldBool:
+			b = strconv.AppendBool(b, f.num != 0)
+		case fieldTraceID:
+			b = appendTraceIDHex(b, f.id)
 		case fieldMissing:
-			b = appendJSONString(b, "!MISSING")
+			b = AppendJSONString(b, "!MISSING")
 		default:
 			var ok bool
 			if b, ok = appendJSONValue(b, f.val); !ok {
@@ -210,6 +300,14 @@ func appendRecord(b []byte, fields []logField, now func() time.Time) ([]byte, bo
 		}
 	}
 	return append(b, '}'), true
+}
+
+// appendTraceIDHex appends TraceID.String as a JSON string, without
+// the string.
+func appendTraceIDHex(b []byte, id TraceID) []byte {
+	b = append(b, '"')
+	b = hex.AppendEncode(b, id[:])
+	return append(b, '"')
 }
 
 // appendJSONValue appends v as the map path encodes jsonSafe(v). The
@@ -222,7 +320,7 @@ func appendJSONValue(b []byte, v any) ([]byte, bool) {
 	case bool:
 		return strconv.AppendBool(b, x), true
 	case string:
-		return appendJSONString(b, x), true
+		return AppendJSONString(b, x), true
 	case int:
 		return strconv.AppendInt(b, int64(x), 10), true
 	case int8:
@@ -244,25 +342,22 @@ func appendJSONValue(b []byte, v any) ([]byte, bool) {
 	case uint64:
 		return strconv.AppendUint(b, x, 10), true
 	case float32:
-		return appendJSONFloat(b, float64(x), 32)
+		return AppendJSONFloat(b, float64(x), 32)
 	case float64:
-		return appendJSONFloat(b, x, 64)
+		return AppendJSONFloat(b, x, 64)
 	case json.Marshaler:
 		return appendMarshaled(b, x)
 	case error:
-		return appendJSONString(b, x.Error()), true
+		return AppendJSONString(b, x.Error()), true
 	case TraceID:
-		// TraceID.String, without the string.
-		b = append(b, '"')
-		b = hex.AppendEncode(b, x[:])
-		return append(b, '"'), true
+		return appendTraceIDHex(b, x), true
 	case fmt.Stringer:
-		return appendJSONString(b, x.String()), true
+		return AppendJSONString(b, x.String()), true
 	default:
 		if out, ok := appendMarshaled(b, x); ok {
 			return out, true
 		}
-		return appendJSONString(b, fmt.Sprint(x)), true
+		return AppendJSONString(b, fmt.Sprint(x)), true
 	}
 }
 
@@ -276,11 +371,11 @@ func appendMarshaled(b []byte, v any) ([]byte, bool) {
 	return append(b, enc...), true
 }
 
-// appendJSONFloat appends f as encoding/json formats a float of the
+// AppendJSONFloat appends f as encoding/json formats a float of the
 // given bit size: like %g but with the exponent form only below 1e-6
 // and from 1e21 on, and the exponent's leading zero trimmed. NaN and
-// the infinities have no encoding.
-func appendJSONFloat(b []byte, f float64, bits int) ([]byte, bool) {
+// the infinities have no encoding: it reports false for them.
+func AppendJSONFloat(b []byte, f float64, bits int) ([]byte, bool) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, false
 	}
@@ -301,11 +396,11 @@ func appendJSONFloat(b []byte, f float64, bits int) ([]byte, bool) {
 	return b, true
 }
 
-// appendJSONString appends s as a JSON string the way encoding/json
-// does: <, > and & escaped for HTML, control bytes as \u00XX (or their
-// short escapes), U+2028 and U+2029 escaped, and each byte of invalid
-// UTF-8 replaced by \ufffd.
-func appendJSONString(b []byte, s string) []byte {
+// AppendJSONString appends s, a string or a byte slice, as a JSON
+// string the way encoding/json does: <, > and & escaped for HTML,
+// control bytes as \u00XX (or their short escapes), U+2028 and U+2029
+// escaped, and each byte of invalid UTF-8 replaced by \ufffd.
+func AppendJSONString[S ~string | ~[]byte](b []byte, s S) []byte {
 	const hexDigits = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
@@ -336,7 +431,10 @@ func appendJSONString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// Decoding from a copy serves both string and []byte without
+		// converting s.
+		var head [utf8.UTFMax]byte
+		r, size := utf8.DecodeRune(head[:copy(head[:], s[i:])])
 		if r == utf8.RuneError && size == 1 {
 			b = append(b, s[start:i]...)
 			b = append(b, `\ufffd`...)
@@ -358,22 +456,17 @@ func appendJSONString(b []byte, s string) []byte {
 }
 
 // mapLine is the whole-record path: the record as a map, marshaled by
-// encoding/json, or a line naming the marshal error.
-func (l *Logger) mapLine(lv Level, msg string, kv []any) []byte {
-	rec := make(map[string]any, len(kv)/2+3)
-	rec["ts"] = l.now().UTC().Format(time.RFC3339Nano)
-	rec["level"] = lv.String()
-	rec["msg"] = msg
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprint(kv[i])
+// encoding/json, or a line naming the marshal error. fields are sorted
+// stably by key, so of equal keys the last assigned is the last given.
+func (l *Logger) mapLine(lv Level, msg string, fields []Field) []byte {
+	rec := make(map[string]any, len(fields))
+	for i := range fields {
+		f := &fields[i]
+		if f.kind == fieldTime {
+			rec[f.key] = l.now().UTC().Format(time.RFC3339Nano)
+			continue
 		}
-		if i+1 < len(kv) {
-			rec[key] = jsonSafe(kv[i+1])
-		} else {
-			rec[key] = "!MISSING"
-		}
+		rec[f.key] = jsonSafe(f.value())
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {

@@ -67,6 +67,10 @@ type TraceRecorder struct {
 	// opt-in and meant for interactive tracing, not steady-state serving.
 	SampleAllocs bool
 
+	// decisions marks a trace whose reader wants the extraction's
+	// decision trace (WantsDecisions), not only its spans.
+	decisions bool
+
 	traceID TraceID
 	remote  SpanID // upstream parent span; local roots parent to it
 	start   time.Time
@@ -93,6 +97,15 @@ func (tr *TraceRecorder) TraceID() TraceID {
 		return TraceID{}
 	}
 	return tr.traceID
+}
+
+// WantsDecisions reports whether the traced operation's caller reads
+// its decision trace: WithTraceRecorder callers always do, and an
+// inbound request does when it asked with ?trace=1 (Enter). The
+// pipeline builds the decision trace only then; spans, attributes and
+// charges are recorded on every trace.
+func (tr *TraceRecorder) WantsDecisions() bool {
+	return tr != nil && tr.decisions
 }
 
 // Start returns the recorder's creation time; span StartNS offsets are
@@ -217,9 +230,12 @@ func StartTrace(ctx context.Context, sc SpanContext, sampleAllocs bool) (context
 
 // WithTraceRecorder is StartTrace with a fresh trace identity — the
 // single-process tracing entry point (omini -trace, golden trace
-// tests).
+// tests). Its caller reads the decision trace, so the recorder wants
+// decisions.
 func WithTraceRecorder(ctx context.Context, sampleAllocs bool) (context.Context, *TraceRecorder) {
-	return StartTrace(ctx, SpanContext{}, sampleAllocs)
+	ctx, tr := StartTrace(ctx, SpanContext{}, sampleAllocs)
+	tr.decisions = true
+	return ctx, tr
 }
 
 // TraceRecorderFrom returns the context's recorder, or nil when the
@@ -260,8 +276,9 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 	return SpanContext{TraceID: sp.rec.traceID, SpanID: sp.id, Sampled: true}
 }
 
-// Span is one in-flight timed region. Created by StartSpan; End records it
-// into the context's registry histogram and trace recorder.
+// Span is one in-flight timed region. Created by StartSpan or StartLeaf;
+// End records it into the context's registry histogram and trace
+// recorder.
 type Span struct {
 	phase    *Phase
 	parent   string
@@ -295,8 +312,26 @@ type Span struct {
 //	ctx, sp := obs.StartSpan(ctx, phaseTidy)
 //	... phase work ...
 //	sp.End()
+//
+// A span that starts no nested span needs no derived context: use
+// StartLeaf.
 func StartSpan(ctx context.Context, phase *Phase) (context.Context, *Span) {
-	sp := &Span{
+	sp := new(Span)
+	*sp = StartLeaf(ctx, phase)
+	return context.WithValue(ctx, spanKey{}, sp), sp
+}
+
+// StartLeaf begins a span that no other span nests under: the same
+// span StartSpan starts — its histogram observation, trace sample,
+// parent span and declined decision are identical — returned by value
+// and never entered into a context, so starting it allocates nothing.
+// Pair it with End as StartSpan's:
+//
+//	sp := obs.StartLeaf(ctx, phaseTidy)
+//	... phase work ...
+//	sp.End()
+func StartLeaf(ctx context.Context, phase *Phase) Span {
+	sp := Span{
 		phase: phase,
 		reg:   RegistryFrom(ctx),
 		rec:   TraceRecorderFrom(ctx),
@@ -319,7 +354,7 @@ func StartSpan(ctx context.Context, phase *Phase) (context.Context, *Span) {
 		}
 	}
 	sp.start = time.Now()
-	return context.WithValue(ctx, spanKey{}, sp), sp
+	return sp
 }
 
 // ID returns the span's trace-local identity (zero on untraced spans).

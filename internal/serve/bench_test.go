@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -53,6 +54,32 @@ func BenchmarkServeExtractHot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkServeExtractLongtail measures one /extract request that
+// names a site the server has never seen, through the same serving
+// layer as BenchmarkServeExtractHot: every request misses the farm,
+// runs full discovery (the slow path) and learns a rule. Requests are
+// traced, as at the default -trace-sample.
+func BenchmarkServeExtractLongtail(b *testing.B) {
+	srv := New(Config{Stats: resilience.NewStats(), Logger: obs.NewLogger(io.Discard, obs.LevelInfo)})
+	var pages []string
+	for _, spec := range corpus.AllSpecs() {
+		pages = append(pages, spec.Page(0).HTML)
+	}
+	targets := make([]string, b.N)
+	for i := range targets {
+		targets[i] = fmt.Sprintf("/extract?site=tail-%d.example", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A page discovery cannot serve answers 422; that is the cost
+		// of the slow path too.
+		if code := serveExtract(srv, targets[i], pages[i%len(pages)]); code != http.StatusOK && code != http.StatusUnprocessableEntity {
+			b.Fatalf("%s: status %d", targets[i], code)
+		}
 	}
 }
 

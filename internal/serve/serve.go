@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"omini/internal/core"
+	"omini/internal/extract"
 	"omini/internal/farm"
 	"omini/internal/govern"
 	"omini/internal/nav"
@@ -501,37 +502,37 @@ func (s *Server) finish(b *obs.Boundary, r *http.Request, ri *reqInfo, start tim
 		traceStored.Add(s.stats, 1)
 	}
 
-	// Sized for every field below, so the line's pairs never regrow.
-	kv := make([]any, 0, 24)
-	kv = append(kv,
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", status,
-		"durMs", float64(elapsed.Microseconds())/1000,
+	// Typed fields in a local array: the line boxes no value.
+	var fields [12]obs.Field
+	f := append(fields[:0],
+		obs.String("method", r.Method),
+		obs.String("path", r.URL.Path),
+		obs.Int("status", status),
+		obs.Float64("durMs", float64(elapsed.Microseconds())/1000),
 	)
 	if !tid.IsZero() {
-		kv = append(kv, "trace", tid)
+		f = append(f, obs.TraceIDField("trace", tid))
 	}
 	ri.mu.Lock()
 	if ri.filled {
-		kv = append(kv,
-			"site", ri.site,
-			"subtree", ri.subtree,
-			"separator", ri.separator,
-			"objects", ri.objects,
-			"fromRule", ri.fromRule,
-			"confidence", ri.confidence,
+		f = append(f,
+			obs.String("site", ri.site),
+			obs.String("subtree", ri.subtree),
+			obs.String("separator", ri.separator),
+			obs.Int("objects", ri.objects),
+			obs.Bool("fromRule", ri.fromRule),
+			obs.Float64("confidence", ri.confidence),
 		)
 	}
 	if ri.errMsg != "" {
-		kv = append(kv, "err", ri.errMsg)
+		f = append(f, obs.String("err", ri.errMsg))
 	}
 	ri.mu.Unlock()
+	lv := obs.LevelInfo
 	if operational(r.URL.Path) {
-		s.log.Debug("request", kv...)
-	} else {
-		s.log.Info("request", kv...)
+		lv = obs.LevelDebug
 	}
+	s.log.LogFields(lv, "request", f...)
 }
 
 // withRecovery converts handler panics into JSON 500s: one pathological
@@ -635,27 +636,99 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// objectResponse is the /extract payload.
-type objectResponse struct {
-	Site        string  `json:"site,omitempty"`
-	SubtreePath string  `json:"subtreePath"`
-	Separator   string  `json:"separator"`
-	Confidence  float64 `json:"confidence"`
-	FromRule    bool    `json:"fromRule"`
-	// NextPage is the discovered next-result-page link, when the page has
-	// one — the crawl pointer an aggregator follows.
-	NextPage string      `json:"nextPage,omitempty"`
-	Objects  []objectDTO `json:"objects"`
-	// Trace is the decision trace, present when the request asked for it
-	// with ?trace=1.
-	Trace *obs.DecisionTrace `json:"trace,omitempty"`
+// extractAnswer is one /extract answer, encoded by appendJSON as
+//
+//	{"site":…,"subtreePath":…,"separator":…,"confidence":…,"fromRule":…,
+//	 "nextPage":…,"objects":[{"index":1,"text":…,"sizeBytes":…},…],"trace":{…}}
+//
+// with site, nextPage and trace omitted when empty.
+type extractAnswer struct {
+	site        string
+	subtreePath string
+	separator   string
+	confidence  float64
+	fromRule    bool
+	// nextPage is the discovered next-result-page link, when the page
+	// has one — the crawl pointer an aggregator follows.
+	nextPage string
+	objects  []extract.Object
+	// trace is the decision trace, present when the request asked for
+	// it with ?trace=1.
+	trace *obs.DecisionTrace
 }
 
-type objectDTO struct {
-	Index int    `json:"index"`
-	Text  string `json:"text"`
-	Size  int    `json:"sizeBytes"`
+// appendJSON appends the answer to b exactly as encoding/json's
+// Encoder writes the equivalent struct: strings HTML-escaped, the
+// float in encoding/json's format, a null for an empty object list,
+// and a trailing newline. Each object's text is rendered into text, a
+// scratch buffer returned for reuse, and escaped from there, so an
+// object costs no allocation. ok is false, and nothing belongs on the
+// wire, where Encode would fail: a confidence that is not finite, or
+// a trace that does not marshal.
+func (a *extractAnswer) appendJSON(b, text []byte) (out, scratch []byte, ok bool) {
+	b = append(b, '{')
+	if a.site != "" {
+		b = append(b, `"site":`...)
+		b = obs.AppendJSONString(b, a.site)
+		b = append(b, ',')
+	}
+	b = append(b, `"subtreePath":`...)
+	b = obs.AppendJSONString(b, a.subtreePath)
+	b = append(b, `,"separator":`...)
+	b = obs.AppendJSONString(b, a.separator)
+	b = append(b, `,"confidence":`...)
+	if b, ok = obs.AppendJSONFloat(b, a.confidence, 64); !ok {
+		return b, text, false
+	}
+	b = append(b, `,"fromRule":`...)
+	b = strconv.AppendBool(b, a.fromRule)
+	if a.nextPage != "" {
+		b = append(b, `,"nextPage":`...)
+		b = obs.AppendJSONString(b, a.nextPage)
+	}
+	b = append(b, `,"objects":`...)
+	if len(a.objects) == 0 {
+		b = append(b, "null"...)
+	} else {
+		for i, o := range a.objects {
+			if i == 0 {
+				b = append(b, `[{"index":`...)
+			} else {
+				b = append(b, `,{"index":`...)
+			}
+			b = strconv.AppendInt(b, int64(i+1), 10)
+			b = append(b, `,"text":`...)
+			text = o.AppendText(text[:0])
+			b = obs.AppendJSONString(b, text)
+			b = append(b, `,"sizeBytes":`...)
+			b = strconv.AppendInt(b, int64(o.Size()), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if a.trace != nil {
+		// Off the hot path: only ?trace=1 carries it.
+		enc, err := json.Marshal(a.trace)
+		if err != nil {
+			return b, text, false
+		}
+		b = append(b, `,"trace":`...)
+		b = append(b, enc...)
+	}
+	return append(b, '}', '\n'), text, true
 }
+
+// answerBuf is the reused encoding state of one /extract answer: the
+// response bytes and the object-text scratch.
+type answerBuf struct {
+	out, text []byte
+}
+
+// maxPooledAnswer caps the buffers that go back to answerBufs, so one
+// huge answer does not pin its buffer.
+const maxPooledAnswer = 256 << 10
+
+var answerBufs = sync.Pool{New: func() any { return &answerBuf{out: make([]byte, 0, 4<<10)} }}
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	q := infoFrom(r.Context()).query
@@ -676,27 +749,34 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	infoFrom(ctx).fill(site, res, fromRule)
-	resp := objectResponse{
-		Site:        site,
-		SubtreePath: res.SubtreePath,
-		Separator:   res.Separator,
-		Confidence:  res.Confidence(),
-		FromRule:    fromRule,
+	a := extractAnswer{
+		site:        site,
+		subtreePath: res.SubtreePath,
+		separator:   res.Separator,
+		confidence:  res.Confidence(),
+		fromRule:    fromRule,
+		objects:     res.Objects,
 	}
 	if obs.WantTrace(q) {
 		// The inline trace ships only on request; sampled requests that
 		// did not ask still reach /tracez by trace ID.
-		resp.Trace = res.Trace
+		a.trace = res.Trace
 	}
 	if res.Tree != nil {
 		if next, ok := nav.FindNext(res.Tree); ok {
-			resp.NextPage = next
+			a.nextPage = next
 		}
 	}
-	for i, o := range res.Objects {
-		resp.Objects = append(resp.Objects, objectDTO{Index: i + 1, Text: o.Text(), Size: o.Size()})
+	buf := answerBufs.Get().(*answerBuf)
+	out, text, ok := a.appendJSON(buf.out[:0], buf.text)
+	w.Header().Set("Content-Type", "application/json")
+	if ok {
+		_, _ = w.Write(out)
 	}
-	writeJSON(w, resp)
+	if cap(out) <= maxPooledAnswer && cap(text) <= maxPooledAnswer {
+		buf.out, buf.text = out, text
+		answerBufs.Put(buf)
+	}
 }
 
 // recordResponse is the /records payload.
@@ -953,7 +1033,38 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 			defer func() { _ = rc.SetReadDeadline(time.Time{}) }()
 		}
 	}
+	if n := r.ContentLength; n > 0 && n < limit {
+		return readSized(r.Body, min(n, maxPresizedBody), limit)
+	}
 	return io.ReadAll(io.LimitReader(r.Body, limit))
+}
+
+// maxPresizedBody caps the buffer readBody allocates up front from a
+// declared Content-Length: a client that declares megabytes and sends
+// nothing must not make the server hold them. A longer body grows past
+// it as its bytes arrive.
+const maxPresizedBody = 1 << 20
+
+// readSized is io.ReadAll(io.LimitReader(body, limit)) for a body that
+// declares its length n: the buffer is allocated once, with room past
+// n for the read that sees the end, and grows only if the body runs
+// longer than n.
+func readSized(body io.Reader, n, limit int64) ([]byte, error) {
+	lr := io.LimitedReader{R: body, N: limit}
+	b := make([]byte, 0, n+1)
+	for {
+		m, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -19,11 +19,11 @@ var ErrNoRoot = errors.New("tagtree: document has no tag nodes")
 // tree with no resource limits. This is the Phase-1 pipeline of the paper:
 // syntactic normalization followed by tag tree construction.
 func Parse(src string) (*Node, error) {
-	toks, err := htmlparse.Tokenize(src, nil)
+	toks, err := htmlparse.Tokenize(nil, src, nil)
 	if err != nil {
 		return nil, err
 	}
-	if toks, err = tidy.NormalizeTokens(toks, nil); err != nil {
+	if toks, err = tidy.NormalizeTokens(nil, toks, nil); err != nil {
 		return nil, err
 	}
 	return Build(toks, nil)

@@ -108,9 +108,9 @@ func TestChildrenCapsClipped(t *testing.T) {
 // succeeds exactly as the reference builder does, having charged the
 // same nodes.
 func TestBuildUnderNodeBudget(t *testing.T) {
-	toks, err := htmlparse.Tokenize(`<div><p>a  b</p> <p>c</p>tail</div><i>x</i> end`, nil)
+	toks, err := htmlparse.Tokenize(nil, `<div><p>a  b</p> <p>c</p>tail</div><i>x</i> end`, nil)
 	if err == nil {
-		toks, err = tidy.NormalizeTokens(toks, nil)
+		toks, err = tidy.NormalizeTokens(nil, toks, nil)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -133,9 +133,9 @@ func TestBuildMatchesOracle(t *testing.T) {
 func TestBuildAllocsConstant(t *testing.T) {
 	allocs := map[string]float64{}
 	for _, size := range []string{"small", "large"} {
-		toks, err := htmlparse.Tokenize(corpus.BenchPage(size).HTML, nil)
+		toks, err := htmlparse.Tokenize(nil, corpus.BenchPage(size).HTML, nil)
 		if err == nil {
-			toks, err = tidy.NormalizeTokens(toks, nil)
+			toks, err = tidy.NormalizeTokens(nil, toks, nil)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -24,11 +24,11 @@ var (
 
 // oracleParse is Parse with the reference builder.
 func oracleParse(src string) (*Node, error) {
-	toks, err := htmlparse.Tokenize(src, nil)
+	toks, err := htmlparse.Tokenize(nil, src, nil)
 	if err != nil {
 		return nil, err
 	}
-	if toks, err = tidy.NormalizeTokens(toks, nil); err != nil {
+	if toks, err = tidy.NormalizeTokens(nil, toks, nil); err != nil {
 		return nil, err
 	}
 	return oracleBuild(toks, nil)

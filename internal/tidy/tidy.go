@@ -7,6 +7,7 @@
 package tidy
 
 import (
+	"slices"
 	"strings"
 
 	"omini/internal/govern"
@@ -33,16 +34,20 @@ type normalizer struct {
 	err error
 }
 
-// NormalizeTokens balances a lexed token stream: every StartTagToken gets
-// a matching EndTagToken, nesting is proper, and the stream has a single
-// root "html" element with all flow content inside "body". Comments,
-// doctypes and processing instructions are dropped, as the paper's tag
-// tree contains only tag and content nodes. Every emitted token is charged
-// against the guard's token budget and the open-element stack is checked
-// against its depth limit on each push; a nil guard means unlimited, and
-// then NormalizeTokens never fails.
-func NormalizeTokens(toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
-	n := &normalizer{out: make([]htmlparse.Token, 0, len(toks)+8), g: g}
+// NormalizeTokens balances a lexed token stream, appending the result
+// to dst (nil for a fresh slice) and returning the extended slice:
+// every StartTagToken gets a matching EndTagToken, nesting is proper,
+// and the stream has a single root "html" element with all flow
+// content inside "body". Comments, doctypes and processing
+// instructions are dropped, as the paper's tag tree contains only tag
+// and content nodes. Every emitted token is charged against the guard's
+// token budget and the open-element stack is checked against its depth
+// limit on each push; a nil guard means unlimited, and then
+// NormalizeTokens never fails. The output tokens copy the input
+// tokens' Data and Attrs headers, so neither toks' nor dst's backing
+// array is referenced by the result's contents.
+func NormalizeTokens(dst, toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
+	n := &normalizer{out: slices.Grow(dst, len(toks)+8), g: g}
 	for i := range toks {
 		if n.err != nil {
 			return nil, n.err

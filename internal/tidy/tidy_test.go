@@ -12,18 +12,18 @@ import (
 // error a nil guard must never produce.
 func normalize(t testing.TB, src string) []htmlparse.Token {
 	t.Helper()
-	raw, err := htmlparse.Tokenize(src, nil)
+	raw, err := htmlparse.Tokenize(nil, src, nil)
 	if err != nil {
-		t.Fatalf("Tokenize(%.40q): %v", src, err)
+		t.Fatalf("Tokenize(nil, %.40q): %v", src, err)
 	}
-	toks, err := NormalizeTokens(raw, nil)
+	toks, err := NormalizeTokens(nil, raw, nil)
 	if err != nil {
-		t.Fatalf("NormalizeTokens(%.40q): %v", src, err)
+		t.Fatalf("NormalizeTokens(nil, %.40q): %v", src, err)
 	}
 	return toks
 }
 
-// normalizeHTML is Serialize(NormalizeTokens(Tokenize(src, nil), nil)):
+// normalizeHTML is Serialize(NormalizeTokens(nil, Tokenize(nil, src, nil), nil)):
 // src as a well-formed document.
 func normalizeHTML(t testing.TB, src string) string {
 	t.Helper()
