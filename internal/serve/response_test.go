@@ -255,8 +255,9 @@ func TestDecisionTraceOnlyWhenAsked(t *testing.T) {
 // TestReadBodyMatchesReadAll: the Content-Length-sized read returns
 // what io.ReadAll of the limited body returns, whether the body is as
 // long as declared, shorter, longer, past the limit or past the
-// pre-sizing cap, and a body of the declared length costs one
-// allocation.
+// pre-sizing cap, a body of the declared length costs one allocation,
+// and a client that declares a large body and sends none makes the
+// server allocate no more than the pre-sizing cap.
 func TestReadBodyMatchesReadAll(t *testing.T) {
 	const limit = 3 << 20
 	for _, c := range []struct{ declared, actual int }{
@@ -270,6 +271,16 @@ func TestReadBodyMatchesReadAll(t *testing.T) {
 		want, wantErr := io.ReadAll(io.LimitReader(strings.NewReader(body), limit))
 		if err != nil || wantErr != nil || !bytes.Equal(got, want) {
 			t.Errorf("declared %d, sent %d: got %d bytes (%v), want %d (%v)", c.declared, c.actual, len(got), err, len(want), wantErr)
+		}
+	}
+
+	for _, declared := range []int64{maxPresizedBody + 1, 1 << 20, limit - 1} {
+		r := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(""))
+		r.ContentLength = declared
+		got, err := readBody(httptest.NewRecorder(), r, limit)
+		if err != nil || len(got) != 0 || cap(got) > maxPresizedBody+1 {
+			t.Errorf("declared %d, sent nothing: %d bytes, capacity %d (%v), want 0 bytes within capacity %d",
+				declared, len(got), cap(got), err, maxPresizedBody+1)
 		}
 	}
 
