@@ -1,5 +1,5 @@
 // Command ominilint runs the project's static-analysis suite over the
-// module: governloop, errwrap, ctxfirst, puredet, lockhold, bodyclose,
+// module: governloop, errwrap, ctxfirst, puredet, lockhold, peerhttp,
 // goleak, and spanend (see internal/lint and DESIGN.md §11, §16).
 //
 // Usage:

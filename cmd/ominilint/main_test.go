@@ -43,7 +43,7 @@ func TestFixtureExitCodes(t *testing.T) {
 	bin := buildLinter(t)
 	for _, fixture := range []string{
 		"governloop", "errwrap", "ctxfirst", "puredet",
-		"lockhold", "bodyclose", "goleak", "spanend",
+		"lockhold", "peerhttp", "goleak", "spanend",
 	} {
 		dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", fixture)
 		cmd := exec.Command(bin, "-json", "./...")

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -368,6 +371,84 @@ func TestErrorMatrix(t *testing.T) {
 			t.Errorf("cluster.deadline = %d, want 1", got)
 		}
 	})
+
+	t.Run("oversized peer answer fails over to local", func(t *testing.T) {
+		limit := int64(2 * len(page.HTML))
+		answer := `{"objects":["` + strings.Repeat("x", int(2*limit)) + `"]}`
+		var hits atomic.Int64
+		big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			hits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, answer)
+		}))
+		defer big.Close()
+		stats := resilience.NewStats()
+		c := New(Config{
+			Peers:         map[string]string{"big": big.URL},
+			Local:         serve.New(serve.Config{Stats: resilience.NewStats(), MaxBodyBytes: limit}),
+			Stats:         stats,
+			MaxBodyBytes:  limit,
+			RetryBase:     time.Millisecond,
+			RetryMaxDelay: time.Millisecond,
+		})
+		req := httptest.NewRequest(http.MethodPost, "/extract?site="+page.Site, strings.NewReader(page.HTML))
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d, %d bytes, valid JSON %v; want 200 and valid JSON",
+				rec.Code, rec.Body.Len(), json.Valid(rec.Body.Bytes()))
+		}
+		if got := stats.Get(SeriesFallbackLocal); got != 1 {
+			t.Errorf("cluster.fallback_local = %d, want 1", got)
+		}
+		if got := hits.Load(); got != 1 {
+			t.Errorf("oversized peer hit %d times, want 1 (no retry on that node)", got)
+		}
+	})
+}
+
+// A client that declares a body and never sends it is cut off by the
+// routing budget: the coordinator answers 504 and counts the deadline
+// instead of waiting on the connection forever. The coordinator runs
+// behind a real server, so the budget can become the connection's read
+// deadline.
+func TestStalledBodyAnswersWithinBudget(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		t.Error("a request whose body never arrived reached a peer")
+	}))
+	defer peer.Close()
+	stats := resilience.NewStats()
+	c := New(Config{
+		Peers:  map[string]string{"p": peer.URL},
+		Local:  serve.New(serve.Config{Stats: resilience.NewStats()}),
+		Stats:  stats,
+		Budget: 100 * time.Millisecond,
+	})
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, err = io.WriteString(conn, "POST /extract?site=stalled.example HTTP/1.1\r\n"+
+		"Host: coordinator\r\nContent-Type: text/html\r\nContent-Length: 100\r\n\r\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to a stalled body: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("status %d, want 504", resp.StatusCode)
+	}
+	if got := stats.Get(SeriesDeadline); got != 1 {
+		t.Errorf("cluster.deadline = %d, want 1", got)
+	}
 }
 
 // The health checker ejects a node whose probes fail FailThreshold

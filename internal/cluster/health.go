@@ -3,11 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"omini/internal/govern"
+	"omini/internal/resilience"
 )
 
 // Run drives the membership health checker until ctx is cancelled:
@@ -95,6 +95,9 @@ func (c *Coordinator) probeAll(ctx context.Context, g *govern.Guard) {
 	}
 }
 
+// maxProbeBody bounds the read of a probe's answer.
+const maxProbeBody = 4 << 10
+
 // probeOne checks one node's liveness and readiness. Both endpoints
 // must answer 200 inside ProbeTimeout; anything else — transport
 // error, non-200, hung connection — counts as one probe failure.
@@ -106,14 +109,14 @@ func (c *Coordinator) probeOne(ctx context.Context, base string) error {
 		if err != nil {
 			return fmt.Errorf("cluster: probe %s%s: %w", base, path, err)
 		}
-		resp, err := c.client.Do(req)
-		if err != nil {
+		// The status is the verdict; the body is read only to free the
+		// connection.
+		res, err := resilience.Call(c.client, req, maxProbeBody)
+		if res.Status == 0 {
 			return fmt.Errorf("cluster: probe %s%s: %w", base, path, err)
 		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster: probe %s%s: status %d", base, path, resp.StatusCode)
+		if res.Status != http.StatusOK {
+			return fmt.Errorf("cluster: probe %s%s: status %d", base, path, res.Status)
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	rpprof "runtime/pprof"
 	"strings"
 	"time"
@@ -23,13 +24,6 @@ import (
 // router moves on without retrying it and without charging its
 // breaker.
 var errShed = errors.New("cluster: downstream shed")
-
-// hopResult is a relayable response captured from one proxy hop.
-type hopResult struct {
-	status int
-	header http.Header
-	body   []byte
-}
 
 // shedResult remembers the best load-shed response seen during the
 // walk, so exhaustion can propagate it (status and Retry-After
@@ -57,22 +51,27 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 	requestCount.Add(c.stats, 1)
 	site := q.Get("site")
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("cluster: read body: %v", err))
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
+	// The routing budget is the cluster analogue of the govern page
+	// deadline: the body read and the whole candidate walk happen
+	// inside it, and each hop gets a slice so one slow node cannot eat
+	// the request.
+	bctx, cancel := context.WithTimeout(r.Context(), c.cfg.Budget)
+	defer cancel()
+	deadline, _ := bctx.Deadline()
+	body, err := resilience.ReadBody(w, r, deadline, c.cfg.MaxBodyBytes)
+	switch {
+	case errors.Is(err, resilience.ErrTooLarge):
 		writeError(r.Context(), w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("cluster: body exceeds %d bytes", c.cfg.MaxBodyBytes))
 		return
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		deadlineCount.Add(c.stats, 1)
+		writeError(r.Context(), w, http.StatusGatewayTimeout, "cluster: routing budget exhausted")
+		return
+	case err != nil:
+		writeError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("cluster: read body: %v", err))
+		return
 	}
-
-	// The routing budget is the cluster analogue of the govern page
-	// deadline: the whole candidate walk happens inside it, and each
-	// hop gets a slice so one slow node cannot eat the request.
-	bctx, cancel := context.WithTimeout(r.Context(), c.cfg.Budget)
-	defer cancel()
 	// Route/hop spans land in this coordinator's registry even when the
 	// inbound context carries none.
 	bctx = obs.WithRegistry(bctx, c.stats)
@@ -89,7 +88,6 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 		}
 	}()
 
-	deadline, _ := bctx.Deadline()
 	g := govern.NewGuard(bctx, govern.Unlimited())
 
 	candidates, err := c.candidates(g, site)
@@ -186,9 +184,9 @@ func (c *Coordinator) memberByID(id string) (string, *member) {
 // and the coordinator's declined decision otherwise. A successful hop
 // records its latency per-node and cluster-wide, with a trace exemplar
 // when traced.
-func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url, id string, m *member, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
+func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url, id string, m *member, r *http.Request, body []byte) (resilience.Response, *shedResult, error) {
 	hctx, sp := obs.StartSpan(ctx, phaseHop)
-	var res *hopResult
+	var res resilience.Response
 	var shed *shedResult
 	var err error
 	rpprof.Do(hctx, rpprof.Labels("hop", id), func(pctx context.Context) {
@@ -210,10 +208,10 @@ func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url,
 // replaces the inbound X-Omini-Trace header on the forwarded request —
 // the coordinator's trace context, not the client's, is what the
 // serving node must continue.
-func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url string, r *http.Request, body []byte) (*hopResult, *shedResult, error) {
+func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url string, r *http.Request, body []byte) (resilience.Response, *shedResult, error) {
 	hctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
-	var res *hopResult
+	var res resilience.Response
 	var shed *shedResult
 	err := c.retry.Do(hctx, func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, r.Method, url+r.URL.RequestURI(), bytes.NewReader(body))
@@ -222,25 +220,23 @@ func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url string,
 		}
 		copyHeader(req.Header, r.Header)
 		req.Header.Set(forwardedHeader, c.selfOrProxy())
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return fmt.Errorf("cluster: hop: %w", err)
-		}
-		defer resp.Body.Close()
+		res, err = resilience.Call(c.client, req, c.cfg.MaxBodyBytes)
 		switch {
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			shed = &shedResult{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-			return resilience.Permanent(fmt.Errorf("%w: status %d", errShed, resp.StatusCode))
-		case resp.StatusCode >= 500:
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("cluster: hop: status %d", resp.StatusCode)
-		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1))
-		if err != nil {
+		case res.Status == 0:
+			return fmt.Errorf("cluster: hop: %w", err)
+		case res.Status == http.StatusTooManyRequests || res.Status == http.StatusServiceUnavailable:
+			shed = &shedResult{status: res.Status, retryAfter: res.Header.Get("Retry-After")}
+			return resilience.Permanent(fmt.Errorf("%w: status %d", errShed, res.Status))
+		case res.Status >= 500:
+			return fmt.Errorf("cluster: hop: status %d", res.Status)
+		case errors.Is(err, resilience.ErrTooLarge):
+			// Relaying a cut-off answer would hand the client a 2xx of
+			// invalid JSON, and the node's answer is no shorter on a
+			// retry: fail over.
+			return resilience.Permanent(fmt.Errorf("cluster: hop: response: %w", err))
+		case err != nil:
 			return fmt.Errorf("cluster: hop: read response: %w", err)
 		}
-		res = &hopResult{status: resp.StatusCode, header: resp.Header, body: b}
 		return nil
 	})
 	return res, shed, err
@@ -250,23 +246,23 @@ func (c *Coordinator) hop(ctx context.Context, budget time.Duration, url string,
 // serving node in the X-Omini-Node header and — when the payload is a
 // JSON object — in a "node" field, so decision traces downstream of
 // the coordinator can attribute the extraction.
-func (c *Coordinator) relay(w http.ResponseWriter, site string, res *hopResult, id string, m *member) {
+func (c *Coordinator) relay(w http.ResponseWriter, site string, res resilience.Response, id string, m *member) {
 	proxiedCount.Add(c.stats, 1)
 	m.served.Add(1)
-	if ct := res.header.Get("Content-Type"); ct != "" {
+	if ct := res.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if tr := res.header.Get(obs.TraceHeader); tr != "" {
+	if tr := res.Header.Get(obs.TraceHeader); tr != "" {
 		w.Header().Set(obs.TraceHeader, tr)
 	}
 	w.Header().Set(nodeHeader, id)
-	body := res.body
-	if res.status >= 200 && res.status < 300 {
+	body := res.Body
+	if res.Status >= 200 && res.Status < 300 {
 		body = stampNode(body, id)
 	}
-	w.WriteHeader(res.status)
+	w.WriteHeader(res.Status)
 	_, _ = w.Write(body)
-	c.log.Debug("cluster routed", "node", id, "site", site, "status", res.status)
+	c.log.Debug("cluster routed", "node", id, "site", site, "status", res.Status)
 }
 
 // stampNode adds "node": id as the first member of a JSON object

@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	neturl "net/url"
 	"os"
@@ -136,36 +135,30 @@ func (f *Fetcher) fetchOnce(ctx context.Context, url string) ([]byte, error) {
 	if err != nil {
 		return nil, resilience.Errorf("fetch: build request %s: %w", url, err)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		// Connection refused, reset, attempt timeout: all transient. The
-		// retry policy itself stops when the caller's context is done.
-		return nil, fmt.Errorf("fetch: get %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("fetch: get %s: status %s", url, resp.Status)
-		if retryableStatus(resp.StatusCode) {
-			return nil, err
-		}
-		return nil, resilience.Permanent(err)
-	}
 	limit := f.MaxBytes
 	if limit <= 0 {
 		limit = defaultMaxBytes
 	}
-	// Read one byte past the limit so an oversized body is detected
-	// rather than silently truncated at exactly `limit` bytes.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
+	res, err := resilience.Call(client, req, limit)
+	switch {
+	case res.Status == 0:
+		// Connection refused, reset, attempt timeout: all transient. The
+		// retry policy itself stops when the caller's context is done.
+		return nil, fmt.Errorf("fetch: get %s: %w", url, err)
+	case res.Status != http.StatusOK:
+		err := fmt.Errorf("fetch: get %s: status %d %s", url, res.Status, http.StatusText(res.Status))
+		if retryableStatus(res.Status) {
+			return nil, err
+		}
+		return nil, resilience.Permanent(err)
+	case errors.Is(err, resilience.ErrTooLarge):
+		tooLarge.Add(obs.RegistryFrom(ctx), 1)
+		return nil, resilience.Permanent(fmt.Errorf("fetch: read %s: %w (limit %d bytes)", url, ErrBodyTooLarge, limit))
+	case err != nil:
 		// Truncated transfer or mid-stream disconnect: transient.
 		return nil, fmt.Errorf("fetch: read %s: %w", url, err)
 	}
-	if int64(len(body)) > limit {
-		tooLarge.Add(obs.RegistryFrom(ctx), 1)
-		return nil, resilience.Permanent(fmt.Errorf("fetch: read %s: %w (limit %d bytes)", url, ErrBodyTooLarge, limit))
-	}
-	return body, nil
+	return res.Body, nil
 }
 
 // retryableStatus reports whether a non-200 status is worth retrying:

@@ -2,8 +2,7 @@ package lint
 
 // Cross-function call-graph facts for the control-flow analyzers:
 // which functions block (HTTP round-trips, channel operations,
-// waits), which take sync locks, and which close the body of an
-// *http.Response parameter. Facts are computed once per run over
+// waits) and which take sync locks. Facts are computed once per run over
 // every loaded package, seeded from an intrinsics table for the
 // standard library (whose bodies are not analyzed) and propagated
 // through the module's own call graph to a fixed point.
@@ -52,9 +51,6 @@ var blockingIntrinsics = map[string]bool{
 type CallFacts struct {
 	blocking map[*types.Func]bool
 	locking  map[*types.Func]bool
-	// bodyCloser maps a function to the index of the *http.Response
-	// parameter whose Body it closes.
-	bodyCloser map[*types.Func]int
 }
 
 // funcFactKey renders a *types.Func as an intrinsics-table key:
@@ -120,9 +116,8 @@ func inspectShallow(n ast.Node, f func(ast.Node) bool) {
 // packages.
 func BuildCallFacts(pkgs []*Package) *CallFacts {
 	cf := &CallFacts{
-		blocking:   make(map[*types.Func]bool),
-		locking:    make(map[*types.Func]bool),
-		bodyCloser: make(map[*types.Func]int),
+		blocking: make(map[*types.Func]bool),
+		locking:  make(map[*types.Func]bool),
 	}
 	// callers[f] lists the module functions that call f, for upward
 	// propagation.
@@ -185,9 +180,6 @@ func (cf *CallFacts) seed(info *types.Info, fn *types.Func, fd *ast.FuncDecl, ca
 		}
 		return true
 	})
-	if idx, ok := closesResponseParam(info, fd); ok {
-		cf.bodyCloser[fn] = idx
-	}
 }
 
 // propagate closes a fact over the call graph: a caller of a fact-
@@ -244,72 +236,6 @@ func mutexCall(info *types.Info, call *ast.CallExpr, names ...string) string {
 	return types.ExprString(sel.X)
 }
 
-// closesResponseParam reports the index of an *http.Response parameter
-// whose Body the function closes, for recognizing drain-and-close
-// helpers.
-func closesResponseParam(info *types.Info, fd *ast.FuncDecl) (int, bool) {
-	if fd.Type.Params == nil {
-		return 0, false
-	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		tv, isResp := info.Types[field.Type]
-		for _, name := range field.Names {
-			if isResp && isResponsePtr(tv.Type) {
-				obj := info.Defs[name]
-				if obj != nil && closesBodyOf(info, fd.Body, obj) {
-					return idx, true
-				}
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	return 0, false
-}
-
-// isResponsePtr reports whether t is *http.Response (or http.Response).
-func isResponsePtr(t types.Type) bool {
-	return namedType(t, "http", "Response")
-}
-
-// closesBodyOf reports whether the body contains a <v>.Body.Close()
-// call on the given variable.
-func closesBodyOf(info *types.Info, body *ast.BlockStmt, v types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if closeTargets(info, call, v) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// closeTargets reports whether call is <v>.Body.Close() for the
-// response variable v.
-func closeTargets(info *types.Info, call *ast.CallExpr, v types.Object) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" {
-		return false
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok || inner.Sel.Name != "Body" {
-		return false
-	}
-	id, ok := ast.Unparen(inner.X).(*ast.Ident)
-	return ok && info.Uses[id] == v
-}
-
 // CallBlocks reports whether a call blocks the calling goroutine:
 // a blocking intrinsic or a module function that (transitively)
 // blocks.
@@ -330,14 +256,4 @@ func (cf *CallFacts) FuncBlocks(fn *types.Func) bool {
 // sync.RWMutex.
 func (cf *CallFacts) FuncLocks(fn *types.Func) bool {
 	return fn != nil && cf.locking[fn]
-}
-
-// BodyCloserParam reports the *http.Response parameter index whose
-// Body fn closes.
-func (cf *CallFacts) BodyCloserParam(fn *types.Func) (int, bool) {
-	if fn == nil {
-		return 0, false
-	}
-	idx, ok := cf.bodyCloser[fn]
-	return idx, ok
 }

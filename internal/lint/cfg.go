@@ -3,7 +3,7 @@ package lint
 // A lightweight per-function control-flow graph over go/ast statements,
 // built with no dependencies beyond the stdlib (no x/tools). The CFG is
 // the substrate for the concurrency and resource-hygiene analyzers
-// (lockhold, bodyclose, spanend): basic blocks hold statements in
+// (lockhold, spanend): basic blocks hold statements in
 // execution order, edges follow branches, loops (with back edges),
 // switch/select dispatch, and early returns, and defer statements stay
 // in their registration block so a path-walk sees exactly the defers
@@ -487,12 +487,9 @@ func (b *cfgBuilder) branchStmt(s *ast.BranchStmt) {
 
 // escapes reports whether some execution path from block b (starting
 // at statement index start) reaches the CFG exit without encountering
-// a node for which match returns true. prune, when non-nil, drops the
-// i-th successor edge of a block the caller knows is infeasible for
-// its query (e.g. the err != nil branch after a successful call).
-// Paths that terminate without reaching Exit (panic, endless loop) do
+// a node for which match returns true. Paths that terminate without reaching Exit (panic, endless loop) do
 // not count as escapes.
-func (c *CFG) escapes(b *Block, start int, match func(ast.Node) bool, prune func(blk *Block, succ int) bool) bool {
+func (c *CFG) escapes(b *Block, start int, match func(ast.Node) bool) bool {
 	visited := make(map[*Block]bool)
 	var walk func(blk *Block, from int) bool
 	walk = func(blk *Block, from int) bool {
@@ -504,10 +501,7 @@ func (c *CFG) escapes(b *Block, start int, match func(ast.Node) bool, prune func
 		if blk == c.Exit {
 			return true
 		}
-		for i, succ := range blk.Succs {
-			if prune != nil && prune(blk, i) {
-				continue
-			}
+		for _, succ := range blk.Succs {
 			if visited[succ] {
 				continue
 			}

@@ -51,10 +51,10 @@ func TestCFGBranchOneArm(t *testing.T) {
 		}
 		done()
 	`)
-	if !cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if !cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("false branch should escape without mark()")
 	}
-	if cfg.escapes(cfg.Entry, 0, callTo("done"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("done")) {
 		t.Fatal("done() is on every path; nothing should escape it")
 	}
 }
@@ -67,7 +67,7 @@ func TestCFGBranchBothArms(t *testing.T) {
 			mark()
 		}
 	`)
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("mark() covers both arms; no path should escape")
 	}
 }
@@ -80,25 +80,8 @@ func TestCFGEarlyReturn(t *testing.T) {
 		}
 		mark()
 	`)
-	if !cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if !cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("early return should escape without mark()")
-	}
-}
-
-func TestCFGEarlyReturnPruned(t *testing.T) {
-	// Pruning the true edge of the guard (the caller knows it is
-	// infeasible) removes the escaping path.
-	_, cfg := parseBody(t, `
-		if cond() {
-			return
-		}
-		mark()
-	`)
-	prune := func(blk *Block, succ int) bool {
-		return blk.Cond != nil && succ == 0
-	}
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), prune) {
-		t.Fatal("with the guard's true edge pruned, every path hits mark()")
 	}
 }
 
@@ -110,7 +93,7 @@ func TestCFGLoopZeroIterations(t *testing.T) {
 			mark()
 		}
 	`)
-	if !cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if !cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("zero-iteration path should escape the loop body")
 	}
 
@@ -120,7 +103,7 @@ func TestCFGLoopZeroIterations(t *testing.T) {
 		}
 		mark()
 	`)
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("mark() after the loop is on every path")
 	}
 }
@@ -133,7 +116,7 @@ func TestCFGLoopBackEdge(t *testing.T) {
 			work()
 		}
 	`)
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("an endless loop never reaches exit; no escape")
 	}
 
@@ -145,7 +128,7 @@ func TestCFGLoopBackEdge(t *testing.T) {
 			}
 		}
 	`)
-	if !cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if !cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("break should reach exit without mark()")
 	}
 }
@@ -166,7 +149,7 @@ func TestCFGDefer(t *testing.T) {
 	if !ok {
 		t.Fatal("acquire statement not located in the graph")
 	}
-	if cfg.escapes(acq, 1, matchDefer("release"), nil) {
+	if cfg.escapes(acq, 1, matchDefer("release")) {
 		t.Fatal("deferred release is registered on every path; no escape")
 	}
 
@@ -182,7 +165,7 @@ func TestCFGDefer(t *testing.T) {
 	if !ok {
 		t.Fatal("acquire statement not located in the graph")
 	}
-	if !cfg.escapes(acq, 1, matchDefer("release"), nil) {
+	if !cfg.escapes(acq, 1, matchDefer("release")) {
 		t.Fatal("defer on one branch only: the other branch escapes")
 	}
 }
@@ -196,7 +179,7 @@ func TestCFGPanicTerminates(t *testing.T) {
 		}
 		mark()
 	`)
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("panic terminates its path; the surviving path hits mark()")
 	}
 }
@@ -207,7 +190,7 @@ func TestCFGSelectBlocksForever(t *testing.T) {
 		select {}
 		mark()
 	`)
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("select{} blocks forever; exit is unreachable")
 	}
 }
@@ -226,7 +209,7 @@ func TestCFGLabeledBreak(t *testing.T) {
 			mark()
 		}
 	`)
-	if !cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if !cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("labeled break should reach exit without mark()")
 	}
 }
@@ -244,7 +227,7 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 			mark()
 		}
 	`)
-	if cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("all switch paths reach mark()")
 	}
 
@@ -255,7 +238,7 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 			mark()
 		}
 	`)
-	if !cfg.escapes(cfg.Entry, 0, callTo("mark"), nil) {
+	if !cfg.escapes(cfg.Entry, 0, callTo("mark")) {
 		t.Fatal("switch without default has a fall-past path")
 	}
 }

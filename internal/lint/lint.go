@@ -16,16 +16,17 @@
 //     differential tests meaningful.
 //   - lockhold: no sync.Mutex or RWMutex is held across a blocking
 //     operation (HTTP round-trips, channel sends/receives, waits).
-//   - bodyclose: every *http.Response body reaches Close on all
-//     control-flow paths, and remote reads go through io.LimitReader.
+//   - peerhttp: HTTP client sends and request or response Body reads
+//     happen only in internal/resilience, whose one bounded reader
+//     limits, drains and closes every remote body.
 //   - goleak: goroutines in the long-lived packages are tied to a
 //     lifecycle (WaitGroup, context, or captured stop channel).
 //   - spanend: every obs.StartSpan span is ended on all paths.
 //
-// The last four are control-flow aware: the driver builds a
-// per-function basic-block CFG (cfg.go) and run-wide call-graph facts
-// (callgraph.go) that classify callees as blocking, lock-taking, or
-// body-closing, both exposed through Pass.
+// lockhold, goleak and spanend are control-flow aware: the driver
+// builds a per-function basic-block CFG (cfg.go) and run-wide
+// call-graph facts (callgraph.go) that classify callees as blocking or
+// lock-taking, both exposed through Pass.
 //
 // The paper's system (Buttler, Liu, Pu, ICDCS 2001) is motivated by
 // fully automated extraction at production scale; production Go stacks
@@ -71,9 +72,11 @@ type Pass struct {
 	Info *types.Info
 	// Files are the package's parsed files (tests excluded).
 	Files []*ast.File
-	// Facts are the run-wide call-graph classifications (blocking,
-	// lock-taking, body-closing callees), shared by every pass of the
-	// run.
+	// Nested is set for a package of a module nested inside the loaded
+	// one (see Package.Nested).
+	Nested bool
+	// Facts are the run-wide call-graph classifications (blocking and
+	// lock-taking callees), shared by every pass of the run.
 	Facts *CallFacts
 
 	report func(Finding)
@@ -118,7 +121,7 @@ func NewAnalyzers() []*Analyzer {
 		newCtxfirst(),
 		newPuredet(),
 		newLockhold(),
-		newBodyclose(),
+		newPeerhttp(),
 		newGoleak(),
 		newSpanend(),
 	}
@@ -152,12 +155,13 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Ana
 	passes := make([]*Pass, len(pkgs))
 	for i, pkg := range pkgs {
 		passes[i] = &Pass{
-			Fset:  pkg.Fset,
-			Path:  pkg.Path,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-			Files: pkg.Files,
-			Facts: facts,
+			Fset:   pkg.Fset,
+			Path:   pkg.Path,
+			Pkg:    pkg.Types,
+			Info:   pkg.Info,
+			Files:  pkg.Files,
+			Nested: pkg.Nested,
+			Facts:  facts,
 		}
 	}
 	timings := make([]AnalyzerTiming, 0, len(analyzers))

@@ -105,7 +105,7 @@ func TestErrwrapFixture(t *testing.T)    { runFixture(t, "errwrap") }
 func TestCtxfirstFixture(t *testing.T)   { runFixture(t, "ctxfirst") }
 func TestPuredetFixture(t *testing.T)    { runFixture(t, "puredet") }
 func TestLockholdFixture(t *testing.T)   { runFixture(t, "lockhold") }
-func TestBodycloseFixture(t *testing.T)  { runFixture(t, "bodyclose") }
+func TestPeerhttpFixture(t *testing.T)   { runFixture(t, "peerhttp") }
 func TestGoleakFixture(t *testing.T)     { runFixture(t, "goleak") }
 func TestSpanendFixture(t *testing.T)    { runFixture(t, "spanend") }
 

@@ -28,6 +28,10 @@ type Package struct {
 	Types *types.Package
 	// Info carries the type-checker's facts.
 	Info *types.Info
+	// Nested is set when the package belongs to a module nested inside
+	// the loaded one: a directory between it and the module root holds
+	// its own go.mod.
+	Nested bool
 }
 
 // Loader loads and type-checks packages of one module from source.
@@ -270,7 +274,19 @@ func (l *Loader) LoadPatterns(dir string, patterns []string) ([]*Package, error)
 		if err != nil {
 			return nil, err
 		}
+		pkg.Nested = l.nested(d)
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// nested reports whether dir, inside the module root, lies in a nested
+// module: dir or a parent below the root holds a go.mod.
+func (l *Loader) nested(dir string) bool {
+	for d := dir; len(d) > len(l.ModuleRoot); d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return true
+		}
+	}
+	return false
 }

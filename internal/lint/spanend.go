@@ -62,7 +62,7 @@ func checkSpanEnds(pass *Pass, body *ast.BlockStmt) {
 			}
 			escaped := cfg.escapes(b, i+1, func(m ast.Node) bool {
 				return endsOrHandsOffSpan(pass, m, sp)
-			}, nil)
+			})
 			if escaped {
 				pass.Reportf(n.Pos(), "span %s from obs.%s does not reach End on every path", id.Name, start)
 			}
@@ -185,6 +185,35 @@ func spanEndedIn(info *types.Info, n ast.Node, v types.Object) bool {
 			return false
 		}
 		if call, ok := m.(*ast.CallExpr); ok && endsSpanCall(info, call, v) {
+			found = true
+		}
+		return true
+	})
+	return found
+}
+
+// usesObjectAsValue reports whether the subtree uses v as a whole
+// value — a bare mention that is not merely the base of a field or
+// method selection (v.StatusCode, v.Body, v.Write(...) are reads of
+// v's parts, not uses of v itself).
+func usesObjectAsValue(info *types.Info, n ast.Node, v types.Object) bool {
+	// Idents appearing as the X of a selector are field reads, not
+	// value uses; collect them first, then look for any other use.
+	fieldReads := make(map[*ast.Ident]bool)
+	ast.Inspect(n, func(m ast.Node) bool {
+		if sel, ok := m.(*ast.SelectorExpr); ok {
+			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && info.Uses[id] == v {
+				fieldReads[id] = true
+			}
+		}
+		return true
+	})
+	found := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		if found {
+			return false
+		}
+		if id, ok := m.(*ast.Ident); ok && info.Uses[id] == v && !fieldReads[id] {
 			found = true
 		}
 		return true

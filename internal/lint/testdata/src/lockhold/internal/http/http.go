@@ -18,7 +18,7 @@ type Request struct {
 	Body   io.ReadCloser
 }
 
-// Response mirrors the response shape bodyclose tracks.
+// Response mirrors net/http's response shape.
 type Response struct {
 	StatusCode int
 	Body       io.ReadCloser

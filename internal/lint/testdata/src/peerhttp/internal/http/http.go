@@ -1,17 +1,12 @@
 // Package http is a minimal stand-in for net/http so the fixture
-// packages type-check inside their own module. bodyclose matches the
+// packages type-check inside their own module. peerhttp matches the
 // package name and type names, not the import path.
 package http
 
 import "io"
 
-type Header map[string][]string
-
-func (h Header) Set(key, value string) {}
-
 type Request struct {
-	Header Header
-	Body   io.ReadCloser
+	Body io.ReadCloser
 }
 
 type Response struct {
@@ -22,7 +17,3 @@ type Response struct {
 type Client struct{}
 
 func (c *Client) Do(req *Request) (*Response, error) { return nil, nil }
-
-func NewRequest(method, url string, body io.Reader) (*Request, error) {
-	return &Request{Header: Header{}}, nil
-}

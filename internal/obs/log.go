@@ -113,9 +113,9 @@ func (l *Logger) Enabled(lv Level) bool {
 // json.Marshal of the record as a map byte for byte: keys sorted, the
 // last of duplicate keys wins (user "ts", "level" and "msg" included),
 // strings escaped and floats formatted as encoding/json does them.
-// Values it has no encoder for go through json.Marshal one at a time;
-// a record json.Marshal would reject (a NaN, a failing MarshalJSON)
-// takes the whole-record map path, which reports the error in the line.
+// Values it has no encoder for go through json.Marshal one at a time.
+// A record json.Marshal would reject (a NaN, a failing MarshalJSON) is
+// written as a line naming the error json.Marshal reports for it.
 func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	if !l.Enabled(lv) {
 		return
@@ -163,9 +163,9 @@ func (l *Logger) write(lv Level, msg string, fields []Field) {
 	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.key, b.key) })
 
 	bp := logBufs.Get().(*[]byte)
-	line, ok := appendRecord((*bp)[:0], fields, l.now)
-	if !ok {
-		line = append(line[:0], l.mapLine(lv, msg, fields)...)
+	line, err := appendRecord((*bp)[:0], fields, l.now)
+	if err != nil {
+		line = fmt.Appendf(line[:0], `{"level":%q,"msg":%q,"logError":%q}`, lv.String(), msg, err)
 	}
 	line = append(line, '\n')
 	l.mu.Lock()
@@ -234,31 +234,12 @@ func Bool(key string, v bool) Field {
 // TraceID value.
 func TraceIDField(key string, v TraceID) Field { return Field{key: key, kind: fieldTraceID, id: v} }
 
-// value returns the field's value as Log's caller would have passed
-// it, for the whole-record map path.
-func (f *Field) value() any {
-	switch f.kind {
-	case fieldString:
-		return f.str
-	case fieldInt:
-		return int64(f.num)
-	case fieldFloat:
-		return math.Float64frombits(f.num)
-	case fieldBool:
-		return f.num != 0
-	case fieldTraceID:
-		return f.id
-	case fieldMissing:
-		return "!MISSING"
-	}
-	return f.val
-}
-
 // appendRecord appends the record's JSON object to b: fields sorted by
-// key, and of each run of equal keys only the last. It reports false
-// when a value has no JSON encoding, for the caller to fall back on
-// the map path.
-func appendRecord(b []byte, fields []Field, now func() time.Time) ([]byte, bool) {
+// key, and of each run of equal keys only the last. When a value has
+// no JSON encoding it returns json.Marshal's error for the first such
+// value in key order, the error json.Marshal of the record as a map
+// reports.
+func appendRecord(b []byte, fields []Field, now func() time.Time) ([]byte, error) {
 	b = append(b, '{')
 	open := len(b)
 	for i := range fields {
@@ -284,7 +265,7 @@ func appendRecord(b []byte, fields []Field, now func() time.Time) ([]byte, bool)
 		case fieldFloat:
 			var ok bool
 			if b, ok = AppendJSONFloat(b, math.Float64frombits(f.num), 64); !ok {
-				return b, false
+				return b, marshalError(math.Float64frombits(f.num))
 			}
 		case fieldBool:
 			b = strconv.AppendBool(b, f.num != 0)
@@ -295,11 +276,18 @@ func appendRecord(b []byte, fields []Field, now func() time.Time) ([]byte, bool)
 		default:
 			var ok bool
 			if b, ok = appendJSONValue(b, f.val); !ok {
-				return b, false
+				return b, marshalError(f.val)
 			}
 		}
 	}
-	return append(b, '}'), true
+	return append(b, '}'), nil
+}
+
+// marshalError is json.Marshal's error for v, a value appendRecord
+// found no JSON encoding for.
+func marshalError(v any) error {
+	_, err := json.Marshal(v)
+	return err
 }
 
 // appendTraceIDHex appends TraceID.String as a JSON string, without
@@ -310,9 +298,12 @@ func appendTraceIDHex(b []byte, id TraceID) []byte {
 	return append(b, '"')
 }
 
-// appendJSONValue appends v as the map path encodes jsonSafe(v). The
-// cases keep jsonSafe's order: a json.Marshaler wins over error, and
-// error over fmt.Stringer.
+// appendJSONValue appends v as json.Marshal encodes it, except that an
+// error is written as its message, a fmt.Stringer as its string, and a
+// value json.Marshal rejects (other than a float or a json.Marshaler)
+// as its fmt.Sprint text. A json.Marshaler wins over error, and error
+// over fmt.Stringer. It reports false for a NaN or infinite float and
+// a failing json.Marshaler, which have no encoding.
 func appendJSONValue(b []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case nil:
@@ -453,49 +444,6 @@ func AppendJSONString[S ~string | ~[]byte](b []byte, s S) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// mapLine is the whole-record path: the record as a map, marshaled by
-// encoding/json, or a line naming the marshal error. fields are sorted
-// stably by key, so of equal keys the last assigned is the last given.
-func (l *Logger) mapLine(lv Level, msg string, fields []Field) []byte {
-	rec := make(map[string]any, len(fields))
-	for i := range fields {
-		f := &fields[i]
-		if f.kind == fieldTime {
-			rec[f.key] = l.now().UTC().Format(time.RFC3339Nano)
-			continue
-		}
-		rec[f.key] = jsonSafe(f.value())
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		line = []byte(fmt.Sprintf(`{"level":%q,"msg":%q,"logError":%q}`, lv.String(), msg, err))
-	}
-	return line
-}
-
-// jsonSafe converts values json.Marshal would reject (errors, arbitrary
-// types) into strings.
-func jsonSafe(v any) any {
-	switch x := v.(type) {
-	case nil, bool, string,
-		int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64, json.Marshaler:
-		return x
-	case error:
-		return x.Error()
-	case time.Duration:
-		return x.String()
-	case fmt.Stringer:
-		return x.String()
-	default:
-		if _, err := json.Marshal(x); err != nil {
-			return fmt.Sprint(x)
-		}
-		return x
-	}
 }
 
 // Debug logs at LevelDebug.

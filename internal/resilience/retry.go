@@ -1,9 +1,12 @@
 // Package resilience supplies the fault-tolerance primitives the serving
 // path is built on: a retry policy with exponential backoff and jitter, a
-// per-host circuit breaker, a concurrency limiter for load shedding, and a
-// counter registry that makes all of it observable. The package has no
-// knowledge of HTTP or extraction — callers (internal/fetch, internal/serve,
-// internal/core) decide which failures are transient and which are final.
+// per-host circuit breaker, a concurrency limiter for load shedding, the
+// tree's one bounded HTTP body reader (Call for peer requests, ReadBody
+// for inbound ones), and a counter registry that makes all of it
+// observable. The package knows nothing of extraction, and of HTTP only
+// how to read a body within a limit — callers (internal/fetch,
+// internal/serve, internal/cluster, internal/ruledist) decide which
+// failures are transient and which are final.
 package resilience
 
 import (

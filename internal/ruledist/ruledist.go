@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -361,32 +360,23 @@ func (r *Replicator) fetchDigest(ctx context.Context, id, base string) (d digest
 		if etag := r.lastEtag(id); etag != "" {
 			req.Header.Set("If-None-Match", `"`+etag+`"`)
 		}
-		resp, rerr := r.client.Do(req)
-		if rerr != nil {
+		res, rerr := resilience.Call(r.client, req, r.cfg.MaxTransferBytes)
+		switch {
+		case res.Status == 0:
 			return fmt.Errorf("ruledist: digest %s: %w", id, rerr)
-		}
-		defer func() {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			_ = resp.Body.Close()
-		}()
-		switch resp.StatusCode {
-		case http.StatusNotModified:
+		case res.Status == http.StatusNotModified:
 			notMod = true
 			return nil
-		case http.StatusOK:
-		default:
-			return fmt.Errorf("ruledist: digest %s: status %d", id, resp.StatusCode)
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxTransferBytes+1))
-		if rerr != nil {
-			return fmt.Errorf("ruledist: digest %s: read: %w", id, rerr)
-		}
-		if int64(len(body)) > r.cfg.MaxTransferBytes {
+		case res.Status != http.StatusOK:
+			return fmt.Errorf("ruledist: digest %s: status %d", id, res.Status)
+		case errors.Is(rerr, resilience.ErrTooLarge):
 			corruptDiscarded.Add(r.stats, 1)
 			return resilience.Permanent(fmt.Errorf("ruledist: digest %s: response exceeds %d bytes", id, r.cfg.MaxTransferBytes))
+		case rerr != nil:
+			return fmt.Errorf("ruledist: digest %s: read: %w", id, rerr)
 		}
 		var parsed digest
-		if uerr := json.Unmarshal(body, &parsed); uerr != nil {
+		if uerr := json.Unmarshal(res.Body, &parsed); uerr != nil {
 			corruptDiscarded.Add(r.stats, 1)
 			return fmt.Errorf("ruledist: digest %s: decode: %w", id, uerr)
 		}
@@ -410,26 +400,19 @@ func (r *Replicator) pull(ctx context.Context, id, base string, sites []string) 
 		if rerr != nil {
 			return resilience.Permanent(fmt.Errorf("ruledist: pull %s: %w", id, rerr))
 		}
-		resp, rerr := r.client.Do(req)
-		if rerr != nil {
+		res, rerr := resilience.Call(r.client, req, r.cfg.MaxTransferBytes)
+		switch {
+		case res.Status == 0:
 			return fmt.Errorf("ruledist: pull %s: %w", id, rerr)
-		}
-		defer func() {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			_ = resp.Body.Close()
-		}()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("ruledist: pull %s: status %d", id, resp.StatusCode)
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxTransferBytes+1))
-		if rerr != nil {
-			return fmt.Errorf("ruledist: pull %s: read: %w", id, rerr)
-		}
-		if int64(len(body)) > r.cfg.MaxTransferBytes {
+		case res.Status != http.StatusOK:
+			return fmt.Errorf("ruledist: pull %s: status %d", id, res.Status)
+		case errors.Is(rerr, resilience.ErrTooLarge):
 			corruptDiscarded.Add(r.stats, 1)
 			return resilience.Permanent(fmt.Errorf("ruledist: pull %s: transfer exceeds %d bytes", id, r.cfg.MaxTransferBytes))
+		case rerr != nil:
+			return fmt.Errorf("ruledist: pull %s: read: %w", id, rerr)
 		}
-		s, derr := farm.DecodeSnapshot(body)
+		s, derr := farm.DecodeSnapshot(res.Body)
 		if derr != nil {
 			corruptDiscarded.Add(r.stats, 1)
 			return fmt.Errorf("ruledist: pull %s: discarded: %w", id, derr)

@@ -251,50 +251,3 @@ func TestDecisionTraceOnlyWhenAsked(t *testing.T) {
 		}
 	}
 }
-
-// TestReadBodyMatchesReadAll: the Content-Length-sized read returns
-// what io.ReadAll of the limited body returns, whether the body is as
-// long as declared, shorter, longer, past the limit or past the
-// pre-sizing cap, a body of the declared length costs one allocation,
-// and a client that declares a large body and sends none makes the
-// server allocate no more than the pre-sizing cap.
-func TestReadBodyMatchesReadAll(t *testing.T) {
-	const limit = 3 << 20
-	for _, c := range []struct{ declared, actual int }{
-		{1, 1}, {100, 100}, {100, 40}, {100, 250}, {100, limit + 10},
-		{limit - 1, limit - 1}, {maxPresizedBody + 5, maxPresizedBody + 5}, {-1, 700}, {0, 0},
-	} {
-		body := strings.Repeat("x", c.actual)
-		r := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(body))
-		r.ContentLength = int64(c.declared)
-		got, err := readBody(httptest.NewRecorder(), r, limit)
-		want, wantErr := io.ReadAll(io.LimitReader(strings.NewReader(body), limit))
-		if err != nil || wantErr != nil || !bytes.Equal(got, want) {
-			t.Errorf("declared %d, sent %d: got %d bytes (%v), want %d (%v)", c.declared, c.actual, len(got), err, len(want), wantErr)
-		}
-	}
-
-	for _, declared := range []int64{maxPresizedBody + 1, 1 << 20, limit - 1} {
-		r := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(""))
-		r.ContentLength = declared
-		got, err := readBody(httptest.NewRecorder(), r, limit)
-		if err != nil || len(got) != 0 || cap(got) > maxPresizedBody+1 {
-			t.Errorf("declared %d, sent nothing: %d bytes, capacity %d (%v), want 0 bytes within capacity %d",
-				declared, len(got), cap(got), err, maxPresizedBody+1)
-		}
-	}
-
-	page := []byte(strings.Repeat("<p>row</p>", 1000))
-	src := bytes.NewReader(page)
-	r := httptest.NewRequest(http.MethodPost, "/extract", io.NopCloser(src))
-	r.ContentLength = int64(len(page))
-	w := httptest.NewRecorder()
-	if n := testing.AllocsPerRun(50, func() {
-		src.Reset(page)
-		if b, err := readBody(w, r, limit); err != nil || len(b) != len(page) {
-			t.Fatalf("read %d bytes: %v", len(b), err)
-		}
-	}); n != 1 {
-		t.Errorf("readBody of a declared-length body: %v allocs, want 1", n)
-	}
-}

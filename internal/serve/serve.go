@@ -998,76 +998,25 @@ func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, 
 // the read as the connection's read deadline; a read it cuts off
 // answers the timeout's 503.
 func (s *Server) readPage(w http.ResponseWriter, r *http.Request, q url.Values) (html, site string, ok bool) {
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes+1)
-	if err != nil {
+	deadline, _ := r.Context().Deadline()
+	body, err := resilience.ReadBody(w, r, deadline, s.cfg.MaxBodyBytes)
+	switch {
+	case errors.Is(err, resilience.ErrTooLarge):
+		writeError(r.Context(), w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("body exceeds %d-byte limit", s.cfg.MaxBodyBytes))
+		return "", "", false
+	case err != nil:
 		if errors.Is(err, os.ErrDeadlineExceeded) || timedOut(r.Context()) {
 			writeTimeout(r.Context(), w)
 		} else {
 			writeError(r.Context(), w, http.StatusBadRequest, "read body: "+err.Error())
 		}
 		return "", "", false
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(r.Context(), w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("body exceeds %d-byte limit", s.cfg.MaxBodyBytes))
-		return "", "", false
-	}
-	if len(body) == 0 {
+	case len(body) == 0:
 		writeError(r.Context(), w, http.StatusBadRequest, "empty body")
 		return "", "", false
 	}
 	return string(body), q.Get("site"), true
-}
-
-// readBody reads up to limit bytes of r's body under the request
-// context's deadline, set as the connection's read deadline for the
-// read alone and cleared after it: net/http's own read for the next
-// request on the connection begins when the body ends, and a deadline
-// left behind would cut that read off and cancel the connection. A
-// bodiless request has nothing to bound, and a writer without a
-// connection cannot take a deadline (http.ErrNotSupported).
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	if deadline, ok := r.Context().Deadline(); ok && r.Body != http.NoBody {
-		rc := http.NewResponseController(w)
-		if rc.SetReadDeadline(deadline) == nil {
-			defer func() { _ = rc.SetReadDeadline(time.Time{}) }()
-		}
-	}
-	size := int64(512) // io.ReadAll's first buffer
-	if n := r.ContentLength; n > 0 && n < limit {
-		size = min(n, maxPresizedBody) + 1
-	}
-	return readSized(r.Body, size, limit)
-}
-
-// maxPresizedBody caps the buffer readBody allocates up front from a
-// declared Content-Length, before any of the body has arrived. It holds
-// the largest page the service is benchmarked on (the 51 KB large bench
-// page) whole; a longer body grows past it as its bytes arrive, so a
-// client that declares a large body and sends none pins at most this
-// much per in-flight slot.
-const maxPresizedBody = 64 << 10
-
-// readSized is io.ReadAll(io.LimitReader(body, limit)) starting from a
-// buffer of capacity size: a body that declared its length gets room
-// for all of it plus the read that sees the end, and grows only if it
-// runs longer.
-func readSized(body io.Reader, size, limit int64) ([]byte, error) {
-	lr := io.LimitedReader{R: body, N: limit}
-	b := make([]byte, 0, size)
-	for {
-		m, err := lr.Read(b[len(b):cap(b)])
-		b = b[:len(b)+m]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

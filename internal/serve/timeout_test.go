@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -119,6 +121,35 @@ func TestTrickledBodyCutOffByReadDeadline(t *testing.T) {
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("answered after %v; the read deadline should cut the body off at 150ms", took)
 	}
+	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != wantTimeoutBody {
+		t.Errorf("got %d %q, want 503 %q", resp.StatusCode, body, wantTimeoutBody)
+	}
+}
+
+// TestStalledDeclaredBodyAnswers503: a client that declares a body
+// and never sends it gets the 503 when the request timeout passes.
+// The read deadline stays on the failed read, so net/http's drain of
+// the unsent body after the handler cannot hold the answer back.
+func TestStalledDeclaredBodyAnswers503(t *testing.T) {
+	ts := httptest.NewServer(quietServer(Config{RequestTimeout: 100 * time.Millisecond}))
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, err = io.WriteString(conn, "POST /extract?site=stalled.example HTTP/1.1\r\n"+
+		"Host: omini\r\nContent-Length: 100\r\n\r\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to a stalled body: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != wantTimeoutBody {
 		t.Errorf("got %d %q, want 503 %q", resp.StatusCode, body, wantTimeoutBody)
 	}
