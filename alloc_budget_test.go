@@ -7,6 +7,7 @@ package omini_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 	"omini/internal/serve"
 	"omini/internal/tagtree"
 	"omini/internal/tidy"
+	"omini/internal/wrapgen"
 )
 
 // allocBudgets are the committed allocation ceilings, allocs per call:
@@ -38,22 +40,30 @@ var allocBudgets = map[string]float64{
 	"build/small":        3,
 	"build/medium":       3,
 	"build/large":        3,
-	"discovery/small":    123,
-	"discovery/medium":   92,
-	"discovery/large":    97,
+	"discovery/small":    59,
+	"discovery/medium":   52,
+	"discovery/large":    55,
 	"replay/small":       27,
 	"replay/medium":      25,
 	"replay/large":       26,
-	"serve hot sample=0": 74,
-	"serve hot sample=1": 83,
+	"serve hot sample=0": 73,
+	"serve hot sample=1": 82,
+	"serve longtail":     119,
+	"signature/large":    6,
+	"drift/large":        1,
 }
+
+// allocRuns is how many calls TestAllocBudgets averages over.
+const allocRuns = 50
 
 // TestAllocBudgets fails when an entry point allocates more per call
 // than its committed ceiling: Phase 1's three entry points on the
 // small, medium and large bench pages, core's discovery and rule
-// replay on the same pages, and one hot /extract through the whole
-// serving layer, untraced and traced. Allocation counts repeat from
-// run to run, so the gate has no noise to allow for.
+// replay on the same pages, one hot /extract through the whole serving
+// layer, untraced and traced, one /extract that learns an unseen site,
+// and the drift signature and drift score of the large bench page.
+// Allocation counts repeat from run to run, so the gate has no noise to
+// allow for.
 func TestAllocBudgets(t *testing.T) {
 	measured := map[string]func(){}
 	ex := core.New(core.Options{})
@@ -78,10 +88,16 @@ func TestAllocBudgets(t *testing.T) {
 		measured["build/"+size] = func() { _, _ = tagtree.Build(norm, nil) }
 		measured["discovery/"+size] = func() { _, _ = ex.ExtractContext(ctx, html) }
 		measured["replay/"+size] = func() { _, _ = ex.ExtractWithRuleContext(ctx, html, rule) }
+		if size == "large" {
+			sig := tagtree.PathSignature(learned.Tree)
+			measured["signature/large"] = func() { _ = tagtree.PathSignature(learned.Tree) }
+			measured["drift/large"] = func() { _ = wrapgen.DriftScore(sig, learned.Tree) }
+		}
 	}
 	for name, rate := range map[string]float64{"serve hot sample=0": -1, "serve hot sample=1": 1} {
 		measured[name] = hotRequest(t, rate)
 	}
+	measured["serve longtail"] = longtailRequest(t)
 
 	names := make([]string, 0, len(allocBudgets))
 	for name := range allocBudgets {
@@ -94,7 +110,7 @@ func TestAllocBudgets(t *testing.T) {
 			t.Errorf("%s: budget for nothing measured", name)
 			continue
 		}
-		got := testing.AllocsPerRun(50, f)
+		got := testing.AllocsPerRun(allocRuns, f)
 		switch {
 		case got > ceiling:
 			t.Errorf("%s: %v allocs per call, over its ceiling of %v", name, got, ceiling)
@@ -139,6 +155,38 @@ func hotRequest(t *testing.T, rate float64) func() {
 	return func() {
 		if code := post(target, html); code != http.StatusOK {
 			t.Fatalf("%s: status %d", target, code)
+		}
+	}
+}
+
+// longtailRequest returns a function serving one /extract request, as
+// BenchmarkServeExtractLongtail does, for a site the server has never
+// seen: each call misses the farm, runs full discovery and learns a
+// rule. The site names are minted up front, so building them is not
+// counted.
+func longtailRequest(t *testing.T) func() {
+	t.Helper()
+	srv := serve.New(serve.Config{
+		Stats:  resilience.NewStats(),
+		Logger: obs.NewLogger(io.Discard, obs.LevelInfo),
+	})
+	html := corpus.AllSpecs()[0].Page(0).HTML
+	// testing.AllocsPerRun calls the function once more than it counts.
+	targets := make([]string, allocRuns+1)
+	for i := range targets {
+		targets[i] = fmt.Sprintf("/extract?site=tail-%d.example", i)
+	}
+	next := 0
+	return func() {
+		if next == len(targets) {
+			t.Fatal("longtail request: out of unseen sites")
+		}
+		target := targets[next]
+		next++
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", target, rec.Code)
 		}
 	}
 }

@@ -348,6 +348,9 @@ func TestErrorMatrix(t *testing.T) {
 
 	t.Run("routing budget exhaustion is 504", func(t *testing.T) {
 		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// Reading the body to its end lets net/http watch the
+			// connection, so the coordinator hanging up ends r.Context().
+			_, _ = io.Copy(io.Discard, r.Body)
 			select {
 			case <-r.Context().Done():
 			case <-time.After(2 * time.Second):

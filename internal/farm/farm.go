@@ -91,6 +91,13 @@ const (
 	defaultRelearnInterval = time.Minute
 )
 
+// The pprof path labels of the fast and slow paths, built once: every
+// request runs under one of them.
+var (
+	fastLabels = pprof.Labels("path", "fast")
+	slowLabels = pprof.Labels("path", "slow")
+)
+
 // Outcome reports how one extraction was served.
 type Outcome struct {
 	// FromRule is true when the result came from cached-rule replay
@@ -382,7 +389,7 @@ func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*c
 	fctx, sp := obs.StartSpan(ctx, phaseFast)
 	var res *core.Result
 	var err error
-	pprof.Do(fctx, pprof.Labels("path", "fast"), func(pctx context.Context) {
+	pprof.Do(fctx, fastLabels, func(pctx context.Context) {
 		res, err = f.ex.ExtractWithRuleContext(pctx, html, rule)
 	})
 	sp.End()
@@ -402,7 +409,7 @@ func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) 
 	sctx, sp := obs.StartSpan(ctx, phaseSlow)
 	var res *core.Result
 	var err error
-	pprof.Do(sctx, pprof.Labels("path", "slow"), func(pctx context.Context) {
+	pprof.Do(sctx, slowLabels, func(pctx context.Context) {
 		res, err = f.ex.ExtractContext(pctx, html)
 	})
 	sp.End()

@@ -34,7 +34,6 @@ var governloopBaseline = map[string]bool{
 	"tagtree.Node.Walk":             true,
 	"tagtree.Outline":               true,
 	"tagtree.Path":                  true,
-	"tagtree.PathSignature":         true,
 	"tagtree.Selector.Match":        true,
 	"tagtree.Signature.Similarity":  true,
 	"tidy.Serialize":                true,

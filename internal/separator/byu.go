@@ -1,6 +1,9 @@
 package separator
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file implements the two heuristics of the BYU record-boundary
 // discovery system (Embley, Jiang, Ng — SIGMOD'99) that Omini does NOT
@@ -34,12 +37,11 @@ func (hc) Rank(st *Stats) []Ranked {
 		st.g.Poll()
 		entries = append(entries, entry{tag: tag, count: s.count, first: s.first})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
+	slices.SortFunc(entries, func(a, b entry) int {
 		if a.count != b.count {
-			return a.count > b.count
+			return cmp.Compare(b.count, a.count)
 		}
-		return a.first < b.first
+		return cmp.Compare(a.first, b.first)
 	})
 	out := make([]Ranked, len(entries))
 	for i, e := range entries {

@@ -66,12 +66,14 @@ func ByName(name string) Heuristic {
 }
 
 // tagStat aggregates the per-tag candidate statistics shared by the
-// heuristics: how many children of the subtree root carry the tag and the
-// position of its first appearance. NewStats computes them in one pass over
-// the children, shared by all heuristics ranking the same subtree.
+// heuristics: how many children of the subtree root carry the tag, the
+// position of its first appearance and the positions of all of them.
+// NewStats computes them once, shared by all heuristics ranking the same
+// subtree.
 type tagStat struct {
 	count int
 	first int
+	occ   []int
 }
 
 // Tags extracts just the tag names from a ranking, preserving order.

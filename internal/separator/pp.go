@@ -1,7 +1,8 @@
 package separator
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"omini/internal/tagtree"
@@ -36,101 +37,52 @@ type PathCount struct {
 }
 
 func (pp) Rank(st *Stats) []Ranked {
-	trie := st.pp()
-	stats := st.tags
+	trie, err := st.pp()
+	if err != nil {
+		// The page is out of budget; combine.Combine reports it.
+		return nil
+	}
 	type best struct {
-		count  int
-		length int
+		tag    string
+		count  int32
+		length int32
+		first  int
 	}
 	// The trie dedups top-level tags by construction, so the best path per
 	// candidate tag is a max over that child's trie subtree: highest count,
 	// longest path among those.
-	bests := make(map[string]best, len(trie.children))
-	tags := make([]string, 0, len(trie.children))
-	for _, top := range trie.children {
+	bests := make([]best, 0, len(st.tags))
+	for top := trie.Nodes[0].FirstChild; top != 0; top = trie.Nodes[top].NextSibling {
 		st.g.Poll()
-		b := best{}
-		var scan func(t *ppTrieNode)
-		scan = func(t *ppTrieNode) {
-			if t.count > b.count || (t.count == b.count && t.depth > b.length) {
-				b = best{count: t.count, length: t.depth}
-			}
-			for _, c := range t.children {
-				scan(c)
+		tag := trie.Nodes[top].Tag
+		// Every path starts at a child of sub, so each tag has child stats.
+		b := best{tag: tag, first: st.tags[tag].first}
+		for i := top; i != 0; i = trie.Next(i, top) {
+			st.g.Poll()
+			if n := trie.Nodes[i]; n.Count > b.count || (n.Count == b.count && n.Depth > b.length) {
+				b.count, b.length = n.Count, n.Depth
 			}
 		}
-		scan(top)
-		bests[top.tag] = b
-		tags = append(tags, top.tag)
+		bests = append(bests, b)
 	}
-	sort.Slice(tags, func(i, j int) bool {
-		a, b := bests[tags[i]], bests[tags[j]]
+	slices.SortFunc(bests, func(a, b best) int {
 		if a.count != b.count {
-			return a.count > b.count
+			return cmp.Compare(b.count, a.count)
 		}
 		if a.length != b.length {
-			return a.length > b.length
+			return cmp.Compare(b.length, a.length)
 		}
-		// Every path starts at a child of sub, so both tags have child
-		// stats; remaining ties follow document order of first appearance.
-		return stats[tags[i]].first < stats[tags[j]].first
+		// Remaining ties follow document order of first appearance.
+		return cmp.Compare(a.first, b.first)
 	})
-	out := make([]Ranked, 0, len(tags))
-	for _, tag := range tags {
-		if bests[tag].count < 2 {
+	out := make([]Ranked, 0, len(bests))
+	for _, b := range bests {
+		if b.count < 2 {
 			continue
 		}
-		out = append(out, Ranked{Tag: tag, Score: float64(bests[tag].count)})
+		out = append(out, Ranked{Tag: b.tag, Score: float64(b.count)})
 	}
 	return out
-}
-
-// ppTrieNode is one node of the partial-path trie: the tags on the way from
-// the trie root to the node spell a downward tag path, count is the number
-// of occurrences of that path. Children are a small slice scanned linearly —
-// the distinct continuations of one path are few, and the scan avoids a map
-// allocation per trie node.
-type ppTrieNode struct {
-	tag      string
-	depth    int // path length in tags
-	count    int
-	children []*ppTrieNode
-}
-
-// child returns the continuation of t's path by tag, creating it on first
-// use.
-func (t *ppTrieNode) child(tag string) *ppTrieNode {
-	for _, c := range t.children {
-		if c.tag == tag {
-			return c
-		}
-	}
-	c := &ppTrieNode{tag: tag, depth: t.depth + 1}
-	t.children = append(t.children, c)
-	return c
-}
-
-// buildPPTrie counts every downward tag path starting at a child of sub.
-// Replacing the per-node strings.Join of the naive enumeration, each tag
-// node costs one linear trie step; path strings are only materialized once
-// per distinct path, by PPPaths.
-func buildPPTrie(sub *tagtree.Node) *ppTrieNode {
-	root := &ppTrieNode{}
-	var walk func(n *tagtree.Node, at *ppTrieNode)
-	walk = func(n *tagtree.Node, at *ppTrieNode) {
-		if n.IsContent() {
-			return
-		}
-		at = at.child(n.Tag)
-		at.count++
-		for _, c := range n.Children {
-			walk(c, at)
-		}
-	}
-	for _, c := range sub.Children {
-		walk(c, root)
-	}
-	return root
 }
 
 // PPPaths enumerates every downward tag path starting at a child of the
@@ -139,31 +91,21 @@ func buildPPTrie(sub *tagtree.Node) *ppTrieNode {
 // one occurrence. Paths are returned in descending count order, ties broken
 // by longer path then lexicographic order.
 func PPPaths(sub *tagtree.Node) []PathCount {
-	root := buildPPTrie(sub)
-	var out []PathCount
-	var parts []string
-	var emit func(t *ppTrieNode)
-	emit = func(t *ppTrieNode) {
-		parts = append(parts, t.tag)
-		out = append(out, PathCount{Path: strings.Join(parts, "."), Count: t.count})
-		for _, c := range t.children {
-			emit(c)
-		}
-		parts = parts[:len(parts)-1]
+	trie, _ := tagtree.BuildPathTrie(sub.Children, nil)
+	sig := trie.Signature()
+	out := make([]PathCount, 0, len(sig))
+	for p, c := range sig {
+		out = append(out, PathCount{Path: p, Count: c})
 	}
-	for _, c := range root.children {
-		emit(c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b PathCount) int {
 		if a.Count != b.Count {
-			return a.Count > b.Count
+			return cmp.Compare(b.Count, a.Count)
 		}
 		la, lb := strings.Count(a.Path, "."), strings.Count(b.Path, ".")
 		if la != lb {
-			return la > lb
+			return cmp.Compare(lb, la)
 		}
-		return a.Path < b.Path
+		return strings.Compare(a.Path, b.Path)
 	})
 	return out
 }

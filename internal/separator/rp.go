@@ -1,7 +1,8 @@
 package separator
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"omini/internal/tagtree"
 )
@@ -124,15 +125,14 @@ func RPPairs(sub *tagtree.Node) []RPPair {
 		}
 		out = append(out, RPPair{Pair: p, Count: c, Diff: diff})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b RPPair) int {
 		if a.Count != b.Count {
-			return a.Count > b.Count
+			return cmp.Compare(b.Count, a.Count)
 		}
 		if a.Diff != b.Diff {
-			return a.Diff < b.Diff
+			return cmp.Compare(a.Diff, b.Diff)
 		}
-		return firstSeen[a.Pair] < firstSeen[b.Pair]
+		return cmp.Compare(firstSeen[a.Pair], firstSeen[b.Pair])
 	})
 	return out
 }

@@ -1,7 +1,8 @@
 package separator
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"omini/internal/tagtree"
 )
@@ -73,12 +74,11 @@ func SBPairs(sub *tagtree.Node) []SBPair {
 	for p, c := range pairCount {
 		out = append(out, SBPair{Pair: p, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b SBPair) int {
 		if a.Count != b.Count {
-			return a.Count > b.Count
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return firstSeen[a.Pair] < firstSeen[b.Pair]
+		return cmp.Compare(firstSeen[a.Pair], firstSeen[b.Pair])
 	})
 	return out
 }

@@ -1,8 +1,9 @@
 package separator
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // sd is the Standard Deviation heuristic of Section 5.1 (adopted unchanged
@@ -62,15 +63,14 @@ func (sd) Rank(st *Stats) []Ranked {
 			first: s.first,
 		})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
+	slices.SortFunc(entries, func(a, b entry) int {
 		if a.sigma != b.sigma {
-			return a.sigma < b.sigma
+			return cmp.Compare(a.sigma, b.sigma)
 		}
 		if a.count != b.count {
-			return a.count > b.count
+			return cmp.Compare(b.count, a.count)
 		}
-		return a.first < b.first
+		return cmp.Compare(a.first, b.first)
 	})
 	// Near-tie adjustment: candidates of near-identical regularity (σ
 	// within 5%) are ordered by frequency instead. The LOC page's hr and

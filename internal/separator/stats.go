@@ -5,7 +5,7 @@ import (
 	"omini/internal/tagtree"
 )
 
-// Stats is a one-pass index over the children of a chosen subtree, shared by
+// Stats is an index over the children of a chosen subtree, shared by
 // every heuristic ranking the same subtree: per-tag counts and first
 // appearances, a running content-size prefix over the children (so SD's
 // inter-occurrence distances become O(1) lookups), per-tag occurrence
@@ -22,18 +22,20 @@ type Stats struct {
 	// prefix[i] is the total NodeSize of children[0:i]; the content spanned
 	// from child a up to (not including) child b is prefix[b]-prefix[a].
 	prefix []int
-	// occ lists the positions among sub.Children at which each tag occurs.
-	occ map[string][]int
 
+	// The pair listings and the partial-path trie are built on first use.
 	rpPairs []RPPair
 	rpDone  bool
 	sbPairs []SBPair
 	sbDone  bool
-	ppRoot  *ppTrieNode
+	ppTrie  tagtree.PathTrie
+	ppErr   error
+	ppDone  bool
 }
 
-// NewStats indexes the children of sub in a single pass. The scan polls
-// the guard's page context, so indexing a subtree with millions of
+// NewStats indexes the children of sub: one pass counts each tag, and a
+// second files its positions into one shared array. The scans poll the
+// guard's page context, so indexing a subtree with millions of
 // children stops when the page is cancelled or out of time; a nil guard
 // means unlimited, and then NewStats never fails.
 func NewStats(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
@@ -42,7 +44,6 @@ func NewStats(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
 		g:      g,
 		tags:   make(map[string]tagStat),
 		prefix: make([]int, len(sub.Children)+1),
-		occ:    make(map[string][]int),
 	}
 	for i, c := range sub.Children {
 		if err := g.Poll(); err != nil {
@@ -58,7 +59,27 @@ func NewStats(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
 		}
 		s.count++
 		st.tags[c.Tag] = s
-		st.occ[c.Tag] = append(st.occ[c.Tag], i)
+	}
+	// Every tag's occurrence list is a window of one backing array, sized
+	// by the counts just taken.
+	occ := make([]int, len(sub.Children))
+	for tag, s := range st.tags {
+		if err := g.Poll(); err != nil {
+			return nil, err
+		}
+		s.occ, occ = occ[:0:s.count], occ[s.count:]
+		st.tags[tag] = s
+	}
+	for i, c := range sub.Children {
+		if err := g.Poll(); err != nil {
+			return nil, err
+		}
+		if c.IsContent() {
+			continue
+		}
+		s := st.tags[c.Tag]
+		s.occ = append(s.occ, i)
+		st.tags[c.Tag] = s
 	}
 	return st, nil
 }
@@ -75,7 +96,7 @@ func (st *Stats) FirstIndex(tag string) (int, bool) {
 // among the subtree's children (Section 5.1), each gap read off the prefix
 // sums instead of re-accumulating child sizes.
 func (st *Stats) gaps(tag string) []float64 {
-	pos := st.occ[tag]
+	pos := st.tags[tag].occ
 	if len(pos) < 2 {
 		return nil
 	}
@@ -105,10 +126,12 @@ func (st *Stats) sb() []SBPair {
 	return st.sbPairs
 }
 
-// pp returns the cached partial-path trie, computing it on first use.
-func (st *Stats) pp() *ppTrieNode {
-	if st.ppRoot == nil {
-		st.ppRoot = buildPPTrie(st.sub)
+// pp returns the cached partial-path trie over the subtree's children,
+// building it on first use under the page's guard.
+func (st *Stats) pp() (*tagtree.PathTrie, error) {
+	if !st.ppDone {
+		st.ppTrie, st.ppErr = tagtree.BuildPathTrie(st.sub.Children, st.g)
+		st.ppDone = true
 	}
-	return st.ppRoot
+	return &st.ppTrie, st.ppErr
 }

@@ -7,7 +7,8 @@
 package subtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"omini/internal/govern"
 	"omini/internal/tagtree"
@@ -99,15 +100,14 @@ func rankCandidates(root *tagtree.Node, score func(*tagtree.Node) float64, g *go
 		entries[i] = Ranked{Node: n, Score: score(n)}
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
+	slices.SortFunc(idx, func(i, j int) int {
 		if entries[i].Score != entries[j].Score {
-			return entries[i].Score > entries[j].Score
+			return cmp.Compare(entries[j].Score, entries[i].Score)
 		}
 		if cl.depths[i] != cl.depths[j] {
-			return cl.depths[i] > cl.depths[j]
+			return cmp.Compare(cl.depths[j], cl.depths[i])
 		}
-		return i < j
+		return cmp.Compare(i, j)
 	})
 	out := make([]Ranked, len(entries))
 	for k, i := range idx {

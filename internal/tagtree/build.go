@@ -2,7 +2,7 @@ package tagtree
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -290,19 +290,23 @@ func Path(n *Node) string {
 	if n == nil {
 		return ""
 	}
-	var parts []string
-	for v := n; v != nil; v = v.Parent {
-		name := v.Tag
-		if v.IsContent() {
-			name = "#text"
-		}
-		parts = append(parts, fmt.Sprintf("%s[%d]", name, v.Index))
+	var buf [128]byte
+	return string(appendPath(buf[:0], n))
+}
+
+// appendPath appends the path expression of n to buf, root first.
+func appendPath(buf []byte, n *Node) []byte {
+	if n.Parent != nil {
+		buf = append(appendPath(buf, n.Parent), '.')
 	}
-	// Reverse.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	if n.IsContent() {
+		buf = append(buf, "#text"...)
+	} else {
+		buf = append(buf, n.Tag...)
 	}
-	return strings.Join(parts, ".")
+	buf = append(buf, '[')
+	buf = strconv.AppendInt(buf, int64(n.Index), 10)
+	return append(buf, ']')
 }
 
 // FindPath resolves a dot-notation path expression against the tree rooted

@@ -14,22 +14,11 @@ type Signature map[string]int
 // PathSignature computes the signature of the subtree anchored at n: for
 // every tag node, the dot-joined tag path from n down to it, counted with
 // multiplicity. Content nodes contribute nothing (content changes page to
-// page; structure is what wrappers depend on).
+// page; structure is what wrappers depend on). The paths are counted in a
+// PathTrie, so each distinct path is rendered once.
 func PathSignature(n *Node) Signature {
-	sig := make(Signature)
-	var walk func(v *Node, path string)
-	walk = func(v *Node, path string) {
-		sig[path]++
-		for _, c := range v.Children {
-			if !c.IsContent() {
-				walk(c, path+"."+c.Tag)
-			}
-		}
-	}
-	if n != nil && !n.IsContent() {
-		walk(n, n.Tag)
-	}
-	return sig
+	t, _ := BuildPathTrie([]*Node{n}, nil)
+	return t.Signature()
 }
 
 // Similarity returns the weighted Jaccard similarity of two signatures in

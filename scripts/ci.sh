@@ -89,6 +89,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "$FUZZTIME" ./internal/htmlparse/
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/tagtree/
     go test -run '^$' -fuzz '^FuzzCollapseSpace$' -fuzztime "$FUZZTIME" ./internal/tagtree/
+    go test -run '^$' -fuzz '^FuzzPathSignature$' -fuzztime "$FUZZTIME" ./internal/tagtree/
     go test -run '^$' -fuzz '^FuzzSnapshotCodec$' -fuzztime "$FUZZTIME" ./internal/farm/
     go test -run '^$' -fuzz '^FuzzFindNext$' -fuzztime "$FUZZTIME" ./internal/nav/
     go test -run '^$' -fuzz '^FuzzLogLine$' -fuzztime "$FUZZTIME" ./internal/obs/
