@@ -50,7 +50,7 @@ var allocBudgets = map[string]float64{
 	"serve hot sample=1": 82,
 	"serve longtail":     119,
 	"signature/large":    6,
-	"drift/large":        1,
+	"drift/large":        6,
 }
 
 // allocRuns is how many calls TestAllocBudgets averages over.

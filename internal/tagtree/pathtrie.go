@@ -10,9 +10,10 @@ import (
 // PathTrie is a multiset of downward tag paths held as a trie in one flat
 // slice: the tags on the way from a child of the root down to a node spell
 // one path, and the node's Count is the number of tag nodes that path ends
-// at. It is the one way the tree counts paths: the drift signature, the
-// drift score and the PP heuristic all walk a trie instead of building a
-// string per tree node, and render each distinct path at most once.
+// at. It is the one way the tree counts paths: the drift signature (and so
+// the drift score) and the PP heuristic both walk a trie instead of
+// building a string per tree node, and render each distinct path at most
+// once.
 type PathTrie struct {
 	// Nodes holds the trie. Nodes[0] is the root, the empty path, and
 	// every node comes after its parent.
@@ -21,9 +22,6 @@ type PathTrie struct {
 	g *govern.Guard
 	// size is the total length of every distinct path, dot-joined.
 	size int
-	// dotted records a tag holding a '.', whose path can render the same
-	// as another node's. Parsed trees have none.
-	dotted bool
 	// wide indexes the children of the nodes with more than scanLimit
 	// distinct children, so a page of many distinct sibling tags stays
 	// linear.
@@ -139,7 +137,6 @@ func (t *PathTrie) child(at int32, tag string, plen int) int32 {
 // newNode appends an unlinked child of parent ending its path with tag.
 func (t *PathTrie) newNode(parent int32, tag string, plen int) int32 {
 	t.size += plen
-	t.dotted = t.dotted || strings.IndexByte(tag, '.') >= 0
 	t.Nodes = append(t.Nodes, PathNode{Tag: tag, Parent: parent, Depth: t.Nodes[parent].Depth + 1})
 	return int32(len(t.Nodes) - 1)
 }
@@ -203,41 +200,4 @@ func (t *PathTrie) Signature() Signature {
 		sig[arena.String()[start:]] += int(t.Nodes[i].Count)
 	}
 	return sig
-}
-
-// Similarity returns sig.Similarity(t.Signature()), bit for bit, without
-// building the trie's signature: each path is rendered into one reused
-// buffer and looked up in sig, and sig's paths the trie lacks are scored
-// from sums over all of sig less the matched ones.
-func (t *PathTrie) Similarity(sig Signature) float64 {
-	if t.dotted {
-		// Two paths may render alike; only the map merges them.
-		return sig.Similarity(t.Signature())
-	}
-	if len(sig) == 0 && len(t.Nodes) == 1 {
-		return 1
-	}
-	// A path of sig alone scores min(a, 0) and max(a, 0).
-	var minSum, maxSum int
-	for _, a := range sig {
-		t.g.Poll()
-		minSum += min(a, 0)
-		maxSum += max(a, 0)
-	}
-	var scratch [256]byte
-	for i := 1; i < len(t.Nodes); i++ {
-		t.g.Poll()
-		b := int(t.Nodes[i].Count)
-		a, ok := sig[string(t.AppendPath(scratch[:0], int32(i)))]
-		if !ok {
-			maxSum += b
-			continue
-		}
-		minSum += min(a, b) - min(a, 0)
-		maxSum += max(a, b) - max(a, 0)
-	}
-	if maxSum == 0 {
-		return 0
-	}
-	return float64(minSum) / float64(maxSum)
 }

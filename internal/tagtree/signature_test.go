@@ -111,15 +111,6 @@ func TestDriftScoreMatchesOracle(t *testing.T) {
 	} {
 		checkDrift(t, name, c.sig, c.root)
 	}
-	// The trie's own similarity covers the case DriftScore screens out:
-	// both sides empty.
-	trie, err := tagtree.BuildPathTrie([]*tagtree.Node{content}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := trie.Similarity(tagtree.Signature{}), tagtree.OracleSimilarity(tagtree.Signature{}, tagtree.Signature{}); got != want {
-		t.Errorf("empty vs empty: %v, reference %v", got, want)
-	}
 }
 
 // FuzzPathSignature checks the path trie end to end on arbitrary bytes:

@@ -33,16 +33,12 @@ func (w *Wrapper) TrainSignature(html string) error {
 // reports 0 (unknown). This is the tree-level primitive behind
 // (*Wrapper).Drift; the wrapper farm's revalidation sampler calls it
 // directly with the tree the fast path already built, so a drift check
-// costs one trie walk and no reparse. The page's paths are counted in a
-// tagtree.PathTrie and looked up in sig one by one, so no second
-// signature map is built; the score equals
-// 1 − sig.Similarity(tagtree.PathSignature(root)) exactly.
+// costs one signature walk and no reparse.
 func DriftScore(sig tagtree.Signature, root *tagtree.Node) float64 {
 	if len(sig) == 0 || root == nil {
 		return 0
 	}
-	t, _ := tagtree.BuildPathTrie([]*tagtree.Node{root}, nil)
-	return 1 - t.Similarity(sig)
+	return 1 - sig.Similarity(tagtree.PathSignature(root))
 }
 
 // Drift returns 1 − structural similarity between the page and the
