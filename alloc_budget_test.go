@@ -12,9 +12,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"omini/internal/core"
 	"omini/internal/corpus"
@@ -29,7 +31,11 @@ import (
 
 // allocBudgets are the committed allocation ceilings, allocs per call:
 // each is the count measured when it was set. A ceiling may move down
-// freely; raising one needs a CHANGES.md line giving the reason.
+// freely; raising one needs a CHANGES.md line giving the reason. The
+// serve entries count the server and the request and recorder a test
+// builds, but not net/http's answer to a deadline on a writer that
+// cannot take one (see deadlineRecorder), which a server connection
+// never gives.
 var allocBudgets = map[string]float64{
 	"tokenize/small":     9,
 	"tokenize/medium":    10,
@@ -46,9 +52,10 @@ var allocBudgets = map[string]float64{
 	"replay/small":       27,
 	"replay/medium":      25,
 	"replay/large":       26,
-	"serve hot sample=0": 73,
-	"serve hot sample=1": 82,
-	"serve longtail":     119,
+	"serve hot sample=0": 71,
+	"serve hot sample=1": 80,
+	"serve longtail":     117,
+	"serve records hot":  236,
 	"signature/large":    6,
 	"drift/large":        6,
 }
@@ -61,9 +68,10 @@ const allocRuns = 50
 // small, medium and large bench pages, core's discovery and rule
 // replay on the same pages, one hot /extract through the whole serving
 // layer, untraced and traced, one /extract that learns an unseen site,
-// and the drift signature and drift score of the large bench page.
-// Allocation counts repeat from run to run, so the gate has no noise to
-// allow for.
+// one hot /records, and the drift signature and drift score of the
+// large bench page. Each count is taken with the collector paused
+// (allocsPaused), so it repeats from run to run at any GC pace and the
+// gate has no noise to allow for.
 func TestAllocBudgets(t *testing.T) {
 	measured := map[string]func(){}
 	ex := core.New(core.Options{})
@@ -95,8 +103,9 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	}
 	for name, rate := range map[string]float64{"serve hot sample=0": -1, "serve hot sample=1": 1} {
-		measured[name] = hotRequest(t, rate)
+		measured[name] = hotRequest(t, "/extract", rate)
 	}
+	measured["serve records hot"] = hotRequest(t, "/records", 0)
 	measured["serve longtail"] = longtailRequest(t)
 
 	names := make([]string, 0, len(allocBudgets))
@@ -110,7 +119,7 @@ func TestAllocBudgets(t *testing.T) {
 			t.Errorf("%s: budget for nothing measured", name)
 			continue
 		}
-		got := testing.AllocsPerRun(allocRuns, f)
+		got := allocsPaused(f)
 		switch {
 		case got > ceiling:
 			t.Errorf("%s: %v allocs per call, over its ceiling of %v", name, got, ceiling)
@@ -125,11 +134,22 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
-// hotRequest returns a function serving one hot /extract request, as
-// BenchmarkServeExtractHot does, on a server that has learned every
+// allocsPaused is testing.AllocsPerRun over allocRuns calls with the
+// collector paused. A collection during the count empties the
+// sync.Pools (Phase 1's token arrays, the answer buffer), and the
+// pooled calls then allocate again, so an unpaused count depends on
+// the GC pace (GOGC) and on when the last collection ran.
+func allocsPaused(f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(allocRuns, f)
+}
+
+// hotRequest returns a function serving one hot request to path
+// (/extract or /records), as BenchmarkServeExtractHot and
+// BenchmarkServeRecordsHot do, on a server that has learned every
 // corpus site and traces the given share of requests
-// (Config.TraceSampleRate).
-func hotRequest(t *testing.T, rate float64) func() {
+// (Config.TraceSampleRate; 0 is the default, every request).
+func hotRequest(t *testing.T, path string, rate float64) func() {
 	t.Helper()
 	srv := serve.New(serve.Config{
 		Stats:           resilience.NewStats(),
@@ -138,12 +158,12 @@ func hotRequest(t *testing.T, rate float64) func() {
 	})
 	post := func(target, html string) int {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
+		srv.ServeHTTP(deadlineRecorder{rec}, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
 		return rec.Code
 	}
 	var target, html string
 	for _, spec := range corpus.AllSpecs() {
-		tgt := "/extract?site=" + url.QueryEscape(spec.Name)
+		tgt := path + "?site=" + url.QueryEscape(spec.Name)
 		post(tgt, spec.Page(0).HTML)
 		if page := spec.Page(1).HTML; html == "" && post(tgt, page) == http.StatusOK {
 			target, html = tgt, page
@@ -184,9 +204,19 @@ func longtailRequest(t *testing.T) func() {
 		target := targets[next]
 		next++
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
+		srv.ServeHTTP(deadlineRecorder{rec}, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", target, rec.Code)
 		}
 	}
 }
+
+// deadlineRecorder is a ResponseRecorder that takes read and write
+// deadlines, as a server connection's writer does. On a writer without
+// them, http.ResponseController answers each deadline with a freshly
+// wrapped http.ErrNotSupported: allocations the server makes only
+// under a recorder, so the serve entries leave them out.
+type deadlineRecorder struct{ *httptest.ResponseRecorder }
+
+func (deadlineRecorder) SetReadDeadline(time.Time) error  { return nil }
+func (deadlineRecorder) SetWriteDeadline(time.Time) error { return nil }

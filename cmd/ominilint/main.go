@@ -1,6 +1,6 @@
 // Command ominilint runs the project's static-analysis suite over the
-// module: governloop, errwrap, ctxfirst, puredet, lockhold, peerhttp,
-// goleak, and spanend (see internal/lint and DESIGN.md §11, §16).
+// module: governloop, errwrap, ctxfirst, puredet, lockhold, peerhttp
+// and goleak (see internal/lint and DESIGN.md §11, §16).
 //
 // Usage:
 //

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/url"
+	rpprof "runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,8 +133,9 @@ type member struct {
 	fails   int    // consecutive failed probes
 	lastErr string // last probe failure, for /clusterz
 
-	lat    *obs.Histogram // proxy-hop latency to this node
-	served atomic.Int64   // requests this node answered for us
+	lat    *obs.Histogram  // proxy-hop latency to this node
+	served atomic.Int64    // requests this node answered for us
+	labels rpprof.LabelSet // the pprof hop label of a hop to this node
 }
 
 // Coordinator routes extraction requests across the cluster. Create
@@ -240,7 +242,7 @@ func New(cfg Config) *Coordinator {
 		members: make(map[string]*member, len(cfg.Peers)),
 	}
 	for id, url := range cfg.Peers {
-		c.members[id] = &member{id: id, url: url, healthy: true, lat: obs.NewHistogram(nil)}
+		c.members[id] = &member{id: id, url: url, healthy: true, lat: obs.NewHistogram(nil), labels: rpprof.Labels("hop", id)}
 	}
 	c.mu.Lock()
 	// A fresh coordinator admits everyone; membership list and replica

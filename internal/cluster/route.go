@@ -117,7 +117,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 			continue
 		}
 		hopBudget := time.Until(deadline) / time.Duration(len(candidates)-i)
-		res, hopShed, err := c.hopSpanned(rctx, hopBudget, url, id, m, r, body)
+		res, hopShed, err := c.hopSpanned(rctx, hopBudget, url, m, r, body)
 		switch {
 		case err == nil:
 			br.Success()
@@ -184,17 +184,17 @@ func (c *Coordinator) memberByID(id string) (string, *member) {
 // and the coordinator's declined decision otherwise. A successful hop
 // records its latency per-node and cluster-wide, with a trace exemplar
 // when traced.
-func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url, id string, m *member, r *http.Request, body []byte) (resilience.Response, *shedResult, error) {
-	hctx, sp := obs.StartSpan(ctx, phaseHop)
+func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url string, m *member, r *http.Request, body []byte) (resilience.Response, *shedResult, error) {
 	var res resilience.Response
 	var shed *shedResult
 	var err error
-	rpprof.Do(hctx, rpprof.Labels("hop", id), func(pctx context.Context) {
-		res, shed, err = c.hop(pctx, budget, url, r, body)
+	d := obs.Run(ctx, phaseHop, func(hctx context.Context) {
+		rpprof.Do(hctx, m.labels, func(pctx context.Context) {
+			res, shed, err = c.hop(pctx, budget, url, r, body)
+		})
 	})
-	sp.End()
 	if err == nil {
-		secs := sp.Duration().Seconds()
+		secs := d.Seconds()
 		m.lat.Observe(secs)
 		hopSeconds.ObserveExemplar(c.stats, secs, obs.TraceIDFrom(ctx))
 	}

@@ -173,9 +173,8 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	}
 	res := &Result{Tree: root}
 
-	sp := obs.StartLeaf(ctx, phaseSubtree)
-	ranked, err := e.opts.Subtree.Rank(root, g)
-	sp.End()
+	var ranked []subtree.Ranked
+	obs.Leaf(ctx, phaseSubtree, func() { ranked, err = e.opts.Subtree.Rank(root, g) })
 	if err != nil {
 		countFailure(reg, err)
 		return nil, fmt.Errorf("core: subtree: %w", err)
@@ -189,9 +188,9 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 	// The paper times "Object Separator" (running the heuristics) apart
 	// from "Combine Heuristics" (merging the rankings); here both happen
 	// inside combine.Combine, so the separator span covers both.
-	sp = obs.StartLeaf(ctx, phaseSeparator)
-	cands, lists, err := combine.Combine(sub, e.opts.Separators, e.opts.Probs, g)
-	sp.End()
+	var cands []combine.Candidate
+	var lists []combine.RankedList
+	obs.Leaf(ctx, phaseSeparator, func() { cands, lists, err = combine.Combine(sub, e.opts.Separators, e.opts.Probs, g) })
 	if err != nil {
 		countFailure(reg, err)
 		return nil, fmt.Errorf("core: separator: %w", err)
@@ -243,9 +242,8 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	}
 	res := &Result{Tree: root}
 
-	sp := obs.StartLeaf(ctx, phaseSubtree)
-	sub := tagtree.FindPath(root, rule.SubtreePath)
-	sp.End()
+	var sub *tagtree.Node
+	obs.Leaf(ctx, phaseSubtree, func() { sub = tagtree.FindPath(root, rule.SubtreePath) })
 	if sub == nil {
 		ruleMismatches.Add(reg, 1)
 		return nil, fmt.Errorf("%w: path %s", ErrRuleMismatch, rule.SubtreePath)
@@ -281,18 +279,16 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 // over-deep/over-large tree surfaces here as a typed govern error.
 func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*tagtree.Node, error) {
 	bufs := phase1Pool.Get().(*phase1Bufs)
-	sp := obs.StartLeaf(ctx, phaseTokenize)
-	toks, err := htmlparse.Tokenize(bufs.raw, html, g)
-	sp.End()
+	var toks []htmlparse.Token
+	var err error
+	obs.Leaf(ctx, phaseTokenize, func() { toks, err = htmlparse.Tokenize(bufs.raw, html, g) })
 	if err != nil {
 		// A failed page leaves its buffers to the collector.
 		return nil, fmt.Errorf("core: tokenize: %w", err)
 	}
 	bufs.raw = toks
 	if !e.opts.SkipNormalize {
-		sp = obs.StartLeaf(ctx, phaseTidy)
-		toks, err = tidy.NormalizeTokens(bufs.norm, toks, g)
-		sp.End()
+		obs.Leaf(ctx, phaseTidy, func() { toks, err = tidy.NormalizeTokens(bufs.norm, toks, g) })
 		if err != nil {
 			return nil, fmt.Errorf("core: tidy: %w", err)
 		}
@@ -300,9 +296,8 @@ func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*t
 	}
 	// With SkipNormalize the raw stream is unbalanced; Build recovers what
 	// it can.
-	sp = obs.StartLeaf(ctx, phaseBuild)
-	root, err := tagtree.Build(toks, g)
-	sp.End()
+	var root *tagtree.Node
+	obs.Leaf(ctx, phaseBuild, func() { root, err = tagtree.Build(toks, g) })
 	bufs.release()
 	if err != nil {
 		return nil, fmt.Errorf("core: parse: %w", err)
@@ -348,16 +343,20 @@ func (b *phase1Bufs) release() {
 // construct runs Phase 3: object construction, then refinement unless
 // disabled.
 func (e *Extractor) construct(ctx context.Context, sub *tagtree.Node, res *Result, g *govern.Guard) error {
-	sp := obs.StartLeaf(ctx, phaseExtract)
-	defer sp.End()
-	raw, err := extract.Construct(sub, res.Separator, g)
+	var err error
+	obs.Leaf(ctx, phaseExtract, func() {
+		var raw []extract.Object
+		if raw, err = extract.Construct(sub, res.Separator, g); err != nil {
+			return
+		}
+		res.Raw = raw
+		res.Objects = res.Raw
+		if !e.opts.SkipRefine {
+			res.Objects = extract.Refine(res.Raw, e.opts.Refine)
+		}
+	})
 	if err != nil {
 		return fmt.Errorf("core: construct: %w", err)
-	}
-	res.Raw = raw
-	res.Objects = res.Raw
-	if !e.opts.SkipRefine {
-		res.Objects = extract.Refine(res.Raw, e.opts.Refine)
 	}
 	return nil
 }

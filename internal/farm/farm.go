@@ -382,42 +382,40 @@ func (f *Farm) learnVersioned(ctx context.Context, site, html string, prevVersio
 }
 
 // replayFast runs one cached-rule replay under the "farm.fast" span and
-// pprof path label, recording fast-path latency (with a trace exemplar
-// when the request is traced) on success.
+// pprof path label. On success the span's wall time is the fast-path
+// latency it records, with a trace exemplar when the request is traced.
 func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*core.Result, error) {
-	start := time.Now()
-	fctx, sp := obs.StartSpan(ctx, phaseFast)
 	var res *core.Result
 	var err error
-	pprof.Do(fctx, fastLabels, func(pctx context.Context) {
-		res, err = f.ex.ExtractWithRuleContext(pctx, html, rule)
+	d := obs.Run(ctx, phaseFast, func(fctx context.Context) {
+		pprof.Do(fctx, fastLabels, func(pctx context.Context) {
+			res, err = f.ex.ExtractWithRuleContext(pctx, html, rule)
+		})
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	obs.AnnotateTrace(ctx, "path", "fast")
-	fastSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDFrom(ctx))
+	fastSeconds.ObserveExemplar(f.stats, d.Seconds(), obs.TraceIDFrom(ctx))
 	return res, nil
 }
 
 // discover runs full Phase-2 discovery under the "farm.slow" span and
-// pprof path label, recording slow-path latency (with a trace exemplar
-// when the request is traced).
+// pprof path label. On success the span's wall time is the slow-path
+// latency it records, with a trace exemplar when the request is traced.
 func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) {
-	start := time.Now()
-	sctx, sp := obs.StartSpan(ctx, phaseSlow)
 	var res *core.Result
 	var err error
-	pprof.Do(sctx, slowLabels, func(pctx context.Context) {
-		res, err = f.ex.ExtractContext(pctx, html)
+	d := obs.Run(ctx, phaseSlow, func(sctx context.Context) {
+		pprof.Do(sctx, slowLabels, func(pctx context.Context) {
+			res, err = f.ex.ExtractContext(pctx, html)
+		})
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	obs.AnnotateTrace(ctx, "path", "slow")
-	slowSeconds.ObserveExemplar(f.stats, time.Since(start).Seconds(), obs.TraceIDFrom(ctx))
+	slowSeconds.ObserveExemplar(f.stats, d.Seconds(), obs.TraceIDFrom(ctx))
 	return res, nil
 }
 

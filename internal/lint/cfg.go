@@ -2,12 +2,11 @@ package lint
 
 // A lightweight per-function control-flow graph over go/ast statements,
 // built with no dependencies beyond the stdlib (no x/tools). The CFG is
-// the substrate for the concurrency and resource-hygiene analyzers
-// (lockhold, spanend): basic blocks hold statements in
-// execution order, edges follow branches, loops (with back edges),
-// switch/select dispatch, and early returns, and defer statements stay
-// in their registration block so a path-walk sees exactly the defers
-// that will run at exit on that path.
+// the substrate for the lock-hold analyzer (lockhold): basic blocks
+// hold statements in execution order, edges follow branches, loops
+// (with back edges), switch/select dispatch, and early returns, and
+// defer statements stay in their registration block so a path-walk
+// sees exactly the defers that will run at exit on that path.
 //
 // Compound statements never appear whole in a block: a block holds the
 // atomic statements plus branch/loop head expressions, so an analyzer
@@ -483,49 +482,4 @@ func (b *cfgBuilder) branchStmt(s *ast.BranchStmt) {
 			b.cur = nil
 		}
 	}
-}
-
-// escapes reports whether some execution path from block b (starting
-// at statement index start) reaches the CFG exit without encountering
-// a node for which match returns true. Paths that terminate without reaching Exit (panic, endless loop) do
-// not count as escapes.
-func (c *CFG) escapes(b *Block, start int, match func(ast.Node) bool) bool {
-	visited := make(map[*Block]bool)
-	var walk func(blk *Block, from int) bool
-	walk = func(blk *Block, from int) bool {
-		for i := from; i < len(blk.Stmts); i++ {
-			if match(blk.Stmts[i]) {
-				return false
-			}
-		}
-		if blk == c.Exit {
-			return true
-		}
-		for _, succ := range blk.Succs {
-			if visited[succ] {
-				continue
-			}
-			visited[succ] = true
-			if walk(succ, 0) {
-				return true
-			}
-		}
-		return false
-	}
-	// The starting block is walked from start without marking it
-	// visited: a loop back to it re-checks the nodes before start.
-	return walk(b, start)
-}
-
-// blockOf locates the block and statement index holding node n, by
-// identity. The bool result is false when n is not in the graph.
-func (c *CFG) blockOf(n ast.Node) (*Block, int, bool) {
-	for _, blk := range c.Blocks {
-		for i, s := range blk.Stmts {
-			if s == n {
-				return blk, i, true
-			}
-		}
-	}
-	return nil, 0, false
 }

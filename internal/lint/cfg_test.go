@@ -18,6 +18,52 @@ func parseBody(t *testing.T, src string) (*ast.BlockStmt, *CFG) {
 	return body, BuildCFG(body)
 }
 
+// escapes reports whether some execution path from block b (starting
+// at statement index start) reaches the CFG exit without encountering
+// a node for which match returns true. Paths that terminate without
+// reaching Exit (panic, endless loop) do not count as escapes. It is
+// the path query the CFG edge tests below ask of the graph.
+func (c *CFG) escapes(b *Block, start int, match func(ast.Node) bool) bool {
+	visited := make(map[*Block]bool)
+	var walk func(blk *Block, from int) bool
+	walk = func(blk *Block, from int) bool {
+		for i := from; i < len(blk.Stmts); i++ {
+			if match(blk.Stmts[i]) {
+				return false
+			}
+		}
+		if blk == c.Exit {
+			return true
+		}
+		for _, succ := range blk.Succs {
+			if visited[succ] {
+				continue
+			}
+			visited[succ] = true
+			if walk(succ, 0) {
+				return true
+			}
+		}
+		return false
+	}
+	// The starting block is walked from start without marking it
+	// visited: a loop back to it re-checks the nodes before start.
+	return walk(b, start)
+}
+
+// blockOf locates the block and statement index holding node n, by
+// identity. The bool result is false when n is not in the graph.
+func (c *CFG) blockOf(n ast.Node) (*Block, int, bool) {
+	for _, blk := range c.Blocks {
+		for i, s := range blk.Stmts {
+			if s == n {
+				return blk, i, true
+			}
+		}
+	}
+	return nil, 0, false
+}
+
 // callTo matches a CFG node containing a call to the named function.
 func callTo(name string) func(ast.Node) bool {
 	return func(n ast.Node) bool {

@@ -21,12 +21,13 @@
 //     limits, drains and closes every remote body.
 //   - goleak: goroutines in the long-lived packages are tied to a
 //     lifecycle (WaitGroup, context, or captured stop channel).
-//   - spanend: every obs.StartSpan span is ended on all paths.
 //
-// lockhold, goleak and spanend are control-flow aware: the driver
-// builds a per-function basic-block CFG (cfg.go) and run-wide
-// call-graph facts (callgraph.go) that classify callees as blocking or
-// lock-taking, both exposed through Pass.
+// lockhold is control-flow aware: the driver builds a per-function
+// basic-block CFG (cfg.go) and run-wide call-graph facts
+// (callgraph.go) that classify callees as blocking or lock-taking,
+// both exposed through Pass. Spans need no analyzer: outside
+// internal/obs a span exists only inside obs.Leaf and obs.Run, which
+// end it.
 //
 // The paper's system (Buttler, Liu, Pu, ICDCS 2001) is motivated by
 // fully automated extraction at production scale; production Go stacks
@@ -123,7 +124,6 @@ func NewAnalyzers() []*Analyzer {
 		newLockhold(),
 		newPeerhttp(),
 		newGoleak(),
-		newSpanend(),
 	}
 }
 

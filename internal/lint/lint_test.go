@@ -107,7 +107,6 @@ func TestPuredetFixture(t *testing.T)    { runFixture(t, "puredet") }
 func TestLockholdFixture(t *testing.T)   { runFixture(t, "lockhold") }
 func TestPeerhttpFixture(t *testing.T)   { runFixture(t, "peerhttp") }
 func TestGoleakFixture(t *testing.T)     { runFixture(t, "goleak") }
-func TestSpanendFixture(t *testing.T)    { runFixture(t, "spanend") }
 
 // TestSelfCheck asserts the full analyzer suite is green on the real
 // module after the reviewed baseline is applied: the contracts

@@ -67,7 +67,7 @@ func (w *StatusWriter) Status() int {
 // handler returns.
 type Boundary struct {
 	StatusWriter
-	root *Span
+	root *span
 	rec  *TraceRecorder
 }
 
@@ -106,9 +106,9 @@ func Enter(ctx context.Context, w http.ResponseWriter, h http.Header, q url.Valu
 		// spans, attributes and charges.
 		b.rec.decisions = WantTrace(q)
 	}
-	ctx, b.root = StartSpan(ctx, root)
+	ctx, b.root = startSpan(ctx, root)
 	if sampled {
-		w.Header().Set(TraceHeader, b.root.Context().Header())
+		w.Header().Set(TraceHeader, b.root.spanContext().Header())
 	} else {
 		b.root.declined = true
 	}
@@ -124,7 +124,7 @@ func (b *Boundary) TraceID() TraceID { return b.rec.TraceID() }
 // recorder's state without copying it; the caller adds its own fields
 // and Records it. It returns nil on an unsampled request.
 func (b *Boundary) End() *TraceData {
-	b.root.End()
+	b.root.end()
 	if b.rec == nil {
 		return nil
 	}
@@ -134,7 +134,7 @@ func (b *Boundary) End() *TraceData {
 			TraceID:    b.rec.TraceID(),
 			Status:     b.Status(),
 			StartedAt:  b.rec.Start(),
-			DurationNS: b.root.Duration().Nanoseconds(),
+			DurationNS: b.root.dur.Nanoseconds(),
 			SpanCount:  len(spans),
 		},
 		Attrs:   attrs,
@@ -148,12 +148,12 @@ func (b *Boundary) End() *TraceData {
 // under a fresh trace ID. ok is false when ctx carries no decision, so
 // no header belongs on the request.
 func appendTraceValue(ctx context.Context, b []byte) (v []byte, ok bool) {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
+	sp, _ := ctx.Value(spanKey{}).(*span)
 	switch {
 	case sp == nil:
 		return b, false
 	case sp.rec != nil:
-		return sp.Context().appendHeader(b), true
+		return sp.spanContext().appendHeader(b), true
 	case sp.declined:
 		return SpanContext{TraceID: NewTraceID()}.appendHeader(b), true
 	}

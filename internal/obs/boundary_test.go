@@ -16,13 +16,13 @@ import (
 const clientHeader = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
 
 // tracedSpan returns a context whose innermost span is traced.
-func tracedSpan(t *testing.T) (context.Context, *Span) {
+func tracedSpan(t *testing.T) (context.Context, *span) {
 	t.Helper()
 	ctx, _ := WithTraceRecorder(context.Background(), false)
-	ctx, root := StartSpan(ctx, phaseOuter)
-	t.Cleanup(root.End)
-	ctx, sp := StartSpan(ctx, phaseInner)
-	t.Cleanup(sp.End)
+	ctx, root := startSpan(ctx, phaseOuter)
+	t.Cleanup(root.end)
+	ctx, sp := startSpan(ctx, phaseInner)
+	t.Cleanup(sp.end)
 	return ctx, sp
 }
 
@@ -42,7 +42,7 @@ func TestInjectStampsTracedSpanContext(t *testing.T) {
 	ctx, sp := tracedSpan(t)
 	h := http.Header{TraceHeader: {clientHeader}}
 	Inject(ctx, h)
-	if got, want := h.Get(TraceHeader), sp.Context().Header(); got != want {
+	if got, want := h.Get(TraceHeader), sp.spanContext().Header(); got != want {
 		t.Errorf("header = %q, want the innermost span's context %q", got, want)
 	}
 	if len(h[TraceHeader]) != 1 {
@@ -53,8 +53,8 @@ func TestInjectStampsTracedSpanContext(t *testing.T) {
 func TestInjectStampsDeclinedDecision(t *testing.T) {
 	ctx := declinedSpan(t)
 	// A child span inherits the decision.
-	ctx, hop := StartSpan(ctx, phaseHop)
-	defer hop.End()
+	ctx, hop := startSpan(ctx, phaseHop)
+	defer hop.end()
 	h := http.Header{TraceHeader: {clientHeader}}
 	Inject(ctx, h)
 	v := h.Get(TraceHeader)
@@ -67,7 +67,7 @@ func TestInjectStampsDeclinedDecision(t *testing.T) {
 func TestInjectWithoutDecisionStripsClientHeader(t *testing.T) {
 	for name, ctx := range map[string]context.Context{
 		"no span":       context.Background(),
-		"untraced span": func() context.Context { c, sp := StartSpan(context.Background(), phaseX); sp.End(); return c }(),
+		"untraced span": func() context.Context { c, sp := startSpan(context.Background(), phaseX); sp.end(); return c }(),
 	} {
 		h := http.Header{TraceHeader: {clientHeader}, "Accept": {"*/*"}}
 		Inject(ctx, h)
@@ -105,9 +105,9 @@ func TestTransportStampsWithoutMutatingCaller(t *testing.T) {
 		want   func(string) bool
 	}{
 		{"traced replaces client header", traced, http.Header{TraceHeader: {clientHeader}},
-			func(v string) bool { return v == sp.Context().Header() }},
+			func(v string) bool { return v == sp.spanContext().Header() }},
 		{"traced adds header", traced, http.Header{},
-			func(v string) bool { return v == sp.Context().Header() }},
+			func(v string) bool { return v == sp.spanContext().Header() }},
 		{"declined", declinedSpan(t), http.Header{TraceHeader: {clientHeader}},
 			func(v string) bool { sc, err := ParseTraceHeader(v); return err == nil && !sc.Sampled }},
 		{"no decision strips", context.Background(), http.Header{TraceHeader: {clientHeader}},
@@ -159,7 +159,7 @@ func TestTransportPassThroughAllocatesNothing(t *testing.T) {
 	lt := &lastTransport{}
 	tr := &Transport{Base: lt}
 	stamped, _ := http.NewRequestWithContext(traced, http.MethodGet, "http://peer.invalid/x", nil)
-	stamped.Header.Set(TraceHeader, sp.Context().Header())
+	stamped.Header.Set(TraceHeader, sp.spanContext().Header())
 	bare, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, "http://peer.invalid/x", nil)
 	for name, req := range map[string]*http.Request{"already stamped": stamped, "no decision, no header": bare} {
 		if allocs := testing.AllocsPerRun(100, func() { _, _ = tr.RoundTrip(req) }); allocs != 0 {
@@ -199,7 +199,7 @@ func TestTracingClientCarriesThroughCallerTransport(t *testing.T) {
 		t.Fatalf("caller's transport saw %d requests, want 2", len(rt.got))
 	}
 	for _, got := range rt.got {
-		if got.Header.Get(TraceHeader) != sp.Context().Header() {
+		if got.Header.Get(TraceHeader) != sp.spanContext().Header() {
 			t.Errorf("request reached the caller's transport with header %q", got.Header.Get(TraceHeader))
 		}
 	}
@@ -239,7 +239,7 @@ func TestEnterDecisionRule(t *testing.T) {
 		if sampled := !b.TraceID().IsZero(); sampled != tc.sampled {
 			t.Errorf("%s: sampled = %v, want %v", tc.name, sampled, tc.sampled)
 		}
-		_, hasRoot := ctx.Value(spanKey{}).(*Span)
+		_, hasRoot := ctx.Value(spanKey{}).(*span)
 		if hasRoot != tc.root {
 			t.Errorf("%s: root span = %v, want %v", tc.name, hasRoot, tc.root)
 		}
@@ -264,8 +264,8 @@ func TestEnterDecisionRule(t *testing.T) {
 func TestBoundaryEndFillsSharedFields(t *testing.T) {
 	w := httptest.NewRecorder()
 	ctx, b := Enter(context.Background(), w, http.Header{}, url.Values{"trace": {"1"}}, phaseHandler, nil)
-	_, child := StartSpan(ctx, phaseInner)
-	child.End()
+	_, child := startSpan(ctx, phaseInner)
+	child.end()
 	AnnotateTrace(ctx, "path", "fast")
 	TraceRecorderFrom(ctx).SetCharge("tokens", 7)
 	http.Error(b, "gone", http.StatusGone)

@@ -75,10 +75,10 @@ func TestSpansConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c, sp := StartSpan(ctx, phaseOuter)
-				_, in := StartSpan(c, phaseInner)
-				in.End()
-				sp.End()
+				c, sp := startSpan(ctx, phaseOuter)
+				_, in := startSpan(c, phaseInner)
+				in.end()
+				sp.end()
 			}
 		}()
 	}

@@ -208,12 +208,12 @@ func TestExemplarLineUnchanged(t *testing.T) {
 // into a buffer with room allocate nothing.
 func TestTelemetryAllocs(t *testing.T) {
 	ctx, rec := WithTraceRecorder(WithRegistry(context.Background(), NewRegistry()), false)
-	ctx, root := StartSpan(ctx, phaseHandler)
-	_, sp := StartSpan(ctx, phaseTidy)
+	ctx, root := startSpan(ctx, phaseHandler)
+	_, sp := startSpan(ctx, phaseTidy)
 	tracedEnd := func() {
 		rec.spans = rec.spans[:0]
 		sp.ended = false
-		sp.End()
+		sp.end()
 	}
 	tid := NewTraceID()
 	buf := make([]byte, 0, 64)
@@ -223,5 +223,5 @@ func TestTelemetryAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per run, want 0", name, n)
 		}
 	}
-	root.End()
+	root.end()
 }

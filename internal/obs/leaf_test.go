@@ -12,24 +12,24 @@ import (
 	"time"
 )
 
-// TestStartLeafMatchesStartSpan: a leaf span records what StartSpan's
-// span records — the histogram observation, and on a trace the same
-// name, parent, depth and parent span ID — and inherits a declined
-// decision, whether it starts under a root span or at the trace root.
+// TestStartLeafMatchesStartSpan: a Leaf span records what a Run span
+// records — the histogram observation, and on a trace the same name,
+// parent, depth and parent span ID — whether it runs under a Run span
+// or at the trace root; and a leaf inherits a declined decision as a
+// Run span's context does.
 func TestStartLeafMatchesStartSpan(t *testing.T) {
 	r := NewRegistry()
 	ctx, rec := WithTraceRecorder(WithRegistry(context.Background(), r), false)
 	for _, under := range []string{"root", "parse"} {
-		pctx := ctx
-		var parent *Span
-		if under == "parse" {
-			pctx, parent = StartSpan(ctx, phaseParse)
+		both := func(pctx context.Context) {
+			Run(pctx, phaseTidy, func(context.Context) {})
+			Leaf(pctx, phaseTidy, func() {})
 		}
-		_, full := StartSpan(pctx, phaseTidy)
-		full.End()
-		leaf := StartLeaf(pctx, phaseTidy)
-		leaf.End()
-		parent.End()
+		if under == "parse" {
+			Run(ctx, phaseParse, both)
+		} else {
+			both(ctx)
+		}
 
 		spans := rec.Spans()
 		var got []PhaseSample
@@ -43,10 +43,10 @@ func TestStartLeafMatchesStartSpan(t *testing.T) {
 		}
 		a, b := got[0], got[1]
 		if a.Parent != b.Parent || a.Depth != b.Depth || a.ParentSpanID != b.ParentSpanID {
-			t.Errorf("under %s: StartSpan recorded %+v, StartLeaf %+v", under, a, b)
+			t.Errorf("under %s: Run recorded %+v, Leaf %+v", under, a, b)
 		}
 		if a.SpanID == b.SpanID || b.SpanID.IsZero() {
-			t.Errorf("under %s: leaf span ID %s (StartSpan's %s)", under, b.SpanID, a.SpanID)
+			t.Errorf("under %s: leaf span ID %s (Run's %s)", under, b.SpanID, a.SpanID)
 		}
 		rec.Finish()
 	}
@@ -54,29 +54,32 @@ func TestStartLeafMatchesStartSpan(t *testing.T) {
 		t.Errorf("tidy histogram count = %d, want 4", n)
 	}
 
-	// A declined request's leaf forwards the decision like a child span.
+	// A declined request's leaf (Leaf starts it with startLeaf) forwards
+	// the decision like a Run span does.
 	dctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, url.Values{}, phaseOuter, NewSampler(-1))
-	leaf := StartLeaf(dctx, phaseInner)
-	_, child := StartSpan(dctx, phaseInner)
-	if !leaf.declined || leaf.declined != child.declined {
-		t.Errorf("declined: leaf %v, StartSpan child %v, want both true", leaf.declined, child.declined)
+	leaf := startLeaf(dctx, phaseInner)
+	var child *span
+	Run(dctx, phaseInner, func(c context.Context) { child, _ = c.Value(spanKey{}).(*span) })
+	if child == nil || !leaf.declined || leaf.declined != child.declined {
+		t.Errorf("declined: leaf %v, Run span %+v, want both declined", leaf.declined, child)
 	}
-	leaf.End()
-	child.End()
+	leaf.end()
 	b.End()
 }
 
-// TestStartLeafAllocs: a leaf span costs nothing to start and end.
+// TestStartLeafAllocs: a Leaf span costs nothing to run, and a Run
+// span costs its span and the context that carries it.
 func TestStartLeafAllocs(t *testing.T) {
 	ctx := WithRegistry(context.Background(), NewRegistry())
-	ctx, parent := StartSpan(ctx, phaseParse)
-	defer parent.End()
-	if n := testing.AllocsPerRun(100, func() {
-		sp := StartLeaf(ctx, phaseTidy)
-		sp.End()
-	}); n != 0 {
-		t.Errorf("StartLeaf+End: %v allocs per run, want 0", n)
-	}
+	Run(ctx, phaseParse, func(ctx context.Context) {
+		n := 0
+		if allocs := testing.AllocsPerRun(100, func() { Leaf(ctx, phaseTidy, func() { n++ }) }); allocs != 0 {
+			t.Errorf("Leaf: %v allocs per run, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { Run(ctx, phaseTidy, func(context.Context) { n++ }) }); allocs != 2 {
+			t.Errorf("Run: %v allocs per run, want 2", allocs)
+		}
+	})
 }
 
 // TestDecisionsWanted: WithTraceRecorder callers read the decision

@@ -158,10 +158,10 @@ func TestHotPathAllocs(t *testing.T) {
 // spanEnder returns a function that ends one open untraced span per
 // call, reopening it first, so only End is measured.
 func spanEnder(ctx context.Context) func() {
-	_, sp := StartSpan(ctx, phaseTidy)
+	_, sp := startSpan(ctx, phaseTidy)
 	return func() {
 		sp.ended = false
-		sp.End()
+		sp.end()
 	}
 }
 

@@ -269,17 +269,51 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 	if ctx == nil {
 		return SpanContext{}
 	}
-	sp, _ := ctx.Value(spanKey{}).(*Span)
+	sp, _ := ctx.Value(spanKey{}).(*span)
 	if sp == nil || sp.rec == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: sp.rec.traceID, SpanID: sp.id, Sampled: true}
+	return sp.spanContext()
 }
 
-// Span is one in-flight timed region. Created by StartSpan or StartLeaf;
-// End records it into the context's registry histogram and trace
-// recorder.
-type Span struct {
+// Leaf runs fn as one span of the declared phase under ctx. The span's
+// wall time always lands in the context registry's per-phase
+// histogram; when the context carries a TraceRecorder it is also
+// appended to the trace, parented to the context's innermost span. fn
+// gets no derived context, so no span nests under a leaf, and running
+// one allocates nothing:
+//
+//	var phaseTidy = obs.NewPhase("tidy") // package level
+//	...
+//	obs.Leaf(ctx, phaseTidy, func() { toks, err = tidy.NormalizeTokens(buf, toks, g) })
+//
+// The span ends when fn returns or panics.
+func Leaf(ctx context.Context, phase *Phase, fn func()) {
+	sp := startLeaf(ctx, phase)
+	defer sp.end()
+	fn()
+}
+
+// Run runs fn as one span of the declared phase under ctx, as Leaf
+// does, but hands fn a derived context that carries the span: spans
+// started under it nest, and outbound requests made with it propagate
+// the span's trace context. It returns the span's wall time, the one
+// clock a caller needs to observe its own latency for the region.
+func Run(ctx context.Context, phase *Phase, fn func(context.Context)) (d time.Duration) {
+	ctx, sp := startSpan(ctx, phase)
+	defer func() {
+		sp.end()
+		d = sp.dur
+	}()
+	fn(ctx)
+	return
+}
+
+// span is one in-flight timed region, started by startSpan or
+// startLeaf; end records it into the context's registry histogram and
+// trace recorder. Outside this package spans exist only inside Leaf,
+// Run and a Boundary, which end them.
+type span struct {
 	phase    *Phase
 	parent   string
 	depth    int
@@ -300,43 +334,26 @@ type Span struct {
 	declined bool
 }
 
-// StartSpan begins a span of the declared phase under ctx and returns a
-// derived context (carrying the span, so nested StartSpan calls see their
-// parent) plus the span itself. The span's wall time always lands in the
-// context registry's per-phase histogram; when the context carries a
-// TraceRecorder the span is also appended to the trace with a span ID
-// parented into the trace's span tree. Always pair with End:
-//
-//	var phaseTidy = obs.NewPhase("tidy") // package level
-//	...
-//	ctx, sp := obs.StartSpan(ctx, phaseTidy)
-//	... phase work ...
-//	sp.End()
-//
-// A span that starts no nested span needs no derived context: use
-// StartLeaf.
-func StartSpan(ctx context.Context, phase *Phase) (context.Context, *Span) {
-	sp := new(Span)
-	*sp = StartLeaf(ctx, phase)
+// startSpan begins a span of the declared phase under ctx and returns
+// a derived context carrying the span, so spans started under it see
+// their parent.
+func startSpan(ctx context.Context, phase *Phase) (context.Context, *span) {
+	sp := new(span)
+	*sp = startLeaf(ctx, phase)
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
-// StartLeaf begins a span that no other span nests under: the same
-// span StartSpan starts — its histogram observation, trace sample,
-// parent span and declined decision are identical — returned by value
-// and never entered into a context, so starting it allocates nothing.
-// Pair it with End as StartSpan's:
-//
-//	sp := obs.StartLeaf(ctx, phaseTidy)
-//	... phase work ...
-//	sp.End()
-func StartLeaf(ctx context.Context, phase *Phase) Span {
-	sp := Span{
+// startLeaf begins the span startSpan begins — its histogram
+// observation, trace sample, parent span and declined decision are
+// identical — returned by value and never entered into a context, so
+// starting it allocates nothing.
+func startLeaf(ctx context.Context, phase *Phase) span {
+	sp := span{
 		phase: phase,
 		reg:   RegistryFrom(ctx),
 		rec:   TraceRecorderFrom(ctx),
 	}
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
+	if parent, ok := ctx.Value(spanKey{}).(*span); ok && parent != nil {
 		sp.parent = parent.phase.name
 		sp.depth = parent.depth + 1
 		sp.parentID = parent.id
@@ -357,27 +374,16 @@ func StartLeaf(ctx context.Context, phase *Phase) Span {
 	return sp
 }
 
-// ID returns the span's trace-local identity (zero on untraced spans).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.id
-}
-
-// Context returns the span's propagation context for cross-node
-// forwarding; invalid (zero) on untraced spans.
-func (s *Span) Context() SpanContext {
-	if s == nil || s.rec == nil {
-		return SpanContext{}
-	}
+// spanContext returns a traced span's propagation context for
+// cross-node forwarding. s must be traced (s.rec != nil).
+func (s *span) spanContext() SpanContext {
 	return SpanContext{TraceID: s.rec.traceID, SpanID: s.id, Sampled: true}
 }
 
-// End completes the span, recording wall time (and alloc deltas when
-// sampled) into the registry and recorder. End is idempotent; only the
+// end completes the span, recording wall time (and alloc deltas when
+// sampled) into the registry and recorder. end is idempotent; only the
 // first call records.
-func (s *Span) End() {
+func (s *span) end() {
 	if s == nil || s.ended {
 		return
 	}
@@ -403,12 +409,4 @@ func (s *Span) End() {
 		sample.Allocs = int64(m.Mallocs - s.allocs0)
 	}
 	s.rec.add(sample)
-}
-
-// Duration returns the span's recorded wall time (0 before End).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.dur
 }

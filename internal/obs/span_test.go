@@ -11,8 +11,8 @@ func TestSpanRecordsIntoRegistryAndRecorder(t *testing.T) {
 	ctx := WithRegistry(context.Background(), r)
 	ctx, rec := WithTraceRecorder(ctx, false)
 
-	_, sp := StartSpan(ctx, phaseTidy)
-	sp.End()
+	_, sp := startSpan(ctx, phaseTidy)
+	sp.end()
 
 	h := r.Histogram(PhaseSeries("tidy"))
 	if h.Count() != 1 {
@@ -25,8 +25,8 @@ func TestSpanRecordsIntoRegistryAndRecorder(t *testing.T) {
 	if spans[0].DurationNS < 0 {
 		t.Errorf("negative duration %d", spans[0].DurationNS)
 	}
-	if sp.Duration() <= 0 {
-		t.Errorf("Duration() = %v, want > 0", sp.Duration())
+	if sp.dur <= 0 {
+		t.Errorf("duration = %v, want > 0", sp.dur)
 	}
 }
 
@@ -34,16 +34,16 @@ func TestSpanNesting(t *testing.T) {
 	ctx := WithRegistry(context.Background(), NewRegistry())
 	ctx, rec := WithTraceRecorder(ctx, false)
 
-	ctx1, parent := StartSpan(ctx, phaseParse)
-	ctx2, child := StartSpan(ctx1, phaseTokenize)
-	_, grandchild := StartSpan(ctx2, phaseEntities)
-	grandchild.End()
-	child.End()
+	ctx1, parent := startSpan(ctx, phaseParse)
+	ctx2, child := startSpan(ctx1, phaseTokenize)
+	_, grandchild := startSpan(ctx2, phaseEntities)
+	grandchild.end()
+	child.end()
 	// A sibling started from the parent's context nests under "parse",
 	// not under the already-ended "tokenize".
-	_, sibling := StartSpan(ctx1, phaseTidy)
-	sibling.End()
-	parent.End()
+	_, sibling := startSpan(ctx1, phaseTidy)
+	sibling.end()
+	parent.end()
 
 	byName := map[string]PhaseSample{}
 	for _, s := range rec.Spans() {
@@ -79,14 +79,14 @@ func TestSpanNesting(t *testing.T) {
 func TestSpanEndIdempotent(t *testing.T) {
 	ctx := WithRegistry(context.Background(), NewRegistry())
 	ctx, rec := WithTraceRecorder(ctx, false)
-	_, sp := StartSpan(ctx, phaseX)
-	sp.End()
-	sp.End()
+	_, sp := startSpan(ctx, phaseX)
+	sp.end()
+	sp.end()
 	if n := len(rec.Spans()); n != 1 {
 		t.Errorf("double End recorded %d spans, want 1", n)
 	}
-	var nilSpan *Span
-	nilSpan.End() // must not panic
+	var nilSpan *span
+	nilSpan.end() // must not panic
 }
 
 // allocSink keeps test allocations observable to the span's memstats delta.
@@ -94,9 +94,9 @@ var allocSink []byte
 
 func TestSpanAllocSampling(t *testing.T) {
 	ctx, rec := WithTraceRecorder(context.Background(), true)
-	_, sp := StartSpan(ctx, phaseAlloc)
+	_, sp := startSpan(ctx, phaseAlloc)
 	allocSink = make([]byte, 1<<20)
-	sp.End()
+	sp.end()
 	spans := rec.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(spans))
@@ -112,8 +112,8 @@ func TestSpanAllocSampling(t *testing.T) {
 func TestSpanWithoutRecorderStillObserves(t *testing.T) {
 	r := NewRegistry()
 	ctx := WithRegistry(context.Background(), r)
-	_, sp := StartSpan(ctx, phaseSolo)
-	sp.End()
+	_, sp := startSpan(ctx, phaseSolo)
+	sp.end()
 	if r.Histogram(PhaseSeries("solo")).Count() != 1 {
 		t.Error("span without recorder did not feed the registry histogram")
 	}
@@ -132,8 +132,8 @@ func TestSpanWithoutRecorderStillObserves(t *testing.T) {
 func TestFinishHandsOffRecordedState(t *testing.T) {
 	ctx, rec := WithTraceRecorder(WithRegistry(context.Background(), NewRegistry()), false)
 	for i := 0; i < recorderSpans; i++ {
-		_, sp := StartSpan(ctx, phaseTidy)
-		sp.End()
+		_, sp := startSpan(ctx, phaseTidy)
+		sp.end()
 	}
 	if cap(rec.spans) != recorderSpans {
 		t.Errorf("span slice grew to cap %d within %d spans", cap(rec.spans), recorderSpans)
@@ -145,8 +145,8 @@ func TestFinishHandsOffRecordedState(t *testing.T) {
 	if len(spans) != 3 || attrs["path"] != "fast" || charges["tokens"] != 7 {
 		t.Fatalf("Finish = %d spans, %v, %v", len(spans), attrs, charges)
 	}
-	_, late := StartSpan(ctx, phaseSubtree)
-	late.End()
+	_, late := startSpan(ctx, phaseSubtree)
+	late.end()
 	rec.Annotate("late", "x")
 	rec.SetCharge("nodes", 1)
 	if spans[:4][3].Name == "subtree" || len(attrs) != 1 || len(charges) != 1 {

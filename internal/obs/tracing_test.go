@@ -201,10 +201,10 @@ func TestStartTraceAdoptsUpstreamIdentity(t *testing.T) {
 		t.Errorf("TraceID = %s, want adopted %s", rec.TraceID(), upstream.TraceID)
 	}
 
-	ctx1, root := StartSpan(ctx, phaseHandler)
-	_, child := StartSpan(ctx1, phaseFarmSlow)
-	child.End()
-	root.End()
+	ctx1, root := startSpan(ctx, phaseHandler)
+	_, child := startSpan(ctx1, phaseFarmSlow)
+	child.end()
+	root.end()
 
 	spans := rec.Spans()
 	if len(spans) != 2 {
@@ -230,12 +230,12 @@ func TestStartTraceAdoptsUpstreamIdentity(t *testing.T) {
 	}
 
 	// The open child span's propagation context names itself as parent.
-	ctx2, open := StartSpan(ctx1, phaseHop)
+	ctx2, open := startSpan(ctx1, phaseHop)
 	sc := SpanContextFrom(ctx2)
-	if !sc.Valid() || sc.SpanID != open.ID() || sc.TraceID != upstream.TraceID || !sc.Sampled {
+	if !sc.Valid() || sc.SpanID != open.id || sc.TraceID != upstream.TraceID || !sc.Sampled {
 		t.Errorf("SpanContextFrom = %+v, want the open span's identity", sc)
 	}
-	open.End()
+	open.end()
 }
 
 func TestStartTraceMintsIDWhenZero(t *testing.T) {

@@ -253,7 +253,9 @@ func (r *Replicator) SyncAll(ctx context.Context) error {
 		if err := g.Poll(); err != nil {
 			return err
 		}
-		if err := r.syncPeer(ctx, g, p.id, p.url); err != nil {
+		var err error
+		obs.Run(ctx, phaseSync, func(sctx context.Context) { err = r.syncPeer(sctx, g, p.id, p.url) })
+		if err != nil {
 			peerErrors.Add(r.stats, 1)
 			r.log.Warn("ruledist: peer sync failed", "peer", p.id, "err", err.Error())
 			if firstErr == nil {
@@ -276,17 +278,17 @@ type digest struct {
 }
 
 // syncPeer reconciles with one peer under its breaker: digest poll,
-// version diff, filtered pull, merge. The etag is cached only after a
-// round fully applies, so a failed pull retries the diff next round.
+// version diff, filtered pull (under a "ruledist.pull" span), merge.
+// SyncAll runs it under a "ruledist.sync" span. The etag is cached only
+// after a round fully applies, so a failed pull retries the diff next
+// round.
 func (r *Replicator) syncPeer(ctx context.Context, g *govern.Guard, id, base string) error {
-	sctx, sp := obs.StartSpan(ctx, phaseSync)
-	defer sp.End()
 	br := r.breakers.For(id)
 	if !br.Allow() {
 		breakerSkips.Add(r.stats, 1)
 		return fmt.Errorf("ruledist: peer %s: breaker open", id)
 	}
-	d, notMod, err := r.fetchDigest(sctx, id, base)
+	d, notMod, err := r.fetchDigest(ctx, id, base)
 	if err != nil {
 		br.Failure()
 		return err
@@ -302,7 +304,8 @@ func (r *Replicator) syncPeer(ctx context.Context, g *govern.Guard, id, base str
 		r.setEtag(id, d.Etag)
 		return nil
 	}
-	snap, err := r.pull(sctx, id, base, wants)
+	var snap farm.Snapshot
+	obs.Run(ctx, phasePull, func(pctx context.Context) { snap, err = r.pull(pctx, id, base, wants) })
 	if err != nil {
 		br.Failure()
 		return err
@@ -391,11 +394,9 @@ func (r *Replicator) fetchDigest(ctx context.Context, id, base string) (d digest
 // too-new body fails DecodeSnapshot and the whole transfer is
 // discarded — partial state never applies.
 func (r *Replicator) pull(ctx context.Context, id, base string, sites []string) (farm.Snapshot, error) {
-	pctx, sp := obs.StartSpan(ctx, phasePull)
-	defer sp.End()
 	var snap farm.Snapshot
 	q := url.Values{"view": {"sync"}, "sites": {strings.Join(sites, ",")}}
-	err := r.retry.Do(pctx, func(actx context.Context) error {
+	err := r.retry.Do(ctx, func(actx context.Context) error {
 		req, rerr := http.NewRequestWithContext(actx, http.MethodGet, base+"/rulesz?"+q.Encode(), nil)
 		if rerr != nil {
 			return resilience.Permanent(fmt.Errorf("ruledist: pull %s: %w", id, rerr))

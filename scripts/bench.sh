@@ -2,8 +2,9 @@
 # Per-phase pipeline benchmark runner. Runs the Benchmark{Tokenize,Tidy,
 # BuildTree,Subtree,Separator,ExtractE2E} suite over the small/medium/large
 # bench pages, plus the serving layer's BenchmarkServeExtract{Hot,Longtail}
-# (a cached-rule replay and an unseen site's discovery, through the whole
-# HTTP handler), and emits BENCH_pipeline.json with ns/op, B/op and
+# and BenchmarkServeRecordsHot (a cached-rule replay, an unseen site's
+# discovery, and a replay projected to records, through the whole HTTP
+# handler), and emits BENCH_pipeline.json with ns/op, B/op and
 # allocs/op per benchmark, so successive changes can diff the performance
 # trajectory.
 #
@@ -29,7 +30,7 @@ BENCHTIME=${BENCH_TIME:-1s}
 BASELINE=scripts/bench_baseline.json
 OUT=BENCH_pipeline.json
 PIPELINE='^Benchmark(Tokenize|Tidy|BuildTree|Subtree|Separator|ExtractE2E)$'
-SERVE='^BenchmarkServeExtract(Hot|Longtail)$'
+SERVE='^BenchmarkServe(ExtractHot|ExtractLongtail|RecordsHot)$'
 
 raw=$(go test -run '^$' -bench "$PIPELINE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
     go test -run '^$' -bench "$SERVE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/serve)

@@ -45,6 +45,14 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Allocation budgets at a fast GC pace: TestAllocBudgets pauses the
+# collector around each count, so every entry must read the same count
+# at any GOGC. The race run above skips it (its file builds only
+# without -race); a plain `go test ./...` runs it at the default pace,
+# and this run gates the pace independence itself.
+echo "==> allocation budgets under GOGC=25"
+GOGC=25 go test -run TestAllocBudgets -count=1 .
+
 # Targeted race pass over the distributed layer: the packages whose
 # goroutines, locks, and channels the concurrency analyzers reason
 # about get an extra uncached -race run under a hard time budget, so a
