@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"omini/internal/cluster"
 	"omini/internal/core"
 	"omini/internal/corpus"
 	"omini/internal/htmlparse"
@@ -52,10 +53,11 @@ var allocBudgets = map[string]float64{
 	"replay/small":       27,
 	"replay/medium":      25,
 	"replay/large":       26,
-	"serve hot sample=0": 71,
-	"serve hot sample=1": 80,
-	"serve longtail":     117,
-	"serve records hot":  236,
+	"serve hot sample=0": 61,
+	"serve hot sample=1": 69,
+	"serve longtail":     106,
+	"serve records hot":  154,
+	"cluster hop":        207,
 	"signature/large":    6,
 	"drift/large":        6,
 }
@@ -107,6 +109,7 @@ func TestAllocBudgets(t *testing.T) {
 	}
 	measured["serve records hot"] = hotRequest(t, "/records", 0)
 	measured["serve longtail"] = longtailRequest(t)
+	measured["cluster hop"] = hopRequest(t)
 
 	names := make([]string, 0, len(allocBudgets))
 	for name := range allocBudgets {
@@ -207,6 +210,45 @@ func longtailRequest(t *testing.T) func() {
 		srv.ServeHTTP(deadlineRecorder{rec}, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", target, rec.Code)
+		}
+	}
+}
+
+// hopRequest returns a function routing one hot /extract request, as
+// BenchmarkClusterHop does, through a pure coordinator that proxies it
+// over loopback to the one peer owning every site, which has learned
+// every corpus site. The count covers both ends of the hop.
+func hopRequest(t *testing.T) func() {
+	t.Helper()
+	quiet := obs.NewLogger(io.Discard, obs.LevelInfo)
+	peer := httptest.NewServer(serve.New(serve.Config{Stats: resilience.NewStats(), Logger: quiet}))
+	t.Cleanup(peer.Close)
+	stats := resilience.NewStats()
+	c := cluster.New(cluster.Config{
+		Peers:  map[string]string{"n0": peer.URL},
+		Local:  serve.New(serve.Config{Stats: stats, Logger: quiet}),
+		Stats:  stats,
+		Logger: quiet,
+	})
+	post := func(target, html string) int {
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(deadlineRecorder{rec}, httptest.NewRequest(http.MethodPost, target, strings.NewReader(html)))
+		return rec.Code
+	}
+	var target, html string
+	for _, spec := range corpus.AllSpecs() {
+		tgt := "/extract?site=" + url.QueryEscape(spec.Name)
+		post(tgt, spec.Page(0).HTML)
+		if page := spec.Page(1).HTML; html == "" && post(tgt, page) == http.StatusOK {
+			target, html = tgt, page
+		}
+	}
+	if html == "" {
+		t.Fatal("no corpus page replays a learned rule through the hop")
+	}
+	return func() {
+		if code := post(target, html); code != http.StatusOK {
+			t.Fatalf("%s: status %d", target, code)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	rpprof "runtime/pprof"
 	"strings"
 	"time"
 
@@ -72,15 +71,12 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 		writeError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("cluster: read body: %v", err))
 		return
 	}
-	// Route/hop spans land in this coordinator's registry even when the
-	// inbound context carries none.
-	bctx = obs.WithRegistry(bctx, c.stats)
-
 	// One sampling decision per routed request, made here: an inbound
 	// header's decision is adopted, otherwise this coordinator samples.
 	// Either way the decision travels in the forwarded header, so the
 	// serving node never samples independently (no partial traces).
-	rctx, sw := obs.Enter(bctx, w, r.Header, q, phaseRoute, c.sampler)
+	// Route/hop spans land in this coordinator's registry.
+	rctx, sw := obs.Enter(bctx, w, r.Header, q, phaseRoute, c.sampler, c.stats, nil)
 	defer func() {
 		if t := sw.End(); t != nil {
 			t.Node, t.Op, t.Site = c.selfOrProxy(), "route", site
@@ -189,7 +185,7 @@ func (c *Coordinator) hopSpanned(ctx context.Context, budget time.Duration, url 
 	var shed *shedResult
 	var err error
 	d := obs.Run(ctx, phaseHop, func(hctx context.Context) {
-		rpprof.Do(hctx, m.labels, func(pctx context.Context) {
+		obs.Labelled(hctx, m.label, func(pctx context.Context) {
 			res, shed, err = c.hop(pctx, budget, url, r, body)
 		})
 	})

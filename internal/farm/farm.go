@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"io/fs"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,11 +90,11 @@ const (
 	defaultRelearnInterval = time.Minute
 )
 
-// The pprof path labels of the fast and slow paths, built once: every
-// request runs under one of them.
+// The pprof path labels of the fast and slow paths: every request
+// runs under one of them while a profile is captured.
 var (
-	fastLabels = pprof.Labels("path", "fast")
-	slowLabels = pprof.Labels("path", "slow")
+	fastLabel = obs.Label{Key: "path", Value: "fast"}
+	slowLabel = obs.Label{Key: "path", Value: "slow"}
 )
 
 // Outcome reports how one extraction was served.
@@ -388,7 +387,7 @@ func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*c
 	var res *core.Result
 	var err error
 	d := obs.Run(ctx, phaseFast, func(fctx context.Context) {
-		pprof.Do(fctx, fastLabels, func(pctx context.Context) {
+		obs.Labelled(fctx, fastLabel, func(pctx context.Context) {
 			res, err = f.ex.ExtractWithRuleContext(pctx, html, rule)
 		})
 	})
@@ -407,7 +406,7 @@ func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) 
 	var res *core.Result
 	var err error
 	d := obs.Run(ctx, phaseSlow, func(sctx context.Context) {
-		pprof.Do(sctx, slowLabels, func(pctx context.Context) {
+		obs.Labelled(sctx, slowLabel, func(pctx context.Context) {
 			res, err = f.ex.ExtractContext(pctx, html)
 		})
 	})

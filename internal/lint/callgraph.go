@@ -47,10 +47,10 @@ var blockingIntrinsics = map[string]bool{
 	"time.Sleep":                    true,
 }
 
-// CallFacts classifies functions for the control-flow analyzers.
+// CallFacts classifies functions for the control-flow analyzers: which
+// (transitively) block the calling goroutine.
 type CallFacts struct {
 	blocking map[*types.Func]bool
-	locking  map[*types.Func]bool
 }
 
 // funcFactKey renders a *types.Func as an intrinsics-table key:
@@ -117,7 +117,6 @@ func inspectShallow(n ast.Node, f func(ast.Node) bool) {
 func BuildCallFacts(pkgs []*Package) *CallFacts {
 	cf := &CallFacts{
 		blocking: make(map[*types.Func]bool),
-		locking:  make(map[*types.Func]bool),
 	}
 	// callers[f] lists the module functions that call f, for upward
 	// propagation.
@@ -170,9 +169,6 @@ func (cf *CallFacts) seed(info *types.Info, fn *types.Func, fd *ast.FuncDecl, ca
 		case *ast.CallExpr:
 			if intrinsicBlockingCall(info, n) {
 				cf.blocking[fn] = true
-			}
-			if mutexLockCall(info, n) != "" {
-				cf.locking[fn] = true
 			}
 			if callee, ok := calleeObject(info, n).(*types.Func); ok {
 				callers[callee] = append(callers[callee], fn)
@@ -245,15 +241,4 @@ func (cf *CallFacts) CallBlocks(info *types.Info, call *ast.CallExpr) bool {
 	}
 	fn, ok := calleeObject(info, call).(*types.Func)
 	return ok && cf.blocking[fn]
-}
-
-// FuncBlocks reports whether fn (transitively) blocks.
-func (cf *CallFacts) FuncBlocks(fn *types.Func) bool {
-	return fn != nil && (cf.blocking[fn] || blockingIntrinsics[funcFactKey(fn)])
-}
-
-// FuncLocks reports whether fn directly acquires a sync.Mutex or
-// sync.RWMutex.
-func (cf *CallFacts) FuncLocks(fn *types.Func) bool {
-	return fn != nil && cf.locking[fn]
 }

@@ -24,8 +24,8 @@
 //
 // lockhold is control-flow aware: the driver builds a per-function
 // basic-block CFG (cfg.go) and run-wide call-graph facts
-// (callgraph.go) that classify callees as blocking or lock-taking,
-// both exposed through Pass. Spans need no analyzer: outside
+// (callgraph.go) that classify callees as blocking, both exposed
+// through Pass. Spans need no analyzer: outside
 // internal/obs a span exists only inside obs.Leaf and obs.Run, which
 // end it.
 //
@@ -76,8 +76,8 @@ type Pass struct {
 	// Nested is set for a package of a module nested inside the loaded
 	// one (see Package.Nested).
 	Nested bool
-	// Facts are the run-wide call-graph classifications (blocking and
-	// lock-taking callees), shared by every pass of the run.
+	// Facts are the run-wide call-graph classification of blocking
+	// callees, shared by every pass of the run.
 	Facts *CallFacts
 
 	report func(Finding)

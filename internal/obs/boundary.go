@@ -64,10 +64,13 @@ func (w *StatusWriter) Status() int {
 // Boundary is one inbound request's side of the trace boundary: the
 // writer its handler answers through, and its root span and (when
 // sampled) trace recorder. Create with Enter; call End once the
-// handler returns.
+// handler returns. The root span is the request's obs state: the one
+// context value Enter sets points into the Boundary, so the registry,
+// the recorder and the caller's per-request state cost the request no
+// allocation of their own.
 type Boundary struct {
 	StatusWriter
-	root *span
+	root span
 	rec  *TraceRecorder
 }
 
@@ -82,10 +85,13 @@ type Boundary struct {
 // span's context echoed in w's X-Omini-Trace header. Every
 // eligible or sampled request gets a root span of the given phase;
 // unsampled, it carries the declined decision, which Inject forwards so
-// the next hop does not sample on its own. The returned context carries
-// the root span and recorder; the handler writes through the returned
-// Boundary.
-func Enter(ctx context.Context, w http.ResponseWriter, h http.Header, q url.Values, root *Phase, s *Sampler) (context.Context, *Boundary) {
+// the next hop does not sample on its own.
+//
+// The returned context carries the request's obs state in one value:
+// reg (ctx's registry when nil), the root span and recorder, and info,
+// the caller's per-request state, which RequestInfo returns under it. The
+// handler writes through the returned Boundary.
+func Enter(ctx context.Context, w http.ResponseWriter, h http.Header, q url.Values, root *Phase, s *Sampler, reg *Registry, info any) (context.Context, *Boundary) {
 	b := &Boundary{StatusWriter: StatusWriter{ResponseWriter: w}}
 	sc, err := ParseTraceHeader(h.Get(TraceHeader))
 	var sampled bool
@@ -95,24 +101,39 @@ func Enter(ctx context.Context, w http.ResponseWriter, h http.Header, q url.Valu
 	case q != nil:
 		sampled = WantTrace(q) || s.Sample()
 	}
-	if !sampled && q == nil {
-		return ctx, b
+	scope := scopeOf(ctx)
+	if reg != nil {
+		scope.reg = reg
 	}
+	scope.info = info
 	if sampled {
 		// Allocation sampling stays off on the serving path; wall times
 		// and span structure are the useful parts under traffic.
-		ctx, b.rec = StartTrace(ctx, sc, false)
+		b.rec = newRecorder(sc, false)
 		// Only ?trace=1 returns the decision trace; /tracez serves
 		// spans, attributes and charges.
 		b.rec.decisions = WantTrace(q)
+		scope.rec = b.rec
 	}
-	ctx, b.root = startSpan(ctx, root)
-	if sampled {
-		w.Header().Set(TraceHeader, b.root.spanContext().Header())
-	} else {
-		b.root.declined = true
+	b.root = scope
+	if sampled || q != nil {
+		b.root = begin(&scope, root)
+		if sampled {
+			w.Header().Set(TraceHeader, b.root.spanContext().Header())
+		} else {
+			b.root.declined = true
+		}
 	}
-	return ctx, b
+	return context.WithValue(ctx, stateKey{}, &b.root), b
+}
+
+// RequestInfo returns the per-request state the caller of the
+// boundary ctx runs under passed to Enter, nil outside a boundary.
+func RequestInfo(ctx context.Context) any {
+	if st := stateFrom(ctx); st != nil {
+		return st.info
+	}
+	return nil
 }
 
 // TraceID returns the request's trace ID, zero when it is not traced.
@@ -148,9 +169,9 @@ func (b *Boundary) End() *TraceData {
 // under a fresh trace ID. ok is false when ctx carries no decision, so
 // no header belongs on the request.
 func appendTraceValue(ctx context.Context, b []byte) (v []byte, ok bool) {
-	sp, _ := ctx.Value(spanKey{}).(*span)
+	sp := stateFrom(ctx)
 	switch {
-	case sp == nil:
+	case !sp.open():
 		return b, false
 	case sp.rec != nil:
 		return sp.spanContext().appendHeader(b), true

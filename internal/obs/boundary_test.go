@@ -30,7 +30,7 @@ func tracedSpan(t *testing.T) (context.Context, *span) {
 // boundary declined to sample.
 func declinedSpan(t *testing.T) context.Context {
 	t.Helper()
-	ctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, url.Values{}, phaseHandler, NewSampler(-1))
+	ctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, url.Values{}, phaseHandler, NewSampler(-1), nil, nil)
 	t.Cleanup(func() { b.End() })
 	if !b.TraceID().IsZero() {
 		t.Fatal("a -1 sampler sampled")
@@ -235,12 +235,11 @@ func TestEnterDecisionRule(t *testing.T) {
 		if tc.header != "" {
 			h.Set(TraceHeader, tc.header)
 		}
-		ctx, b := Enter(context.Background(), w, h, tc.q, phaseHandler, tc.s)
+		ctx, b := Enter(context.Background(), w, h, tc.q, phaseHandler, tc.s, nil, nil)
 		if sampled := !b.TraceID().IsZero(); sampled != tc.sampled {
 			t.Errorf("%s: sampled = %v, want %v", tc.name, sampled, tc.sampled)
 		}
-		_, hasRoot := ctx.Value(spanKey{}).(*span)
-		if hasRoot != tc.root {
+		if hasRoot := stateFrom(ctx).open(); hasRoot != tc.root {
 			t.Errorf("%s: root span = %v, want %v", tc.name, hasRoot, tc.root)
 		}
 		echo := w.Header().Get(TraceHeader)
@@ -263,7 +262,7 @@ func TestEnterDecisionRule(t *testing.T) {
 
 func TestBoundaryEndFillsSharedFields(t *testing.T) {
 	w := httptest.NewRecorder()
-	ctx, b := Enter(context.Background(), w, http.Header{}, url.Values{"trace": {"1"}}, phaseHandler, nil)
+	ctx, b := Enter(context.Background(), w, http.Header{}, url.Values{"trace": {"1"}}, phaseHandler, nil, nil, nil)
 	_, child := startSpan(ctx, phaseInner)
 	child.end()
 	AnnotateTrace(ctx, "path", "fast")
@@ -316,5 +315,35 @@ func TestWantTrace(t *testing.T) {
 	}
 	if WantTrace(nil) {
 		t.Error("WantTrace(nil) = true")
+	}
+}
+
+// TestEnterOneContextValue: Enter carries the request's registry, its
+// caller's per-request state and its root span in one context value,
+// seen under every span below the root, at two allocations for an
+// unsampled request (the Boundary and the context).
+func TestEnterOneContextValue(t *testing.T) {
+	reg := NewRegistry()
+	info := new(int)
+	ctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, url.Values{}, phaseHandler, NewSampler(-1), reg, info)
+	Run(ctx, phaseInner, func(ctx context.Context) {
+		if RegistryFrom(ctx) != reg || RequestInfo(ctx) != any(info) {
+			t.Errorf("under a Run span: registry %p, info %v; want %p, %p", RegistryFrom(ctx), RequestInfo(ctx), reg, info)
+		}
+	})
+	b.End()
+	if n := reg.Histogram(PhaseSeries("handler")).Count(); n != 1 {
+		t.Errorf("handler histogram in the request's registry: %d samples, want 1", n)
+	}
+	if RequestInfo(context.Background()) != nil {
+		t.Error("RequestInfo outside a boundary is not nil")
+	}
+	w, h, q, s := httptest.NewRecorder(), http.Header{}, url.Values{}, NewSampler(-1)
+	allocs := testing.AllocsPerRun(100, func() {
+		_, b := Enter(context.Background(), w, h, q, phaseHandler, s, reg, info)
+		b.End()
+	})
+	if allocs != 2 {
+		t.Errorf("unsampled Enter+End: %v allocs, want 2", allocs)
 	}
 }

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -94,5 +97,35 @@ func TestSpansConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram(PhaseSeries("outer")).Count(); got != workers*100 {
 		t.Errorf("outer histogram count = %d, want %d", got, workers*100)
+	}
+}
+
+// TestScopesDeriveWhileSpanEnds: contexts derived from an open span's
+// context — a registry swap, a trace, a request boundary, a child
+// span — read only what the span fixed when it started, so deriving
+// them races nothing while the span's owner ends it.
+func TestScopesDeriveWhileSpanEnds(t *testing.T) {
+	ctx, rec := WithTraceRecorder(context.Background(), false)
+	for range 50 {
+		sctx, sp := startSpan(ctx, phaseOuter)
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rctx := WithRegistry(sctx, NewRegistry())
+				_, _ = StartTrace(rctx, SpanContext{}, false)
+				_, b := Enter(rctx, httptest.NewRecorder(), http.Header{}, url.Values{}, phaseHandler, NewSampler(-1), nil, nil)
+				b.End()
+				Leaf(rctx, phaseInner, func() {})
+			}()
+		}
+		sp.end()
+		wg.Wait()
+	}
+	for _, s := range rec.Spans() {
+		if s.Name == "inner" && (s.Parent != "outer" || s.Depth != 1) {
+			t.Fatalf("a leaf under a derived scope lost its parent: %+v", s)
+		}
 	}
 }

@@ -56,10 +56,10 @@ func TestStartLeafMatchesStartSpan(t *testing.T) {
 
 	// A declined request's leaf (Leaf starts it with startLeaf) forwards
 	// the decision like a Run span does.
-	dctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, url.Values{}, phaseOuter, NewSampler(-1))
+	dctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, url.Values{}, phaseOuter, NewSampler(-1), nil, nil)
 	leaf := startLeaf(dctx, phaseInner)
 	var child *span
-	Run(dctx, phaseInner, func(c context.Context) { child, _ = c.Value(spanKey{}).(*span) })
+	Run(dctx, phaseInner, func(c context.Context) { child, _ = c.Value(stateKey{}).(*span) })
 	if child == nil || !leaf.declined || leaf.declined != child.declined {
 		t.Errorf("declined: leaf %v, Run span %+v, want both declined", leaf.declined, child)
 	}
@@ -93,7 +93,7 @@ func TestDecisionsWanted(t *testing.T) {
 	}
 	for query, want := range map[string]bool{"": false, "trace=0": false, "trace=1": true, "trace=yes": true} {
 		q, _ := url.ParseQuery(query)
-		ctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, q, phaseOuter, nil)
+		ctx, b := Enter(context.Background(), httptest.NewRecorder(), http.Header{}, q, phaseOuter, nil, nil, nil)
 		if got := TraceRecorderFrom(ctx).WantsDecisions(); got != want {
 			t.Errorf("?%s: sampled recorder wants decisions = %v, want %v", query, got, want)
 		}

@@ -92,22 +92,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return NewHistogram(nil)
 }
 
-// registryKey carries a Registry through a context.
-type registryKey struct{}
-
-// WithRegistry returns a context carrying reg; spans and instrumented
-// components publish into it instead of Default.
+// WithRegistry returns a context whose spans and instrumented
+// components publish into reg instead of Default. Requests get their
+// registry from Enter; this is for work outside a request (ruledist's
+// sync rounds, eval's timing runs, tests). Under an open span the
+// derived context keeps the span as its spans' parent.
 func WithRegistry(ctx context.Context, reg *Registry) context.Context {
-	return context.WithValue(ctx, registryKey{}, reg)
+	st := scopeOf(ctx)
+	st.reg = reg
+	return context.WithValue(ctx, stateKey{}, &st)
 }
 
 // RegistryFrom returns the context's registry, or Default when none is
 // attached. It never returns nil.
 func RegistryFrom(ctx context.Context) *Registry {
-	if ctx != nil {
-		if reg, ok := ctx.Value(registryKey{}).(*Registry); ok && reg != nil {
-			return reg
-		}
+	if st := stateFrom(ctx); st != nil && st.reg != nil {
+		return st.reg
 	}
 	return Default
 }

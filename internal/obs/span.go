@@ -205,15 +205,39 @@ func (tr *TraceRecorder) add(s PhaseSample) {
 	tr.mu.Unlock()
 }
 
-type recorderKey struct{}
-type spanKey struct{}
+// stateKey is the one key obs sets in a context. Its value is the
+// context's obs state, a *span: the innermost open span, or a scope
+// standing in for one. Either carries the registry and trace recorder
+// the context's work reports into and the per-request state of the
+// boundary it runs under, so every lookup is one ctx.Value.
+type stateKey struct{}
 
-// StartTrace returns a context carrying a fresh TraceRecorder for one
-// traced operation. sc continues an upstream trace: its TraceID is
-// adopted (a zero TraceID generates a fresh one) and its SpanID becomes
-// the remote parent of the local root span. sampleAllocs additionally
-// records per-span allocation deltas (see TraceRecorder.SampleAllocs).
-func StartTrace(ctx context.Context, sc SpanContext, sampleAllocs bool) (context.Context, *TraceRecorder) {
+// stateFrom returns ctx's obs state, nil when it carries none.
+func stateFrom(ctx context.Context) *span {
+	if ctx == nil {
+		return nil
+	}
+	st, _ := ctx.Value(stateKey{}).(*span)
+	return st
+}
+
+// scopeOf returns a copy of ctx's obs state to derive a new state
+// from. A copy of an open span stands in for it as its children's
+// parent but is never ended itself; without a state it is an empty
+// scope, which has no phase and parents nothing.
+func scopeOf(ctx context.Context) span {
+	sc := span{ended: true}
+	if st := stateFrom(ctx); st != nil {
+		// Only what a state is read for, all fixed when it started:
+		// its owner may be ending it on another goroutine.
+		sc.phase, sc.depth, sc.id, sc.declined = st.phase, st.depth, st.id, st.declined
+		sc.reg, sc.rec, sc.info = st.reg, st.rec, st.info
+	}
+	return sc
+}
+
+// newRecorder returns a fresh TraceRecorder: see StartTrace.
+func newRecorder(sc SpanContext, sampleAllocs bool) *TraceRecorder {
 	tr := &TraceRecorder{
 		SampleAllocs: sampleAllocs,
 		traceID:      sc.TraceID,
@@ -225,7 +249,20 @@ func StartTrace(ctx context.Context, sc SpanContext, sampleAllocs bool) (context
 	if tr.traceID.IsZero() {
 		tr.traceID = NewTraceID()
 	}
-	return context.WithValue(ctx, recorderKey{}, tr), tr
+	return tr
+}
+
+// StartTrace returns a context carrying a fresh TraceRecorder for one
+// traced operation. sc continues an upstream trace: its TraceID is
+// adopted (a zero TraceID generates a fresh one) and its SpanID becomes
+// the remote parent of the local root span. sampleAllocs additionally
+// records per-span allocation deltas (see TraceRecorder.SampleAllocs).
+// An inbound request's recorder is started by Enter instead.
+func StartTrace(ctx context.Context, sc SpanContext, sampleAllocs bool) (context.Context, *TraceRecorder) {
+	tr := newRecorder(sc, sampleAllocs)
+	st := scopeOf(ctx)
+	st.rec = tr
+	return context.WithValue(ctx, stateKey{}, &st), tr
 }
 
 // WithTraceRecorder is StartTrace with a fresh trace identity — the
@@ -241,11 +278,10 @@ func WithTraceRecorder(ctx context.Context, sampleAllocs bool) (context.Context,
 // TraceRecorderFrom returns the context's recorder, or nil when the
 // operation is not being traced.
 func TraceRecorderFrom(ctx context.Context) *TraceRecorder {
-	if ctx == nil {
-		return nil
+	if st := stateFrom(ctx); st != nil {
+		return st.rec
 	}
-	tr, _ := ctx.Value(recorderKey{}).(*TraceRecorder)
-	return tr
+	return nil
 }
 
 // TraceIDFrom returns the trace ID of the context's trace, or the zero
@@ -266,11 +302,8 @@ func AnnotateTrace(ctx context.Context, k, v string) {
 // invalid (zero) when the context carries no traced span — untraced
 // work propagates nothing.
 func SpanContextFrom(ctx context.Context) SpanContext {
-	if ctx == nil {
-		return SpanContext{}
-	}
-	sp, _ := ctx.Value(spanKey{}).(*span)
-	if sp == nil || sp.rec == nil {
+	sp := stateFrom(ctx)
+	if !sp.open() || sp.rec == nil {
 		return SpanContext{}
 	}
 	return sp.spanContext()
@@ -312,7 +345,9 @@ func Run(ctx context.Context, phase *Phase, fn func(context.Context)) (d time.Du
 // span is one in-flight timed region, started by startSpan or
 // startLeaf; end records it into the context's registry histogram and
 // trace recorder. Outside this package spans exist only inside Leaf,
-// Run and a Boundary, which end them.
+// Run and a Boundary, which end them. A span is also what a context
+// carries as its obs state (stateKey); a scope, a state with no phase,
+// stands for no span.
 type span struct {
 	phase    *Phase
 	parent   string
@@ -324,6 +359,9 @@ type span struct {
 	dur      time.Duration
 	reg      *Registry
 	rec      *TraceRecorder
+	// info is the per-request state of the boundary the span runs
+	// under (Enter's info), inherited by every span below it.
+	info any
 	// allocs0 and bytes0 are the process's allocation counters at the
 	// start, read only when the recorder samples allocations.
 	allocs0, bytes0 uint64
@@ -334,13 +372,16 @@ type span struct {
 	declined bool
 }
 
+// open reports whether s is a span, not a scope or nil.
+func (s *span) open() bool { return s != nil && s.phase != nil }
+
 // startSpan begins a span of the declared phase under ctx and returns
 // a derived context carrying the span, so spans started under it see
 // their parent.
 func startSpan(ctx context.Context, phase *Phase) (context.Context, *span) {
 	sp := new(span)
 	*sp = startLeaf(ctx, phase)
-	return context.WithValue(ctx, spanKey{}, sp), sp
+	return context.WithValue(ctx, stateKey{}, sp), sp
 }
 
 // startLeaf begins the span startSpan begins — its histogram
@@ -348,16 +389,25 @@ func startSpan(ctx context.Context, phase *Phase) (context.Context, *span) {
 // identical — returned by value and never entered into a context, so
 // starting it allocates nothing.
 func startLeaf(ctx context.Context, phase *Phase) span {
-	sp := span{
-		phase: phase,
-		reg:   RegistryFrom(ctx),
-		rec:   TraceRecorderFrom(ctx),
+	return begin(stateFrom(ctx), phase)
+}
+
+// begin starts a span of the declared phase under st, a context's obs
+// state (nil for none): the span reports into st's registry and
+// recorder, and is the child of st when st is a span.
+func begin(st *span, phase *Phase) span {
+	sp := span{phase: phase, reg: Default}
+	if st != nil {
+		if st.reg != nil {
+			sp.reg = st.reg
+		}
+		sp.rec, sp.info = st.rec, st.info
 	}
-	if parent, ok := ctx.Value(spanKey{}).(*span); ok && parent != nil {
-		sp.parent = parent.phase.name
-		sp.depth = parent.depth + 1
-		sp.parentID = parent.id
-		sp.declined = parent.declined
+	if st.open() {
+		sp.parent = st.phase.name
+		sp.depth = st.depth + 1
+		sp.parentID = st.id
+		sp.declined = st.declined
 	} else if sp.rec != nil {
 		sp.parentID = sp.rec.remote
 	}

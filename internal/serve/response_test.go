@@ -235,7 +235,7 @@ func TestDecisionTraceOnlyWhenAsked(t *testing.T) {
 	spec := corpus.AllSpecs()[0]
 	for k, query := range []string{"site=s", "site=s", "site=s&trace=1", "trace=1"} {
 		q, _ := url.ParseQuery(query)
-		ctx, b := obs.Enter(context.Background(), httptest.NewRecorder(), http.Header{}, q, phaseHandler, nil)
+		ctx, b := obs.Enter(context.Background(), httptest.NewRecorder(), http.Header{}, q, phaseHandler, nil, nil, nil)
 		if b.TraceID().IsZero() {
 			t.Fatalf("request %d ?%s: not sampled", k, query)
 		}

@@ -41,7 +41,6 @@ import (
 	"net/url"
 	"os"
 	"runtime/debug"
-	rpprof "runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -263,7 +262,11 @@ func New(cfg Config) *Server {
 	root.HandleFunc("GET /metricsz", s.handleMetricsz)
 	root.HandleFunc("/debug/pprof/", pprof.Index)
 	root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	root.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	// A CPU profile is the one reader of pprof labels: requests are
+	// labelled only while a capture runs (obs.Labelled).
+	root.HandleFunc("/debug/pprof/profile", func(w http.ResponseWriter, r *http.Request) {
+		obs.Capture(func() { pprof.Profile(w, r) })
+	})
 	root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	root.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	root.Handle("/", s.withLimit(s.withTimeout(api)))
@@ -356,11 +359,10 @@ type reqInfo struct {
 	errMsg     string
 }
 
-type reqInfoKey struct{}
-
-// infoFrom returns the request's summary slot (nil outside withObs).
+// infoFrom returns the request's summary slot, which travels in the
+// request's obs state (nil outside withObs).
 func infoFrom(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
+	ri, _ := obs.RequestInfo(ctx).(*reqInfo)
 	return ri
 }
 
@@ -467,9 +469,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		if traceable(r) {
 			ri.query = r.URL.Query()
 		}
-		ctx := obs.WithRegistry(r.Context(), s.stats)
-		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-		ctx, b := obs.Enter(ctx, w, r.Header, ri.query, phaseHandler, s.sampler)
+		ctx, b := obs.Enter(r.Context(), w, r.Header, ri.query, phaseHandler, s.sampler, s.stats, ri)
 		defer s.finish(b, r, ri, start)
 		next.ServeHTTP(b, r.WithContext(ctx))
 	})
@@ -741,7 +741,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	var res *core.Result
 	var fromRule bool
 	var err error
-	rpprof.Do(ctx, rpprof.Labels("site", site), func(pctx context.Context) {
+	obs.Labelled(ctx, obs.Label{Key: "site", Value: site}, func(pctx context.Context) {
 		res, fromRule, err = s.extract(pctx, site, html)
 	})
 	if err != nil {
@@ -803,7 +803,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	var res *core.Result
 	var wrapper *wrapgen.Wrapper
 	var err error
-	rpprof.Do(ctx, rpprof.Labels("site", site), func(pctx context.Context) {
+	obs.Labelled(ctx, obs.Label{Key: "site", Value: site}, func(pctx context.Context) {
 		if res, _, err = s.extract(pctx, site, html); err == nil {
 			wrapper, res, err = s.farm.Wrapper(pctx, site, html, res)
 		}

@@ -123,18 +123,10 @@ func (w *Wrapper) Extract(html string) ([]Record, error) {
 // Project converts extracted objects to records under the wrapper's
 // schema. Objects exhibiting none of the fields produce no record.
 func (w *Wrapper) Project(objects []extract.Object) []Record {
+	p := newProjector(w.Fields)
 	records := make([]Record, 0, len(objects))
 	for _, o := range objects {
-		values := valuesOf(o)
-		rec := make(Record, len(w.Fields))
-		for _, f := range w.Fields {
-			key := sigKey{path: f.Path, attr: f.Attr}
-			vals := values[key]
-			if f.Occurrence <= len(vals) {
-				rec[f.Name] = vals[f.Occurrence-1]
-			}
-		}
-		if len(rec) > 0 {
+		if rec := p.project(o); len(rec) > 0 {
 			records = append(records, rec)
 		}
 	}
@@ -305,7 +297,7 @@ func valuesOf(o extract.Object) map[sigKey][]string {
 			key := sigKey{path: sig}
 			values[key] = append(values[key], strings.Join(text, " "))
 		}
-		for _, attr := range []string{"href", "src"} {
+		for _, attr := range slotAttrs {
 			for _, a := range n.Attrs {
 				if a.Name == attr && a.Value != "" {
 					key := sigKey{path: sig, attr: attr}

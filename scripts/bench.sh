@@ -4,9 +4,10 @@
 # bench pages, plus the serving layer's BenchmarkServeExtract{Hot,Longtail}
 # and BenchmarkServeRecordsHot (a cached-rule replay, an unseen site's
 # discovery, and a replay projected to records, through the whole HTTP
-# handler), and emits BENCH_pipeline.json with ns/op, B/op and
-# allocs/op per benchmark, so successive changes can diff the performance
-# trajectory.
+# handler), and the cluster's BenchmarkClusterHop (a coordinator
+# proxying a hot /extract to one warm peer over loopback), and emits
+# BENCH_pipeline.json with ns/op, B/op and allocs/op per benchmark, so
+# successive changes can diff the performance trajectory.
 #
 #   ./scripts/bench.sh                # run, refresh "current" in the JSON
 #   ./scripts/bench.sh -rebaseline    # also overwrite the stored baseline
@@ -31,9 +32,11 @@ BASELINE=scripts/bench_baseline.json
 OUT=BENCH_pipeline.json
 PIPELINE='^Benchmark(Tokenize|Tidy|BuildTree|Subtree|Separator|ExtractE2E)$'
 SERVE='^BenchmarkServe(ExtractHot|ExtractLongtail|RecordsHot)$'
+CLUSTER='^BenchmarkClusterHop$'
 
 raw=$(go test -run '^$' -bench "$PIPELINE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
-    go test -run '^$' -bench "$SERVE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/serve)
+    go test -run '^$' -bench "$SERVE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/serve
+    go test -run '^$' -bench "$CLUSTER" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/cluster)
 
 printf '%s\n' "$raw" >&2
 
@@ -86,7 +89,7 @@ baseline=$(sed '1d;$d' "$BASELINE")
 
 {
     echo '{'
-    echo "  \"suite\": \"go test -bench $PIPELINE -benchmem . && go test -bench $SERVE -benchmem ./internal/serve\","
+    echo "  \"suite\": \"go test -bench $PIPELINE -benchmem . && go test -bench $SERVE -benchmem ./internal/serve && go test -bench $CLUSTER -benchmem ./internal/cluster\","
     echo "  \"benchtime\": \"$BENCHTIME\","
     echo "  \"count\": $COUNT,"
     echo '  "fold": "median of the runs, each figure on its own",'

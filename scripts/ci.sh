@@ -164,6 +164,27 @@ if [ "$OBS_SMOKE" != "0" ]; then
         END { if (bad != "") { print "/metricsz families:" bad > "/dev/stderr"; exit 1 } }' || exit 1
     heap=$(curl -sf "http://$addr/debug/pprof/heap?debug=1")
     [ -n "$heap" ] || { echo "/debug/pprof/heap returned empty body" >&2; exit 1; }
+    # Requests carry pprof labels only while a CPU profile is captured:
+    # serve /extract pages, one curl posting to many URLs over one
+    # connection, until a 1-second capture returns, and the profile's
+    # string table must hold the site label key (a length-4 entry of
+    # field 6, the bytes 0x32 0x04 "site").
+    go run ./cmd/sitegen -out "$tmpdir/corpus" -pages 2 -set test -q
+    page=$(ls "$tmpdir/corpus"/*/*.html | head -n 1)
+    psite=$(basename "$(dirname "$page")")
+    curl -sf -o "$tmpdir/cpu.pb.gz" "http://$addr/debug/pprof/profile?seconds=1" &
+    prof_pid=$!
+    urls=""
+    for _ in $(seq 1 50); do urls="$urls http://$addr/extract?site=$psite"; done
+    while kill -0 "$prof_pid" 2>/dev/null; do
+        # shellcheck disable=SC2086 # one word per URL
+        curl -s --data-binary @"$page" $urls > /dev/null || true
+    done
+    wait "$prof_pid" || { echo "/debug/pprof/profile failed" >&2; exit 1; }
+    gzip -dc "$tmpdir/cpu.pb.gz" | grep -aq "$(printf '\062\004site')" || {
+        echo "CPU profile captured under /extract load carries no site label" >&2
+        exit 1
+    }
     kill "$srv_pid"
     wait "$srv_pid" 2>/dev/null || true
     trap - EXIT
