@@ -19,11 +19,13 @@ import (
 	"time"
 
 	"omini/internal/cluster"
+	"omini/internal/combine"
 	"omini/internal/core"
 	"omini/internal/corpus"
 	"omini/internal/htmlparse"
 	"omini/internal/obs"
 	"omini/internal/resilience"
+	"omini/internal/separator"
 	"omini/internal/serve"
 	"omini/internal/tagtree"
 	"omini/internal/tidy"
@@ -47,17 +49,18 @@ var allocBudgets = map[string]float64{
 	"build/small":        3,
 	"build/medium":       3,
 	"build/large":        3,
-	"discovery/small":    59,
-	"discovery/medium":   52,
-	"discovery/large":    55,
+	"discovery/small":    37,
+	"discovery/medium":   35,
+	"discovery/large":    36,
+	"combine/large":      8,
 	"replay/small":       27,
 	"replay/medium":      25,
 	"replay/large":       26,
-	"serve hot sample=0": 61,
-	"serve hot sample=1": 69,
-	"serve longtail":     106,
-	"serve records hot":  154,
-	"cluster hop":        207,
+	"serve hot sample=0": 59,
+	"serve hot sample=1": 67,
+	"serve longtail":     87,
+	"serve records hot":  86,
+	"cluster hop":        205,
 	"signature/large":    6,
 	"drift/large":        6,
 }
@@ -68,7 +71,8 @@ const allocRuns = 50
 // TestAllocBudgets fails when an entry point allocates more per call
 // than its committed ceiling: Phase 1's three entry points on the
 // small, medium and large bench pages, core's discovery and rule
-// replay on the same pages, one hot /extract through the whole serving
+// replay on the same pages, Phase 2 alone (the tag index, the five
+// separator heuristics and their combination) on the large page, one hot /extract through the whole serving
 // layer, untraced and traced, one /extract that learns an unseen site,
 // one hot /records, and the drift signature and drift score of the
 // large bench page. Each count is taken with the collector paused
@@ -99,6 +103,9 @@ func TestAllocBudgets(t *testing.T) {
 		measured["discovery/"+size] = func() { _, _ = ex.ExtractContext(ctx, html) }
 		measured["replay/"+size] = func() { _, _ = ex.ExtractWithRuleContext(ctx, html, rule) }
 		if size == "large" {
+			sub := tagtree.FindPath(learned.Tree, learned.SubtreePath)
+			hs, probs := separator.All(), combine.PaperProbs()
+			measured["combine/large"] = func() { _, _, _ = combine.Combine(sub, hs, probs, nil) }
 			sig := tagtree.PathSignature(learned.Tree)
 			measured["signature/large"] = func() { _ = tagtree.PathSignature(learned.Tree) }
 			measured["drift/large"] = func() { _ = wrapgen.DriftScore(sig, learned.Tree) }

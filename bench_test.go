@@ -69,7 +69,11 @@ func separatorRank(b *testing.B, h separator.Heuristic, sub *tagtree.Node) []sep
 	if err != nil {
 		b.Fatal(err)
 	}
-	return h.Rank(st)
+	ranked, err := h.Rank(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ranked
 }
 
 // BenchmarkTable1SubtreeHeuristics ranks the canoe tree with HF, GSI, LTC
@@ -104,8 +108,8 @@ func BenchmarkTable3RP(b *testing.B) {
 	sub := truthSubtree(b, sitegen.Canoe())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pairs := separator.RPPairs(sub); len(pairs) == 0 {
-			b.Fatal("empty")
+		if pairs, err := separator.RPPairs(sub, nil); err != nil || len(pairs) == 0 {
+			b.Fatalf("empty: %v", err)
 		}
 	}
 }
@@ -116,8 +120,10 @@ func BenchmarkTable6SB(b *testing.B) {
 	loc := truthSubtree(b, sitegen.LOC())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(separator.SBPairs(canoe)) == 0 || len(separator.SBPairs(loc)) == 0 {
-			b.Fatal("empty")
+		for _, sub := range []*tagtree.Node{canoe, loc} {
+			if pairs, err := separator.SBPairs(sub, nil); err != nil || len(pairs) == 0 {
+				b.Fatalf("empty: %v", err)
+			}
 		}
 	}
 }

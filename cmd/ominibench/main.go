@@ -218,8 +218,12 @@ func (h *harness) table2() error {
 	if err != nil {
 		return err
 	}
+	ranked, err := separator.SD().Rank(st)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(h.w, "%-4s %-6s %s\n", "Rank", "Tag", "Standard Deviation")
-	for i, r := range separator.SD().Rank(st) {
+	for i, r := range ranked {
 		fmt.Fprintf(h.w, "%-4d %-6s %8.1f\n", i+1, r.Tag, r.Score)
 	}
 	fmt.Fprintln(h.w)
@@ -231,8 +235,12 @@ func (h *harness) table3() error {
 	if err != nil {
 		return err
 	}
+	pairs, err := separator.RPPairs(sub, nil)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(h.w, "%-16s %-10s %s\n", "Tag Pair", "Pair Count", "Difference")
-	for _, p := range separator.RPPairs(sub) {
+	for _, p := range pairs {
 		fmt.Fprintf(h.w, "%-16s %-10d %d\n", p.Pair.First+", "+p.Pair.Second, p.Count, p.Diff)
 	}
 	fmt.Fprintln(h.w)
@@ -279,8 +287,12 @@ func (h *harness) table6() error {
 		if err != nil {
 			return err
 		}
+		pairs, err := separator.SBPairs(sub, nil)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(h.w, "-- %s --\n%-16s %s\n", page.Site, "Pair", "Count")
-		for _, p := range separator.SBPairs(sub) {
+		for _, p := range pairs {
 			fmt.Fprintf(h.w, "%-16s %d\n", p.Pair.First+", "+p.Pair.Second, p.Count)
 		}
 	}
@@ -295,7 +307,10 @@ func (h *harness) table8() error {
 			return err
 		}
 		fmt.Fprintf(h.w, "-- %s partial paths --\n", page.Site)
-		paths := separator.PPPaths(sub)
+		paths, err := separator.PPPaths(sub, nil)
+		if err != nil {
+			return err
+		}
 		for i, pc := range paths {
 			if i >= 12 {
 				fmt.Fprintf(h.w, "... (%d more)\n", len(paths)-i)
@@ -307,8 +322,12 @@ func (h *harness) table8() error {
 		if err != nil {
 			return err
 		}
+		ranked, err := separator.PP().Rank(st)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(h.w, "-- %s PP tag ranking --\n", page.Site)
-		for i, r := range separator.PP().Rank(st) {
+		for i, r := range ranked {
 			fmt.Fprintf(h.w, "%d. %-8s %.0f\n", i+1, r.Tag, r.Score)
 		}
 	}

@@ -1,12 +1,16 @@
 package combine
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"omini/internal/govern"
+	"omini/internal/pathology"
 	"omini/internal/separator"
 	"omini/internal/sitegen"
 	"omini/internal/tagtree"
@@ -219,5 +223,36 @@ func TestCompoundMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDistinctTagsStaysLinear: on a body of n children that are n
+// distinct tags, Combine finishes inside a default guard, and the bytes
+// it allocates grow with n, not with the n² pairs of tags: quadrupling n
+// may grow them at most eightfold, where a table of every pair would
+// grow them sixteenfold.
+func TestDistinctTagsStaysLinear(t *testing.T) {
+	bytesAt := func(n int) uint64 {
+		root, err := tagtree.Parse(pathology.DistinctTags(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := root.FindAll("body")[0]
+		if body.Fanout() != n {
+			t.Fatalf("body has %d children, want %d", body.Fanout(), n)
+		}
+		g := govern.NewGuard(context.Background(), govern.Default())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cands, _, err := Combine(body, separator.All(), PaperProbs(), g)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(cands) == 0 {
+			t.Fatalf("n=%d: %d candidates, err %v", n, len(cands), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := bytesAt(1024), bytesAt(4096)
+	if large > 8*small {
+		t.Errorf("Combine allocates %d B at 1024 distinct tags and %d B at 4096: more than linear", small, large)
 	}
 }

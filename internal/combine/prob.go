@@ -9,6 +9,9 @@
 package combine
 
 import (
+	"cmp"
+	"slices"
+
 	"omini/internal/govern"
 	"omini/internal/separator"
 	"omini/internal/tagtree"
@@ -73,13 +76,13 @@ type RankedList struct {
 // inclusion–exclusion: P(t) = 1 − Π_h (1 − p_h(t)). The result is sorted by
 // descending compound probability; ties prefer broader support, then the
 // tag's first appearance among the subtree's children. One Stats index over
-// the subtree serves every heuristic and the tie-break map. Each
+// the subtree serves every heuristic and the combination. Each
 // heuristic's own ranking is returned too (the combination's input, for
 // the decision trace).
 //
-// The index scan polls the guard's page context and the guard is
-// re-checked between heuristics, so a cancelled or out-of-time page stops
-// after the current heuristic instead of ranking all of them. A nil guard
+// The index scan and every heuristic poll the guard's page context, and
+// the guard is re-checked between heuristics, so a cancelled or
+// out-of-time page stops inside the heuristic it is ranking. A nil guard
 // means unlimited.
 func Combine(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTable, g *govern.Guard) ([]Candidate, []RankedList, error) {
 	st, err := separator.NewStats(sub, g)
@@ -91,7 +94,11 @@ func Combine(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTabl
 		if err := g.Check(); err != nil {
 			return nil, nil, err
 		}
-		lists[i] = RankedList{Name: h.Name(), Ranked: h.Rank(st)}
+		ranked, err := h.Rank(st)
+		if err != nil {
+			return nil, nil, err
+		}
+		lists[i] = RankedList{Name: h.Name(), Ranked: ranked}
 	}
 	if err := g.Check(); err != nil {
 		return nil, nil, err
@@ -99,57 +106,44 @@ func Combine(sub *tagtree.Node, heuristics []separator.Heuristic, table ProbTabl
 	return CombineLists(lists, table, st), lists, nil
 }
 
-// CombineLists merges pre-computed heuristic rankings, as Combine does.
-// Equal-probability candidates are ordered by their first appearance among
-// the children of the subtree st indexes (separator.Stats.FirstIndex).
+// CombineLists merges pre-computed heuristic rankings of the subtree st
+// indexes, as Combine does. Evidence accumulates by tag index, one slot
+// per child tag; a tag that is not a child tag of the subtree (no
+// heuristic ranks one) carries none. Equal-probability candidates are
+// ordered by broader support, then by first appearance among the
+// children, which is the order of their indices.
 func CombineLists(lists []RankedList, table ProbTable, st *separator.Stats) []Candidate {
-	type acc struct {
-		miss    float64 // Π (1 − p_h)
-		support int
-	}
-	accs := make(map[string]*acc)
-	var tags []string
+	// Until the compaction below, a slot's Prob holds Π (1 − p_h).
+	out := make([]Candidate, st.Len())
 	for _, list := range lists {
 		for i, r := range list.Ranked {
-			p := table.Prob(list.Name, i+1)
-			a, ok := accs[r.Tag]
+			id, ok := st.Index(r.Tag)
 			if !ok {
-				a = &acc{miss: 1}
-				accs[r.Tag] = a
-				tags = append(tags, r.Tag)
+				continue
 			}
-			a.support++
-			a.miss *= 1 - p
+			c := &out[id]
+			if c.Support == 0 {
+				*c = Candidate{Tag: r.Tag, Prob: 1}
+			}
+			c.Support++
+			c.Prob *= 1 - table.Prob(list.Name, i+1)
 		}
 	}
-	out := make([]Candidate, 0, len(tags))
-	for _, tag := range tags {
-		a := accs[tag]
-		out = append(out, Candidate{Tag: tag, Prob: 1 - a.miss, Support: a.support})
+	n := 0
+	for _, c := range out {
+		if c.Support > 0 {
+			c.Prob = 1 - c.Prob
+			out[n] = c
+			n++
+		}
 	}
-	sortCandidates(out, st)
+	out = out[:n]
+	// Stable: the slots are in index order, which breaks the ties left.
+	slices.SortStableFunc(out, func(a, b Candidate) int {
+		if a.Prob != b.Prob {
+			return cmp.Compare(b.Prob, a.Prob)
+		}
+		return cmp.Compare(b.Support, a.Support)
+	})
 	return out
-}
-
-func sortCandidates(cands []Candidate, st *separator.Stats) {
-	pos := func(tag string) int {
-		if p, ok := st.FirstIndex(tag); ok {
-			return p
-		}
-		return 1 << 30
-	}
-	// Insertion sort keeps the dependency surface zero and the candidate
-	// lists are tiny (one entry per distinct child tag).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cands[j-1], cands[j]
-			less := b.Prob > a.Prob ||
-				(b.Prob == a.Prob && b.Support > a.Support) ||
-				(b.Prob == a.Prob && b.Support == a.Support && pos(b.Tag) < pos(a.Tag))
-			if !less {
-				break
-			}
-			cands[j-1], cands[j] = b, a
-		}
-	}
 }

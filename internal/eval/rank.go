@@ -34,7 +34,8 @@ type PreparedPage struct {
 	Sub *tagtree.Node
 	// Lists holds each heuristic's ranking on Sub, by heuristic name.
 	Lists map[string][]separator.Ranked
-	// Stats indexes Sub; combination breaks ties with its FirstIndex.
+	// Stats indexes Sub; combination accumulates and breaks ties by its
+	// tag indices.
 	Stats *separator.Stats
 }
 
@@ -78,7 +79,9 @@ func preparePage(page sitegen.Page, heuristics []separator.Heuristic) (PreparedP
 	}
 	lists := make(map[string][]separator.Ranked, len(heuristics))
 	for _, h := range heuristics {
-		lists[h.Name()] = h.Rank(st)
+		if lists[h.Name()], err = h.Rank(st); err != nil {
+			return PreparedPage{}, err
+		}
 	}
 	return PreparedPage{
 		Page:  page,

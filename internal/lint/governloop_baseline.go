@@ -17,10 +17,7 @@ var governloopBaseline = map[string]bool{
 	"htmlparse.Token.Attr":          true,
 	"htmlparse.Token.String":        true,
 	"htmlparse.UnescapeText":        true,
-	"separator.PPPaths":             true,
-	"separator.RPPairs":             true,
 	"separator.RankOf":              true,
-	"separator.SBPairs":             true,
 	"separator.Tags":                true,
 	"tagtree.Compile":               true,
 	"tagtree.FindPath":              true,

@@ -100,6 +100,21 @@ func HugeTextNode(size int) string {
 	return b.String()
 }
 
+// DistinctTags returns a page whose body holds n children, each a
+// different custom tag name around a line of text — a stressor for
+// anything the separator heuristics size by distinct child tags rather
+// than by children: a table of every pair of tags would hold n² cells.
+func DistinctTags(n int) string {
+	var b strings.Builder
+	b.Grow(n*32 + 64)
+	b.WriteString("<html><body>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<tag-%d>item %d</tag-%d>", i, i, i)
+	}
+	b.WriteString("</body></html>")
+	return b.String()
+}
+
 // Corpus lists the canonical pathological pages by file name.
 func Corpus() map[string]string {
 	return map[string]string{
@@ -108,6 +123,7 @@ func Corpus() map[string]string {
 		"entity_bomb.html":        EntityBomb(300_000),
 		"unclosed_avalanche.html": UnclosedAvalanche(200_000),
 		"huge_text_node.html":     HugeTextNode(3 << 20),
+		"distinct_tags.html":      DistinctTags(4096),
 	}
 }
 

@@ -18,6 +18,9 @@ func TestGeneratorShapes(t *testing.T) {
 	if got := MegaAttributes(2, 3, 4); strings.Count(got, "data-a") != 6 {
 		t.Errorf("MegaAttributes(2,3,4) attr count wrong: %q", got)
 	}
+	if got := DistinctTags(2); got != "<html><body><tag-0>item 0</tag-0><tag-1>item 1</tag-1></body></html>" {
+		t.Errorf("DistinctTags(2) = %q", got)
+	}
 	if got := EntityBomb(600); strings.Count(got, "&amp;") != 100 {
 		t.Errorf("EntityBomb(600) = %d units", strings.Count(got, "&amp;"))
 	}
@@ -27,7 +30,7 @@ func TestCorpusCovers(t *testing.T) {
 	c := Corpus()
 	for _, name := range []string{
 		"deep_nesting.html", "mega_attributes.html", "entity_bomb.html",
-		"unclosed_avalanche.html", "huge_text_node.html",
+		"unclosed_avalanche.html", "huge_text_node.html", "distinct_tags.html",
 	} {
 		if c[name] == "" {
 			t.Errorf("corpus missing %s", name)

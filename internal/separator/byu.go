@@ -25,29 +25,27 @@ func (hc) Name() string { return "HC" }
 
 func (hc) Letter() byte { return 'H' }
 
-func (hc) Rank(st *Stats) []Ranked {
-	stats := st.tags
-	type entry struct {
-		tag   string
-		count int
-		first int
-	}
-	entries := make([]entry, 0, len(stats))
-	for tag, s := range stats {
-		st.g.Poll()
-		entries = append(entries, entry{tag: tag, count: s.count, first: s.first})
-	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
+func (hc) Rank(st *Stats) ([]Ranked, error) {
+	// Each entry is a tag index with its count; indices follow first
+	// appearance, which breaks ties.
+	entries := st.workList()
+	for id, s := range st.tags[:st.k] {
+		if err := st.g.Poll(); err != nil {
+			return nil, err
 		}
-		return cmp.Compare(a.first, b.first)
-	})
-	out := make([]Ranked, len(entries))
-	for i, e := range entries {
-		out[i] = Ranked{Tag: e.tag, Score: float64(e.count)}
+		entries = append(entries, cand{id: id, n: s.count})
 	}
-	return out
+	slices.SortFunc(entries, func(a, b cand) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	out := st.out(len(entries))
+	for _, e := range entries {
+		out = append(out, Ranked{Tag: st.tags[e.id].tag, Score: float64(e.n)})
+	}
+	return out, nil
 }
 
 // itList is the single predefined, pre-ranked separator list the IT
@@ -73,16 +71,17 @@ func (it) Name() string { return "IT" }
 
 func (it) Letter() byte { return 'T' }
 
-func (it) Rank(st *Stats) []Ranked {
-	stats := st.tags
-	var out []Ranked
+func (it) Rank(st *Stats) ([]Ranked, error) {
+	out := st.out(min(st.k, len(itList)))
 	for pos, tag := range itList {
-		st.g.Poll()
-		s, ok := stats[tag]
-		if !ok || s.count < itMinCount {
+		if err := st.g.Poll(); err != nil {
+			return nil, err
+		}
+		id, ok := st.Index(tag)
+		if !ok || st.tags[id].count < itMinCount {
 			continue
 		}
-		out = append(out, Ranked{Tag: tag, Score: float64(pos + 1)})
+		out = append(out, Ranked{Tag: st.tags[id].tag, Score: float64(pos + 1)})
 	}
-	return out
+	return out, nil
 }

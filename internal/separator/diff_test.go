@@ -118,17 +118,17 @@ func TestDifferentialPairListings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		for _, sub := range randSubtrees(t, rng, 8) {
-			gotRP, wantRP := RPPairs(sub), slowRPPairs(sub)
+			gotRP, wantRP := rpPairs(t, sub), slowRPPairs(sub)
 			if fmt.Sprint(gotRP) != fmt.Sprint(wantRP) {
 				t.Fatalf("trial %d: RPPairs diverged on %s:\n got: %v\nwant: %v",
 					trial, tagtree.Path(sub), gotRP, wantRP)
 			}
-			gotSB, wantSB := SBPairs(sub), slowSBPairs(sub)
+			gotSB, wantSB := sbPairs(t, sub), slowSBPairs(sub)
 			if fmt.Sprint(gotSB) != fmt.Sprint(wantSB) {
 				t.Fatalf("trial %d: SBPairs diverged on %s:\n got: %v\nwant: %v",
 					trial, tagtree.Path(sub), gotSB, wantSB)
 			}
-			gotPP, wantPP := PPPaths(sub), slowPPPaths(sub)
+			gotPP, wantPP := ppPaths(t, sub), slowPPPaths(sub)
 			if fmt.Sprint(gotPP) != fmt.Sprint(wantPP) {
 				t.Fatalf("trial %d: PPPaths diverged on %s:\n got: %v\nwant: %v",
 					trial, tagtree.Path(sub), gotPP, wantPP)

@@ -31,10 +31,11 @@ type Heuristic interface {
 	// (SD→S, RP→R, IPS→I, PP→P, SB→B, HC→H, IT→T).
 	Letter() byte
 	// Rank returns candidate tags for the subtree st indexes, best first,
-	// sharing the child scan and the cached pair/path listings with every
-	// other heuristic ranking the same subtree. An empty slice means the
-	// heuristic has no answer for this subtree.
-	Rank(st *Stats) []Ranked
+	// sharing the child scan and the tag index with every other heuristic
+	// ranking the same subtree. An empty slice means the heuristic has no
+	// answer for this subtree. Rank charges its loops to the page's guard
+	// and stops with the guard's error when it trips.
+	Rank(st *Stats) ([]Ranked, error)
 }
 
 // All returns the five Omini heuristics in the paper's canonical order.
@@ -63,17 +64,6 @@ func ByName(name string) Heuristic {
 	default:
 		return nil
 	}
-}
-
-// tagStat aggregates the per-tag candidate statistics shared by the
-// heuristics: how many children of the subtree root carry the tag, the
-// position of its first appearance and the positions of all of them.
-// NewStats computes them once, shared by all heuristics ranking the same
-// subtree.
-type tagStat struct {
-	count int
-	first int
-	occ   []int
 }
 
 // Tags extracts just the tag names from a ranking, preserving order.

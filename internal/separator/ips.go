@@ -45,32 +45,26 @@ func (ips) Name() string { return "IPS" }
 
 func (ips) Letter() byte { return 'I' }
 
-func (ips) Rank(st *Stats) []Ranked {
-	stats := st.tags
-	sub := st.sub
-	var out []Ranked
-	seen := make(map[string]bool)
-	appendTag := func(tag string, pos int) {
-		st.g.Poll()
-		if seen[tag] {
-			return
-		}
-		if s, ok := stats[tag]; !ok || s.count < ipsMinCount {
-			return
-		}
-		seen[tag] = true
-		out = append(out, Ranked{Tag: tag, Score: float64(pos)})
-	}
+func (ips) Rank(st *Stats) ([]Ranked, error) {
 	// First the per-subtree-type list (Table 4), then the global IPSList
 	// for any remaining candidates.
-	pos := 1
-	for _, tag := range ipsTagLists[sub.Tag] {
-		appendTag(tag, pos)
-		pos++
+	lists := [2][]string{ipsTagLists[st.sub.Tag], IPSList}
+	seen := st.seen()
+	out := st.out(min(st.k, len(lists[0])+len(lists[1])))
+	pos := 0
+	for _, list := range lists {
+		for _, tag := range list {
+			pos++
+			if err := st.g.Poll(); err != nil {
+				return nil, err
+			}
+			id, ok := st.Index(tag)
+			if !ok || seen[id] != 0 || st.tags[id].count < ipsMinCount {
+				continue
+			}
+			seen[id] = 1
+			out = append(out, Ranked{Tag: st.tags[id].tag, Score: float64(pos)})
+		}
 	}
-	for _, tag := range IPSList {
-		appendTag(tag, pos)
-		pos++
-	}
-	return out
+	return out, nil
 }

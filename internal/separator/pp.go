@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"omini/internal/govern"
 	"omini/internal/tagtree"
 )
 
@@ -36,65 +37,69 @@ type PathCount struct {
 	Count int
 }
 
-func (pp) Rank(st *Stats) []Ranked {
-	trie, err := st.pp()
+func (pp) Rank(st *Stats) ([]Ranked, error) {
+	trie, err := tagtree.BuildPathTrie(st.sub.Children, st.g)
 	if err != nil {
-		// The page is out of budget; combine.Combine reports it.
-		return nil
-	}
-	type best struct {
-		tag    string
-		count  int32
-		length int32
-		first  int
+		return nil, err
 	}
 	// The trie dedups top-level tags by construction, so the best path per
 	// candidate tag is a max over that child's trie subtree: highest count,
-	// longest path among those.
-	bests := make([]best, 0, len(st.tags))
+	// longest path among those. Each entry is a top-level trie node with
+	// its best count and length; top-level nodes are numbered in order of
+	// their tag's first appearance, which breaks the remaining ties.
+	bests := st.workList()
 	for top := trie.Nodes[0].FirstChild; top != 0; top = trie.Nodes[top].NextSibling {
-		st.g.Poll()
-		tag := trie.Nodes[top].Tag
-		// Every path starts at a child of sub, so each tag has child stats.
-		b := best{tag: tag, first: st.tags[tag].first}
+		if err := st.g.Poll(); err != nil {
+			return nil, err
+		}
+		var count, length int32
 		for i := top; i != 0; i = trie.Next(i, top) {
-			st.g.Poll()
-			if n := trie.Nodes[i]; n.Count > b.count || (n.Count == b.count && n.Depth > b.length) {
-				b.count, b.length = n.Count, n.Depth
+			if err := st.g.Poll(); err != nil {
+				return nil, err
+			}
+			if n := trie.Nodes[i]; n.Count > count || (n.Count == count && n.Depth > length) {
+				count, length = n.Count, n.Depth
 			}
 		}
-		bests = append(bests, b)
+		bests = append(bests, cand{id: int(top), score: float64(count), n: int(length)})
 	}
-	slices.SortFunc(bests, func(a, b best) int {
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
+	slices.SortFunc(bests, func(a, b cand) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
 		}
-		if a.length != b.length {
-			return cmp.Compare(b.length, a.length)
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		// Remaining ties follow document order of first appearance.
-		return cmp.Compare(a.first, b.first)
+		return cmp.Compare(a.id, b.id)
 	})
-	out := make([]Ranked, 0, len(bests))
-	for _, b := range bests {
-		if b.count < 2 {
-			continue
-		}
-		out = append(out, Ranked{Tag: b.tag, Score: float64(b.count)})
+	ranked := 0
+	for ranked < len(bests) && bests[ranked].score >= 2 {
+		ranked++
 	}
-	return out
+	out := st.out(ranked)
+	for _, b := range bests[:ranked] {
+		out = append(out, Ranked{Tag: trie.Nodes[b.id].Tag, Score: b.score})
+	}
+	return out, nil
 }
 
 // PPPaths enumerates every downward tag path starting at a child of the
 // chosen subtree (Table 7): for each candidate child c and each tag node v
 // reachable from c, the dot-joined sequence of tag names from c to v counts
 // one occurrence. Paths are returned in descending count order, ties broken
-// by longer path then lexicographic order.
-func PPPaths(sub *tagtree.Node) []PathCount {
-	trie, _ := tagtree.BuildPathTrie(sub.Children, nil)
+// by longer path then lexicographic order. The walk polls the guard; a nil
+// guard means unlimited.
+func PPPaths(sub *tagtree.Node, g *govern.Guard) ([]PathCount, error) {
+	trie, err := tagtree.BuildPathTrie(sub.Children, g)
+	if err != nil {
+		return nil, err
+	}
 	sig := trie.Signature()
 	out := make([]PathCount, 0, len(sig))
 	for p, c := range sig {
+		if err := g.Poll(); err != nil {
+			return nil, err
+		}
 		out = append(out, PathCount{Path: p, Count: c})
 	}
 	slices.SortFunc(out, func(a, b PathCount) int {
@@ -107,5 +112,5 @@ func PPPaths(sub *tagtree.Node) []PathCount {
 		}
 		return strings.Compare(a.Path, b.Path)
 	})
-	return out
+	return out, nil
 }

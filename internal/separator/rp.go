@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"omini/internal/govern"
 	"omini/internal/tagtree"
 )
 
@@ -49,90 +50,93 @@ type RPPair struct {
 	Diff int
 }
 
-func (rp) Rank(st *Stats) []Ranked {
-	pairs := st.rp()
-	stats := st.tags
-	var out []Ranked
-	seen := make(map[string]bool)
-	for _, p := range pairs {
-		st.g.Poll()
-		if p.Count < rpMinPairCount {
-			continue
-		}
-		tag := p.Pair.First
-		if _, isChild := stats[tag]; !isChild || seen[tag] {
-			continue
-		}
-		seen[tag] = true
-		out = append(out, Ranked{Tag: tag, Score: float64(p.Count)})
+func (rp) Rank(st *Stats) ([]Ranked, error) {
+	pairs, cnt, err := st.rpList()
+	if err != nil {
+		return nil, err
 	}
-	return out
+	seen := st.seen()
+	out := st.out(min(st.k, len(pairs)))
+	for _, s := range pairs {
+		if err := st.g.Poll(); err != nil {
+			return nil, err
+		}
+		// The first tag of every pair is a child tag.
+		a, _ := st.pair(s)
+		if cnt[s] < rpMinPairCount || seen[a] != 0 {
+			continue
+		}
+		seen[a] = 1
+		out = append(out, Ranked{Tag: st.tags[a].tag, Score: float64(cnt[s])})
+	}
+	return out, nil
 }
 
 // RPPairs computes the full pair ranking of Section 5.2 over the subtree's
 // boundary patterns, in the Table 3 listing order: descending pair count,
-// ascending difference, then first appearance.
-func RPPairs(sub *tagtree.Node) []RPPair {
-	var (
-		pairCount = make(map[TagPair]int)
-		tagCount  = make(map[string]int)
-		firstSeen = make(map[TagPair]int)
-		seq       int
-	)
-	addPair := func(a, b string) {
-		p := TagPair{First: a, Second: b}
-		if pairCount[p] == 0 {
-			firstSeen[p] = seq
-		}
-		pairCount[p]++
-		seq++
+// ascending difference, then first appearance. The scans poll the guard;
+// a nil guard means unlimited.
+func RPPairs(sub *tagtree.Node, g *govern.Guard) ([]RPPair, error) {
+	st, err := NewStats(sub, g)
+	if err != nil {
+		return nil, err
 	}
+	pairs, cnt, err := st.rpList()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]RPPair, len(pairs))
+	for i, s := range pairs {
+		a, b := st.pair(s)
+		out[i] = RPPair{Pair: TagPair{First: st.tags[a].tag, Second: st.tags[b].tag}, Count: cnt[s], Diff: st.rpDiff(s, cnt[s])}
+	}
+	return out, nil
+}
 
-	// prevEmpty holds the tag of the preceding childless sibling, if the
-	// gap to the current child is content-free.
-	prevEmpty := ""
-	for _, c := range sub.Children {
-		if c.IsContent() {
-			prevEmpty = ""
+// rpList lists RP's distinct pairs in the Table 3 order, each as its
+// first occurrence s (see pair) with cnt[s] its count. A tag child
+// pairs with a childless tag right before it (s = 2i) and with its own
+// first child when that is a tag (s = 2i+1), in that order.
+func (st *Stats) rpList() (pairs, cnt []int, err error) {
+	n := len(st.ids)
+	occs, cnt := st.scratch[:0:2*n], st.scratch[2*n:4*n]
+	for i := range st.ids {
+		if err := st.g.Poll(); err != nil {
+			return nil, nil, err
+		}
+		if st.ids[i] < 0 {
 			continue
 		}
-		tagCount[c.Tag]++
-		if prevEmpty != "" {
-			addPair(prevEmpty, c.Tag)
+		if i > 0 && st.ids[i-1] >= 0 && len(st.sub.Children[i-1].Children) == 0 {
+			occs = append(occs, 2*i)
 		}
-		// Opening pattern: the first thing inside the child, when it is a
-		// tag (text first means no clean pattern).
-		if len(c.Children) > 0 {
-			if g := c.Children[0]; !g.IsContent() {
-				tagCount[g.Tag]++
-				addPair(c.Tag, g.Tag)
-			}
-			prevEmpty = ""
-			continue
+		if st.opens[i] >= 0 {
+			occs = append(occs, 2*i+1)
 		}
-		prevEmpty = c.Tag
 	}
-
-	out := make([]RPPair, 0, len(pairCount))
-	for p, c := range pairCount {
-		minTag := tagCount[p.First]
-		if tc := tagCount[p.Second]; tc < minTag {
-			minTag = tc
-		}
-		diff := c - minTag
-		if diff < 0 {
-			diff = -diff
-		}
-		out = append(out, RPPair{Pair: p, Count: c, Diff: diff})
+	if pairs, err = st.pairList(occs, cnt); err != nil {
+		return nil, nil, err
 	}
-	slices.SortFunc(out, func(a, b RPPair) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
+	slices.SortFunc(pairs, func(x, y int) int {
+		if c := cmp.Compare(cnt[y], cnt[x]); c != 0 {
+			return c
 		}
-		if a.Diff != b.Diff {
-			return cmp.Compare(a.Diff, b.Diff)
+		if c := cmp.Compare(st.rpDiff(x, cnt[x]), st.rpDiff(y, cnt[y])); c != 0 {
+			return c
 		}
-		return cmp.Compare(firstSeen[a.Pair], firstSeen[b.Pair])
+		return cmp.Compare(x, y)
 	})
-	return out
+	return pairs, cnt, nil
+}
+
+// rpDiff is |count − min(count(a), count(b))| for the pair at s, a
+// tag's count being how often it stands as a child or opens one.
+func (st *Stats) rpDiff(s, count int) int {
+	a, b := st.pair(s)
+	ta, tb := &st.tags[a], &st.tags[b]
+	diff := count - min(ta.count+ta.opens, tb.count+tb.opens)
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff
 }

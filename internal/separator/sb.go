@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"omini/internal/govern"
 	"omini/internal/tagtree"
 )
 
@@ -30,55 +31,72 @@ type SBPair struct {
 	Count int
 }
 
-func (sb) Rank(st *Stats) []Ranked {
-	pairs := st.sb()
-	stats := st.tags
-	var out []Ranked
-	seen := make(map[string]bool)
-	for _, p := range pairs {
-		st.g.Poll()
-		tag := p.Pair.First
-		if _, isChild := stats[tag]; !isChild || seen[tag] {
+func (sb) Rank(st *Stats) ([]Ranked, error) {
+	pairs, cnt, err := st.sbList()
+	if err != nil {
+		return nil, err
+	}
+	seen := st.seen()
+	out := st.out(min(st.k, len(pairs)))
+	for _, s := range pairs {
+		if err := st.g.Poll(); err != nil {
+			return nil, err
+		}
+		a, _ := st.pair(s)
+		if seen[a] != 0 {
 			continue
 		}
-		seen[tag] = true
-		out = append(out, Ranked{Tag: tag, Score: float64(p.Count)})
+		seen[a] = 1
+		out = append(out, Ranked{Tag: st.tags[a].tag, Score: float64(cnt[s])})
 	}
-	return out
+	return out, nil
 }
 
 // SBPairs computes the sibling-pair ranking of Section 5.4: every adjacent
 // pair among the tag children of the subtree root, ranked descending by
 // count with ties broken by first appearance. Text between two siblings
 // breaks their immediacy (a "a | a | a" link row yields no pairs); a tag's
-// own content lives inside it and does not.
-func SBPairs(sub *tagtree.Node) []SBPair {
-	pairCount := make(map[TagPair]int)
-	firstSeen := make(map[TagPair]int)
-	prev := ""
-	for i, c := range sub.Children {
-		if c.IsContent() {
-			prev = ""
-			continue
-		}
-		if prev != "" {
-			p := TagPair{First: prev, Second: c.Tag}
-			if pairCount[p] == 0 {
-				firstSeen[p] = i
-			}
-			pairCount[p]++
-		}
-		prev = c.Tag
+// own content lives inside it and does not. The scans poll the guard; a
+// nil guard means unlimited.
+func SBPairs(sub *tagtree.Node, g *govern.Guard) ([]SBPair, error) {
+	st, err := NewStats(sub, g)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]SBPair, 0, len(pairCount))
-	for p, c := range pairCount {
-		out = append(out, SBPair{Pair: p, Count: c})
+	pairs, cnt, err := st.sbList()
+	if err != nil {
+		return nil, err
 	}
-	slices.SortFunc(out, func(a, b SBPair) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
+	out := make([]SBPair, len(pairs))
+	for i, s := range pairs {
+		a, b := st.pair(s)
+		out[i] = SBPair{Pair: TagPair{First: st.tags[a].tag, Second: st.tags[b].tag}, Count: cnt[s]}
+	}
+	return out, nil
+}
+
+// sbList lists SB's distinct pairs in the Table 6 order, each as its
+// first occurrence s = 2i (child i-1 and child i, see pair) with cnt[s]
+// its count.
+func (st *Stats) sbList() (pairs, cnt []int, err error) {
+	n := len(st.ids)
+	occs, cnt := st.scratch[:0:2*n], st.scratch[2*n:4*n]
+	for i := 1; i < n; i++ {
+		if err := st.g.Poll(); err != nil {
+			return nil, nil, err
 		}
-		return cmp.Compare(firstSeen[a.Pair], firstSeen[b.Pair])
+		if st.ids[i-1] >= 0 && st.ids[i] >= 0 {
+			occs = append(occs, 2*i)
+		}
+	}
+	if pairs, err = st.pairList(occs, cnt); err != nil {
+		return nil, nil, err
+	}
+	slices.SortFunc(pairs, func(x, y int) int {
+		if c := cmp.Compare(cnt[y], cnt[x]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
 	})
-	return out
+	return pairs, cnt, nil
 }

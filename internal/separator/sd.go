@@ -2,7 +2,6 @@ package separator
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
@@ -20,57 +19,45 @@ func (sd) Name() string { return "SD" }
 
 func (sd) Letter() byte { return 'S' }
 
-func (sd) Rank(st *Stats) []Ranked {
-	stats := st.tags
-	if len(stats) == 0 {
-		return nil
+func (sd) Rank(st *Stats) ([]Ranked, error) {
+	tags := st.tags[:st.k]
+	if len(tags) == 0 {
+		return nil, nil
 	}
 	// Per Section 5.1, σ is computed for the "highest count tags": tags
 	// whose appearance count is comparable to the maximum. Rare tags (a
 	// banner, one form) cannot separate a result list, and a tag with a
 	// single gap would get a degenerate σ of 0.
 	maxCount := 0
-	for _, s := range stats {
-		if s.count > maxCount {
-			maxCount = s.count
-		}
+	for _, s := range tags {
+		maxCount = max(maxCount, s.count)
 	}
-	threshold := maxCount / 3
-	if threshold < 2 {
-		threshold = 2
-	}
+	threshold := max(maxCount/3, 2)
 
-	type entry struct {
-		tag   string
-		sigma float64
-		count int
-		first int
-	}
-	var entries []entry
-	for tag, s := range stats {
-		st.g.Poll()
+	// Each entry is a tag index with its σ and count. Indices follow
+	// first appearance, so they break the remaining ties.
+	entries := st.workList()
+	for id, s := range tags {
+		if err := st.g.Poll(); err != nil {
+			return nil, err
+		}
 		if s.count < threshold {
 			continue
 		}
-		gaps := st.gaps(tag)
-		if len(gaps) == 0 {
-			continue
+		sigma, err := st.sigma(id)
+		if err != nil {
+			return nil, err
 		}
-		entries = append(entries, entry{
-			tag:   tag,
-			sigma: stddev(gaps),
-			count: s.count,
-			first: s.first,
-		})
+		entries = append(entries, cand{id: id, score: sigma, n: s.count})
 	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if a.sigma != b.sigma {
-			return cmp.Compare(a.sigma, b.sigma)
+	slices.SortFunc(entries, func(a, b cand) int {
+		if a.score != b.score {
+			return cmp.Compare(a.score, b.score)
 		}
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		return cmp.Compare(a.first, b.first)
+		return cmp.Compare(a.id, b.id)
 	})
 	// Near-tie adjustment: candidates of near-identical regularity (σ
 	// within 5%) are ordered by frequency instead. The LOC page's hr and
@@ -79,42 +66,22 @@ func (sd) Rank(st *Stats) []Ranked {
 	for i := 1; i < len(entries); i++ {
 		for j := i; j > 0; j-- {
 			hi, lo := entries[j], entries[j-1]
-			near := hi.sigma-lo.sigma <= 0.05*hi.sigma
-			better := hi.count > lo.count ||
-				(hi.count == lo.count && hi.first < lo.first)
+			near := hi.score-lo.score <= 0.05*hi.score
+			better := hi.n > lo.n || (hi.n == lo.n && hi.id < lo.id)
 			if !near || !better {
 				break
 			}
 			entries[j-1], entries[j] = hi, lo
 		}
 	}
-	out := make([]Ranked, len(entries))
-	for i, e := range entries {
-		out[i] = Ranked{Tag: e.tag, Score: e.sigma}
+	out := st.out(len(entries))
+	for _, e := range entries {
+		out = append(out, Ranked{Tag: tags[e.id].tag, Score: e.score})
 	}
-	return out
+	return out, nil
 }
 
 // The "distance in terms of the number of characters" of Section 5.1 —
 // the content spanned from one occurrence of a tag to the next, including
-// the occurrence's own content — is served by Stats.gaps from the prefix
-// sums built in NewStats's single child pass.
-
-// stddev is the population standard deviation of xs.
-func stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	variance := 0.0
-	for _, x := range xs {
-		d := x - mean
-		variance += d * d
-	}
-	variance /= float64(len(xs))
-	return math.Sqrt(variance)
-}
+// the occurrence's own content — is served by Stats.sigma from the prefix
+// sums built in NewStats's child pass.

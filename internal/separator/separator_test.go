@@ -33,7 +33,40 @@ func rank(t testing.TB, h Heuristic, sub *tagtree.Node) []Ranked {
 	if err != nil {
 		t.Fatalf("NewStats: %v", err)
 	}
-	return h.Rank(st)
+	ranked, err := h.Rank(st)
+	if err != nil {
+		t.Fatalf("%s.Rank: %v", h.Name(), err)
+	}
+	return ranked
+}
+
+// rpPairs, sbPairs and ppPaths list a subtree's pairs and paths with no
+// guard, failing the test on an error a nil guard must never produce.
+func rpPairs(t testing.TB, sub *tagtree.Node) []RPPair {
+	t.Helper()
+	pairs, err := RPPairs(sub, nil)
+	if err != nil {
+		t.Fatalf("RPPairs: %v", err)
+	}
+	return pairs
+}
+
+func sbPairs(t testing.TB, sub *tagtree.Node) []SBPair {
+	t.Helper()
+	pairs, err := SBPairs(sub, nil)
+	if err != nil {
+		t.Fatalf("SBPairs: %v", err)
+	}
+	return pairs
+}
+
+func ppPaths(t testing.TB, sub *tagtree.Node) []PathCount {
+	t.Helper()
+	paths, err := PPPaths(sub, nil)
+	if err != nil {
+		t.Fatalf("PPPaths: %v", err)
+	}
+	return paths
 }
 
 // subtreeRank runs a subtree heuristic with no guard.
@@ -134,7 +167,7 @@ func TestSDOnLOCMatchesTable2(t *testing.T) {
 // difference of zero, and the chosen separator tag is table.
 func TestRPOnCanoeMatchesTable3(t *testing.T) {
 	form := chosenSubtree(t, sitegen.Canoe())
-	pairs := RPPairs(form)
+	pairs := rpPairs(t, form)
 	if len(pairs) == 0 {
 		t.Fatal("no RP pairs")
 	}
@@ -178,7 +211,7 @@ func TestRPEmptyWhenNoRepeatingPairs(t *testing.T) {
 // Table 6 behaviour: SB sibling pair counts on both replicas.
 func TestSBPairsMatchTable6(t *testing.T) {
 	form := chosenSubtree(t, sitegen.Canoe())
-	pairs := SBPairs(form)
+	pairs := sbPairs(t, form)
 	wantCanoe := map[TagPair]int{
 		{First: "table", Second: "table"}: 11,
 		{First: "img", Second: "br"}:      2,
@@ -202,7 +235,7 @@ func TestSBPairsMatchTable6(t *testing.T) {
 	}
 
 	body := chosenSubtree(t, sitegen.LOC())
-	locPairs := SBPairs(body)
+	locPairs := sbPairs(t, body)
 	locGot := make(map[TagPair]int, len(locPairs))
 	for _, p := range locPairs {
 		locGot[p.Pair] = p.Count
@@ -238,7 +271,7 @@ func TestSBPairsMatchTable6(t *testing.T) {
 // Tables 7/8 behaviour: PP path counts and tag rankings on both replicas.
 func TestPPMatchesTables7And8(t *testing.T) {
 	form := chosenSubtree(t, sitegen.Canoe())
-	paths := PPPaths(form)
+	paths := ppPaths(t, form)
 	counts := make(map[string]int, len(paths))
 	for _, pc := range paths {
 		counts[pc.Path] = pc.Count

@@ -14,8 +14,15 @@ import (
 	"omini/internal/tagtree"
 )
 
-func slowChildStats(sub *tagtree.Node) map[string]tagStat {
-	stats := make(map[string]tagStat)
+// slowTagStat is the per-tag count and first appearance the references
+// key by tag name.
+type slowTagStat struct {
+	count int
+	first int
+}
+
+func slowChildStats(sub *tagtree.Node) map[string]slowTagStat {
+	stats := make(map[string]slowTagStat)
 	for i, c := range sub.Children {
 		if c.IsContent() {
 			continue

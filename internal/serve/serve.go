@@ -41,6 +41,7 @@ import (
 	"net/url"
 	"os"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -243,9 +244,9 @@ func New(cfg Config) *Server {
 	traceBufferedGauge.Bind(s.stats, func() float64 { return float64(s.traces.Len()) })
 	s.loadRules()
 
-	// Extraction endpoints run behind the load shed and request deadline;
-	// health, metrics and profiling probes stay outside so an overloaded
-	// server still answers its operators.
+	// Extraction endpoints run behind the load shed and, from withObs,
+	// the request deadline; health, metrics and profiling probes stay
+	// outside both so an overloaded server still answers its operators.
 	api := http.NewServeMux()
 	api.HandleFunc("POST /extract", s.handleExtract)
 	api.HandleFunc("POST /records", s.handleRecords)
@@ -269,7 +270,7 @@ func New(cfg Config) *Server {
 	})
 	root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	root.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	root.Handle("/", s.withLimit(s.withTimeout(api)))
+	root.Handle("/", s.withLimit(api))
 
 	s.handler = s.withObs(s.withRecovery(root))
 	return s
@@ -462,6 +463,10 @@ func traceable(r *http.Request) bool {
 // finished span tree recorded into the tail-sampling sink. Recovery
 // runs inside it, so a panicked request is counted, logged and traced
 // as the 500 it answers.
+//
+// It also bounds every request outside the operator probes (see
+// operational) with the deadline of Config.RequestTimeout, derived
+// here so the request is copied once (see requestDeadline).
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -469,9 +474,12 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		if traceable(r) {
 			ri.query = r.URL.Query()
 		}
-		ctx, b := obs.Enter(r.Context(), w, r.Header, ri.query, phaseHandler, s.sampler, s.stats, ri)
+		ctx, stop := s.requestDeadline(r)
+		defer stop()
+		ctx, b := obs.Enter(ctx, w, r.Header, ri.query, phaseHandler, s.sampler, s.stats, ri)
 		defer s.finish(b, r, ri, start)
 		next.ServeHTTP(b, r.WithContext(ctx))
+		answerLate(ctx, &b.StatusWriter)
 	})
 }
 
@@ -591,25 +599,38 @@ var errRequestTimeout = errors.New("serve: request timed out")
 // timeoutBody is the 503 answer to a request that ran out of time.
 var timeoutBody, _ = json.Marshal(errorResponse{Error: "request timed out", Status: http.StatusServiceUnavailable})
 
-// withTimeout bounds each request with a context deadline whose cause
-// is errRequestTimeout: the governor stops the pipeline at its next
-// poll and httpError answers 503. The context cannot interrupt a body
-// read, so readPage bounds that with the connection's read deadline. A
-// handler that returns without writing after the deadline gets the 503
-// here. The handler runs on the request's goroutine and writes straight
-// through.
-func (s *Server) withTimeout(next http.Handler) http.Handler {
-	if s.cfg.RequestTimeout <= 0 {
-		return next
+// requestDeadline returns r's context bounded by Config.RequestTimeout,
+// with errRequestTimeout as the cause, and the function releasing it.
+// The governor stops the pipeline at its next poll and httpError
+// answers 503; the context cannot interrupt a body read, so readPage
+// bounds that with the connection's read deadline. Probes, and every
+// request when RequestTimeout <= 0, run without a deadline, so an
+// overloaded server still answers its operators.
+func (s *Server) requestDeadline(r *http.Request) (context.Context, context.CancelFunc) {
+	if s.cfg.RequestTimeout <= 0 || operational(r.URL.Path) {
+		return r.Context(), func() {}
 	}
+	return context.WithTimeoutCause(r.Context(), s.cfg.RequestTimeout, errRequestTimeout)
+}
+
+// answerLate gives a handler that returned without writing after its
+// request's deadline the 503 of a timed-out request.
+func answerLate(ctx context.Context, w *obs.StatusWriter) {
+	if !w.Wrote() && timedOut(ctx) {
+		writeTimeout(ctx, w)
+	}
+}
+
+// withTimeout bounds a handler served on its own with the request
+// deadline withObs gives the server's chain. The handler runs on the
+// request's goroutine and writes straight through.
+func (s *Server) withTimeout(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeoutCause(r.Context(), s.cfg.RequestTimeout, errRequestTimeout)
-		defer cancel()
+		ctx, stop := s.requestDeadline(r)
+		defer stop()
 		sw := &obs.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		if !sw.Wrote() && timedOut(ctx) {
-			writeTimeout(ctx, sw)
-		}
+		answerLate(ctx, sw)
 	})
 }
 
@@ -718,14 +739,25 @@ func (a *extractAnswer) appendJSON(b, text []byte) (out, scratch []byte, ok bool
 	return append(b, '}', '\n'), text, true
 }
 
-// answerBuf is the reused encoding state of one /extract answer: the
-// response bytes and the object-text scratch.
+// answerBuf is the reused encoding state of one answer: the response
+// bytes, /extract's object-text scratch and /records' key scratch.
 type answerBuf struct {
 	out, text []byte
+	keys      []string
 }
 
-// maxPooledAnswer caps the buffers that go back to answerBufs, so one
-// huge answer does not pin its buffer.
+// release returns the buffer to answerBufs holding the grown scratch,
+// unless one huge answer grew it past maxPooledAnswer.
+func (buf *answerBuf) release(out, text []byte, keys []string) {
+	if cap(out) > maxPooledAnswer || cap(text) > maxPooledAnswer || cap(keys) > maxPooledAnswer/16 {
+		return
+	}
+	buf.out, buf.text, buf.keys = out, text, keys
+	answerBufs.Put(buf)
+}
+
+// maxPooledAnswer caps the bytes of the buffers that go back to
+// answerBufs, so one huge answer does not pin its buffer.
 const maxPooledAnswer = 256 << 10
 
 var answerBufs = sync.Pool{New: func() any { return &answerBuf{out: make([]byte, 0, 4<<10)} }}
@@ -773,17 +805,96 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		_, _ = w.Write(out)
 	}
-	if cap(out) <= maxPooledAnswer && cap(text) <= maxPooledAnswer {
-		buf.out, buf.text = out, text
-		answerBufs.Put(buf)
-	}
+	buf.release(out, text, buf.keys)
 }
 
-// recordResponse is the /records payload.
-type recordResponse struct {
-	Site    string           `json:"site"`
-	Fields  []wrapgen.Field  `json:"fields"`
-	Records []wrapgen.Record `json:"records"`
+// recordsAnswer is one /records answer, encoded by appendJSON as
+//
+//	{"site":…,"fields":[{"name":…,"path":…,"attr":…,"occurrence":…,"support":…},…],
+//	 "records":[{…},…]}
+//
+// with attr omitted when empty and each record's keys in sorted order.
+type recordsAnswer struct {
+	site    string
+	fields  []wrapgen.Field
+	records []wrapgen.Record
+}
+
+// appendJSON appends the answer to b exactly as encoding/json's Encoder
+// writes the equivalent struct: strings HTML-escaped, nil slices and
+// maps as null, map keys sorted, floats in encoding/json's format, and
+// a trailing newline. Each record's keys are sorted in keys, a scratch
+// slice returned for reuse, so a record costs no allocation. ok is
+// false, and nothing belongs on the wire, where Encode would fail: a
+// support that is not finite.
+func (a *recordsAnswer) appendJSON(b []byte, keys []string) (out []byte, scratch []string, ok bool) {
+	b = append(b, `{"site":`...)
+	b = obs.AppendJSONString(b, a.site)
+	b = append(b, `,"fields":`...)
+	if a.fields == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, f := range a.fields {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = obs.AppendJSONString(b, f.Name)
+			b = append(b, `,"path":`...)
+			b = obs.AppendJSONString(b, f.Path)
+			if f.Attr != "" {
+				b = append(b, `,"attr":`...)
+				b = obs.AppendJSONString(b, f.Attr)
+			}
+			b = append(b, `,"occurrence":`...)
+			b = strconv.AppendInt(b, int64(f.Occurrence), 10)
+			b = append(b, `,"support":`...)
+			if b, ok = obs.AppendJSONFloat(b, f.Support, 64); !ok {
+				return b, keys, false
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"records":`...)
+	if a.records == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, rec := range a.records {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b, keys = appendRecord(b, keys, rec)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}', '\n'), keys, true
+}
+
+// appendRecord appends rec as encoding/json encodes a map[string]string:
+// null when nil, else its entries in sorted key order. keys is the
+// sorting scratch, returned for reuse.
+func appendRecord(b []byte, keys []string, rec wrapgen.Record) ([]byte, []string) {
+	if rec == nil {
+		return append(b, "null"...), keys
+	}
+	keys = keys[:0]
+	for k := range rec {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = obs.AppendJSONString(b, k)
+		b = append(b, ':')
+		b = obs.AppendJSONString(b, rec[k])
+	}
+	return append(b, '}'), keys
 }
 
 // handleRecords serves /records through the same farm path as
@@ -812,7 +923,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		httpError(ctx, w, err)
 		return
 	}
-	writeJSON(w, recordResponse{Site: site, Fields: wrapper.Fields, Records: wrapper.Project(res.Objects)})
+	a := recordsAnswer{site: site, fields: wrapper.Fields, records: wrapper.Project(res.Objects)}
+	buf := answerBufs.Get().(*answerBuf)
+	out, keys, ok := a.appendJSON(buf.out[:0], buf.keys)
+	w.Header().Set("Content-Type", "application/json")
+	if ok {
+		_, _ = w.Write(out)
+	}
+	buf.release(out, buf.text, keys)
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {

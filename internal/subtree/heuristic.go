@@ -37,82 +37,72 @@ type Heuristic interface {
 // node with at least one child. Content nodes anchor no subtree, and a
 // childless tag cannot contain multiple objects.
 func candidates(root *tagtree.Node) []*tagtree.Node {
-	cl, _ := collectCandidates(root, nil)
-	return cl.nodes
-}
-
-// candList holds the candidate anchors of one ranking pass in document
-// order, with each anchor's depth (relative to the ranked root) precomputed
-// so sorting needs no per-comparison tree walks.
-type candList struct {
-	nodes  []*tagtree.Node
-	depths []int
-}
-
-// collectCandidates gathers the candidate anchors and their depths in one
-// walk. Depths are relative to root; tie-breaks only compare depths, so the
-// constant offset to absolute depth is irrelevant. The guard is polled
-// once per visited node, so a cancelled page abandons the walk.
-func collectCandidates(root *tagtree.Node, g *govern.Guard) (candList, error) {
-	est := root.TagCount()/4 + 4
-	cl := candList{
-		nodes:  make([]*tagtree.Node, 0, est),
-		depths: make([]int, 0, est),
+	cands, _ := collect(root, 0, func(*tagtree.Node) float64 { return 0 }, nil, nil)
+	out := make([]*tagtree.Node, len(cands))
+	for i, c := range cands {
+		out[i] = c.Node
 	}
+	return out
+}
+
+// candidate is one anchor of a ranking pass: its ranked entry, its
+// depth relative to the ranked root and its document order, so sorting
+// needs no per-comparison tree walks.
+type candidate struct {
+	Ranked
+	depth, order int
+}
+
+// collect appends n and every candidate anchor below it to cands in
+// document order, scored by score, n lying depth levels below the
+// ranked root. Tie-breaks only compare depths, so the constant offset
+// to absolute depth is irrelevant. The guard is polled once per visited
+// node, so a cancelled page abandons the walk.
+func collect(n *tagtree.Node, depth int, score func(*tagtree.Node) float64, g *govern.Guard, cands []candidate) ([]candidate, error) {
+	if n.IsContent() {
+		return cands, nil
+	}
+	if err := g.Poll(); err != nil {
+		return nil, err
+	}
+	if n.Fanout() == 0 {
+		return cands, nil
+	}
+	cands = append(cands, candidate{Ranked: Ranked{Node: n, Score: score(n)}, depth: depth, order: len(cands)})
 	var err error
-	var walk func(n *tagtree.Node, depth int)
-	walk = func(n *tagtree.Node, depth int) {
-		if err != nil || n.IsContent() {
-			return
-		}
-		if err = g.Poll(); err != nil {
-			return
-		}
-		if n.Fanout() > 0 {
-			cl.nodes = append(cl.nodes, n)
-			cl.depths = append(cl.depths, depth)
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
+	for _, c := range n.Children {
+		if cands, err = collect(c, depth+1, score, g, cands); err != nil {
+			return nil, err
 		}
 	}
-	walk(root, 0)
-	if err != nil {
-		return candList{}, err
-	}
-	return cl, nil
+	return cands, nil
 }
 
 // rankCandidates scores every candidate anchor under root and returns the
 // ranking in descending score order. Ties prefer the deeper node (the
 // *minimal* subtree with the property, per Definition 4) and then document
-// order, so rankings are deterministic. The tree is walked once; sorting
-// works on a precomputed index with no maps and no Depth() traversals.
+// order, so rankings are deterministic. The tree is walked once into one
+// list, which is sorted in place and copied out.
 func rankCandidates(root *tagtree.Node, score func(*tagtree.Node) float64, g *govern.Guard) ([]Ranked, error) {
-	cl, err := collectCandidates(root, g)
+	cands, err := collect(root, 0, score, g, make([]candidate, 0, root.TagCount()/2+4))
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]Ranked, len(cl.nodes))
-	idx := make([]int, len(cl.nodes))
-	for i, n := range cl.nodes {
-		g.Poll()
-		entries[i] = Ranked{Node: n, Score: score(n)}
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(i, j int) int {
-		if entries[i].Score != entries[j].Score {
-			return cmp.Compare(entries[j].Score, entries[i].Score)
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		if cl.depths[i] != cl.depths[j] {
-			return cmp.Compare(cl.depths[j], cl.depths[i])
+		if a.depth != b.depth {
+			return cmp.Compare(b.depth, a.depth)
 		}
-		return cmp.Compare(i, j)
+		return cmp.Compare(a.order, b.order)
 	})
-	out := make([]Ranked, len(entries))
-	for k, i := range idx {
-		g.Poll()
-		out[k] = entries[i]
+	out := make([]Ranked, len(cands))
+	for i, c := range cands {
+		if err := g.Poll(); err != nil {
+			return nil, err
+		}
+		out[i] = c.Ranked
 	}
 	return out, nil
 }

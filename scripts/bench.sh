@@ -16,9 +16,12 @@
 # BENCH_pipeline.json carries both baseline and current so the delta is
 # visible in one file. BENCH_COUNT (default 6) repetitions are taken and the
 # median of each figure is kept; BENCH_TIME (default 1s) sets -benchtime.
-# B/op and allocs/op repeat from run to run on any host; ns/op moves with
-# the host and its load, so only ns/op taken on one host in one sitting
-# compare.
+# allocs/op repeats from run to run on any host. B/op does not repeat
+# exactly where a benchmark runs pooled paths (Phase 1's token arrays,
+# the answer buffer): a collection inside the timed loop empties the
+# sync.Pools, so it moves by a few percent; B/op repeats only with the
+# collector paused, as TestAllocBudgets counts. ns/op moves with the host
+# and its load, so only ns/op taken on one host in one sitting compare.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -93,7 +96,7 @@ baseline=$(sed '1d;$d' "$BASELINE")
     echo "  \"benchtime\": \"$BENCHTIME\","
     echo "  \"count\": $COUNT,"
     echo '  "fold": "median of the runs, each figure on its own",'
-    echo '  "note": "b_op and allocs_op repeat exactly on any host and compare with every earlier refresh. ns_op depends on the host and its load: it compares only with ns_op taken on the same host in the same sitting, not with earlier refreshes of this file.",'
+    echo '  "note": "allocs_op repeats exactly on any host and compares with every earlier refresh. b_op does not repeat exactly where a benchmark runs pooled paths (Phase 1 token arrays, the answer buffer): a collection inside the timed loop empties the sync.Pools, so it moves by a few percent from run to run (ExtractE2E/large read 450,329, 445,822 and 449,449 B/op in three runs of one tree); only allocs_op, and B/op counted with the collector paused as TestAllocBudgets does, repeat exactly. ns_op depends on the host and its load: it compares only with ns_op taken on the same host in the same sitting, not with earlier refreshes of this file.",'
     echo '  "baseline": {'
     printf '%s\n' "$baseline" | sed 's/^    /      /'
     echo '  },'

@@ -102,6 +102,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzFindNext$' -fuzztime "$FUZZTIME" ./internal/nav/
     go test -run '^$' -fuzz '^FuzzLogLine$' -fuzztime "$FUZZTIME" ./internal/obs/
     go test -run '^$' -fuzz '^FuzzExtractResponse$' -fuzztime "$FUZZTIME" ./internal/serve/
+    go test -run '^$' -fuzz '^FuzzRecordsAnswer$' -fuzztime "$FUZZTIME" ./internal/serve/
 fi
 
 # Wrapper farm: the fast/slow-path parity suite is the farm's core
