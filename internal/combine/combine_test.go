@@ -226,13 +226,27 @@ func TestCompoundMonotoneProperty(t *testing.T) {
 	}
 }
 
+// pollCounter is a context whose Err counts its calls. A guard calls
+// it once every 1024 operations charged to it, so the count measures
+// the work a phase charged.
+type pollCounter struct {
+	context.Context
+	polls int
+}
+
+func (c *pollCounter) Err() error {
+	c.polls++
+	return c.Context.Err()
+}
+
 // TestDistinctTagsStaysLinear: on a body of n children that are n
-// distinct tags, Combine finishes inside a default guard, and the bytes
-// it allocates grow with n, not with the n² pairs of tags: quadrupling n
-// may grow them at most eightfold, where a table of every pair would
-// grow them sixteenfold.
+// distinct tags, Combine finishes inside a default guard, and both the
+// work it charges the guard and the bytes it allocates grow with n, not
+// with the n² pairs of tags: quadrupling n may grow them at most
+// eightfold, where a table of every pair, or a tag lookup scanning
+// every tag, would grow them sixteenfold.
 func TestDistinctTagsStaysLinear(t *testing.T) {
-	bytesAt := func(n int) uint64 {
+	measure := func(n int) (bytes uint64, polls int) {
 		root, err := tagtree.Parse(pathology.DistinctTags(n))
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +255,8 @@ func TestDistinctTagsStaysLinear(t *testing.T) {
 		if body.Fanout() != n {
 			t.Fatalf("body has %d children, want %d", body.Fanout(), n)
 		}
-		g := govern.NewGuard(context.Background(), govern.Default())
+		ctx := &pollCounter{Context: context.Background()}
+		g := govern.NewGuard(ctx, govern.Default())
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		cands, _, err := Combine(body, separator.All(), PaperProbs(), g)
@@ -249,10 +264,14 @@ func TestDistinctTagsStaysLinear(t *testing.T) {
 		if err != nil || len(cands) == 0 {
 			t.Fatalf("n=%d: %d candidates, err %v", n, len(cands), err)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, ctx.polls
 	}
-	small, large := bytesAt(1024), bytesAt(4096)
-	if large > 8*small {
-		t.Errorf("Combine allocates %d B at 1024 distinct tags and %d B at 4096: more than linear", small, large)
+	smallBytes, smallPolls := measure(1024)
+	largeBytes, largePolls := measure(4096)
+	if largeBytes > 8*smallBytes {
+		t.Errorf("Combine allocates %d B at 1024 distinct tags and %d B at 4096: more than linear", smallBytes, largeBytes)
+	}
+	if smallPolls == 0 || largePolls > 8*smallPolls {
+		t.Errorf("Combine charges its guard %d polls' work at 1024 distinct tags and %d at 4096: more than linear", smallPolls, largePolls)
 	}
 }

@@ -72,6 +72,61 @@ func randSubtrees(t *testing.T, rng *rand.Rand, max int) []*tagtree.Node {
 	return subs
 }
 
+// wideSubtrees returns subtrees that index more tags than a lookup
+// scans, so the differential tests reach the index's map: one with 40
+// distinct child tags, each repeated, where the map is built while the
+// child tags are counted; and one with 20 distinct child tags, each
+// opening a tag of its own, where it is built only once the opening
+// tags are indexed. Children are childless, hold text or open a tag,
+// some with text between them, so every heuristic has pairs to rank.
+func wideSubtrees(t *testing.T) []*tagtree.Node {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	child := func(b *strings.Builder, tag, opens string) {
+		switch {
+		case rng.Intn(5) == 0:
+			fmt.Fprintf(b, "<%s></%s>", tag, tag)
+		case opens == "" || rng.Intn(4) == 0:
+			fmt.Fprintf(b, "<%s>item %d</%s>", tag, rng.Intn(100), tag)
+		default:
+			fmt.Fprintf(b, "<%s><%s>item %d</%s></%s>", tag, opens, rng.Intn(1000), opens, tag)
+		}
+		if rng.Intn(6) == 0 {
+			b.WriteString("between ")
+		}
+	}
+	var pages [2]strings.Builder
+	for rep := 0; rep < 3; rep++ {
+		for _, i := range rng.Perm(40) {
+			opens := fmt.Sprintf("tag-%d", (7*i+3)%40) // a child tag
+			if i%2 == 0 {
+				opens = fmt.Sprintf("in-%d", i%8)
+			}
+			child(&pages[0], fmt.Sprintf("tag-%d", i), opens)
+		}
+		for i := 0; i < 20; i++ {
+			child(&pages[1], fmt.Sprintf("tag-%d", i), fmt.Sprintf("in-%d", i))
+		}
+	}
+	var subs []*tagtree.Node
+	for i := range pages {
+		root, err := tagtree.Parse("<html><body>" + pages[i].String() + "</body></html>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := root.FindAll("body")[0]
+		st, err := NewStats(body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.wide == nil || (i == 1) != (st.Len() <= scanLimit) {
+			t.Fatalf("wide page %d: %d child tags of %d indexed, map built %v", i, st.Len(), len(st.tags), st.wide != nil)
+		}
+		subs = append(subs, body)
+	}
+	return subs
+}
+
 func sameRanking(a, b []Ranked) bool {
 	if len(a) != len(b) {
 		return false
@@ -99,7 +154,11 @@ func TestDifferentialRankings(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		for _, sub := range randSubtrees(t, rng, 12) {
+		subs := randSubtrees(t, rng, 12)
+		if trial == 0 {
+			subs = append(subs, wideSubtrees(t)...)
+		}
+		for _, sub := range subs {
 			for _, ref := range refs {
 				got := rank(t, ref.h, sub)
 				want := ref.slow(sub)
@@ -117,7 +176,11 @@ func TestDifferentialRankings(t *testing.T) {
 func TestDifferentialPairListings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		for _, sub := range randSubtrees(t, rng, 8) {
+		subs := randSubtrees(t, rng, 8)
+		if trial == 0 {
+			subs = append(subs, wideSubtrees(t)...)
+		}
+		for _, sub := range subs {
 			gotRP, wantRP := rpPairs(t, sub), slowRPPairs(sub)
 			if fmt.Sprint(gotRP) != fmt.Sprint(wantRP) {
 				t.Fatalf("trial %d: RPPairs diverged on %s:\n got: %v\nwant: %v",

@@ -99,7 +99,8 @@ func RPPairs(sub *tagtree.Node, g *govern.Guard) ([]RPPair, error) {
 // first child when that is a tag (s = 2i+1), in that order.
 func (st *Stats) rpList() (pairs, cnt []int, err error) {
 	n := len(st.ids)
-	occs, cnt := st.scratch[:0:2*n], st.scratch[2*n:4*n]
+	work := st.scratch()
+	occs, cnt := work[:0:2*n], work[2*n:4*n]
 	for i := range st.ids {
 		if err := st.g.Poll(); err != nil {
 			return nil, nil, err

@@ -80,7 +80,8 @@ func SBPairs(sub *tagtree.Node, g *govern.Guard) ([]SBPair, error) {
 // its count.
 func (st *Stats) sbList() (pairs, cnt []int, err error) {
 	n := len(st.ids)
-	occs, cnt := st.scratch[:0:2*n], st.scratch[2*n:4*n]
+	work := st.scratch()
+	occs, cnt := work[:0:2*n], work[2*n:4*n]
 	for i := 1; i < n; i++ {
 		if err := st.g.Poll(); err != nil {
 			return nil, nil, err

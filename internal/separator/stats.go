@@ -44,9 +44,9 @@ type Stats struct {
 	// opens[i] the index of child i's first child when that is a tag,
 	// else -1.
 	ids, opens []int
-	// scratch is the integer working memory the pair listings and the
-	// seen sets share, 5 ints per child: each heuristic reuses it.
-	scratch []int
+	// work is the integer working memory the pair listings and the seen
+	// sets share (see scratch): each heuristic reuses it.
+	work []int
 	// cands is the working list SD, HC and PP sort, one entry per child
 	// tag at most.
 	cands []cand
@@ -74,8 +74,9 @@ type cand struct {
 }
 
 // scanLimit is how many indexed tags a lookup scans before the index
-// switches to a map. Real subtrees have a handful of distinct child
-// tags, so they never build it.
+// switches to a map. The chosen subtrees of the corpus pages index at
+// most 7 tags (4 of them child tags), so they never build it; a page
+// of thousands of distinct tags needs it to stay linear.
 const scanLimit = 32
 
 // NewStats indexes the children of sub: one pass indexes each child's
@@ -86,17 +87,15 @@ const scanLimit = 32
 // means unlimited, and then NewStats never fails.
 func NewStats(sub *tagtree.Node, g *govern.Guard) (*Stats, error) {
 	n := len(sub.Children)
-	// One array: prefix, ids, opens, the occurrence windows, and the
-	// heuristics' scratch.
-	ints := make([]int, 9*n+1)
+	// One array: prefix, ids, opens and the occurrence windows.
+	ints := make([]int, 4*n+1)
 	st := &Stats{
-		sub:     sub,
-		g:       g,
-		tags:    make([]tagStat, 0, min(n, 8)),
-		prefix:  ints[:n+1],
-		ids:     ints[n+1 : 2*n+1],
-		opens:   ints[2*n+1 : 3*n+1],
-		scratch: ints[4*n+1:],
+		sub:    sub,
+		g:      g,
+		tags:   make([]tagStat, 0, min(n, 8)),
+		prefix: ints[:n+1],
+		ids:    ints[n+1 : 2*n+1],
+		opens:  ints[2*n+1 : 3*n+1],
 	}
 	for i, c := range sub.Children {
 		if err := g.Poll(); err != nil {
@@ -237,10 +236,21 @@ func (st *Stats) workList() []cand {
 	return st.cands[:0]
 }
 
+// scratch returns the integer working memory the pair listings and the
+// seen sets share: 4 ints per child for a pair listing, then one per
+// child tag for a seen set. It is allocated on first use, so a caller
+// ranking only with SD, HC or PP pays nothing for it.
+func (st *Stats) scratch() []int {
+	if st.work == nil {
+		st.work = make([]int, 4*len(st.ids)+st.k)
+	}
+	return st.work
+}
+
 // seen returns a cleared set of child tag indices, carved from the
 // scratch behind the pair listings' 4 ints per child.
 func (st *Stats) seen() []int {
-	s := st.scratch[4*len(st.ids):][:st.k]
+	s := st.scratch()[4*len(st.ids):]
 	clear(s)
 	return s
 }

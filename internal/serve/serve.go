@@ -41,7 +41,6 @@ import (
 	"net/url"
 	"os"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -621,19 +620,6 @@ func answerLate(ctx context.Context, w *obs.StatusWriter) {
 	}
 }
 
-// withTimeout bounds a handler served on its own with the request
-// deadline withObs gives the server's chain. The handler runs on the
-// request's goroutine and writes straight through.
-func (s *Server) withTimeout(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, stop := s.requestDeadline(r)
-		defer stop()
-		sw := &obs.StatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		answerLate(ctx, sw)
-	})
-}
-
 // timedOut reports whether the request ran past its RequestTimeout.
 func timedOut(ctx context.Context) bool {
 	return errors.Is(context.Cause(ctx), errRequestTimeout)
@@ -810,10 +796,9 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 
 // recordsAnswer is one /records answer, encoded by appendJSON as
 //
-//	{"site":…,"fields":[{"name":…,"path":…,"attr":…,"occurrence":…,"support":…},…],
-//	 "records":[{…},…]}
+//	{"site":…,"fields":[…],"records":[…]}
 //
-// with attr omitted when empty and each record's keys in sorted order.
+// with each field and record in wrapgen's encoding of it.
 type recordsAnswer struct {
 	site    string
 	fields  []wrapgen.Field
@@ -821,12 +806,11 @@ type recordsAnswer struct {
 }
 
 // appendJSON appends the answer to b exactly as encoding/json's Encoder
-// writes the equivalent struct: strings HTML-escaped, nil slices and
-// maps as null, map keys sorted, floats in encoding/json's format, and
-// a trailing newline. Each record's keys are sorted in keys, a scratch
-// slice returned for reuse, so a record costs no allocation. ok is
-// false, and nothing belongs on the wire, where Encode would fail: a
-// support that is not finite.
+// writes the equivalent struct: the site HTML-escaped, nil slices as
+// null, each field and record as wrapgen encodes it, and a trailing
+// newline. keys is the records' key-sorting scratch, returned for
+// reuse. ok is false, and nothing belongs on the wire, where Encode
+// would fail: a support that is not finite.
 func (a *recordsAnswer) appendJSON(b []byte, keys []string) (out []byte, scratch []string, ok bool) {
 	b = append(b, `{"site":`...)
 	b = obs.AppendJSONString(b, a.site)
@@ -835,25 +819,13 @@ func (a *recordsAnswer) appendJSON(b []byte, keys []string) (out []byte, scratch
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		for i, f := range a.fields {
+		for i := range a.fields {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, `{"name":`...)
-			b = obs.AppendJSONString(b, f.Name)
-			b = append(b, `,"path":`...)
-			b = obs.AppendJSONString(b, f.Path)
-			if f.Attr != "" {
-				b = append(b, `,"attr":`...)
-				b = obs.AppendJSONString(b, f.Attr)
-			}
-			b = append(b, `,"occurrence":`...)
-			b = strconv.AppendInt(b, int64(f.Occurrence), 10)
-			b = append(b, `,"support":`...)
-			if b, ok = obs.AppendJSONFloat(b, f.Support, 64); !ok {
+			if b, ok = a.fields[i].AppendJSON(b); !ok {
 				return b, keys, false
 			}
-			b = append(b, '}')
 		}
 		b = append(b, ']')
 	}
@@ -866,35 +838,11 @@ func (a *recordsAnswer) appendJSON(b []byte, keys []string) (out []byte, scratch
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b, keys = appendRecord(b, keys, rec)
+			b, keys = rec.AppendJSON(b, keys)
 		}
 		b = append(b, ']')
 	}
 	return append(b, '}', '\n'), keys, true
-}
-
-// appendRecord appends rec as encoding/json encodes a map[string]string:
-// null when nil, else its entries in sorted key order. keys is the
-// sorting scratch, returned for reuse.
-func appendRecord(b []byte, keys []string, rec wrapgen.Record) ([]byte, []string) {
-	if rec == nil {
-		return append(b, "null"...), keys
-	}
-	keys = keys[:0]
-	for k := range rec {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = obs.AppendJSONString(b, k)
-		b = append(b, ':')
-		b = obs.AppendJSONString(b, rec[k])
-	}
-	return append(b, '}'), keys
 }
 
 // handleRecords serves /records through the same farm path as

@@ -25,6 +25,13 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// withTimeout serves next behind the server's own trace boundary,
+// withObs, which derives the request deadline: the timeout tests drive
+// a handler of their own through the middleware the server runs.
+func (s *Server) withTimeout(next http.Handler) http.Handler {
+	return s.withObs(next)
+}
+
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "text/html", strings.NewReader(body))
