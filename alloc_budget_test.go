@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -22,9 +23,12 @@ import (
 	"omini/internal/combine"
 	"omini/internal/core"
 	"omini/internal/corpus"
+	"omini/internal/farm"
 	"omini/internal/htmlparse"
 	"omini/internal/obs"
 	"omini/internal/resilience"
+	"omini/internal/ruledist"
+	"omini/internal/rules"
 	"omini/internal/separator"
 	"omini/internal/serve"
 	"omini/internal/tagtree"
@@ -49,21 +53,40 @@ var allocBudgets = map[string]float64{
 	"build/small":        3,
 	"build/medium":       3,
 	"build/large":        3,
-	"discovery/small":    38,
-	"discovery/medium":   36,
-	"discovery/large":    37,
+	"discovery/small":    24,
+	"discovery/medium":   21,
+	"discovery/large":    21,
 	"combine/large":      9,
-	"replay/small":       27,
-	"replay/medium":      25,
-	"replay/large":       26,
-	"serve hot sample=0": 59,
-	"serve hot sample=1": 67,
-	"serve longtail":     88,
-	"serve records hot":  86,
-	"cluster hop":        205,
+	"replay/small":       11,
+	"replay/medium":      8,
+	"replay/large":       8,
+	"serve hot sample=0": 44,
+	"serve hot sample=1": 52,
+	"serve longtail":     74,
+	"serve records hot":  71,
+	"cluster hop":        190,
+	"ruledist sync":      833,
 	"signature/large":    6,
 	"drift/large":        6,
 }
+
+// byteBudgets are the committed ceilings on bytes allocated per call
+// for the entries whose bytes are gated, counted as their allocations
+// are (allocsPaused). Each is what was measured when it was set plus
+// 64 bytes, since a stray runtime allocation during the count moves
+// the average by a byte or two. Like an allocation ceiling, a byte
+// ceiling may move down freely and rises only with a CHANGES.md line
+// giving the reason.
+var byteBudgets = map[string]float64{
+	"build/large":        291648,
+	"replay/large":       13696,
+	"serve hot sample=0": 9792,
+	"serve longtail":     21696,
+}
+
+// byteSlack is how far under its byte ceiling an entry may measure
+// before the test asks for the ceiling to come down.
+const byteSlack = 0.02
 
 // allocRuns is how many calls TestAllocBudgets averages over.
 const allocRuns = 50
@@ -71,13 +94,16 @@ const allocRuns = 50
 // TestAllocBudgets fails when an entry point allocates more per call
 // than its committed ceiling: Phase 1's three entry points on the
 // small, medium and large bench pages, core's discovery and rule
-// replay on the same pages, Phase 2 alone (the tag index, the five
-// separator heuristics and their combination) on the large page, one
-// hot /extract through the whole serving layer, untraced and traced,
-// one /extract that learns an unseen site, one hot /records, and the
-// drift signature and drift score of the large bench page. Each count is taken with the collector paused
-// (allocsPaused), so it repeats from run to run at any GC pace and the
-// gate has no noise to allow for.
+// replay on a pooled page of the same pages, Phase 2 alone (the tag
+// index, the five separator heuristics and their combination) on the
+// large page, one hot /extract through the whole serving layer,
+// untraced and traced, one /extract that learns an unseen site, one
+// hot /records, one hot /extract through a cluster hop, one ruledist
+// sync round, and the drift signature and drift score of the large
+// bench page; and when an entry with a byte ceiling allocates more
+// bytes per call than it. Each count is taken with the collector
+// paused (allocsPaused), so it repeats from run to run at any GC pace
+// and the gate has no noise to allow for.
 func TestAllocBudgets(t *testing.T) {
 	measured := map[string]func(){}
 	ex := core.New(core.Options{})
@@ -100,8 +126,8 @@ func TestAllocBudgets(t *testing.T) {
 		measured["tokenize/"+size] = func() { _, _ = htmlparse.Tokenize(nil, html, nil) }
 		measured["tidy/"+size] = func() { _, _ = tidy.NormalizeTokens(nil, raw, nil) }
 		measured["build/"+size] = func() { _, _ = tagtree.Build(norm, nil) }
-		measured["discovery/"+size] = func() { _, _ = ex.ExtractContext(ctx, html) }
-		measured["replay/"+size] = func() { _, _ = ex.ExtractWithRuleContext(ctx, html, rule) }
+		measured["discovery/"+size] = onPage(html, func(p *core.Page) { _, _ = ex.ExtractPage(ctx, p) })
+		measured["replay/"+size] = onPage(html, func(p *core.Page) { _, _ = ex.ExtractPageWithRule(ctx, p, rule) })
 		if size == "large" {
 			sub := tagtree.FindPath(learned.Tree, learned.SubtreePath)
 			hs, probs := separator.All(), combine.PaperProbs()
@@ -117,6 +143,7 @@ func TestAllocBudgets(t *testing.T) {
 	measured["serve records hot"] = hotRequest(t, "/records", 0)
 	measured["serve longtail"] = longtailRequest(t)
 	measured["cluster hop"] = hopRequest(t)
+	measured["ruledist sync"] = syncRound(t)
 
 	names := make([]string, 0, len(allocBudgets))
 	for name := range allocBudgets {
@@ -129,12 +156,18 @@ func TestAllocBudgets(t *testing.T) {
 			t.Errorf("%s: budget for nothing measured", name)
 			continue
 		}
-		got := allocsPaused(f)
+		got, bytes := allocsPaused(f)
 		switch {
 		case got > ceiling:
 			t.Errorf("%s: %v allocs per call, over its ceiling of %v", name, got, ceiling)
 		case got < ceiling:
 			t.Logf("%s: %v allocs per call, under its ceiling of %v: lower the ceiling", name, got, ceiling)
+		}
+		if ceiling, ok := byteBudgets[name]; ok && bytes > ceiling {
+			t.Errorf("%s: %v bytes per call, over its ceiling of %v", name, bytes, ceiling)
+		} else if ok && bytes < ceiling*(1-byteSlack) {
+			t.Logf("%s: %v bytes per call, %.0f%% under its ceiling of %v: lower the ceiling",
+				name, bytes, 100*(1-bytes/ceiling), ceiling)
 		}
 	}
 	for name := range measured {
@@ -142,16 +175,43 @@ func TestAllocBudgets(t *testing.T) {
 			t.Errorf("%s: measured without a budget", name)
 		}
 	}
+	for name := range byteBudgets {
+		if _, ok := allocBudgets[name]; !ok {
+			t.Errorf("%s: byte budget without an allocation budget", name)
+		}
+	}
 }
 
 // allocsPaused is testing.AllocsPerRun over allocRuns calls with the
-// collector paused. A collection during the count empties the
-// sync.Pools (Phase 1's token arrays, the answer buffer), and the
-// pooled calls then allocate again, so an unpaused count depends on
-// the GC pace (GOGC) and on when the last collection ran.
-func allocsPaused(f func()) float64 {
+// collector paused, returning the bytes allocated per call too. A
+// collection during the count empties the sync.Pools (the pooled
+// pages, the answer buffer), and the pooled calls then allocate again,
+// so an unpaused count depends on the GC pace (GOGC) and on when the
+// last collection ran. As AllocsPerRun does, it runs on one P, calls f
+// once before counting, and truncates both averages to integers.
+func allocsPaused(f func()) (allocs, bytes float64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return testing.AllocsPerRun(allocRuns, f)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocRuns; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / allocRuns),
+		float64((after.TotalAlloc - before.TotalAlloc) / allocRuns)
+}
+
+// onPage returns a function that runs extract on a pooled page holding
+// html and releases the page, as the server runs each request.
+func onPage(html string, extract func(*core.Page)) func() {
+	return func() {
+		p := core.GetPage()
+		p.SetBody(append(p.Buffer(), html...))
+		extract(p)
+		p.Release()
+	}
 }
 
 // hotRequest returns a function serving one hot request to path
@@ -256,6 +316,53 @@ func hopRequest(t *testing.T) func() {
 	return func() {
 		if code := post(target, html); code != http.StatusOK {
 			t.Fatalf("%s: status %d", target, code)
+		}
+	}
+}
+
+// syncRound returns a function running one anti-entropy round, as
+// BenchmarkRuledistSync does: a peer node relearns its 16 rules (a
+// version bump each), then a replicator with its own farm polls the
+// peer's digest over loopback, pulls the 16 newer rules in one
+// snapshot and merges them. Unlike the benchmark, the count includes
+// the peer's relearns, and both ends of the transfer.
+func syncRound(t *testing.T) func() {
+	t.Helper()
+	quiet := obs.NewLogger(io.Discard, obs.LevelError)
+	peer := serve.New(serve.Config{Stats: resilience.NewStats(), Logger: quiet})
+	ts := httptest.NewServer(peer)
+	t.Cleanup(ts.Close)
+	local, err := farm.New(farm.Config{Stats: resilience.NewStats(), Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ruledist.New(ruledist.Config{
+		Self:     "self",
+		Peers:    map[string]string{"peer": ts.URL},
+		Farm:     local,
+		Interval: -1,
+		Stats:    resilience.NewStats(),
+		Logger:   quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := make([]string, 16)
+	for i := range sites {
+		sites[i] = fmt.Sprintf("sync-%02d.example", i)
+	}
+	sig := tagtree.Signature{"html": 1, "html.body": 1, "html.body.ul": 1, "html.body.ul.li": 12}
+	ctx := context.Background()
+	return func() {
+		for _, site := range sites {
+			peer.Farm().Put(rules.Rule{Site: site, SubtreePath: "html[1].body[1].ul[1]", Separator: "li"}, sig)
+		}
+		if err := r.SyncAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := peer.Farm().Get(sites[0])
+		if got, _ := local.Get(sites[0]); got.Version != want.Version {
+			t.Fatalf("sync round left version %d, peer has %d", got.Version, want.Version)
 		}
 	}
 }

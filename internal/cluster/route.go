@@ -57,7 +57,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 	bctx, cancel := context.WithTimeout(r.Context(), c.cfg.Budget)
 	defer cancel()
 	deadline, _ := bctx.Deadline()
-	body, err := resilience.ReadBody(w, r, deadline, c.cfg.MaxBodyBytes)
+	body, err := resilience.ReadBody(w, r, deadline, c.cfg.MaxBodyBytes, nil)
 	switch {
 	case errors.Is(err, resilience.ErrTooLarge):
 		writeError(r.Context(), w, http.StatusRequestEntityTooLarge,

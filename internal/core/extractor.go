@@ -19,7 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"strings"
 	"time"
 
 	"omini/internal/combine"
@@ -31,7 +31,6 @@ import (
 	"omini/internal/separator"
 	"omini/internal/subtree"
 	"omini/internal/tagtree"
-	"omini/internal/tidy"
 )
 
 // Errors the pipeline can return.
@@ -156,6 +155,17 @@ func (e *Extractor) Extract(html string) (*Result, error) {
 // recorder (obs.WithTraceRecorder) the result's Trace explains the
 // decisions.
 func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, error) {
+	p := GetPage()
+	p.html = html
+	defer p.retain()
+	return e.ExtractPage(ctx, p)
+}
+
+// ExtractPage is ExtractContext on a page: the result points into the
+// page's memory, so it lives only as long as the page does (see Page).
+// The separator it learns is cloned out of the page, so a rule made
+// from the result outlives it.
+func (e *Extractor) ExtractPage(ctx context.Context, p *Page) (*Result, error) {
 	reg := obs.RegistryFrom(ctx)
 	extractions.Add(reg, 1)
 	// The guard owns the page deadline (Limits.Deadline).
@@ -166,7 +176,7 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 		// runs on every exit, so a blown budget shows what was consumed.
 		defer recordCharges(rec, g)
 	}
-	root, err := e.parse(ctx, html, g)
+	root, err := e.parse(ctx, p, g)
 	if err != nil {
 		countFailure(reg, err)
 		return nil, err
@@ -200,7 +210,9 @@ func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, e
 		return nil, fmt.Errorf("%w (subtree %s)", ErrNoObjects, res.SubtreePath)
 	}
 	res.Candidates = cands
-	res.Separator = cands[0].Tag
+	// The rule, the access log and the farm keep the separator past
+	// the page.
+	res.Separator = strings.Clone(cands[0].Tag)
 
 	if err := e.construct(ctx, sub, res, g); err != nil {
 		countFailure(reg, err)
@@ -224,6 +236,15 @@ func (e *Extractor) ExtractWithRule(html string, rule rules.Rule) (*Result, erro
 // ExtractWithRuleContext is ExtractWithRule under a caller context, with
 // the same span and trace behavior as ExtractContext.
 func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rule rules.Rule) (*Result, error) {
+	p := GetPage()
+	p.html = html
+	defer p.retain()
+	return e.ExtractPageWithRule(ctx, p, rule)
+}
+
+// ExtractPageWithRule is ExtractWithRuleContext on a page, whose memory
+// the result points into (see Page).
+func (e *Extractor) ExtractPageWithRule(ctx context.Context, p *Page, rule rules.Rule) (*Result, error) {
 	reg := obs.RegistryFrom(ctx)
 	ruleExtractions.Add(reg, 1)
 	if !rule.Valid() {
@@ -235,7 +256,7 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	if rec != nil {
 		defer recordCharges(rec, g)
 	}
-	root, err := e.parse(ctx, html, g)
+	root, err := e.parse(ctx, p, g)
 	if err != nil {
 		countFailure(reg, err)
 		return nil, err
@@ -270,74 +291,42 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 }
 
 // parse runs Phase 1 — lexing, syntactic normalization, tag tree
-// construction — as three observable spans. Splitting tokenize from tidy
-// costs one transient raw-token slice relative to a fused lex→tidy stream;
-// the per-phase visibility is the point (DESIGN.md §9). Both token
-// slices live only until the tree is built, so their backing arrays come
-// from a pool (phase1Bufs). Each phase runs under the page's guard, so
-// an input past MaxInputBytes, a token-budget blowout, or an
-// over-deep/over-large tree surfaces here as a typed govern error.
-func (e *Extractor) parse(ctx context.Context, html string, g *govern.Guard) (*tagtree.Node, error) {
-	bufs := phase1Pool.Get().(*phase1Bufs)
+// construction — as three observable spans, in the page's memory.
+// Splitting tokenize from tidy costs one transient raw-token array
+// relative to a fused lex→tidy stream; the per-phase visibility is the
+// point (DESIGN.md §9). Parsing reuses the page's buffers, so a tree
+// parsed from the page before is dead after it. Each phase runs under
+// the page's guard, so an input past MaxInputBytes, a token-budget
+// blowout, or an over-deep/over-large tree surfaces here as a typed
+// govern error.
+func (e *Extractor) parse(ctx context.Context, p *Page, g *govern.Guard) (*tagtree.Node, error) {
 	var toks []htmlparse.Token
 	var err error
-	obs.Leaf(ctx, phaseTokenize, func() { toks, err = htmlparse.Tokenize(bufs.raw, html, g) })
+	obs.Leaf(ctx, phaseTokenize, func() {
+		p.lex.Reset(p.html, maxPooledAttrs)
+		toks, err = p.lex.Tokenize(p.raw[:0], g)
+	})
+	// A failed phase leaves its token array, written past the length
+	// the page knows, to the collector.
+	p.raw = toks
 	if err != nil {
-		// A failed page leaves its buffers to the collector.
 		return nil, fmt.Errorf("core: tokenize: %w", err)
 	}
-	bufs.raw = toks
 	if !e.opts.SkipNormalize {
-		obs.Leaf(ctx, phaseTidy, func() { toks, err = tidy.NormalizeTokens(bufs.norm, toks, g) })
+		obs.Leaf(ctx, phaseTidy, func() { toks, err = p.tidy.Normalize(p.norm[:0], toks, g) })
+		p.norm = toks
 		if err != nil {
 			return nil, fmt.Errorf("core: tidy: %w", err)
 		}
-		bufs.norm = toks
 	}
 	// With SkipNormalize the raw stream is unbalanced; Build recovers what
 	// it can.
 	var root *tagtree.Node
-	obs.Leaf(ctx, phaseBuild, func() { root, err = tagtree.Build(toks, g) })
-	bufs.release()
+	obs.Leaf(ctx, phaseBuild, func() { root, err = p.tree.Build(toks, g) })
 	if err != nil {
 		return nil, fmt.Errorf("core: parse: %w", err)
 	}
 	return root, nil
-}
-
-// phase1Bufs holds the backing arrays of Phase 1's two token slices,
-// raw (the lexer's output) and norm (tidy's), reused across pages.
-// Reuse is safe by construction: tagtree.Build copies each token's
-// Data and Attrs headers into its nodes, and those point into the page
-// string and the lexer's attribute arena, neither of which is pooled.
-// Nothing holds a token slice once Build has returned.
-type phase1Bufs struct {
-	raw, norm []htmlparse.Token
-}
-
-// maxPooledTokens caps the capacity a token array may have and still
-// go back to the pool, so one pathological page does not pin its
-// arrays for the process's lifetime. It holds the tokens of a page of
-// several hundred KB.
-const maxPooledTokens = 1 << 15
-
-var phase1Pool = sync.Pool{New: func() any { return new(phase1Bufs) }}
-
-// release clears both slices — dropping their references to the page,
-// and poisoning any token a stale reference would still read — and
-// returns them, emptied, to the pool. An array past maxPooledTokens is
-// dropped instead.
-func (b *phase1Bufs) release() {
-	clear(b.raw)
-	clear(b.norm)
-	b.raw, b.norm = b.raw[:0], b.norm[:0]
-	if cap(b.raw) > maxPooledTokens {
-		b.raw = nil
-	}
-	if cap(b.norm) > maxPooledTokens {
-		b.norm = nil
-	}
-	phase1Pool.Put(b)
 }
 
 // construct runs Phase 3: object construction, then refinement unless

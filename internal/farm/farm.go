@@ -12,11 +12,12 @@
 // revalidated artifacts rather than a transient cache: they persist in
 // a JSON-on-disk store (atomic writes, survives restarts, loadable via
 // the ominiserve -rules snapshot path), each relearn bumps the rule's
-// version, and a background revalidator samples fast-path extractions
-// through wrapgen's drift detection so a site redesign evicts and
-// relearns the rule instead of serving silent garbage. Each rule's
-// record schema (Wrapper) lives on the same cache entry, so the rule
-// and the schema projected under it are one per-site artifact.
+// version, and every SampleEvery-th fast-path hit is scored through
+// wrapgen's drift detection, a drifted page queued for a background
+// relearn, so a site redesign evicts and relearns the rule instead of
+// serving silent garbage. Each rule's record schema (Wrapper) lives on
+// the same cache entry, so the rule and the schema projected under it
+// are one per-site artifact.
 //
 // Everything the farm does is observable: farm.* counters (hits,
 // misses, learns, coalesced, stale, drift checks/detections, relearns,
@@ -30,6 +31,7 @@ import (
 	"errors"
 	"io/fs"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,11 +55,13 @@ type Config struct {
 	// Capacity caps the total cached rules across all shards
 	// (default 4096); the least recently used rule is evicted first.
 	Capacity int
-	// SampleEvery drift-samples every Nth fast-path hit per site
-	// (default 32; negative disables sampling).
+	// SampleEvery drift-checks every Nth fast-path hit per site, on
+	// the request that served it (default 32; negative disables
+	// sampling).
 	SampleEvery int
-	// SampleQueue bounds the pending revalidation samples (default 64);
-	// excess samples are dropped, never blocking the serving path.
+	// SampleQueue bounds the drifted pages waiting for the background
+	// relearn (default 64); excess pages are dropped, never blocking the
+	// serving path.
 	SampleQueue int
 	// DriftThreshold is the drift score past which a rule is evicted
 	// and relearned (default wrapgen.DefaultDriftThreshold).
@@ -113,15 +117,13 @@ type Outcome struct {
 	Coalesced bool
 }
 
-// sample is one served extraction to drift-check, queued for background
-// revalidation or checked inline by Wrapper: the page (for relearning),
-// its already-built tree (so the drift check costs no reparse), and the
-// training signature plus version of the rule that served it.
+// sample is a served page that drifted past the threshold, queued for
+// the background relearn: a copy of the page, since the request's own
+// page is released once it is answered, and the version of the rule
+// that served it.
 type sample struct {
 	site    string
 	html    string
-	root    *tagtree.Node
-	sig     tagtree.Signature
 	version int
 }
 
@@ -265,26 +267,29 @@ func (f *Farm) seedFile(g *govern.Guard, path string, allowMissing bool) error {
 // Extract serves one page: rule fast path on a cache hit, singleflight
 // learn-on-miss otherwise. A site-less request runs plain discovery
 // and is never cached. The returned Outcome reports which path served.
-func (f *Farm) Extract(ctx context.Context, site, html string) (*core.Result, Outcome, error) {
+// The result points into the page (see core.Page); what the farm keeps
+// (the rule, its signature, a drifted page) it copies out.
+func (f *Farm) Extract(ctx context.Context, site string, p *core.Page) (*core.Result, Outcome, error) {
 	if site == "" {
-		res, err := f.discover(ctx, html)
+		res, err := f.discover(ctx, p)
 		return res, Outcome{}, err
 	}
 	if e := f.shardFor(site).get(site); e != nil {
-		return f.serveFast(ctx, site, html, e)
+		return f.serveFast(ctx, site, p, e)
 	}
 	missCount.Add(f.stats, 1)
-	return f.learnOrJoin(ctx, site, html)
+	return f.learnOrJoin(ctx, site, p)
 }
 
 // serveFast replays the cached rule. A mismatch (the site changed)
-// evicts the rule and falls through to rediscovery; any other failure
+// evicts the rule and falls through to rediscovery, which parses the
+// page again (the failed replay left no result); any other failure
 // (resource limits, cancellation) propagates untouched.
-func (f *Farm) serveFast(ctx context.Context, site, html string, e *entry) (*core.Result, Outcome, error) {
-	res, err := f.replayFast(ctx, html, e.rule)
+func (f *Farm) serveFast(ctx context.Context, site string, p *core.Page, e *entry) (*core.Result, Outcome, error) {
+	res, err := f.replayFast(ctx, p, e.rule)
 	if err == nil {
 		hitCount.Add(f.stats, 1)
-		f.maybeSample(site, html, e, res)
+		f.maybeSample(site, p, e, res)
 		return res, Outcome{FromRule: true}, nil
 	}
 	if !errors.Is(err, core.ErrRuleMismatch) {
@@ -296,7 +301,7 @@ func (f *Farm) serveFast(ctx context.Context, site, html string, e *entry) (*cor
 	// peer still holding this version would hand the dead rule straight
 	// back on the next anti-entropy round.
 	f.entomb(site, e.rule.Version)
-	res, out, err := f.learnVersioned(ctx, site, html, e.rule.Version)
+	res, out, err := f.learnVersioned(ctx, site, p, e.rule.Version)
 	if err == nil {
 		relearnCount.Add(f.stats, 1)
 		out.Relearned = true
@@ -307,17 +312,17 @@ func (f *Farm) serveFast(ctx context.Context, site, html string, e *entry) (*cor
 // learnOrJoin is the singleflight learn-on-miss: the first request for
 // a site runs discovery; concurrent requests wait for its rule and
 // replay it on their own page.
-func (f *Farm) learnOrJoin(ctx context.Context, site, html string) (*core.Result, Outcome, error) {
+func (f *Farm) learnOrJoin(ctx context.Context, site string, p *core.Page) (*core.Result, Outcome, error) {
 	f.flightMu.Lock()
 	if fl := f.flights[site]; fl != nil {
 		f.flightMu.Unlock()
-		return f.join(ctx, fl, site, html)
+		return f.join(ctx, fl, site, p)
 	}
 	fl := &flight{done: make(chan struct{})}
 	f.flights[site] = fl
 	f.flightMu.Unlock()
 
-	res, out, err := f.learnVersioned(ctx, site, html, 0)
+	res, out, err := f.learnVersioned(ctx, site, p, 0)
 	if err == nil {
 		fl.rule = res.Rule(site)
 		fl.rule.Version = 1
@@ -338,8 +343,8 @@ func (f *Farm) learnOrJoin(ctx context.Context, site, html string) (*core.Result
 // join waits for an in-flight discovery of the same site, then replays
 // the learned rule on this request's own page. If the leader failed or
 // its rule does not fit this page, the request falls back to its own
-// discovery (the herd has already dispersed).
-func (f *Farm) join(ctx context.Context, fl *flight, site, html string) (*core.Result, Outcome, error) {
+// discovery (the herd has already dispersed), parsing its page again.
+func (f *Farm) join(ctx context.Context, fl *flight, site string, p *core.Page) (*core.Result, Outcome, error) {
 	select {
 	case <-fl.done:
 	case <-ctx.Done():
@@ -347,12 +352,12 @@ func (f *Farm) join(ctx context.Context, fl *flight, site, html string) (*core.R
 	}
 	coalescedCount.Add(f.stats, 1)
 	if fl.err == nil {
-		if res, err := f.replayFast(ctx, html, fl.rule); err == nil {
+		if res, err := f.replayFast(ctx, p, fl.rule); err == nil {
 			hitCount.Add(f.stats, 1)
 			return res, Outcome{FromRule: true, Coalesced: true}, nil
 		}
 	}
-	res, out, err := f.learnVersioned(ctx, site, html, 0)
+	res, out, err := f.learnVersioned(ctx, site, p, 0)
 	out.Coalesced = true
 	return res, out, err
 }
@@ -360,8 +365,8 @@ func (f *Farm) join(ctx context.Context, fl *flight, site, html string) (*core.R
 // learnVersioned runs full discovery, stores the rule at
 // prevVersion+1 (raised past any tombstone, so a fresh learn always
 // supersedes a remembered eviction), and records slow-path latency.
-func (f *Farm) learnVersioned(ctx context.Context, site, html string, prevVersion int) (*core.Result, Outcome, error) {
-	res, err := f.discover(ctx, html)
+func (f *Farm) learnVersioned(ctx context.Context, site string, p *core.Page, prevVersion int) (*core.Result, Outcome, error) {
+	res, err := f.discover(ctx, p)
 	if err != nil {
 		return nil, Outcome{}, err
 	}
@@ -383,12 +388,12 @@ func (f *Farm) learnVersioned(ctx context.Context, site, html string, prevVersio
 // replayFast runs one cached-rule replay under the "farm.fast" span and
 // pprof path label. On success the span's wall time is the fast-path
 // latency it records, with a trace exemplar when the request is traced.
-func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*core.Result, error) {
+func (f *Farm) replayFast(ctx context.Context, p *core.Page, rule rules.Rule) (*core.Result, error) {
 	var res *core.Result
 	var err error
 	d := obs.Run(ctx, phaseFast, func(fctx context.Context) {
 		obs.Labelled(fctx, fastLabel, func(pctx context.Context) {
-			res, err = f.ex.ExtractWithRuleContext(pctx, html, rule)
+			res, err = f.ex.ExtractPageWithRule(pctx, p, rule)
 		})
 	})
 	if err != nil {
@@ -402,12 +407,12 @@ func (f *Farm) replayFast(ctx context.Context, html string, rule rules.Rule) (*c
 // discover runs full Phase-2 discovery under the "farm.slow" span and
 // pprof path label. On success the span's wall time is the slow-path
 // latency it records, with a trace exemplar when the request is traced.
-func (f *Farm) discover(ctx context.Context, html string) (*core.Result, error) {
+func (f *Farm) discover(ctx context.Context, p *core.Page) (*core.Result, error) {
 	var res *core.Result
 	var err error
 	d := obs.Run(ctx, phaseSlow, func(sctx context.Context) {
 		obs.Labelled(sctx, slowLabel, func(pctx context.Context) {
-			res, err = f.ex.ExtractContext(pctx, html)
+			res, err = f.ex.ExtractPage(pctx, p)
 		})
 	})
 	if err != nil {
@@ -476,23 +481,21 @@ func (f *Farm) Get(site string) (rules.Rule, bool) {
 	return e.rule, true
 }
 
-// Wrapper returns the record wrapper for a page Extract just served
-// as res: the field schema cached on the site's rule entry, learned on
-// first use from res (wrapgen.LearnFromResult). A page whose structure
-// drifted past the threshold from the rule's training page is
-// relearned first, like a drifted revalidation sample, so the wrapper
-// never mis-projects a redesigned site; the result to project is then
-// the relearned one, returned alongside the wrapper.
-func (f *Farm) Wrapper(ctx context.Context, site, html string, res *core.Result) (*wrapgen.Wrapper, *core.Result, error) {
+// Wrapper returns the record wrapper for page p, which Extract just
+// served as res: the field schema cached on the site's rule entry,
+// learned on first use from res (wrapgen.LearnFromResult). A page whose
+// structure drifted past the threshold from the rule's training page is
+// relearned first, on the same page, so the wrapper never mis-projects
+// a redesigned site; the result to project is then the relearned one,
+// returned alongside the wrapper, and res is dead.
+func (f *Farm) Wrapper(ctx context.Context, site string, p *core.Page, res *core.Result) (*wrapgen.Wrapper, *core.Result, error) {
 	e := f.shardFor(site).peek(site)
-	if e != nil {
-		relearned, err := f.revalidateOne(ctx, sample{site: site, html: html, root: res.Tree, sig: e.sig, version: e.rule.Version})
+	if e != nil && f.drifted(site, e, res) {
+		relearned, err := f.relearn(ctx, site, p, e.rule.Version)
 		if err != nil {
 			return nil, nil, err
 		}
-		if relearned != nil {
-			res, e = relearned, f.shardFor(site).peek(site)
-		}
+		res, e = relearned, f.shardFor(site).peek(site)
 	}
 	// A schema is cached only on the entry whose rule produced res; if
 	// the entry was evicted or replaced in between, the wrapper learned
@@ -565,11 +568,13 @@ func (f *Farm) snapshotRules(g *govern.Guard) ([]StoredRule, error) {
 	return out, nil
 }
 
-// maybeSample enqueues a fast-path extraction for background drift
-// revalidation: every SampleEvery-th hit of a site, plus any hit after
-// a periodic sweep flagged the entry. Sampling never blocks serving;
-// a full queue drops the sample (counted).
-func (f *Farm) maybeSample(site, html string, e *entry, res *core.Result) {
+// maybeSample drift-checks a fast-path extraction on the request that
+// served it: every SampleEvery-th hit of a site, plus any hit after a
+// periodic sweep flagged the entry. A page past the threshold is copied
+// and queued for the background relearn. Sampling never blocks serving;
+// a full queue drops the page (counted) and flags the entry, so the
+// site's next hit is checked again.
+func (f *Farm) maybeSample(site string, p *core.Page, e *entry, res *core.Result) {
 	if len(e.sig) == 0 || res.Tree == nil {
 		return
 	}
@@ -577,18 +582,32 @@ func (f *Farm) maybeSample(site, html string, e *entry, res *core.Result) {
 	if !forced && (f.cfg.SampleEvery <= 0 || n%int64(f.cfg.SampleEvery) != 0) {
 		return
 	}
-	s := sample{site: site, html: html, root: res.Tree, sig: e.sig, version: e.rule.Version}
+	if !f.drifted(site, e, res) {
+		return
+	}
 	select {
-	case f.samples <- s:
+	case f.samples <- sample{site: site, html: strings.Clone(p.HTML()), version: e.rule.Version}:
 	default:
 		samplesDropped.Add(f.stats, 1)
-		if forced {
-			e.hits.flag() // keep the sweep's claim for the next hit
-		}
+		e.hits.flag()
 	}
 }
 
-// Revalidate synchronously processes every pending drift sample and
+// drifted scores a page extracted under e's rule against the rule's
+// training signature, reporting whether it drifted past the threshold.
+func (f *Farm) drifted(site string, e *entry, res *core.Result) bool {
+	driftChecks.Add(f.stats, 1)
+	drift := wrapgen.DriftScore(e.sig, res.Tree)
+	if drift <= f.cfg.DriftThreshold {
+		return false
+	}
+	driftDetected.Add(f.stats, 1)
+	f.log.Warn("farm: layout drift detected; relearning",
+		"site", site, "drift", drift, "ruleVersion", e.rule.Version)
+	return true
+}
+
+// Revalidate synchronously relearns every queued drifted page and
 // returns how many it handled. Run calls it continuously; tests call
 // it directly for deterministic drift handling.
 func (f *Farm) Revalidate(ctx context.Context) int {
@@ -600,7 +619,7 @@ func (f *Farm) Revalidate(ctx context.Context) int {
 		}
 		select {
 		case s := <-f.samples:
-			_, _ = f.revalidateOne(ctx, s)
+			_, _ = f.relearn(ctx, s.site, core.NewPage(s.html), s.version)
 			n++
 		default:
 			return n
@@ -608,27 +627,17 @@ func (f *Farm) Revalidate(ctx context.Context) int {
 	}
 }
 
-// revalidateOne drift-checks one served page against its rule's
-// training signature; past the threshold the rule is evicted and
-// relearned from the page, version bumped, and the relearned result is
-// returned. A page within the threshold returns a nil result.
-func (f *Farm) revalidateOne(ctx context.Context, s sample) (*core.Result, error) {
-	driftChecks.Add(f.stats, 1)
-	drift := wrapgen.DriftScore(s.sig, s.root)
-	if drift <= f.cfg.DriftThreshold {
-		return nil, nil
-	}
-	driftDetected.Add(f.stats, 1)
-	f.log.Warn("farm: layout drift detected; relearning",
-		"site", s.site, "drift", drift, "ruleVersion", s.version)
-	f.shardFor(s.site).remove(s.site)
+// relearn evicts the drifted rule at version and relearns the site
+// from page p, version bumped, returning the relearned result.
+func (f *Farm) relearn(ctx context.Context, site string, p *core.Page, version int) (*core.Result, error) {
+	f.shardFor(site).remove(site)
 	// Drift-evicted rules propagate as tombstones: a peer that has not
 	// seen the redesign yet must not hand the dead rule back.
-	f.entomb(s.site, s.version)
-	res, _, err := f.learnVersioned(ctx, s.site, s.html, s.version)
+	f.entomb(site, version)
+	res, _, err := f.learnVersioned(ctx, site, p, version)
 	if err != nil {
 		relearnFailures.Add(f.stats, 1)
-		f.log.Error("farm: relearn after drift failed", "site", s.site, "err", err.Error())
+		f.log.Error("farm: relearn after drift failed", "site", site, "err", err.Error())
 		return nil, err
 	}
 	relearnCount.Add(f.stats, 1)
@@ -636,7 +645,7 @@ func (f *Farm) revalidateOne(ctx context.Context, s sample) (*core.Result, error
 }
 
 // Run drives the farm's background work until ctx is cancelled:
-// draining the drift-sample queue as samples arrive, and on every
+// relearning the queued drifted pages as they arrive, and on every
 // RelearnInterval tick flagging all cached rules for revalidation on
 // their next hit and flushing the store if dirty. The final save runs
 // on cancellation.
@@ -659,7 +668,7 @@ func (f *Farm) Run(ctx context.Context) error {
 			_ = f.saveIfDirty()
 			return ctx.Err()
 		case s := <-f.samples:
-			_, _ = f.revalidateOne(ctx, s)
+			_, _ = f.relearn(ctx, s.site, core.NewPage(s.html), s.version)
 		case <-ticker.C:
 			_ = f.sweep(g)
 			_ = f.saveIfDirty()

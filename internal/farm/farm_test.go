@@ -75,7 +75,7 @@ func TestLearnOnMissThenFastPath(t *testing.T) {
 	spec := testSpec("miss.example", "ul-record")
 	ctx := context.Background()
 
-	slow, out, err := f.Extract(ctx, spec.Name, spec.Page(0).HTML)
+	slow, out, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(0).HTML))
 	if err != nil {
 		t.Fatalf("first Extract: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestLearnOnMissThenFastPath(t *testing.T) {
 		t.Fatalf("farm.learns = %d, want 1", got)
 	}
 
-	fast, out, err := f.Extract(ctx, spec.Name, spec.Page(0).HTML)
+	fast, out, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(0).HTML))
 	if err != nil {
 		t.Fatalf("second Extract: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestLearnOnMissThenFastPath(t *testing.T) {
 func TestSitelessRequestIsNotCached(t *testing.T) {
 	f, stats := newTestFarm(t, Config{})
 	spec := testSpec("anon.example", "row-table")
-	if _, out, err := f.Extract(context.Background(), "", spec.Page(0).HTML); err != nil {
+	if _, out, err := f.Extract(context.Background(), "", core.NewPage(spec.Page(0).HTML)); err != nil {
 		t.Fatalf("Extract: %v", err)
 	} else if out != (Outcome{}) {
 		t.Fatalf("site-less outcome = %+v, want zero", out)
@@ -142,7 +142,7 @@ func TestSingleflightOneDiscovery(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, outs[i], errs[i] = f.Extract(context.Background(), spec.Name, spec.Page(i%4).HTML)
+			_, outs[i], errs[i] = f.Extract(context.Background(), spec.Name, core.NewPage(spec.Page(i%4).HTML))
 		}(i)
 	}
 	wg.Wait()
@@ -185,10 +185,10 @@ func TestRedesignMismatchRelearns(t *testing.T) {
 	redesigned := testSpec("redesign.example", "div-card")
 	ctx := context.Background()
 
-	if _, out, err := f.Extract(ctx, old.Name, old.Page(0).HTML); err != nil || !out.Learned {
+	if _, out, err := f.Extract(ctx, old.Name, core.NewPage(old.Page(0).HTML)); err != nil || !out.Learned {
 		t.Fatalf("learn: out=%+v err=%v", out, err)
 	}
-	res, out, err := f.Extract(ctx, redesigned.Name, redesigned.Page(0).HTML)
+	res, out, err := f.Extract(ctx, redesigned.Name, core.NewPage(redesigned.Page(0).HTML))
 	if err != nil {
 		t.Fatalf("post-redesign Extract: %v", err)
 	}
@@ -251,12 +251,12 @@ func TestDriftSamplerRelearns(t *testing.T) {
 	ctx := context.Background()
 	site := "drift.example"
 
-	if _, out, err := f.Extract(ctx, site, driftTrainPage(site)); err != nil || !out.Learned {
+	if _, out, err := f.Extract(ctx, site, core.NewPage(driftTrainPage(site))); err != nil || !out.Learned {
 		t.Fatalf("learn: out=%+v err=%v", out, err)
 	}
 	// The drifted page must still serve from the rule — drift is
 	// invisible to the fast path; only the sampler can see it.
-	if _, out, err := f.Extract(ctx, site, driftedPage(t, site)); err != nil || !out.FromRule {
+	if _, out, err := f.Extract(ctx, site, core.NewPage(driftedPage(t, site))); err != nil || !out.FromRule {
 		t.Fatalf("drifted page should replay: out=%+v err=%v", out, err)
 	}
 	if n := f.Revalidate(ctx); n != 1 {
@@ -277,21 +277,25 @@ func TestDriftSamplerRelearns(t *testing.T) {
 }
 
 // TestDriftSamplerIgnoresStablePages: repeated hits on structurally
-// stable pages sample and check but never trip detection.
+// stable pages sample and check but never trip detection, so nothing
+// is queued for a relearn.
 func TestDriftSamplerIgnoresStablePages(t *testing.T) {
 	f, stats := newTestFarm(t, Config{SampleEvery: 1})
 	ctx := context.Background()
 	spec := testSpec("stable.example", "row-table")
-	if _, _, err := f.Extract(ctx, spec.Name, spec.Page(0).HTML); err != nil {
+	if _, _, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(0).HTML)); err != nil {
 		t.Fatalf("learn: %v", err)
 	}
 	for i := 1; i < 4; i++ {
-		if _, out, err := f.Extract(ctx, spec.Name, spec.Page(i).HTML); err != nil || !out.FromRule {
+		if _, out, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(i).HTML)); err != nil || !out.FromRule {
 			t.Fatalf("page %d: out=%+v err=%v", i, out, err)
 		}
 	}
-	if n := f.Revalidate(ctx); n == 0 {
-		t.Fatal("Revalidate processed no samples")
+	if got := stats.Get(SeriesDriftChecks); got != 3 {
+		t.Fatalf("farm.drift_checks = %d after 3 sampled hits, want 3", got)
+	}
+	if n := f.Revalidate(ctx); n != 0 {
+		t.Fatalf("Revalidate relearned %d pages, want 0", n)
 	}
 	if got := stats.Get(SeriesDriftDetected); got != 0 {
 		t.Fatalf("farm.drift_detected = %d on structurally stable pages, want 0", got)
@@ -307,27 +311,24 @@ func TestSweepFlagsEntriesForRevalidation(t *testing.T) {
 	f, stats := newTestFarm(t, Config{SampleEvery: 1 << 30})
 	ctx := context.Background()
 	spec := testSpec("sweep.example", "dl-record")
-	if _, _, err := f.Extract(ctx, spec.Name, spec.Page(0).HTML); err != nil {
+	if _, _, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(0).HTML)); err != nil {
 		t.Fatalf("learn: %v", err)
 	}
 	// Without a sweep the huge cadence means no samples.
-	if _, _, err := f.Extract(ctx, spec.Name, spec.Page(1).HTML); err != nil {
+	if _, _, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(1).HTML)); err != nil {
 		t.Fatalf("hit: %v", err)
 	}
-	if n := f.Revalidate(ctx); n != 0 {
-		t.Fatalf("unswept hit produced %d samples, want 0", n)
+	if got := stats.Get(SeriesDriftChecks); got != 0 {
+		t.Fatalf("unswept hit ran %d drift checks, want 0", got)
 	}
 	if err := f.sweep(unlimitedGuard()); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if _, _, err := f.Extract(ctx, spec.Name, spec.Page(2).HTML); err != nil {
+	if _, _, err := f.Extract(ctx, spec.Name, core.NewPage(spec.Page(2).HTML)); err != nil {
 		t.Fatalf("post-sweep hit: %v", err)
 	}
-	if n := f.Revalidate(ctx); n != 1 {
-		t.Fatalf("post-sweep hit produced %d samples, want 1", n)
-	}
 	if got := stats.Get(SeriesDriftChecks); got != 1 {
-		t.Fatalf("farm.drift_checks = %d, want 1", got)
+		t.Fatalf("farm.drift_checks = %d after the post-sweep hit, want 1", got)
 	}
 }
 
@@ -359,7 +360,7 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	ctx := context.Background()
 
 	f1, _ := newTestFarm(t, Config{StorePath: path})
-	if _, out, err := f1.Extract(ctx, spec.Name, spec.Page(0).HTML); err != nil || !out.Learned {
+	if _, out, err := f1.Extract(ctx, spec.Name, core.NewPage(spec.Page(0).HTML)); err != nil || !out.Learned {
 		t.Fatalf("learn: out=%+v err=%v", out, err)
 	}
 	if err := f1.Close(); err != nil {
@@ -377,7 +378,7 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	if !ok || r.Version != 1 {
 		t.Fatalf("restarted rule = %+v ok=%v, want version 1", r, ok)
 	}
-	if _, out, err := f2.Extract(ctx, spec.Name, spec.Page(1).HTML); err != nil || !out.FromRule {
+	if _, out, err := f2.Extract(ctx, spec.Name, core.NewPage(spec.Page(1).HTML)); err != nil || !out.FromRule {
 		t.Fatalf("restarted farm should serve from the persisted rule: out=%+v err=%v", out, err)
 	}
 	if got := stats2.Get(SeriesLearns); got != 0 {
@@ -458,10 +459,10 @@ func TestRunDrainsSamplesAndSaves(t *testing.T) {
 	go func() { done <- f.Run(ctx) }()
 
 	site := "run.example"
-	if _, _, err := f.Extract(ctx, site, driftTrainPage(site)); err != nil {
+	if _, _, err := f.Extract(ctx, site, core.NewPage(driftTrainPage(site))); err != nil {
 		t.Fatalf("learn: %v", err)
 	}
-	if _, _, err := f.Extract(ctx, site, driftedPage(t, site)); err != nil {
+	if _, _, err := f.Extract(ctx, site, core.NewPage(driftedPage(t, site))); err != nil {
 		t.Fatalf("hit: %v", err)
 	}
 	waitFor(t, func() bool { return stats.Get(SeriesDriftDetected) == 1 })
@@ -513,7 +514,7 @@ func TestExtractorErrorsPropagate(t *testing.T) {
 		Extractor: core.New(core.Options{Limits: core.Limits{MaxInputBytes: 16}}),
 	})
 	spec := testSpec("limits.example", "row-table")
-	if _, _, err := f.Extract(context.Background(), spec.Name, spec.Page(0).HTML); err == nil {
+	if _, _, err := f.Extract(context.Background(), spec.Name, core.NewPage(spec.Page(0).HTML)); err == nil {
 		t.Fatal("oversized page did not error")
 	}
 	if f.Len() != 0 {
@@ -532,11 +533,11 @@ func TestWrapperSchemaLivesOnEntry(t *testing.T) {
 	wrapperFor := func(i int) *wrapgen.Wrapper {
 		t.Helper()
 		html := spec.Page(i).HTML
-		res, _, err := f.Extract(ctx, spec.Name, html)
+		res, _, err := f.Extract(ctx, spec.Name, core.NewPage(html))
 		if err != nil {
 			t.Fatalf("page %d: Extract: %v", i, err)
 		}
-		w, got, err := f.Wrapper(ctx, spec.Name, html, res)
+		w, got, err := f.Wrapper(ctx, spec.Name, core.NewPage(html), res)
 		if err != nil || got != res {
 			t.Fatalf("page %d: Wrapper = (%v, relearned %v), want the served result", i, err, got != res)
 		}

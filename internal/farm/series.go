@@ -31,11 +31,11 @@ var (
 	learnCount      = obs.NewCounter(SeriesLearns, "Full discoveries whose rule was stored (first learns and relearns alike).")
 	coalescedCount  = obs.NewCounter(SeriesCoalesced, "Requests that joined another request's in-flight discovery for the same site.")
 	staleCount      = obs.NewCounter(SeriesStale, "Cached rules that stopped matching their site's pages and were evicted for relearning.")
-	driftChecks     = obs.NewCounter(SeriesDriftChecks, "Drift checks run: revalidation samples plus the inline check of every Wrapper lookup.")
+	driftChecks     = obs.NewCounter(SeriesDriftChecks, "Drift checks run: sampled fast-path hits plus the check of every Wrapper lookup.")
 	driftDetected   = obs.NewCounter(SeriesDriftDetected, "Drift checks whose page had drifted past the threshold (evict and relearn).")
 	relearnCount    = obs.NewCounter(SeriesRelearn, "Successful relearns of an evicted rule (drift- or mismatch-triggered).")
 	relearnFailures = obs.NewCounter(SeriesRelearnFailures, "Relearn attempts that failed; the site stays unlearned until its next request.")
-	samplesDropped  = obs.NewCounter(SeriesSampleDropped, "Revalidation samples discarded because the sampler's queue was full.")
+	samplesDropped  = obs.NewCounter(SeriesSampleDropped, "Drifted pages not queued for relearning because the queue was full.")
 	evictionCount   = obs.NewCounter(SeriesEvictions, "Entries displaced by LRU capacity pressure (not drift or staleness).")
 	storeSaves      = obs.NewCounter(SeriesStoreSaves, "Snapshots persisted to the rule store.")
 	storeErrors     = obs.NewCounter(SeriesStoreErrors, "Failed rule-store save attempts.")

@@ -19,7 +19,8 @@ var rawTextTags = map[string]bool{
 
 // Lexer tokenizes an HTML document. It never fails: any input produces a
 // token stream (garbage in, best-effort tokens out), which is what a
-// normalizer for real web pages requires.
+// normalizer for real web pages requires. Reset points it at a document;
+// the zero value lexes the empty one.
 type Lexer struct {
 	src string
 	pos int
@@ -28,19 +29,14 @@ type Lexer struct {
 	rawUntil string
 	// attrs is a shared attribute arena: every token's Attrs is a capped
 	// sub-slice of it, so a page costs a few attribute allocations instead
-	// of one (or more) per tag. Earlier tokens keep their backing array
-	// when the arena grows.
+	// of one (or more) per tag, and none once Reset reuses it. Earlier
+	// tokens keep their backing array when the arena grows.
 	attrs []Attr
 	// lowered interns lower-cased copies of names that appear upper-cased
 	// in the source, so <TD> pays for one ToLower per distinct spelling
 	// instead of one per occurrence. Lazily allocated: fully lower-case
 	// documents never touch it.
 	lowered map[string]string
-}
-
-// NewLexer returns a Lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src}
 }
 
 // Tokenize lexes the whole of src under a resource guard, appending the
@@ -52,12 +48,44 @@ func NewLexer(src string) *Lexer {
 // never dst's backing array, so a caller may reuse that array once it
 // is done with the tokens.
 func Tokenize(dst []Token, src string, g *govern.Guard) ([]Token, error) {
-	if err := g.Input(len(src)); err != nil {
+	var lx Lexer
+	lx.Reset(src, 0)
+	return lx.Tokenize(dst, g)
+}
+
+// Reset points the lexer at src from its start. The attribute arena
+// keeps its memory for src's attributes unless it holds more than keep
+// of them, so a lexer reused page after page stops allocating its
+// arena, and the map of interned lower-case names is emptied for reuse
+// unless it held more than maxInterned of them. Reset zeroes the
+// arena first: every token lexed before it loses its attributes, and
+// src's overwrite that memory, so the caller must be done with them.
+func (lx *Lexer) Reset(src string, keep int) {
+	clear(lx.attrs)
+	attrs := lx.attrs[:0]
+	if cap(attrs) > keep {
+		attrs = nil
+	}
+	lowered := lx.lowered
+	if len(lowered) > maxInterned {
+		lowered = nil
+	}
+	clear(lowered)
+	*lx = Lexer{src: src, attrs: attrs, lowered: lowered}
+}
+
+// maxInterned bounds the interned names a reset lexer keeps the map
+// of: a page spells a few dozen tag and attribute names.
+const maxInterned = 256
+
+// Tokenize lexes the rest of the lexer's input as the package-level
+// Tokenize lexes src, appending to dst.
+func (lx *Lexer) Tokenize(dst []Token, g *govern.Guard) ([]Token, error) {
+	if err := g.Input(len(lx.src)); err != nil {
 		return nil, err
 	}
-	lx := NewLexer(src)
 	// A typical page has roughly one token per 20 bytes.
-	toks := slices.Grow(dst, len(src)/20+8)
+	toks := slices.Grow(dst, len(lx.src)/20+8)
 	for {
 		tok, ok := lx.Next()
 		if !ok {

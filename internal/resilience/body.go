@@ -37,15 +37,17 @@ func Call(client *http.Client, req *http.Request, limit int64) (Response, error)
 	}
 	defer resp.Body.Close()
 	res := Response{Status: resp.StatusCode, Header: resp.Header}
-	res.Body, err = readAtMost(resp.Body, resp.ContentLength, limit)
+	res.Body, err = readAtMost(nil, resp.Body, resp.ContentLength, limit)
 	if errors.Is(err, ErrTooLarge) {
 		_, _ = io.CopyN(io.Discard, resp.Body, maxDrain)
 	}
 	return res, err
 }
 
-// ReadBody reads at most limit bytes of r's body, failing with
-// ErrTooLarge past it. A non-zero deadline bounds the read as the
+// ReadBody reads at most limit bytes of r's body into dst's memory
+// (nil for a fresh buffer), failing with ErrTooLarge past it. The body
+// starts at dst[0]: dst's contents are overwritten, and a buffer too
+// small for the body is replaced by a larger one. A non-zero deadline bounds the read as the
 // connection's read deadline. A read that reaches the body's end, or
 // the limit, clears the deadline: net/http's own read for the next
 // request on the connection begins when the body ends, and a deadline
@@ -55,13 +57,13 @@ func Call(client *http.Client, req *http.Request, limit int64) (Response, error)
 // deadline either, so the answer goes out and the connection closes. A
 // bodiless request has nothing to bound, and a writer without a
 // connection cannot take a deadline (http.ErrNotSupported).
-func ReadBody(w http.ResponseWriter, r *http.Request, deadline time.Time, limit int64) ([]byte, error) {
+func ReadBody(w http.ResponseWriter, r *http.Request, deadline time.Time, limit int64, dst []byte) ([]byte, error) {
 	if deadline.IsZero() || r.Body == http.NoBody {
-		return readAtMost(r.Body, r.ContentLength, limit)
+		return readAtMost(dst, r.Body, r.ContentLength, limit)
 	}
 	rc := http.NewResponseController(w)
 	bounded := rc.SetReadDeadline(deadline) == nil
-	b, err := readAtMost(r.Body, r.ContentLength, limit)
+	b, err := readAtMost(dst, r.Body, r.ContentLength, limit)
 	if bounded && (err == nil || errors.Is(err, ErrTooLarge)) {
 		_ = rc.SetReadDeadline(time.Time{})
 	}
@@ -76,19 +78,22 @@ func ReadBody(w http.ResponseWriter, r *http.Request, deadline time.Time, limit 
 // much per in-flight slot.
 const maxPresizedBody = 64 << 10
 
-// readAtMost is io.ReadAll(io.LimitReader(body, limit+1)) that fails
-// with ErrTooLarge when the extra byte arrives. A body that declared its
-// length (declared > 0) within the limit starts from a buffer holding
-// all of it, up to maxPresizedBody, plus the read that sees the end, and
-// grows only if it runs longer; any other starts from io.ReadAll's 512
-// bytes.
-func readAtMost(body io.Reader, declared, limit int64) ([]byte, error) {
+// readAtMost is io.ReadAll(io.LimitReader(body, limit+1)) into dst's
+// memory that fails with ErrTooLarge when the extra byte arrives. A
+// body that declared its length (declared > 0) within the limit starts
+// from a buffer holding all of it, up to maxPresizedBody, plus the read
+// that sees the end, and grows only if it runs longer; any other starts
+// from io.ReadAll's 512 bytes. dst is used when it holds that start.
+func readAtMost(dst []byte, body io.Reader, declared, limit int64) ([]byte, error) {
 	size := int64(512)
 	if declared > 0 && declared <= limit {
 		size = min(declared, maxPresizedBody) + 1
 	}
 	lr := io.LimitedReader{R: body, N: limit + 1}
-	b := make([]byte, 0, size)
+	b := dst[:0]
+	if int64(cap(b)) < size {
+		b = make([]byte, 0, size)
+	}
 	for {
 		m, err := lr.Read(b[len(b):cap(b)])
 		b = b[:len(b)+m]

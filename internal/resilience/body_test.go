@@ -26,7 +26,7 @@ func TestReadBodyMatchesReadAll(t *testing.T) {
 		body := strings.Repeat("x", c.actual)
 		r := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(body))
 		r.ContentLength = int64(c.declared)
-		got, err := ReadBody(httptest.NewRecorder(), r, noDeadline, limit)
+		got, err := ReadBody(httptest.NewRecorder(), r, noDeadline, limit, nil)
 		if c.actual > limit {
 			if !errors.Is(err, ErrTooLarge) || got != nil {
 				t.Errorf("declared %d, sent %d: got %d bytes (%v), want ErrTooLarge", c.declared, c.actual, len(got), err)
@@ -42,7 +42,7 @@ func TestReadBodyMatchesReadAll(t *testing.T) {
 	for _, declared := range []int64{maxPresizedBody + 1, 1 << 20, limit - 1} {
 		r := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(""))
 		r.ContentLength = declared
-		got, err := ReadBody(httptest.NewRecorder(), r, noDeadline, limit)
+		got, err := ReadBody(httptest.NewRecorder(), r, noDeadline, limit, nil)
 		if err != nil || len(got) != 0 || cap(got) > maxPresizedBody+1 {
 			t.Errorf("declared %d, sent nothing: %d bytes, capacity %d (%v), want 0 bytes within capacity %d",
 				declared, len(got), cap(got), err, maxPresizedBody+1)
@@ -56,11 +56,22 @@ func TestReadBodyMatchesReadAll(t *testing.T) {
 	w := httptest.NewRecorder()
 	if n := testing.AllocsPerRun(50, func() {
 		src.Reset(page)
-		if b, err := ReadBody(w, r, noDeadline, limit); err != nil || len(b) != len(page) {
+		if b, err := ReadBody(w, r, noDeadline, limit, nil); err != nil || len(b) != len(page) {
 			t.Fatalf("read %d bytes: %v", len(b), err)
 		}
 	}); n != 1 {
 		t.Errorf("ReadBody of a declared-length body: %v allocs, want 1", n)
+	}
+	// A buffer that holds the body is read into, overwriting what it held.
+	buf := bytes.Repeat([]byte{'!'}, len(page)+1)
+	if n := testing.AllocsPerRun(50, func() {
+		src.Reset(page)
+		b, err := ReadBody(w, r, noDeadline, limit, buf)
+		if err != nil || !bytes.Equal(b, page) || &b[0] != &buf[0] {
+			t.Fatalf("read %d bytes into the caller's buffer: %v", len(b), err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadBody into a buffer that holds the body: %v allocs, want 0", n)
 	}
 }
 

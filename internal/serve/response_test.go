@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"omini/internal/core"
 	"omini/internal/corpus"
 	"omini/internal/extract"
 	"omini/internal/nav"
@@ -87,7 +88,7 @@ func TestExtractResponseMatchesEncoder(t *testing.T) {
 				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/extract?"+query, strings.NewReader(html)))
 				q, _ := url.ParseQuery(query)
 				site := q.Get("site")
-				res, out, err := twin.farm.Extract(context.Background(), site, html)
+				res, out, err := twin.farm.Extract(context.Background(), site, core.NewPage(html))
 				if err != nil {
 					if rec.Code == http.StatusOK {
 						t.Fatalf("%s page %d ?%s: twin failed (%v), server answered 200", spec.Name, k, query, err)
@@ -239,7 +240,7 @@ func TestDecisionTraceOnlyWhenAsked(t *testing.T) {
 		if b.TraceID().IsZero() {
 			t.Fatalf("request %d ?%s: not sampled", k, query)
 		}
-		res, fromRule, err := srv.extract(ctx, q.Get("site"), spec.Page(k).HTML)
+		res, fromRule, err := srv.extract(ctx, q.Get("site"), core.NewPage(spec.Page(k).HTML))
 		if err != nil {
 			t.Fatalf("request %d ?%s: %v", k, query, err)
 		}

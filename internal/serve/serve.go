@@ -748,19 +748,23 @@ const maxPooledAnswer = 256 << 10
 
 var answerBufs = sync.Pool{New: func() any { return &answerBuf{out: make([]byte, 0, 4<<10)} }}
 
+// handleExtract answers /extract. The page is released once the answer
+// is written: nothing the request leaves behind (the access-log
+// summary, the trace, the farm's rule) points into it.
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	q := infoFrom(r.Context()).query
-	html, site, ok := s.readPage(w, r, q)
+	p, site, ok := s.readPage(w, r, q)
 	if !ok {
 		return
 	}
+	defer p.Release()
 	ctx := r.Context()
 	infoFrom(ctx).setSite(site)
 	var res *core.Result
 	var fromRule bool
 	var err error
 	obs.Labelled(ctx, obs.Label{Key: "site", Value: site}, func(pctx context.Context) {
-		res, fromRule, err = s.extract(pctx, site, html)
+		res, fromRule, err = s.extract(pctx, site, p)
 	})
 	if err != nil {
 		httpError(ctx, w, err)
@@ -847,12 +851,14 @@ func (a *recordsAnswer) appendJSON(b []byte, keys []string) (out []byte, scratch
 
 // handleRecords serves /records through the same farm path as
 // /extract, then projects the objects under the site's record schema,
-// cached on the farm entry next to the rule that produced them.
+// cached on the farm entry next to the rule that produced them. The
+// page is released once the answer is written.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	html, site, ok := s.readPage(w, r, infoFrom(r.Context()).query)
+	p, site, ok := s.readPage(w, r, infoFrom(r.Context()).query)
 	if !ok {
 		return
 	}
+	defer p.Release()
 	ctx := r.Context()
 	if site == "" {
 		writeError(ctx, w, http.StatusBadRequest, "records endpoint requires ?site=")
@@ -863,8 +869,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	var wrapper *wrapgen.Wrapper
 	var err error
 	obs.Labelled(ctx, obs.Label{Key: "site", Value: site}, func(pctx context.Context) {
-		if res, _, err = s.extract(pctx, site, html); err == nil {
-			wrapper, res, err = s.farm.Wrapper(pctx, site, html, res)
+		if res, _, err = s.extract(pctx, site, p); err == nil {
+			wrapper, res, err = s.farm.Wrapper(pctx, site, p, res)
 		}
 	})
 	if err != nil {
@@ -1048,8 +1054,8 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 // hit, singleflight learn-on-miss otherwise, transparent relearn when
 // a rule stops matching. The context carries the server's registry
 // (phase spans) and, on traced requests, the trace recorder.
-func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, bool, error) {
-	res, out, err := s.farm.Extract(ctx, site, html)
+func (s *Server) extract(ctx context.Context, site string, p *core.Page) (*core.Result, bool, error) {
+	res, out, err := s.farm.Extract(ctx, site, p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1059,30 +1065,33 @@ func (s *Server) extract(ctx context.Context, site, html string) (*core.Result, 
 	return res, out.FromRule, nil
 }
 
-// readPage reads and validates the request body and the site
-// parameter of the request's query q. The request's deadline bounds
-// the read as the connection's read deadline; a read it cuts off
-// answers the timeout's 503.
-func (s *Server) readPage(w http.ResponseWriter, r *http.Request, q url.Values) (html, site string, ok bool) {
+// readPage reads the request body into a pooled page and validates it
+// and the site parameter of the request's query q. The request's
+// deadline bounds the read as the connection's read deadline; a read
+// it cuts off answers the timeout's 503. The caller releases the page
+// of an ok read; a failed read releases it here.
+func (s *Server) readPage(w http.ResponseWriter, r *http.Request, q url.Values) (p *core.Page, site string, ok bool) {
 	deadline, _ := r.Context().Deadline()
-	body, err := resilience.ReadBody(w, r, deadline, s.cfg.MaxBodyBytes)
+	p = core.GetPage()
+	body, err := resilience.ReadBody(w, r, deadline, s.cfg.MaxBodyBytes, p.Buffer())
+	p.SetBody(body)
 	switch {
 	case errors.Is(err, resilience.ErrTooLarge):
 		writeError(r.Context(), w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("body exceeds %d-byte limit", s.cfg.MaxBodyBytes))
-		return "", "", false
 	case err != nil:
 		if errors.Is(err, os.ErrDeadlineExceeded) || timedOut(r.Context()) {
 			writeTimeout(r.Context(), w)
 		} else {
 			writeError(r.Context(), w, http.StatusBadRequest, "read body: "+err.Error())
 		}
-		return "", "", false
 	case len(body) == 0:
 		writeError(r.Context(), w, http.StatusBadRequest, "empty body")
-		return "", "", false
+	default:
+		return p, q.Get("site"), true
 	}
-	return string(body), q.Get("site"), true
+	p.Release()
+	return nil, "", false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

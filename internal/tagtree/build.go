@@ -6,6 +6,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"omini/internal/govern"
 	"omini/internal/htmlparse"
@@ -37,7 +38,8 @@ func Parse(src string) (*Node, error) {
 //
 // The tree is flat in memory: a pre-count of the start-tag and content
 // tokens sizes three page-wide slabs, so a page costs a constant number of
-// allocations however many nodes it has.
+// allocations however many nodes it has (none, when the slabs are reused;
+// see Slabs).
 //
 //   - Every Node comes from one []Node slab.
 //   - Every Children slice is a capped sub-slice of one []*Node slab: an
@@ -45,8 +47,8 @@ func Parse(src string) (*Node, error) {
 //     the element closes they are copied into the slab in one piece. The
 //     capped cap means an append by a caller reallocates instead of
 //     overwriting a sibling's children.
-//   - Text that needs collapsing is collapsed into one page-wide
-//     strings.Builder and each such node's Text is a substring of it;
+//   - Text that needs collapsing is collapsed into one page-wide byte
+//     slab and each such node's Text is a string over its bytes;
 //     already-collapsed text is used as is.
 //
 // The size/count metrics are folded parent-ward as each element closes,
@@ -59,18 +61,64 @@ func Parse(src string) (*Node, error) {
 // their goroutine stacks finite on adversarially nested input. A nil guard
 // means unlimited.
 func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
+	var s Slabs
+	return s.Build(toks, g)
+}
+
+// Slabs is the memory a tag tree is built in: the node slab, the
+// children and pending pointer slab, and the collapsed-text bytes. A
+// Slabs reused for build after build allocates only when a page needs
+// more than an earlier one did. Building into it again, or resetting
+// it, overwrites the tree built before: the caller must be done with
+// that tree and everything read from it. The zero value is ready to
+// use.
+type Slabs struct {
+	// Each slab's length is the most of it any build since the last
+	// Reset may have written, so Reset zeroes no more than that.
+	nodes []Node
+	ptrs  []*Node
+	text  []byte
+}
+
+// Reset zeroes what the builds since the last Reset wrote, so a stale
+// reference into their trees reads empty nodes and zero bytes, and
+// keeps the slabs' memory for the next build unless they hold more
+// than keepNodes nodes or keepText text bytes.
+func (sl *Slabs) Reset(keepNodes, keepText int) {
+	clear(sl.nodes)
+	clear(sl.ptrs)
+	clear(sl.text)
+	if cap(sl.nodes) > keepNodes || cap(sl.text) > keepText {
+		*sl = Slabs{}
+	}
+	sl.nodes, sl.ptrs, sl.text = sl.nodes[:0], sl.ptrs[:0], sl.text[:0]
+}
+
+// Build constructs the tree of toks as the package-level Build does, in
+// the slabs' memory.
+func (sl *Slabs) Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 	nodeCount, textBytes := precount(toks)
 	if left := g.NodesLeft(); left >= 0 && nodeCount > left {
 		// The guard fails the build before node left+1 is made.
 		nodeCount = left
 	}
 	// One more node for a synthetic root; children and pending
-	// pointers share one allocation.
-	nodes := make([]Node, 0, nodeCount+1)
-	ptrs := make([]*Node, 2*nodeCount)
+	// pointers share one slab.
+	if cap(sl.nodes) < nodeCount+1 {
+		sl.nodes = make([]Node, 0, nodeCount+1)
+	}
+	if cap(sl.ptrs) < 2*nodeCount {
+		sl.ptrs = make([]*Node, 0, 2*nodeCount)
+	}
+	if cap(sl.text) < textBytes {
+		sl.text = make([]byte, 0, textBytes)
+	}
+	sl.nodes = sl.nodes[:max(len(sl.nodes), nodeCount+1)]
+	sl.ptrs = sl.ptrs[:max(len(sl.ptrs), 2*nodeCount)]
+	sl.text = sl.text[:max(len(sl.text), textBytes)]
+	nodes, text := sl.nodes[:0], sl.text[:0]
+	ptrs := sl.ptrs[:2*nodeCount]
 	slab, pending := ptrs[:0:nodeCount], ptrs[nodeCount:nodeCount:2*nodeCount]
-	var text strings.Builder
-	text.Grow(textBytes)
 
 	// open is an element on the stack with the pending index of its
 	// first child; children at the bottom (start 0) are the roots.
@@ -147,9 +195,15 @@ func Build(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 				}
 			}
 		case htmlparse.TextToken:
-			s := collapseSpace(tok.Data, &text)
-			if s == "" {
-				continue
+			s := tok.Data
+			if !isCollapsed(s) {
+				// The pre-count sized text for every such token, so
+				// the append never moves the bytes earlier nodes hold.
+				start := len(text)
+				if text = appendCollapsed(text, s); len(text) == start {
+					continue
+				}
+				s = unsafe.String(&text[start], len(text)-start)
 			}
 			if err := g.Nodes(1); err != nil {
 				return nil, err
@@ -217,18 +271,13 @@ func precount(toks []htmlparse.Token) (nodes, textBytes int) {
 	return nodes, textBytes
 }
 
-// collapseSpace trims s and collapses its internal whitespace runs to
-// single spaces, the usual HTML rendering model: the result equals
-// strings.Join(strings.Fields(s), " "), and is "" for whitespace-only
-// input. Text that is already collapsed ASCII — the overwhelmingly common
-// case — is returned unchanged. Any other text is written into buf and
-// returned as a substring of it; bytes that are not whitespace, invalid
-// UTF-8 included, are copied verbatim.
-func collapseSpace(s string, buf *strings.Builder) string {
-	if isCollapsed(s) {
-		return s
-	}
-	start := buf.Len()
+// appendCollapsed appends s trimmed, with its internal whitespace runs
+// collapsed to single spaces, to dst: the usual HTML rendering model.
+// What it appends equals strings.Join(strings.Fields(s), " "), and is
+// nothing for whitespace-only input; bytes that are not whitespace,
+// invalid UTF-8 included, are copied verbatim.
+func appendCollapsed(dst []byte, s string) []byte {
+	start := len(dst)
 	space := false // a whitespace run is pending
 	for i := 0; i < len(s); {
 		c, size := rune(s[i]), 1
@@ -238,17 +287,15 @@ func collapseSpace(s string, buf *strings.Builder) string {
 		if unicode.IsSpace(c) {
 			space = true
 		} else {
-			if space && buf.Len() > start {
-				buf.WriteByte(' ')
+			if space && len(dst) > start {
+				dst = append(dst, ' ')
 			}
 			space = false
-			buf.WriteString(s[i : i+size])
+			dst = append(dst, s[i:i+size]...)
 		}
 		i += size
 	}
-	// The builder only ever appends, so the substring stays valid as it
-	// grows.
-	return buf.String()[start:]
+	return dst
 }
 
 // isCollapsed reports whether s is non-empty ASCII without leading,
@@ -316,13 +363,14 @@ func FindPath(root *Node, path string) *Node {
 	if root == nil || path == "" {
 		return nil
 	}
-	segs := strings.Split(path, ".")
-	name, idx, ok := parseSeg(segs[0])
+	seg, rest, more := strings.Cut(path, ".")
+	name, idx, ok := parseSeg(seg)
 	if !ok || name != root.Tag || idx != root.Index {
 		return nil
 	}
 	cur := root
-	for _, seg := range segs[1:] {
+	for more {
+		seg, rest, more = strings.Cut(rest, ".")
 		name, idx, ok := parseSeg(seg)
 		if !ok || idx < 1 || idx > len(cur.Children) {
 			return nil

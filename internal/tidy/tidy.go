@@ -47,18 +47,44 @@ type normalizer struct {
 // tokens' Data and Attrs headers, so neither toks' nor dst's backing
 // array is referenced by the result's contents.
 func NormalizeTokens(dst, toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
-	n := &normalizer{out: slices.Grow(dst, len(toks)+8), g: g}
+	var z Normalizer
+	return z.Normalize(dst, toks, g)
+}
+
+// Normalizer balances token streams as NormalizeTokens does, keeping
+// the memory of its open-element stack from one stream to the next.
+// The zero value is ready to use.
+type Normalizer struct {
+	stack []openElem
+}
+
+// Normalize balances toks as NormalizeTokens does, appending to dst.
+func (z *Normalizer) Normalize(dst, toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
+	n := &normalizer{out: slices.Grow(dst, len(toks)+8), stack: z.stack[:0], g: g}
 	for i := range toks {
 		if n.err != nil {
-			return nil, n.err
+			break
 		}
 		n.feed(&toks[i])
 	}
-	n.closeAll()
+	if n.err == nil {
+		n.closeAll()
+	}
+	z.stack = n.stack[:0]
 	if n.err != nil {
 		return nil, n.err
 	}
 	return n.out, nil
+}
+
+// Reset zeroes the stack's memory, dropping its references to the
+// last stream's names and attributes, and keeps it for the next
+// stream unless it holds more than keep elements.
+func (z *Normalizer) Reset(keep int) {
+	clear(z.stack[:cap(z.stack)])
+	if cap(z.stack) > keep {
+		z.stack = nil
+	}
 }
 
 // feed routes one raw token through the normalizer.

@@ -181,8 +181,10 @@ func learnFields(objects []extract.Object) ([]Field, error) {
 	fields := make([]Field, 0, len(slots))
 	for _, s := range slots {
 		fields = append(fields, Field{
-			Name:       "", // assigned below
-			Path:       s.key.path,
+			Name: "", // assigned below
+			// A top-level path is a tag name of the page, which a
+			// served page's owner reuses; the schema outlives it.
+			Path:       strings.Clone(s.key.path),
 			Attr:       s.key.attr,
 			Occurrence: s.occurrence,
 			Support:    float64(support[s]) / float64(len(objects)),

@@ -88,14 +88,14 @@ func TestFarmPathParity(t *testing.T) {
 	for _, page := range goldenPages(t) {
 		page := page
 		t.Run(page.Name, func(t *testing.T) {
-			slow, out, err := f.Extract(ctx, page.Site, page.HTML)
+			slow, out, err := f.Extract(ctx, page.Site, core.NewPage(page.HTML))
 			if err != nil {
 				t.Fatalf("learn: %v", err)
 			}
 			if !out.Learned {
 				t.Fatalf("first farm request did not learn: %+v", out)
 			}
-			fast, out, err := f.Extract(ctx, page.Site, page.HTML)
+			fast, out, err := f.Extract(ctx, page.Site, core.NewPage(page.HTML))
 			if err != nil {
 				t.Fatalf("fast path: %v", err)
 			}

@@ -4,8 +4,10 @@
 # bench pages, plus the serving layer's BenchmarkServeExtract{Hot,Longtail}
 # and BenchmarkServeRecordsHot (a cached-rule replay, an unseen site's
 # discovery, and a replay projected to records, through the whole HTTP
-# handler), and the cluster's BenchmarkClusterHop (a coordinator
-# proxying a hot /extract to one warm peer over loopback), and emits
+# handler), the cluster's BenchmarkClusterHop (a coordinator
+# proxying a hot /extract to one warm peer over loopback), and
+# ruledist's BenchmarkRuledistSync (one anti-entropy round pulling 16
+# rules from a peer over loopback), and emits
 # BENCH_pipeline.json with ns/op, B/op and allocs/op per benchmark, so
 # successive changes can diff the performance trajectory.
 #
@@ -17,8 +19,8 @@
 # visible in one file. BENCH_COUNT (default 6) repetitions are taken and the
 # median of each figure is kept; BENCH_TIME (default 1s) sets -benchtime.
 # allocs/op repeats from run to run on any host. B/op does not repeat
-# exactly where a benchmark runs pooled paths (Phase 1's token arrays,
-# the answer buffer): a collection inside the timed loop empties the
+# exactly where a benchmark runs pooled paths (the pooled pages, the
+# answer buffer): a collection inside the timed loop empties the
 # sync.Pools, so it moves by a few percent; B/op repeats only with the
 # collector paused, as TestAllocBudgets counts. ns/op moves with the host
 # and its load, so only ns/op taken on one host in one sitting compare.
@@ -36,10 +38,12 @@ OUT=BENCH_pipeline.json
 PIPELINE='^Benchmark(Tokenize|Tidy|BuildTree|Subtree|Separator|ExtractE2E)$'
 SERVE='^BenchmarkServe(ExtractHot|ExtractLongtail|RecordsHot)$'
 CLUSTER='^BenchmarkClusterHop$'
+RULEDIST='^BenchmarkRuledistSync$'
 
 raw=$(go test -run '^$' -bench "$PIPELINE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
     go test -run '^$' -bench "$SERVE" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/serve
-    go test -run '^$' -bench "$CLUSTER" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/cluster)
+    go test -run '^$' -bench "$CLUSTER" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/cluster
+    go test -run '^$' -bench "$RULEDIST" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/ruledist)
 
 printf '%s\n' "$raw" >&2
 
@@ -92,11 +96,11 @@ baseline=$(sed '1d;$d' "$BASELINE")
 
 {
     echo '{'
-    echo "  \"suite\": \"go test -bench $PIPELINE -benchmem . && go test -bench $SERVE -benchmem ./internal/serve && go test -bench $CLUSTER -benchmem ./internal/cluster\","
+    echo "  \"suite\": \"go test -bench $PIPELINE -benchmem . && go test -bench $SERVE -benchmem ./internal/serve && go test -bench $CLUSTER -benchmem ./internal/cluster && go test -bench $RULEDIST -benchmem ./internal/ruledist\","
     echo "  \"benchtime\": \"$BENCHTIME\","
     echo "  \"count\": $COUNT,"
     echo '  "fold": "median of the runs, each figure on its own",'
-    echo '  "note": "allocs_op repeats exactly on any host and compares with every earlier refresh. b_op does not repeat exactly where a benchmark runs pooled paths (Phase 1 token arrays, the answer buffer): a collection inside the timed loop empties the sync.Pools, so it moves by a few percent from run to run (ExtractE2E/large read 450,329, 445,822 and 449,449 B/op in three runs of one tree); only allocs_op, and B/op counted with the collector paused as TestAllocBudgets does, repeat exactly. ns_op depends on the host and its load: it compares only with ns_op taken on the same host in the same sitting, not with earlier refreshes of this file.",'
+    echo '  "note": "allocs_op repeats exactly on any host and compares with every earlier refresh. b_op does not repeat exactly where a benchmark runs pooled paths (the pooled pages, the answer buffer): a collection inside the timed loop empties the sync.Pools, so it moves by a few percent from run to run (ExtractE2E/large read 450,329, 445,822 and 449,449 B/op in three runs of one tree); only allocs_op, and B/op counted with the collector paused as TestAllocBudgets does, repeat exactly. ns_op depends on the host and its load: it compares only with ns_op taken on the same host in the same sitting, not with earlier refreshes of this file.",'
     echo '  "baseline": {'
     printf '%s\n' "$baseline" | sed 's/^    /      /'
     echo '  },'

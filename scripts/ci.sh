@@ -55,14 +55,16 @@ GOGC=25 go test -run TestAllocBudgets -count=1 .
 
 # Targeted race pass over the distributed layer: the packages whose
 # goroutines, locks, and channels the concurrency analyzers reason
-# about get an extra uncached -race run under a hard time budget, so a
-# schedule-dependent regression cannot hide behind the test cache.
+# about, and core and serve, which a pooled page crosses from request
+# to request, get an extra uncached -race run under a hard time budget,
+# so a schedule-dependent regression cannot hide behind the test cache.
 # RACE_BUDGET=0 skips.
 RACE_BUDGET="${RACE_BUDGET:-240s}"
 if [ "$RACE_BUDGET" != "0" ]; then
     echo "==> distributed-layer race pass (-count=1, ${RACE_BUDGET} budget)"
     go test -race -count=1 -timeout "$RACE_BUDGET" \
-        ./internal/farm/ ./internal/ruledist/ ./internal/cluster/ ./internal/obs/
+        ./internal/farm/ ./internal/ruledist/ ./internal/cluster/ ./internal/obs/ \
+        ./internal/core/ ./internal/serve/
 fi
 
 # Cluster mode: the kill-a-node chaos proof must stay race-clean — a
@@ -98,6 +100,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/tagtree/
     go test -run '^$' -fuzz '^FuzzCollapseSpace$' -fuzztime "$FUZZTIME" ./internal/tagtree/
     go test -run '^$' -fuzz '^FuzzPathSignature$' -fuzztime "$FUZZTIME" ./internal/tagtree/
+    go test -run '^$' -fuzz '^FuzzPooledParse$' -fuzztime "$FUZZTIME" ./internal/core/
     go test -run '^$' -fuzz '^FuzzSnapshotCodec$' -fuzztime "$FUZZTIME" ./internal/farm/
     go test -run '^$' -fuzz '^FuzzFindNext$' -fuzztime "$FUZZTIME" ./internal/nav/
     go test -run '^$' -fuzz '^FuzzLogLine$' -fuzztime "$FUZZTIME" ./internal/obs/
