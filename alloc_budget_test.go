@@ -44,30 +44,36 @@ import (
 // cannot take one (see deadlineRecorder), which a server connection
 // never gives.
 var allocBudgets = map[string]float64{
-	"tokenize/small":     9,
-	"tokenize/medium":    10,
-	"tokenize/large":     11,
-	"tidy/small":         6,
-	"tidy/medium":        7,
-	"tidy/large":         7,
-	"build/small":        3,
-	"build/medium":       3,
-	"build/large":        3,
-	"discovery/small":    24,
-	"discovery/medium":   21,
-	"discovery/large":    21,
-	"combine/large":      9,
-	"replay/small":       11,
-	"replay/medium":      8,
-	"replay/large":       8,
-	"serve hot sample=0": 44,
-	"serve hot sample=1": 52,
-	"serve longtail":     74,
-	"serve records hot":  71,
-	"cluster hop":        190,
-	"ruledist sync":      833,
-	"signature/large":    6,
-	"drift/large":        6,
+	"tokenize/small":          5,
+	"tokenize/medium":         4,
+	"tokenize/large":          3,
+	"tidy/small":              6,
+	"tidy/medium":             7,
+	"tidy/large":              7,
+	"build/small":             3,
+	"build/medium":            3,
+	"build/large":             3,
+	"discovery/small":         24,
+	"discovery/medium":        21,
+	"discovery/large":         21,
+	"combine/large":           9,
+	"replay/small":            11,
+	"replay/medium":           8,
+	"replay/large":            8,
+	"discovery-public/small":  30,
+	"discovery-public/medium": 26,
+	"discovery-public/large":  25,
+	"replay-public/small":     17,
+	"replay-public/medium":    13,
+	"replay-public/large":     12,
+	"serve hot sample=0":      44,
+	"serve hot sample=1":      52,
+	"serve longtail":          74,
+	"serve records hot":       71,
+	"cluster hop":             190,
+	"ruledist sync":           833,
+	"signature/large":         6,
+	"drift/large":             6,
 }
 
 // byteBudgets are the committed ceilings on bytes allocated per call
@@ -94,7 +100,9 @@ const allocRuns = 50
 // TestAllocBudgets fails when an entry point allocates more per call
 // than its committed ceiling: Phase 1's three entry points on the
 // small, medium and large bench pages, core's discovery and rule
-// replay on a pooled page of the same pages, Phase 2 alone (the tag
+// replay on the same pages both on a pooled page released after each
+// call, as the server runs them, and through the public entry points
+// (ExtractContext, ExtractWithRuleContext), Phase 2 alone (the tag
 // index, the five separator heuristics and their combination) on the
 // large page, one hot /extract through the whole serving layer,
 // untraced and traced, one /extract that learns an unseen site, one
@@ -128,6 +136,8 @@ func TestAllocBudgets(t *testing.T) {
 		measured["build/"+size] = func() { _, _ = tagtree.Build(norm, nil) }
 		measured["discovery/"+size] = onPage(html, func(p *core.Page) { _, _ = ex.ExtractPage(ctx, p) })
 		measured["replay/"+size] = onPage(html, func(p *core.Page) { _, _ = ex.ExtractPageWithRule(ctx, p, rule) })
+		measured["discovery-public/"+size] = func() { _, _ = ex.ExtractContext(ctx, html) }
+		measured["replay-public/"+size] = func() { _, _ = ex.ExtractWithRuleContext(ctx, html, rule) }
 		if size == "large" {
 			sub := tagtree.FindPath(learned.Tree, learned.SubtreePath)
 			hs, probs := separator.All(), combine.PaperProbs()

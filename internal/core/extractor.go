@@ -156,8 +156,7 @@ func (e *Extractor) Extract(html string) (*Result, error) {
 // decisions.
 func (e *Extractor) ExtractContext(ctx context.Context, html string) (*Result, error) {
 	p := GetPage()
-	p.html = html
-	defer p.retain()
+	defer p.retain(p.lend(html))
 	return e.ExtractPage(ctx, p)
 }
 
@@ -237,8 +236,7 @@ func (e *Extractor) ExtractWithRule(html string, rule rules.Rule) (*Result, erro
 // the same span and trace behavior as ExtractContext.
 func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rule rules.Rule) (*Result, error) {
 	p := GetPage()
-	p.html = html
-	defer p.retain()
+	defer p.retain(p.lend(html))
 	return e.ExtractPageWithRule(ctx, p, rule)
 }
 
@@ -303,7 +301,7 @@ func (e *Extractor) parse(ctx context.Context, p *Page, g *govern.Guard) (*tagtr
 	var toks []htmlparse.Token
 	var err error
 	obs.Leaf(ctx, phaseTokenize, func() {
-		p.lex.Reset(p.html, maxPooledAttrs)
+		p.lex.Reset(p.html)
 		toks, err = p.lex.Tokenize(p.raw[:0], g)
 	})
 	// A failed phase leaves its token array, written past the length

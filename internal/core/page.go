@@ -26,16 +26,23 @@ import (
 // (a mismatched rule replay followed by discovery) reuses its slabs, so
 // it invalidates the earlier result of the same page: a caller parses a
 // page again only once it has dropped that result. A page from NewPage
-// that is never released, and the pages the public Extract entry points
-// use, give their results memory nothing reuses.
+// that is never released gives its result memory nothing reuses, and so
+// do the public Extract entry points: they parse into arenas of their
+// own, sized to the page, and take only scratch from the pool.
 type Page struct {
 	html string
 	body []byte
+	arenas
 
-	lex       htmlparse.Lexer
 	raw, norm []htmlparse.Token
 	tidy      tidy.Normalizer
-	tree      tagtree.Slabs
+}
+
+// arenas is the memory a result points into besides the body: the
+// lexer's attribute arena and the tree's slabs.
+type arenas struct {
+	lex  htmlparse.Lexer
+	tree tagtree.Slabs
 }
 
 // NewPage returns a page over html that comes from no pool: unless it
@@ -68,16 +75,13 @@ func (p *Page) SetBody(body []byte) {
 	p.html = unsafe.String(unsafe.SliceData(body), len(body))
 }
 
-// The caps on the memory a released page keeps: past them one
-// pathological page would pin its buffers for the process's lifetime.
-// Each holds a page of several hundred KB.
+// The caps on the body and token arrays a released page keeps: past
+// them one pathological page would pin its buffers for the process's
+// lifetime. Each holds a page of several hundred KB. The lexer, tidy
+// and tree memory is capped by its own Reset.
 const (
 	maxPooledBody   = 1 << 20
 	maxPooledTokens = 1 << 15
-	maxPooledAttrs  = 1 << 14
-	maxPooledStack  = 1 << 10
-	maxPooledNodes  = 1 << 14
-	maxPooledText   = 1 << 18
 )
 
 // Release zeroes the page's memory, so a reference that outlived it
@@ -87,8 +91,8 @@ const (
 func (p *Page) Release() {
 	// The lexer's interning map is keyed by strings of the body, so it
 	// is emptied before the body is zeroed.
-	p.lex.Reset("", maxPooledAttrs)
-	p.tree.Reset(maxPooledNodes, maxPooledText)
+	p.lex.Reset("")
+	p.tree.Reset()
 	// Only SetBody writes the buffer, so its length covers every byte.
 	clear(p.body)
 	p.body, p.html = p.body[:0], ""
@@ -98,14 +102,24 @@ func (p *Page) Release() {
 	p.releaseScratch()
 }
 
-// retain is Release for a page whose result lives on, as a public
-// entry point's does: the lexer's arena and the tree's slabs go with
-// the result, and only the scratch nothing extracted points into (the
-// token arrays, tidy's stack, the body buffer) returns to the pool.
-func (p *Page) retain() {
+// lend readies a pooled page over html for a public entry point, whose
+// result outlives the call: the page's arenas are set aside and
+// returned, so the parse makes arenas of its own, sized to html, and
+// the result holds nothing another page will reuse.
+func (p *Page) lend(html string) arenas {
+	kept := p.arenas
+	p.arenas = arenas{}
+	p.html = html
+	return kept
+}
+
+// retain is Release for a page lent to a public entry point: the arenas
+// its parse made go with the result, the page takes back the arenas
+// lend set aside, and only the scratch nothing extracted points into
+// (the token arrays, tidy's stack) is zeroed.
+func (p *Page) retain(kept arenas) {
 	p.html = ""
-	p.lex = htmlparse.Lexer{}
-	p.tree = tagtree.Slabs{}
+	p.arenas = kept
 	p.releaseScratch()
 }
 
@@ -114,7 +128,7 @@ func (p *Page) retain() {
 func (p *Page) releaseScratch() {
 	p.raw = clearTokens(p.raw)
 	p.norm = clearTokens(p.norm)
-	p.tidy.Reset(maxPooledStack)
+	p.tidy.Reset()
 	pagePool.Put(p)
 }
 

@@ -76,3 +76,42 @@ func TestReleaseZeroesThePage(t *testing.T) {
 		t.Fatalf("released tree still reads root %q with %d children, item %q", root.Tag, len(root.Children), li.Tag)
 	}
 }
+
+// TestLentPageParsesIntoItsOwnArenas: a public entry point lends a
+// pooled page that may hold the arenas of a large page served before.
+// Its parse must make arenas sized to its own page, so a result of a
+// small page does not pin the large one's memory, and the page must
+// get the pooled arenas back for the next request.
+func TestLentPageParsesIntoItsOwnArenas(t *testing.T) {
+	e, ctx := New(Options{}), context.Background()
+	p := new(Page)
+	p.SetBody([]byte(corpus.BenchPage("large").HTML))
+	if _, err := e.parse(ctx, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	// What Release leaves, without handing the page to the pool.
+	p.lex.Reset("")
+	p.tree.Reset()
+	pooled := arenaCaps(p.arenas)
+
+	kept := p.lend(corpus.BenchPage("small").HTML)
+	if _, err := e.parse(ctx, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := arenaCaps(kept); got != pooled {
+		t.Fatalf("set-aside arenas hold %v, want the pooled %v", got, pooled)
+	}
+	own := arenaCaps(p.arenas)
+	for i := range own {
+		if own[i] == 0 || own[i] >= pooled[i] {
+			t.Fatalf("the small page parsed into arenas of %v, want each nonzero and under the pooled %v", own, pooled)
+		}
+	}
+}
+
+// arenaCaps reports the capacities of the attribute arena and of the
+// node and text slabs.
+func arenaCaps(a arenas) [3]int {
+	lex, tree := reflect.ValueOf(a.lex), reflect.ValueOf(a.tree)
+	return [3]int{lex.FieldByName("attrs").Cap(), tree.FieldByName("nodes").Cap(), tree.FieldByName("text").Cap()}
+}

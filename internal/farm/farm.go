@@ -571,9 +571,10 @@ func (f *Farm) snapshotRules(g *govern.Guard) ([]StoredRule, error) {
 // maybeSample drift-checks a fast-path extraction on the request that
 // served it: every SampleEvery-th hit of a site, plus any hit after a
 // periodic sweep flagged the entry. A page past the threshold is copied
-// and queued for the background relearn. Sampling never blocks serving;
-// a full queue drops the page (counted) and flags the entry, so the
-// site's next hit is checked again.
+// and queued for the background relearn. Sampling never blocks serving:
+// while the queue is full a sample is dropped (counted) before it is
+// scored or copied, and only a sweep's claim is kept for the site's
+// next hit; any other site is checked again on its next sampled hit.
 func (f *Farm) maybeSample(site string, p *core.Page, e *entry, res *core.Result) {
 	if len(e.sig) == 0 || res.Tree == nil {
 		return
@@ -582,13 +583,27 @@ func (f *Farm) maybeSample(site string, p *core.Page, e *entry, res *core.Result
 	if !forced && (f.cfg.SampleEvery <= 0 || n%int64(f.cfg.SampleEvery) != 0) {
 		return
 	}
+	if len(f.samples) == cap(f.samples) {
+		f.dropSample(e, forced)
+		return
+	}
 	if !f.drifted(site, e, res) {
 		return
 	}
+	s := sample{site: site, html: strings.Clone(p.HTML()), version: e.rule.Version}
 	select {
-	case f.samples <- sample{site: site, html: strings.Clone(p.HTML()), version: e.rule.Version}:
+	case f.samples <- s:
 	default:
-		samplesDropped.Add(f.stats, 1)
+		// Another request filled the queue since the check above.
+		f.dropSample(e, forced)
+	}
+}
+
+// dropSample counts a sample the full queue turned away; a sweep's
+// claim on the entry is kept for its next hit.
+func (f *Farm) dropSample(e *entry, forced bool) {
+	samplesDropped.Add(f.stats, 1)
+	if forced {
 		e.hits.flag()
 	}
 }

@@ -80,3 +80,53 @@ func TestDriftedPageOutlivesRelease(t *testing.T) {
 		t.Fatalf("relearned rule %+v, want %s/%s at version 2", r, want.SubtreePath, want.Separator)
 	}
 }
+
+// TestFullQueueSkipsDriftCheck fills a one-slot relearn queue with one
+// drifted site, then serves another drifted site: while the queue is
+// full its sampled hits are dropped before they are scored or copied,
+// so drift checks and queued copies stay at one per queued page.
+func TestFullQueueSkipsDriftCheck(t *testing.T) {
+	f, stats := newTestFarm(t, Config{SampleEvery: 1, SampleQueue: 1})
+	ctx := context.Background()
+	sites := []string{"drift-a.example", "drift-b.example"}
+	for _, site := range sites {
+		if _, _, err := f.Extract(ctx, site, core.NewPage(driftTrainPage(site))); err != nil {
+			t.Fatalf("learn %s: %v", site, err)
+		}
+	}
+	serve := func(site string) {
+		t.Helper()
+		if _, out, err := f.Extract(ctx, site, core.NewPage(driftedPage(t, site))); err != nil || !out.FromRule {
+			t.Fatalf("%s: drifted page should replay: out=%+v err=%v", site, out, err)
+		}
+	}
+	serve(sites[0])
+	for i := 0; i < 3; i++ {
+		serve(sites[1])
+	}
+	if got := stats.Get(SeriesDriftChecks); got != 1 {
+		t.Fatalf("farm.drift_checks = %d with the queue full, want 1", got)
+	}
+	if got := stats.Get(SeriesDriftDetected); got != 1 {
+		t.Fatalf("farm.drift_detected = %d with the queue full, want 1", got)
+	}
+	if got := stats.Get(SeriesSampleDropped); got != 3 {
+		t.Fatalf("farm.samples_dropped = %d, want 3", got)
+	}
+	if n := f.Revalidate(ctx); n != 1 {
+		t.Fatalf("Revalidate relearned %d pages, want 1", n)
+	}
+	// With the queue drained, the next sampled hit is scored and queued.
+	serve(sites[1])
+	if got := stats.Get(SeriesDriftChecks); got != 2 {
+		t.Fatalf("farm.drift_checks = %d after the queue drained, want 2", got)
+	}
+	if n := f.Revalidate(ctx); n != 1 {
+		t.Fatalf("Revalidate relearned %d pages after the queue drained, want 1", n)
+	}
+	for _, site := range sites {
+		if r, _ := f.Get(site); r.Version != 2 {
+			t.Fatalf("%s: rule version %d, want 2", site, r.Version)
+		}
+	}
+}

@@ -35,7 +35,7 @@ var (
 	driftDetected   = obs.NewCounter(SeriesDriftDetected, "Drift checks whose page had drifted past the threshold (evict and relearn).")
 	relearnCount    = obs.NewCounter(SeriesRelearn, "Successful relearns of an evicted rule (drift- or mismatch-triggered).")
 	relearnFailures = obs.NewCounter(SeriesRelearnFailures, "Relearn attempts that failed; the site stays unlearned until its next request.")
-	samplesDropped  = obs.NewCounter(SeriesSampleDropped, "Drifted pages not queued for relearning because the queue was full.")
+	samplesDropped  = obs.NewCounter(SeriesSampleDropped, "Sampled fast-path hits discarded unchecked because the relearn queue was full.")
 	evictionCount   = obs.NewCounter(SeriesEvictions, "Entries displaced by LRU capacity pressure (not drift or staleness).")
 	storeSaves      = obs.NewCounter(SeriesStoreSaves, "Snapshots persisted to the rule store.")
 	storeErrors     = obs.NewCounter(SeriesStoreErrors, "Failed rule-store save attempts.")

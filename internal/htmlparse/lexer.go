@@ -49,21 +49,22 @@ type Lexer struct {
 // is done with the tokens.
 func Tokenize(dst []Token, src string, g *govern.Guard) ([]Token, error) {
 	var lx Lexer
-	lx.Reset(src, 0)
+	lx.Reset(src)
 	return lx.Tokenize(dst, g)
 }
 
 // Reset points the lexer at src from its start. The attribute arena
-// keeps its memory for src's attributes unless it holds more than keep
-// of them, so a lexer reused page after page stops allocating its
-// arena, and the map of interned lower-case names is emptied for reuse
-// unless it held more than maxInterned of them. Reset zeroes the
-// arena first: every token lexed before it loses its attributes, and
-// src's overwrite that memory, so the caller must be done with them.
-func (lx *Lexer) Reset(src string, keep int) {
+// keeps its memory for src's attributes unless it holds more than
+// maxKeptAttrs of them, so a lexer reused page after page stops
+// allocating its arena, and the map of interned lower-case names is
+// emptied for reuse unless it held more than maxInterned of them.
+// Reset zeroes the arena first: every token lexed before it loses its
+// attributes, and src's overwrite that memory, so the caller must be
+// done with them.
+func (lx *Lexer) Reset(src string) {
 	clear(lx.attrs)
 	attrs := lx.attrs[:0]
-	if cap(attrs) > keep {
+	if cap(attrs) > maxKeptAttrs {
 		attrs = nil
 	}
 	lowered := lx.lowered
@@ -74,9 +75,15 @@ func (lx *Lexer) Reset(src string, keep int) {
 	*lx = Lexer{src: src, attrs: attrs, lowered: lowered}
 }
 
-// maxInterned bounds the interned names a reset lexer keeps the map
-// of: a page spells a few dozen tag and attribute names.
-const maxInterned = 256
+// maxKeptAttrs caps the attribute arena a reset lexer keeps: past it
+// one pathological page would pin its arena for as long as the lexer
+// lives. It holds a page of several hundred KB. maxInterned bounds the
+// interned names a reset lexer keeps the map of: a page spells a few
+// dozen tag and attribute names.
+const (
+	maxKeptAttrs = 1 << 14
+	maxInterned  = 256
+)
 
 // Tokenize lexes the rest of the lexer's input as the package-level
 // Tokenize lexes src, appending to dst.
@@ -84,8 +91,11 @@ func (lx *Lexer) Tokenize(dst []Token, g *govern.Guard) ([]Token, error) {
 	if err := g.Input(len(lx.src)); err != nil {
 		return nil, err
 	}
-	// A typical page has roughly one token per 20 bytes.
+	// A typical page has roughly one token per 20 bytes, and at least
+	// one attribute per 200: an arena that starts at one per 128 grows
+	// once or twice instead of from nothing.
 	toks := slices.Grow(dst, len(lx.src)/20+8)
+	lx.attrs = slices.Grow(lx.attrs, len(lx.src)/128)
 	for {
 		tok, ok := lx.Next()
 		if !ok {

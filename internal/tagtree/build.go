@@ -83,16 +83,24 @@ type Slabs struct {
 // Reset zeroes what the builds since the last Reset wrote, so a stale
 // reference into their trees reads empty nodes and zero bytes, and
 // keeps the slabs' memory for the next build unless they hold more
-// than keepNodes nodes or keepText text bytes.
-func (sl *Slabs) Reset(keepNodes, keepText int) {
+// than maxKeptNodes nodes or maxKeptText text bytes.
+func (sl *Slabs) Reset() {
 	clear(sl.nodes)
 	clear(sl.ptrs)
 	clear(sl.text)
-	if cap(sl.nodes) > keepNodes || cap(sl.text) > keepText {
+	if cap(sl.nodes) > maxKeptNodes || cap(sl.text) > maxKeptText {
 		*sl = Slabs{}
 	}
 	sl.nodes, sl.ptrs, sl.text = sl.nodes[:0], sl.ptrs[:0], sl.text[:0]
 }
+
+// The caps on the slabs a reset Slabs keeps: past them one
+// pathological page would pin its tree for as long as the Slabs lives.
+// Each holds a page of several hundred KB.
+const (
+	maxKeptNodes = 1 << 14
+	maxKeptText  = 1 << 18
+)
 
 // Build constructs the tree of toks as the package-level Build does, in
 // the slabs' memory.

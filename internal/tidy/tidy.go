@@ -79,13 +79,18 @@ func (z *Normalizer) Normalize(dst, toks []htmlparse.Token, g *govern.Guard) ([]
 
 // Reset zeroes the stack's memory, dropping its references to the
 // last stream's names and attributes, and keeps it for the next
-// stream unless it holds more than keep elements.
-func (z *Normalizer) Reset(keep int) {
+// stream unless it holds more than maxKeptStack elements.
+func (z *Normalizer) Reset() {
 	clear(z.stack[:cap(z.stack)])
-	if cap(z.stack) > keep {
+	if cap(z.stack) > maxKeptStack {
 		z.stack = nil
 	}
 }
+
+// maxKeptStack caps the open-element stack a reset Normalizer keeps:
+// real pages nest a few dozen deep, and past the cap one adversarially
+// deep stream would pin its stack for as long as the Normalizer lives.
+const maxKeptStack = 1 << 10
 
 // feed routes one raw token through the normalizer.
 func (n *normalizer) feed(tok *htmlparse.Token) {
