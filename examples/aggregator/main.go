@@ -15,9 +15,9 @@ import (
 	"strings"
 
 	"omini/internal/core"
+	"omini/internal/farm"
 	"omini/internal/fetch"
 	"omini/internal/nav"
-	"omini/internal/rules"
 	"omini/internal/sitegen"
 	"omini/internal/tagtree"
 )
@@ -61,11 +61,15 @@ func main() {
 	}
 	defer srv.Close()
 
+	// The farm is the rule cache: each site's first page learns its
+	// rule, once, and the site's other pages replay it.
+	rulesFarm, err := farm.New(farm.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var (
-		f         fetch.Fetcher
-		ctx       = context.Background()
-		extractor = core.New(core.Options{})
-		store     = rules.NewStore()
+		f   fetch.Fetcher
+		ctx = context.Background()
 	)
 
 	type hit struct {
@@ -93,7 +97,7 @@ func main() {
 				}
 			}
 		}
-		results := extractor.ExtractBatch(ctx, batch, core.BatchOptions{Rules: store})
+		results := rulesFarm.ExtractBatch(ctx, batch, core.BatchOptions{})
 		ruleHits := 0
 		for _, r := range results {
 			if r.Err != nil {

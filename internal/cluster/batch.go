@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strings"
-	"sync"
 
 	"omini/internal/core"
 	"omini/internal/govern"
@@ -46,58 +44,16 @@ type BatchOptions struct {
 // through the same failover walk as interactive requests, so pages
 // assigned to a node that dies mid-batch are transparently re-served
 // by survivors — or by the coordinator's local fallback when no
-// survivor remains. PR-4's batch semantics are preserved: results are
-// in input order, cancelling ctx stops dispatch promptly, and requests
-// never handed to a worker report core.ErrUndispatched wrapping
-// ctx.Err(). A page that exhausts its routing budget dead-letters with
-// govern.ErrDeadline while the pool survives.
+// survivor remains. Dispatch is core.Dispatch: results are in input
+// order, cancelling ctx stops dispatch promptly, a page in flight
+// reports the cancellation, and a page on which no work started
+// reports core.ErrUndispatched wrapping ctx.Err(). A page that
+// exhausts its routing budget dead-letters with govern.ErrDeadline
+// while the pool survives.
 func (c *Coordinator) ExtractBatch(ctx context.Context, reqs []core.BatchRequest, opts BatchOptions) []BatchResult {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	results := make([]BatchResult, len(reqs))
-	dispatched := make([]bool, len(reqs))
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = c.extractPage(ctx, reqs[i])
-			}
-		}()
-	}
-	// The dispatch loop runs on the calling goroutine, so it owns this
-	// guard; each worker page runs under its own (extractPage).
-	g := govern.NewGuard(ctx, govern.Unlimited())
-dispatch:
-	for i := 0; i < len(reqs); i++ {
-		if err := g.Poll(); err != nil {
-			break dispatch
-		}
-		select {
-		case next <- i:
-			dispatched[i] = true
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	// Mark undispatched requests distinctly from interrupted ones.
-	for i := range reqs {
-		if !dispatched[i] {
-			results[i] = BatchResult{Site: reqs[i].Site, Err: fmt.Errorf("%w: %w", core.ErrUndispatched, ctx.Err())}
-		}
-	}
-	return results
+	return core.Dispatch(ctx, reqs, opts.Workers,
+		func(req core.BatchRequest) BatchResult { return c.extractPage(ctx, req) },
+		func(req core.BatchRequest, err error) BatchResult { return BatchResult{Site: req.Site, Err: err} })
 }
 
 // extractPage routes one batch page through the cluster, capturing the
@@ -138,9 +94,13 @@ func (c *Coordinator) extractPage(ctx context.Context, req core.BatchRequest) Ba
 		redispatches.Add(c.stats, 1)
 	}
 	switch {
+	case buf.status < 400:
+	case ctx.Err() != nil:
+		// The batch was cancelled while the page was routed.
+		out.Err = fmt.Errorf("cluster: page interrupted: %w", ctx.Err())
 	case buf.status == http.StatusGatewayTimeout:
 		out.Err = fmt.Errorf("%w: cluster: page routing budget exhausted", govern.ErrDeadline)
-	case buf.status >= 400:
+	default:
 		out.Err = fmt.Errorf("cluster: page failed: status %d", buf.status)
 	}
 	if out.Err != nil {

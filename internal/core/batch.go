@@ -10,7 +10,6 @@ import (
 
 	"omini/internal/govern"
 	"omini/internal/obs"
-	"omini/internal/rules"
 )
 
 // ErrPanicked marks a per-page extraction that panicked; the worker pool
@@ -33,7 +32,9 @@ const defaultPageTimeout = 30 * time.Second
 // introduction motivates — hundreds of result pages from many sites,
 // extracted concurrently, with each site's first page paying for discovery
 // and the rest replaying the learned rule (Section 6.6's optimization,
-// applied fleet-wide).
+// applied fleet-wide). The rule cache is the caller's: RunBatch takes
+// the per-page extraction as a function, and the wrapper farm's
+// ExtractBatch passes its own Extract.
 
 // BatchRequest is one page to extract.
 type BatchRequest struct {
@@ -56,13 +57,10 @@ type BatchResult struct {
 	Err error
 }
 
-// BatchOptions tune ExtractBatch.
+// BatchOptions tune RunBatch.
 type BatchOptions struct {
 	// Workers bounds concurrency (default: GOMAXPROCS).
 	Workers int
-	// Rules supplies (and collects) per-site extraction rules; nil uses a
-	// private store for the batch.
-	Rules *rules.Store
 	// PageTimeout is the per-page watchdog: a page still running after
 	// this long is abandoned with a govern.ErrDeadline result while its
 	// worker moves on. Zero applies defaultPageTimeout; negative
@@ -70,43 +68,31 @@ type BatchOptions struct {
 	PageTimeout time.Duration
 }
 
-// ExtractBatch extracts every request concurrently, preserving input order
-// in the results. Rules are learned on first success per site and replayed
-// on subsequent pages; a replay that no longer matches falls back to
-// rediscovery and refreshes the cached rule.
-//
-// Cancelling the context stops the batch promptly: dispatch halts, and
-// in-flight pages observe the cancellation through their governor polls
-// and abort with results carrying ctx.Err(). Requests on which no work
-// started — never handed to a worker, or received by one only after the
-// cancellation — report ErrUndispatched (wrapping ctx.Err()) instead,
-// so callers can tell interrupted work from work that never started. Each
-// page additionally runs under the PageTimeout watchdog: a stuck or
-// over-budget page fails individually with govern.ErrDeadline while
-// the pool survives.
-func (e *Extractor) ExtractBatch(ctx context.Context, reqs []BatchRequest, opts BatchOptions) []BatchResult {
-	workers := opts.Workers
+// PageFunc extracts one batch page, reporting whether a cached rule
+// served it.
+type PageFunc func(ctx context.Context, req BatchRequest) (res *Result, fromRule bool, err error)
+
+// Dispatch hands every request, in input order, to at most workers
+// goroutines (GOMAXPROCS when workers <= 0) that call run, and returns
+// the results in input order once every run has returned. Cancelling
+// the context stops dispatch promptly. A request on which no work
+// started — never handed to a worker, or received by one only after
+// the cancellation — gets undispatched(req, err) instead, with err
+// ErrUndispatched wrapping ctx.Err(), so callers can tell interrupted
+// work from work that never started.
+func Dispatch[R any](ctx context.Context, reqs []BatchRequest, workers int, run func(BatchRequest) R, undispatched func(BatchRequest, error) R) []R {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(reqs) {
 		workers = len(reqs)
 	}
-	store := opts.Rules
-	if store == nil {
-		store = rules.NewStore()
+	skip := func(i int) R {
+		return undispatched(reqs[i], fmt.Errorf("%w: %w", ErrUndispatched, ctx.Err()))
 	}
-	timeout := opts.PageTimeout
-	if timeout == 0 {
-		timeout = defaultPageTimeout
-	}
-
-	results := make([]BatchResult, len(reqs))
-	dispatched := make([]bool, len(reqs))
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
+	results := make([]R, len(reqs))
+	next := make(chan int)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -119,35 +105,49 @@ func (e *Extractor) ExtractBatch(ctx context.Context, reqs []BatchRequest, opts 
 				// reports ErrUndispatched like its never-sent peers rather
 				// than masquerading as an interrupted extraction.
 				if ctx.Err() != nil {
-					results[i] = BatchResult{Site: reqs[i].Site, Err: fmt.Errorf("%w: %w", ErrUndispatched, ctx.Err())}
+					results[i] = skip(i)
 					continue
 				}
-				req := reqs[i]
-				results[i] = e.extractOne(ctx, req, store, timeout)
+				results[i] = run(reqs[i])
 			}
 		}()
 	}
+	// Requests are sent in order, so those from sent on never were.
+	sent := 0
 dispatch:
-	for i := 0; i < len(reqs); i++ {
+	for ; sent < len(reqs); sent++ {
 		select {
-		case next <- i:
-			dispatched[i] = true
+		case next <- sent:
 		case <-ctx.Done():
 			break dispatch
 		}
 	}
 	close(next)
 	wg.Wait()
-	// Mark undispatched requests distinctly from interrupted ones.
-	for i := range reqs {
-		if !dispatched[i] {
-			results[i] = BatchResult{Site: reqs[i].Site, Err: fmt.Errorf("%w: %w", ErrUndispatched, ctx.Err())}
-		}
+	for i := sent; i < len(reqs); i++ {
+		results[i] = skip(i)
 	}
 	return results
 }
 
-// extractOne serves a single batch request under the per-page watchdog.
+// RunBatch extracts every request with extract through Dispatch,
+// preserving input order in the results. Each page runs under the
+// PageTimeout watchdog: a stuck or over-budget page fails individually
+// with govern.ErrDeadline, and a page whose extraction panics fails
+// with ErrPanicked, while the pool survives. Pages in flight when the
+// context is cancelled observe it through their governor polls and
+// abort with results carrying ctx.Err().
+func RunBatch(ctx context.Context, reqs []BatchRequest, opts BatchOptions, extract PageFunc) []BatchResult {
+	timeout := opts.PageTimeout
+	if timeout == 0 {
+		timeout = defaultPageTimeout
+	}
+	return Dispatch(ctx, reqs, opts.Workers,
+		func(req BatchRequest) BatchResult { return watchPage(ctx, req, timeout, extract) },
+		func(req BatchRequest, err error) BatchResult { return BatchResult{Site: req.Site, Err: err} })
+}
+
+// watchPage serves a single batch request under the per-page watchdog.
 // The page itself runs in a child goroutine; if it outlives the
 // watchdog, this worker abandons it (the page's governor polls observe
 // the expired context and it exits on its own shortly) and reports a
@@ -158,7 +158,7 @@ dispatch:
 // operator can reconcile a batch's results against /metricsz. Error and
 // rule-hit counters are charged here, on the receiving side, so an
 // abandoned page can never double-count its result.
-func (e *Extractor) extractOne(ctx context.Context, req BatchRequest, store *rules.Store, timeout time.Duration) BatchResult {
+func watchPage(ctx context.Context, req BatchRequest, timeout time.Duration, extract PageFunc) BatchResult {
 	reg := obs.RegistryFrom(ctx)
 	batchPageCount.Add(reg, 1)
 	pctx, cancel := ctx, context.CancelFunc(func() {})
@@ -168,7 +168,7 @@ func (e *Extractor) extractOne(ctx context.Context, req BatchRequest, store *rul
 	defer cancel()
 
 	done := make(chan BatchResult, 1)
-	go func() { done <- e.extractPage(pctx, reg, req, store) }()
+	go func() { done <- isolatePage(pctx, reg, req, extract) }()
 
 	var out BatchResult
 	select {
@@ -196,10 +196,10 @@ func (e *Extractor) extractOne(ctx context.Context, req BatchRequest, store *rul
 	return out
 }
 
-// extractPage runs one page through the rule cache. A panic anywhere in
-// the pipeline is isolated to this page: one pathological page yields
-// one error result, never a dead worker pool.
-func (e *Extractor) extractPage(ctx context.Context, reg *obs.Registry, req BatchRequest, store *rules.Store) (out BatchResult) {
+// isolatePage runs extract on one page. A panic anywhere in the
+// pipeline is isolated to this page: one pathological page yields one
+// error result, never a dead worker pool.
+func isolatePage(ctx context.Context, reg *obs.Registry, req BatchRequest, extract PageFunc) (out BatchResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			batchPanics.Add(reg, 1)
@@ -213,26 +213,6 @@ func (e *Extractor) extractPage(ctx context.Context, reg *obs.Registry, req Batc
 		}
 	}()
 	out = BatchResult{Site: req.Site}
-	if req.Site != "" {
-		if rule, err := store.Get(req.Site); err == nil {
-			if res, err := e.ExtractWithRuleContext(ctx, req.HTML, rule); err == nil {
-				out.Result = res
-				out.FromRule = true
-				return out
-			}
-			// Stale rule; rediscover below and refresh.
-		}
-	}
-	res, err := e.ExtractContext(ctx, req.HTML)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Result = res
-	if req.Site != "" {
-		// Best effort: a racing worker may already have stored a rule for
-		// the site; last write wins and both rules are valid.
-		_ = store.Put(res.Rule(req.Site))
-	}
+	out.Result, out.FromRule, out.Err = extract(ctx, req)
 	return out
 }

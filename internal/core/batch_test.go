@@ -1,19 +1,38 @@
-package core
+package core_test
 
 import (
 	"context"
 	"errors"
+	"io"
+	"sync"
 	"testing"
+	"time"
 
+	"omini/internal/core"
+	"omini/internal/farm"
 	"omini/internal/govern"
+	"omini/internal/obs"
 	"omini/internal/rules"
 	"omini/internal/sitegen"
 	"omini/internal/subtree"
 	"omini/internal/tagtree"
 )
 
+// newFarm builds the farm a batch runs through, on a private registry
+// so counter asserts are isolated per test.
+func newFarm(t *testing.T, cfg farm.Config) (*farm.Farm, *obs.Registry) {
+	t.Helper()
+	cfg.Stats = obs.NewRegistry()
+	cfg.Logger = obs.NewLogger(io.Discard, obs.LevelError)
+	f, err := farm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, cfg.Stats
+}
+
 // batchPages builds a batch over several sites' pages.
-func batchPages(t *testing.T, perSite int) []BatchRequest {
+func batchPages(t *testing.T, perSite int) []core.BatchRequest {
 	t.Helper()
 	specs := []sitegen.SiteSpec{
 		{
@@ -29,20 +48,20 @@ func batchPages(t *testing.T, perSite int) []BatchRequest {
 			LayoutName: "para-record", MinItems: 5, MaxItems: 12,
 		},
 	}
-	var reqs []BatchRequest
+	var reqs []core.BatchRequest
 	for i := 0; i < perSite; i++ {
 		for _, spec := range specs {
 			page := spec.Page(i)
-			reqs = append(reqs, BatchRequest{Site: spec.Name, HTML: page.HTML})
+			reqs = append(reqs, core.BatchRequest{Site: spec.Name, HTML: page.HTML})
 		}
 	}
 	return reqs
 }
 
 func TestExtractBatchBasic(t *testing.T) {
-	e := New(Options{})
+	f, reg := newFarm(t, farm.Config{})
 	reqs := batchPages(t, 4)
-	results := e.ExtractBatch(context.Background(), reqs, BatchOptions{Workers: 4})
+	results := f.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 4})
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}
@@ -66,18 +85,20 @@ func TestExtractBatchBasic(t *testing.T) {
 	if fromRule < len(reqs)/2 {
 		t.Errorf("only %d/%d extractions used cached rules", fromRule, len(reqs))
 	}
+	if got := reg.Get(farm.SeriesLearns); got != 3 {
+		t.Errorf("farm.learns = %d, want 3 (one per site)", got)
+	}
 }
 
 func TestExtractBatchSharedStore(t *testing.T) {
-	e := New(Options{})
-	store := rules.NewStore()
+	f, _ := newFarm(t, farm.Config{})
 	reqs := batchPages(t, 2)
-	e.ExtractBatch(context.Background(), reqs, BatchOptions{Workers: 2, Rules: store})
-	if store.Len() != 3 {
-		t.Errorf("store holds %d rules, want 3 sites", store.Len())
+	f.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 2})
+	if f.Len() != 3 {
+		t.Errorf("store holds %d rules, want 3 sites", f.Len())
 	}
 	// A second batch starts warm: every page should take the rule path.
-	results := e.ExtractBatch(context.Background(), reqs, BatchOptions{Workers: 2, Rules: store})
+	results := f.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 2})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("warm request %d: %v", i, r.Err)
@@ -89,14 +110,14 @@ func TestExtractBatchSharedStore(t *testing.T) {
 }
 
 func TestExtractBatchMixedFailures(t *testing.T) {
-	e := New(Options{})
+	f, _ := newFarm(t, farm.Config{})
 	good := sitegen.LOC()
-	reqs := []BatchRequest{
+	reqs := []core.BatchRequest{
 		{Site: good.Site, HTML: good.HTML},
 		{Site: "bad.example", HTML: "<html><body>prose only</body></html>"},
 		{Site: good.Site, HTML: good.HTML},
 	}
-	results := e.ExtractBatch(context.Background(), reqs, BatchOptions{Workers: 2})
+	results := f.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 2})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Errorf("good pages failed: %v / %v", results[0].Err, results[2].Err)
 	}
@@ -106,11 +127,11 @@ func TestExtractBatchMixedFailures(t *testing.T) {
 }
 
 func TestExtractBatchCancellation(t *testing.T) {
-	e := New(Options{})
+	f, _ := newFarm(t, farm.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before dispatch
 	reqs := batchPages(t, 2)
-	results := e.ExtractBatch(ctx, reqs, BatchOptions{Workers: 1})
+	results := f.ExtractBatch(ctx, reqs, core.BatchOptions{Workers: 1})
 	undispatched := 0
 	for i, r := range results {
 		// Every page — dispatched and interrupted by the governor, or
@@ -118,7 +139,7 @@ func TestExtractBatchCancellation(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("request %d: err = %v, want context.Canceled", i, r.Err)
 		}
-		if errors.Is(r.Err, ErrUndispatched) {
+		if errors.Is(r.Err, core.ErrUndispatched) {
 			undispatched++
 		}
 	}
@@ -128,16 +149,13 @@ func TestExtractBatchCancellation(t *testing.T) {
 }
 
 func TestExtractBatchStaleRule(t *testing.T) {
-	e := New(Options{})
-	store := rules.NewStore()
+	f, _ := newFarm(t, farm.Config{})
 	// Seed a rule that does not match the pages.
-	if err := store.Put(rules.Rule{
+	f.Put(rules.Rule{
 		Site: "batch-a.example", SubtreePath: "html[1].body[2].div[9]", Separator: "li",
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}, nil)
 	reqs := batchPages(t, 1)[:1] // one batch-a page
-	results := e.ExtractBatch(context.Background(), reqs, BatchOptions{Workers: 1, Rules: store})
+	results := f.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 1})
 	if results[0].Err != nil {
 		t.Fatalf("stale rule not recovered: %v", results[0].Err)
 	}
@@ -145,9 +163,9 @@ func TestExtractBatchStaleRule(t *testing.T) {
 		t.Error("stale rule claimed the fast path")
 	}
 	// The store must now hold a working rule.
-	rule, err := store.Get("batch-a.example")
-	if err != nil {
-		t.Fatal(err)
+	rule, ok := f.Get("batch-a.example")
+	if !ok {
+		t.Fatal("no rule for batch-a.example")
 	}
 	if rule.SubtreePath == "html[1].body[2].div[9]" {
 		t.Error("stale rule was not refreshed")
@@ -163,9 +181,9 @@ func (panicHeuristic) Rank(*tagtree.Node, *govern.Guard) ([]subtree.Ranked, erro
 }
 
 func TestExtractBatchIsolatesPanics(t *testing.T) {
-	e := New(Options{Subtree: panicHeuristic{}})
+	f, _ := newFarm(t, farm.Config{Extractor: core.New(core.Options{Subtree: panicHeuristic{}})})
 	reqs := batchPages(t, 2)
-	results := e.ExtractBatch(context.Background(), reqs, BatchOptions{Workers: 3})
+	results := f.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 3})
 	if len(results) != len(reqs) {
 		t.Fatalf("results = %d, want %d", len(results), len(reqs))
 	}
@@ -173,7 +191,7 @@ func TestExtractBatchIsolatesPanics(t *testing.T) {
 		if res.Err == nil {
 			t.Fatalf("result %d: panic produced no error", i)
 		}
-		if !errors.Is(res.Err, ErrPanicked) {
+		if !errors.Is(res.Err, core.ErrPanicked) {
 			t.Errorf("result %d: err = %v, want ErrPanicked", i, res.Err)
 		}
 		if res.Site != reqs[i].Site {
@@ -183,8 +201,97 @@ func TestExtractBatchIsolatesPanics(t *testing.T) {
 }
 
 func TestExtractBatchEmpty(t *testing.T) {
-	e := New(Options{})
-	if got := e.ExtractBatch(context.Background(), nil, BatchOptions{}); len(got) != 0 {
+	f, _ := newFarm(t, farm.Config{})
+	if got := f.ExtractBatch(context.Background(), nil, core.BatchOptions{}); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
+	}
+}
+
+// gateHeuristic blocks the first ranked page until released, making
+// "a page is in flight right now" observable to cancellation tests.
+type gateHeuristic struct {
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gateHeuristic) Name() string { return "gate" }
+
+func (g *gateHeuristic) Rank(root *tagtree.Node, guard *govern.Guard) ([]subtree.Ranked, error) {
+	g.once.Do(func() { close(g.started) })
+	<-g.release
+	return subtree.Compound().Rank(root, guard)
+}
+
+// TestPathologicalBatchMidFlightCancel cancels a batch while a page is
+// provably in flight and checks the contract: results stay in input
+// order with sites echoed, the interrupted page reports the
+// cancellation (not ErrUndispatched), and everything never handed to a
+// worker reports ErrUndispatched.
+func TestPathologicalBatchMidFlightCancel(t *testing.T) {
+	gate := &gateHeuristic{started: make(chan struct{}), release: make(chan struct{})}
+	f, _ := newFarm(t, farm.Config{Extractor: core.New(core.Options{Subtree: gate})})
+	page := sitegen.LOC()
+	reqs := make([]core.BatchRequest, 8)
+	for i := range reqs {
+		reqs[i] = core.BatchRequest{Site: string(rune('a'+i)) + ".example", HTML: page.HTML}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resc := make(chan []core.BatchResult, 1)
+	go func() { resc <- f.ExtractBatch(ctx, reqs, core.BatchOptions{Workers: 1}) }()
+
+	<-gate.started // request 0 is inside the pipeline now
+	cancel()
+	close(gate.release)
+	results := <-resc
+
+	if len(results) != len(reqs) {
+		t.Fatalf("results = %d, want %d", len(results), len(reqs))
+	}
+	undispatched := 0
+	for i, r := range results {
+		if r.Site != reqs[i].Site {
+			t.Errorf("result %d: site %q, want %q (input order broken)", i, r.Site, reqs[i].Site)
+		}
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("result %d: err = %v, want context.Canceled", i, r.Err)
+		}
+		if errors.Is(r.Err, core.ErrUndispatched) {
+			undispatched++
+		}
+	}
+	if errors.Is(results[0].Err, core.ErrUndispatched) {
+		t.Error("in-flight page reported ErrUndispatched; want plain cancellation")
+	}
+	if undispatched != len(reqs)-1 {
+		t.Errorf("undispatched = %d, want %d", undispatched, len(reqs)-1)
+	}
+}
+
+// TestPathologicalBatchWatchdog wedges a page past its PageTimeout and
+// checks the worker abandons it with a typed govern.ErrDeadline result
+// while the batch itself survives.
+func TestPathologicalBatchWatchdog(t *testing.T) {
+	gate := &gateHeuristic{started: make(chan struct{}), release: make(chan struct{})}
+	f, _ := newFarm(t, farm.Config{Extractor: core.New(core.Options{Subtree: gate})})
+	page := sitegen.LOC()
+	reqs := []core.BatchRequest{{Site: "stuck.example", HTML: page.HTML}}
+
+	resc := make(chan []core.BatchResult, 1)
+	go func() {
+		resc <- f.ExtractBatch(context.Background(), reqs,
+			core.BatchOptions{Workers: 1, PageTimeout: 30 * time.Millisecond})
+	}()
+	<-gate.started
+	results := <-resc   // the watchdog, not the page, must end the wait
+	close(gate.release) // let the abandoned goroutine exit
+
+	if !errors.Is(results[0].Err, govern.ErrDeadline) {
+		t.Fatalf("err = %v, want govern.ErrDeadline", results[0].Err)
+	}
+	if results[0].Site != "stuck.example" {
+		t.Errorf("site = %q", results[0].Site)
 	}
 }

@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
+	"omini/internal/core"
+	"omini/internal/farm"
 	"omini/internal/obs"
 	"omini/internal/sitegen"
 )
@@ -17,7 +19,7 @@ func TestExtractBatchCountersMatchResults(t *testing.T) {
 	// Salt the batch with pages that fail discovery, so the error counter
 	// has something to count.
 	for i := 0; i < 5; i++ {
-		reqs = append(reqs, BatchRequest{
+		reqs = append(reqs, core.BatchRequest{
 			Site: "object-free.example",
 			HTML: "<html><body><p>prose, no object list</p></body></html>",
 		})
@@ -28,8 +30,8 @@ func TestExtractBatchCountersMatchResults(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	ctx := obs.WithRegistry(context.Background(), reg)
-	e := New(Options{})
-	results := e.ExtractBatch(ctx, reqs, BatchOptions{Workers: 8})
+	f, _ := newFarm(t, farm.Config{})
+	results := f.ExtractBatch(ctx, reqs, core.BatchOptions{Workers: 8})
 
 	var errs, ruleHits int64
 	for _, r := range results {
@@ -77,7 +79,7 @@ func TestExtractBatchCountersMatchResults(t *testing.T) {
 // batch records spans, an untraced extraction sharing the process does not
 // see them.
 func TestExtractBatchTraceIsolation(t *testing.T) {
-	e := New(Options{})
+	e := core.New(core.Options{})
 	page := sitegen.LOC()
 
 	ctx, rec := obs.WithTraceRecorder(context.Background(), false)

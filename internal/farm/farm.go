@@ -135,6 +135,10 @@ type flight struct {
 	err  error
 }
 
+// errFlightAborted is a flight's error until its discovery returns, so
+// the joiners of a leader that panics fall back to their own discovery.
+var errFlightAborted = errors.New("farm: discovery aborted")
+
 // Farm is the rule-cache-first serving layer. Create with New; Run
 // drives background revalidation and store flushes; Close final-saves.
 type Farm struct {
@@ -277,7 +281,6 @@ func (f *Farm) Extract(ctx context.Context, site string, p *core.Page) (*core.Re
 	if e := f.shardFor(site).get(site); e != nil {
 		return f.serveFast(ctx, site, p, e)
 	}
-	missCount.Add(f.stats, 1)
 	return f.learnOrJoin(ctx, site, p)
 }
 
@@ -314,13 +317,31 @@ func (f *Farm) serveFast(ctx context.Context, site string, p *core.Page, e *entr
 // replay it on their own page.
 func (f *Farm) learnOrJoin(ctx context.Context, site string, p *core.Page) (*core.Result, Outcome, error) {
 	f.flightMu.Lock()
+	// A leader stores its rule before it retires its flight, so a miss
+	// that finds no flight looks again: the leader may have finished
+	// since the caller's lookup, and a second discovery would learn the
+	// site twice.
+	if e := f.shardFor(site).get(site); e != nil {
+		f.flightMu.Unlock()
+		return f.serveFast(ctx, site, p, e)
+	}
+	missCount.Add(f.stats, 1)
 	if fl := f.flights[site]; fl != nil {
 		f.flightMu.Unlock()
 		return f.join(ctx, fl, site, p)
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight{done: make(chan struct{}), err: errFlightAborted}
 	f.flights[site] = fl
 	f.flightMu.Unlock()
+	// The flight is retired however discovery ends, a panic included;
+	// otherwise its joiners, and every later miss of the site, would
+	// wait on it until their deadlines.
+	defer func() {
+		f.flightMu.Lock()
+		delete(f.flights, site)
+		f.flightMu.Unlock()
+		close(fl.done)
+	}()
 
 	res, out, err := f.learnVersioned(ctx, site, p, 0)
 	if err == nil {
@@ -333,10 +354,6 @@ func (f *Farm) learnOrJoin(ctx context.Context, site string, p *core.Page) (*cor
 		}
 	}
 	fl.err = err
-	f.flightMu.Lock()
-	delete(f.flights, site)
-	f.flightMu.Unlock()
-	close(fl.done)
 	return res, out, err
 }
 

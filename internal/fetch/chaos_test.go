@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"omini/internal/core"
+	"omini/internal/farm"
+	"omini/internal/obs"
 	"omini/internal/resilience"
 	"omini/internal/sitegen"
 )
@@ -146,7 +148,11 @@ func TestChaosPipelineConvergesUnderFaults(t *testing.T) {
 		reqs = append(reqs, core.BatchRequest{Site: sites[i], HTML: bodies[i]})
 	}
 
-	results := core.New(core.Options{}).ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 8})
+	rulesFarm, err := farm.New(farm.Config{Stats: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := rulesFarm.ExtractBatch(context.Background(), reqs, core.BatchOptions{Workers: 8})
 	succeeded := 0
 	for i, res := range results {
 		if res.Err != nil {

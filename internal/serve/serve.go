@@ -866,17 +866,22 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 	infoFrom(ctx).setSite(site)
 	var res *core.Result
+	var fromRule bool
 	var wrapper *wrapgen.Wrapper
 	var err error
 	obs.Labelled(ctx, obs.Label{Key: "site", Value: site}, func(pctx context.Context) {
-		if res, _, err = s.extract(pctx, site, p); err == nil {
+		if res, fromRule, err = s.extract(pctx, site, p); err == nil {
+			served := res
 			wrapper, res, err = s.farm.Wrapper(pctx, site, p, res)
+			// A page Wrapper relearned was served by discovery.
+			fromRule = fromRule && res == served
 		}
 	})
 	if err != nil {
 		httpError(ctx, w, err)
 		return
 	}
+	infoFrom(ctx).fill(site, res, fromRule)
 	a := recordsAnswer{site: site, fields: wrapper.Fields, records: wrapper.Project(res.Objects)}
 	buf := answerBufs.Get().(*answerBuf)
 	out, keys, ok := a.appendJSON(buf.out[:0], buf.keys)

@@ -67,6 +67,16 @@ if [ "$RACE_BUDGET" != "0" ]; then
         ./internal/core/ ./internal/serve/
 fi
 
+# Batch anti-flake gate: a batch learns each site once through the
+# farm's singleflight, so its results may not depend on how the workers
+# interleave. The batch tests live beside core's dispatch loop and
+# drive it through farm.Farm.ExtractBatch. Fifty uncached runs of each
+# under -race catch a schedule-dependent regression (a second learn of
+# a site, a flight a panicking leader never retires) that one run
+# would pass by luck.
+echo "==> batch anti-flake gate (-race -count=50)"
+go test -race -count=50 -run '^TestExtractBatch' ./internal/core/
+
 # Cluster mode: the kill-a-node chaos proof must stay race-clean — a
 # 200-page batch (fetched through connection resets and slow-drip
 # responses) across a three-node cluster with one node killed mid-batch
