@@ -9,13 +9,14 @@
 //	omini -rules rules.json -site www.example.com page.html
 //
 // With -rules, discovered extraction rules are cached per site and replayed
-// on later runs (the paper's Section 6.6 fast path); the file may be a
-// legacy rules array or an ominiserve -rule-store snapshot — the wrapper
-// farm's persisted store and the CLI cache are interchangeable. With
-// -trace, the run
-// emits a JSON decision trace — subtree rankings, each separator
-// heuristic's votes, the combined probabilities, and per-phase wall/alloc
-// costs — explaining why the pipeline chose what it chose. With -metrics,
+// on later runs (the paper's Section 6.6 fast path). The file is a wrapper
+// farm snapshot, the format of ominiserve -rule-store, -rules and GET
+// /rules, and the CLI keeps it whole: rule versions, training signatures
+// and tombstones survive, and a rule the page no longer fits is relearned
+// at the next version. With -trace, the run emits a JSON decision trace —
+// subtree rankings, each separator heuristic's votes, the combined
+// probabilities, and per-phase wall/alloc costs — explaining why the
+// pipeline chose what it chose. With -metrics,
 // the process's metrics registry is written to stderr in Prometheus text
 // form after extraction.
 package main
@@ -31,6 +32,8 @@ import (
 	"strings"
 
 	"omini"
+	"omini/internal/core"
+	"omini/internal/farm"
 	"omini/internal/fetch"
 	"omini/internal/obs"
 	"omini/internal/resilience"
@@ -63,7 +66,7 @@ func run(w io.Writer, args []string) error {
 		asTree    = fs.Bool("tree", false, "print the page's tag tree and exit")
 		treeDepth = fs.Int("depth", 4, "tag tree depth for -tree")
 		noRefine  = fs.Bool("no-refine", false, "skip Phase 3 refinement")
-		rulesPath = fs.String("rules", "", "JSON rule cache to read/update")
+		rulesPath = fs.String("rules", "", "rule snapshot to read and update (the ominiserve -rule-store format)")
 		site      = fs.String("site", "", "site name for the rule cache (default: derived from URL)")
 		cacheDir  = fs.String("cache", "", "page cache directory for URL fetches")
 		trace     = fs.Bool("trace", false, "emit a JSON decision trace explaining the extraction")
@@ -95,15 +98,10 @@ func run(w io.Writer, args []string) error {
 		return nil
 	}
 
-	var opts []omini.Option
-	if *noRefine {
-		opts = append(opts, omini.WithoutRefinement())
-	}
-	if *maxBytes != 0 || *timeout != 0 {
-		lim := omini.Limits{MaxInputBytes: int(*maxBytes), Deadline: *timeout}
-		opts = append(opts, omini.WithLimits(lim))
-	}
-	extractor := omini.NewExtractor(opts...)
+	ex := core.New(core.Options{
+		SkipRefine: *noRefine,
+		Limits:     core.Limits{MaxInputBytes: int(*maxBytes), Deadline: *timeout},
+	})
 
 	ctx := context.Background()
 	if *trace {
@@ -111,7 +109,7 @@ func run(w io.Writer, args []string) error {
 		// per-phase costs complete.
 		ctx, _ = obs.WithTraceRecorder(ctx, true)
 	}
-	res, err := extractWithRules(ctx, extractor, html, *rulesPath, *site)
+	res, err := extract(ctx, ex, html, *rulesPath, *site)
 	if *metrics {
 		defer func() { _ = obs.Default.WritePrometheus(os.Stderr) }()
 	}
@@ -136,37 +134,30 @@ func run(w io.Writer, args []string) error {
 	return nil
 }
 
-// extractWithRules runs the cached-rule fast path when a rule store is
-// configured, falling back to (and recording) full discovery. The context
-// carries the trace recorder when -trace asked for one.
-func extractWithRules(ctx context.Context, e *omini.Extractor, html, rulesPath, site string) (*omini.Result, error) {
+// extract runs the pipeline on the page. With a rules file it runs
+// through a wrapper farm persisted there: the site's cached rule is
+// replayed, and a miss, or a rule the page no longer fits, is learned
+// and saved. The context carries the trace recorder when -trace asked
+// for one.
+func extract(ctx context.Context, ex *core.Extractor, html, rulesPath, site string) (*core.Result, error) {
 	if rulesPath == "" {
-		return e.ExtractResultContext(ctx, html)
+		return ex.ExtractContext(ctx, html)
 	}
-	store, err := omini.LoadRules(rulesPath)
-	if err != nil {
-		if !os.IsNotExist(errors.Unwrap(err)) && !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		store = omini.NewRuleStore()
-	}
-	if rule, err := store.Get(site); err == nil {
-		if res, err := e.ExtractWithRuleContext(ctx, html, rule); err == nil {
-			return res, nil
-		}
-		// The site changed shape; fall through to rediscovery.
-	}
-	res, err := e.ExtractResultContext(ctx, html)
+	f, err := farm.New(farm.Config{
+		Extractor:       ex,
+		SampleEvery:     -1,
+		RelearnInterval: -1,
+		StorePath:       rulesPath,
+		Logger:          obs.NewLogger(io.Discard, obs.LevelError),
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := store.Put(res.Rule(site)); err != nil {
-		return nil, err
+	res, _, err := f.Extract(ctx, site, core.NewPage(html))
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := store.Save(rulesPath); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
 // readPage loads the page from a URL, a file, or stdin ("-"), returning the

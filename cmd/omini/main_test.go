@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"omini/internal/farm"
 	"omini/internal/sitegen"
 )
 
@@ -67,6 +68,16 @@ func TestRunWithRuleCache(t *testing.T) {
 	page := sitegen.Canoe()
 	path := writePage(t, page)
 	rulesPath := filepath.Join(t.TempDir(), "rules.json")
+	// The file already holds a farm snapshot: a rule with its training
+	// signature and hits, and a tombstone for an evicted site. The CLI
+	// must keep both.
+	seed := `{"version": 2,
+		"rules": [{"site": "kept.example", "subtreePath": "html[1].body[1].ul[1]", "separator": "li",
+			"learnedAt": "2026-08-01T00:00:00Z", "version": 3, "signature": {"html": 1, "html.body": 1}, "hits": 7}],
+		"tombstones": [{"site": "dead.example", "version": 4, "evictedAt": "2026-08-02T00:00:00Z"}]}`
+	if err := os.WriteFile(rulesPath, []byte(seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
 	// First run learns and persists a rule.
 	if err := run(&out, []string{"-rules", rulesPath, "-site", page.Site, path}); err != nil {
@@ -78,6 +89,33 @@ func TestRunWithRuleCache(t *testing.T) {
 	}
 	if !strings.Contains(string(data), page.Site) {
 		t.Errorf("rules file missing site: %s", data)
+	}
+	if !strings.Contains(string(data), `"version": 2`) {
+		t.Errorf("rules file is no longer a v2 snapshot: %s", data)
+	}
+	snap, err := farm.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
+	}
+	if len(snap.Rules) != 2 {
+		t.Fatalf("rules = %+v, want kept.example and %s", snap.Rules, page.Site)
+	}
+	for _, r := range snap.Rules {
+		switch r.Site {
+		case "kept.example":
+			if r.Version != 3 || r.Hits != 7 || len(r.Signature) != 2 {
+				t.Errorf("kept rule = %+v, want version 3, 7 hits and its signature", r)
+			}
+		case page.Site:
+			if r.Version < 1 || len(r.Signature) == 0 {
+				t.Errorf("learned rule = %+v, want a version and a signature", r)
+			}
+		default:
+			t.Errorf("unexpected rule %+v", r)
+		}
+	}
+	if len(snap.Tombstones) != 1 || snap.Tombstones[0].Site != "dead.example" || snap.Tombstones[0].Version != 4 {
+		t.Errorf("tombstones = %+v, want dead.example at version 4", snap.Tombstones)
 	}
 	// Second run replays it.
 	out.Reset()

@@ -17,7 +17,8 @@
 //	POST /records?site=S   -> wrapper records (named fields), served through
 //	                          the same cached rule as /extract; the record
 //	                          schema is learned on first use (not persisted)
-//	GET  /rules            -> the cached extraction rules as JSON
+//	GET  /rules            -> the cached rules as a rule snapshot (the
+//	                          -rule-store format; seeds -rules and omini -rules)
 //	GET  /rulesz           -> wrapper-farm state: per-site rule versions,
 //	                          hit counts, drift-check readiness, store size
 //	GET  /tracez           -> tail-sampled distributed traces (errored and
@@ -49,7 +50,8 @@
 // drift-checks sampled fast-path pages every -relearn-interval so a
 // site redesign evicts and relearns its rule. With -rule-store the
 // farm persists across restarts (versioned JSON, atomic writes, saved
-// on change and at shutdown); a store file also loads via -rules.
+// on change and at shutdown); a store file, like a GET /rules dump,
+// also loads via -rules.
 //
 // Cluster mode (-cluster) puts a consistent-hash router in front of the
 // local server: sites are sharded across the -peers nodes (keeping each

@@ -33,10 +33,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := omini.NewRuleStore()
-	if err := store.Put(rule); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("learned rule for %s: subtree=%s separator=%q\n\n",
 		rule.Site, rule.SubtreePath, rule.Separator)
 
@@ -51,12 +47,8 @@ func main() {
 			log.Fatalf("%s: %v", page.Name, err)
 		}
 
-		cached, err := store.Get(spec.Name)
-		if err != nil {
-			log.Fatal(err)
-		}
 		start = time.Now()
-		fast, err := extractor.ExtractWithRule(page.HTML, cached)
+		fast, err := extractor.ExtractWithRule(page.HTML, rule)
 		fastTime += time.Since(start)
 		if err != nil {
 			log.Fatalf("%s: rule replay: %v", page.Name, err)

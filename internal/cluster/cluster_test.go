@@ -454,6 +454,49 @@ func TestStalledBodyAnswersWithinBudget(t *testing.T) {
 	}
 }
 
+// A caller that cancels while its request is held at a node has not
+// run the routing budget out: the coordinator counts nothing on
+// cluster.deadline and does not charge the held node as failed.
+func TestCancelledRequestIsNotDeadline(t *testing.T) {
+	page := sitegen.Canoe()
+	held := make(chan struct{}, 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		held <- struct{}{}
+		<-r.Context().Done()
+	}))
+	defer peer.Close()
+	stats := resilience.NewStats()
+	c := New(Config{
+		Peers:        map[string]string{"p": peer.URL},
+		Local:        serve.New(serve.Config{Stats: resilience.NewStats()}),
+		Stats:        stats,
+		Budget:       30 * time.Second,
+		NodeAttempts: 1,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/extract?site="+page.Site, strings.NewReader(page.HTML)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.ServeHTTP(rec, req)
+	}()
+	<-held
+	cancel()
+	<-done
+	if rec.Code == http.StatusGatewayTimeout {
+		t.Errorf("status %d: a cancelled request answered as an exhausted budget", rec.Code)
+	}
+	if got := stats.Get(SeriesDeadline); got != 0 {
+		t.Errorf("cluster.deadline = %d, want 0", got)
+	}
+	if got := stats.Get(SeriesFailover); got != 0 {
+		t.Errorf("cluster.failover = %d, want 0 (the held node is not broken)", got)
+	}
+}
+
 // The health checker ejects a node whose probes fail FailThreshold
 // times and re-admits it on the first success; both transitions are
 // counted and visible on /clusterz.

@@ -88,8 +88,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 
 	candidates, err := c.candidates(g, site)
 	if err != nil {
-		deadlineCount.Add(c.stats, 1)
-		writeError(rctx, sw, http.StatusGatewayTimeout, "cluster: routing budget exhausted")
+		c.expired(rctx, sw, r)
 		return
 	}
 
@@ -128,7 +127,8 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 				shed = hopShed
 			}
 		case bctx.Err() != nil:
-			// Budget gone, not node broken: don't charge the breaker.
+			// Budget gone or caller gone, not node broken: don't charge
+			// the breaker.
 		default:
 			br.Failure()
 			failoverCount.Add(c.stats, 1)
@@ -141,8 +141,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 
 	switch {
 	case bctx.Err() != nil:
-		deadlineCount.Add(c.stats, 1)
-		writeError(rctx, sw, http.StatusGatewayTimeout, "cluster: routing budget exhausted")
+		c.expired(rctx, sw, r)
 	case shed != nil:
 		shedPropagated.Add(c.stats, 1)
 		if shed.retryAfter != "" {
@@ -152,6 +151,22 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, q url.Values
 	default:
 		c.fallbackLocal(rctx, sw, r, site, body)
 	}
+}
+
+// statusClientClosed answers a request its caller cancelled (the
+// status nginx logs as "client closed request").
+const statusClientClosed = 499
+
+// expired answers a request whose routing context ended. A budget that
+// ran out is a 504 counted on cluster.deadline; a caller that cancelled
+// is neither the budget's fault nor a node's, so nothing is counted.
+func (c *Coordinator) expired(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+	if r.Context().Err() != nil {
+		writeError(ctx, w, statusClientClosed, "cluster: request cancelled")
+		return
+	}
+	deadlineCount.Add(c.stats, 1)
+	writeError(ctx, w, http.StatusGatewayTimeout, "cluster: routing budget exhausted")
 }
 
 // candidates returns the site's failover chain: its ring owner first,

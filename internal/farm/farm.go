@@ -1,5 +1,5 @@
 // Package farm is the wrapper farm: the rule-cache-first serving layer
-// in front of internal/rules that industrializes the paper's Table 17
+// for internal/rules' extraction rules that industrializes the paper's Table 17
 // observation — once a site's rule (subtree path + separator) is
 // learned, extraction can skip Phase 2 discovery entirely, an
 // order-of-magnitude latency win on repeat-host traffic.
@@ -10,8 +10,8 @@
 // wait and replay the learned rule); every later request takes the
 // rule fast path. Learned rules are treated as first-class, versioned,
 // revalidated artifacts rather than a transient cache: they persist in
-// a JSON-on-disk store (atomic writes, survives restarts, loadable via
-// the ominiserve -rules snapshot path), each relearn bumps the rule's
+// a JSON-on-disk snapshot (atomic writes, survives restarts; the one
+// rule file format, see store.go), each relearn bumps the rule's
 // version, and every SampleEvery-th fast-path hit is scored through
 // wrapgen's drift detection, a drifted page queued for a background
 // relearn, so a site redesign evicts and relearns the rule instead of
@@ -230,8 +230,8 @@ func New(cfg Config) (*Farm, error) {
 	return f, nil
 }
 
-// SeedFile merges a snapshot file (versioned farm store or legacy
-// rules array) into the cache — the ominiserve -rules boot path. The
+// SeedFile merges a snapshot file (versioned farm store or
+// pre-envelope rules array) into the cache — the ominiserve -rules boot path. The
 // file must exist.
 func (f *Farm) SeedFile(path string) error {
 	return f.seedFile(govern.NewGuard(context.Background(), govern.Unlimited()), path, false)

@@ -403,13 +403,11 @@ func TestNewRejectsCorruptStore(t *testing.T) {
 }
 
 func TestRulesFileSeed(t *testing.T) {
-	// Legacy rules.Store array files (the ominiserve -rules format)
-	// must seed the farm too.
+	// Pre-envelope rules array files must seed the farm too.
 	path := filepath.Join(t.TempDir(), "legacy.json")
-	st := rules.NewStore()
-	st.Put(rules.Rule{Site: "legacy.example", SubtreePath: "html[1].body[1]", Separator: "li"})
-	if err := st.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
+	legacy := `[{"site": "legacy.example", "subtreePath": "html[1].body[1]", "separator": "li"}]`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	f, _ := newTestFarm(t, Config{})
 	if err := f.SeedFile(path); err != nil {

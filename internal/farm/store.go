@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
-	"omini/internal/govern"
 	"omini/internal/rules"
 	"omini/internal/tagtree"
 )
@@ -17,22 +17,26 @@ import (
 // The persisted rule store: a versioned JSON snapshot of every learned
 // rule plus its training-page signature, written atomically (temp file
 // + fsync + rename, then a directory fsync) so a crash mid-save can
-// never leave a torn or zero-length store. The rules array inside the
-// envelope is a superset of the rules.Store format — rules.Load reads
-// a farm snapshot directly, which is what lets the ominiserve -rules
-// flag accept either file.
+// never leave a torn or zero-length store. The same codec is the
+// ruledist wire format, the body of GET /rules and the file behind
+// ominiserve -rules and omini -rules: EncodeSnapshot and DecodeSnapshot
+// are the only writer and reader of learned rules.
 
-// SnapshotVersion is the store format version this package writes.
-// Version 2 added tombstones: deliberately evicted rules are recorded
-// so anti-entropy sync between nodes cannot resurrect a redesigned
-// site's dead rule. Version-1 files (which simply carry no tombstones)
-// still load; the ceiling is shared with internal/rules so both
-// readers agree on what "too new" means.
-const SnapshotVersion = rules.MaxSnapshotVersion
+// SnapshotVersion is the store format version this package writes and
+// the newest it reads. Version 2 added tombstones: deliberately evicted
+// rules are recorded so anti-entropy sync between nodes cannot
+// resurrect a redesigned site's dead rule. Version-1 files (which
+// simply carry no tombstones) still load.
+const SnapshotVersion = 2
 
 // ErrSnapshotVersion is returned when a snapshot was written by a
 // newer format version than this binary understands.
 var ErrSnapshotVersion = errors.New("farm: snapshot format version too new")
+
+// ErrDuplicateSite is returned when a decoded snapshot holds two rules
+// for one site: letting the last one win would mask a corrupt or
+// hand-edited file, so the whole snapshot is rejected.
+var ErrDuplicateSite = errors.New("farm: duplicate site in snapshot")
 
 // StoredRule is one persisted rule: the replayable extraction rule,
 // the training-page signature for drift revalidation, and the hit
@@ -69,17 +73,19 @@ type Snapshot struct {
 
 // DecodeSnapshot parses a snapshot from its JSON encoding. The
 // versioned envelope (v1 without tombstones, v2 with) and a bare rules
-// array (the legacy rules.Store format) are all accepted; the result
-// is canonical — invalid rules and malformed tombstones dropped, one
-// entry per site, rules and tombstones reconciled under the version
-// conflict rule, sorted by site — so decode∘encode is a fixed point.
+// array (the pre-envelope rule file) are both accepted. A snapshot
+// that names one site in two rules fails with ErrDuplicateSite, and
+// one declaring a version above SnapshotVersion with
+// ErrSnapshotVersion. The result is canonical — invalid rules and
+// malformed tombstones dropped, rules and tombstones reconciled under
+// the version conflict rule, sorted by site — so decode∘encode is a
+// fixed point.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var snap Snapshot
 	if isJSONArray(data) {
 		if err := json.Unmarshal(data, &snap.Rules); err != nil {
 			return Snapshot{}, fmt.Errorf("farm: decode rules array: %w", err)
 		}
-		snap.Version = SnapshotVersion
 	} else {
 		if err := json.Unmarshal(data, &snap); err != nil {
 			return Snapshot{}, fmt.Errorf("farm: decode snapshot: %w", err)
@@ -87,18 +93,23 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 		if snap.Version > SnapshotVersion {
 			return Snapshot{}, fmt.Errorf("%w: %d > %d", ErrSnapshotVersion, snap.Version, SnapshotVersion)
 		}
-		snap.Version = SnapshotVersion
 	}
-	snap.Rules, snap.Tombstones = canonicalize(nil, snap.Rules, snap.Tombstones)
+	snap.Version = SnapshotVersion
+	var err error
+	snap.Rules, snap.Tombstones, err = canonicalize(snap.Rules, snap.Tombstones, true)
+	if err != nil {
+		return Snapshot{}, err
+	}
 	return snap, nil
 }
 
 // EncodeSnapshot serializes a snapshot in canonical form: current
-// format version, invalid entries dropped, one entry per site,
-// rules/tombstones reconciled, sorted.
+// format version, invalid entries dropped, one entry per site (the
+// last rule given for a site wins), rules/tombstones reconciled,
+// sorted. The caller's slices are not modified.
 func EncodeSnapshot(snap Snapshot) ([]byte, error) {
 	snap.Version = SnapshotVersion
-	snap.Rules, snap.Tombstones = canonicalize(nil, snap.Rules, snap.Tombstones)
+	snap.Rules, snap.Tombstones, _ = canonicalize(slices.Clone(snap.Rules), slices.Clone(snap.Tombstones), false)
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("farm: encode snapshot: %w", err)
@@ -106,117 +117,103 @@ func EncodeSnapshot(snap Snapshot) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// canonicalize produces the canonical rule and tombstone lists,
-// applying the cluster-wide version conflict rule between them: a
-// tombstone at or above a rule's version suppresses the rule (the
+// canonicalize produces the canonical rule and tombstone lists in
+// place, applying the cluster-wide version conflict rule between them:
+// a tombstone at or above a rule's version suppresses the rule (the
 // eviction is newer knowledge); a rule above the tombstone's version
 // clears the tombstone (the relearn superseded the eviction). The
-// result never holds both a rule and a tombstone for one site.
-func canonicalize(g *govern.Guard, rs []StoredRule, ts []Tombstone) ([]StoredRule, []Tombstone) {
-	rs = canonicalRules(g, rs)
-	ts = canonicalTombstones(g, ts)
-	if len(ts) == 0 {
-		return rs, ts
+// result never holds both a rule and a tombstone for one site. With
+// strict, two rules naming one site are an ErrDuplicateSite error.
+func canonicalize(rs []StoredRule, ts []Tombstone, strict bool) ([]StoredRule, []Tombstone, error) {
+	rs, err := canonicalRules(rs, strict)
+	if err != nil {
+		return nil, nil, err
 	}
-	tombV := make(map[string]int, len(ts))
-	for _, t := range ts {
-		if g.Poll() != nil {
-			break
+	ts = canonicalTombstones(ts)
+	// Both lists are sorted by site with one entry per site, so one
+	// merge pass pairs each site's rule with its tombstone.
+	outR, outT := rs[:0], ts[:0]
+	for i, j := 0, 0; i < len(rs) || j < len(ts); {
+		switch {
+		case j == len(ts) || i < len(rs) && rs[i].Site < ts[j].Site:
+			outR = append(outR, rs[i])
+			i++
+		case i == len(rs) || ts[j].Site < rs[i].Site:
+			outT = append(outT, ts[j])
+			j++
+		case ts[j].Version >= rs[i].Version:
+			outT = append(outT, ts[j]) // the tombstone wins; the rule stays dead
+			i, j = i+1, j+1
+		default:
+			outR = append(outR, rs[i]) // a newer rule cleared this tombstone
+			i, j = i+1, j+1
 		}
-		tombV[t.Site] = t.Version
-	}
-	ruleV := make(map[string]int, len(rs))
-	outR := make([]StoredRule, 0, len(rs))
-	for _, r := range rs {
-		if g.Poll() != nil {
-			break
-		}
-		if tv, ok := tombV[r.Site]; ok && tv >= r.Version {
-			continue // the tombstone wins; the rule stays dead
-		}
-		ruleV[r.Site] = r.Version
-		outR = append(outR, r)
-	}
-	outT := make([]Tombstone, 0, len(ts))
-	for _, t := range ts {
-		if g.Poll() != nil {
-			break
-		}
-		if rv, ok := ruleV[t.Site]; ok && rv > t.Version {
-			continue // a newer rule cleared this tombstone
-		}
-		outT = append(outT, t)
 	}
 	if len(outT) == 0 {
 		outT = nil // encode omits the field entirely (omitempty)
 	}
-	return outR, outT
+	return outR, outT, nil
 }
 
-// canonicalRules filters invalid rules, deduplicates by site (last
-// wins) and sorts by site, charging the guard per rule.
-func canonicalRules(g *govern.Guard, in []StoredRule) []StoredRule {
-	bySite := make(map[string]StoredRule, len(in))
-	order := make([]string, 0, len(in))
-	for _, r := range in {
-		if g.Poll() != nil {
-			break
+// canonicalRules drops invalid rules, sorts by site and keeps one rule
+// per site — the last valid one given, unless strict makes a second
+// rule naming a site an error. It reorders rs in place and never
+// returns nil, so an empty list encodes as [].
+func canonicalRules(rs []StoredRule, strict bool) ([]StoredRule, error) {
+	named := rs[:0]
+	for _, r := range rs {
+		if r.Site != "" {
+			named = append(named, r)
 		}
-		if r.Site == "" || !r.Valid() {
+	}
+	slices.SortStableFunc(named, func(a, b StoredRule) int { return strings.Compare(a.Site, b.Site) })
+	out := named[:0]
+	prev := ""
+	for _, r := range named {
+		if strict && r.Site == prev {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateSite, r.Site)
+		}
+		prev = r.Site
+		if !r.Valid() {
 			continue
 		}
 		if r.Version <= 0 {
 			r.Version = 1 // pre-versioning rules normalize to v1
 		}
-		if _, seen := bySite[r.Site]; !seen {
-			order = append(order, r.Site)
+		if n := len(out); n > 0 && out[n-1].Site == r.Site {
+			out[n-1] = r
+		} else {
+			out = append(out, r)
 		}
-		bySite[r.Site] = r
 	}
-	sort.Strings(order)
-	out := make([]StoredRule, 0, len(order))
-	for _, site := range order {
-		if g.Poll() != nil {
-			break
-		}
-		out = append(out, bySite[site])
+	if out == nil {
+		out = []StoredRule{}
 	}
-	return out
+	return out, nil
 }
 
-// canonicalTombstones filters malformed tombstones, deduplicates by
-// site (highest version wins) and sorts by site, charging the guard.
-func canonicalTombstones(g *govern.Guard, in []Tombstone) []Tombstone {
-	bySite := make(map[string]Tombstone, len(in))
-	order := make([]string, 0, len(in))
-	for _, t := range in {
-		if g.Poll() != nil {
-			break
-		}
+// canonicalTombstones drops malformed tombstones, sorts by site and
+// keeps one per site (the highest version). It reorders ts in place.
+func canonicalTombstones(ts []Tombstone) []Tombstone {
+	slices.SortStableFunc(ts, func(a, b Tombstone) int { return strings.Compare(a.Site, b.Site) })
+	out := ts[:0]
+	for _, t := range ts {
 		if t.Site == "" || t.Version <= 0 {
 			continue
 		}
-		prev, seen := bySite[t.Site]
-		if !seen {
-			order = append(order, t.Site)
+		if n := len(out); n > 0 && out[n-1].Site == t.Site {
+			if t.Version >= out[n-1].Version {
+				out[n-1] = t
+			}
+		} else {
+			out = append(out, t)
 		}
-		if !seen || t.Version >= prev.Version {
-			bySite[t.Site] = t
-		}
-	}
-	sort.Strings(order)
-	out := make([]Tombstone, 0, len(order))
-	for _, site := range order {
-		if g.Poll() != nil {
-			break
-		}
-		out = append(out, bySite[site])
 	}
 	return out
 }
 
 // isJSONArray reports whether the document's first token opens an
-// array (the legacy rules.Store format) rather than an envelope.
+// array (the pre-envelope rule file) rather than an envelope.
 func isJSONArray(data []byte) bool {
 	for _, b := range data {
 		switch b {

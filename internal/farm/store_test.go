@@ -92,6 +92,8 @@ func TestDecodeSnapshotLegacyArray(t *testing.T) {
 	}
 }
 
+// A newer version is refused even when it carries no rules: the
+// version check comes before anything is decoded.
 func TestDecodeSnapshotRejectsNewerVersion(t *testing.T) {
 	_, err := DecodeSnapshot([]byte(`{"version":99,"rules":[]}`))
 	if !errors.Is(err, ErrSnapshotVersion) {
@@ -99,28 +101,64 @@ func TestDecodeSnapshotRejectsNewerVersion(t *testing.T) {
 	}
 }
 
-func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"", "{", "[{]", `{"version":"x"}`, "null["} {
-		if _, err := DecodeSnapshot([]byte(bad)); err == nil {
-			t.Fatalf("Decode(%q) accepted garbage", bad)
-		}
+// TestDecodeSnapshotRejectsMalformed is the hardening table over the
+// snapshot shapes a rule file or a ruledist transfer can hold: the
+// current envelope, v1 and the pre-envelope array load; corrupt,
+// truncated, duplicate-site and future-version payloads fail, the last
+// two with typed errors.
+func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
+	good := `{"site": "good.com", "subtreePath": "html[1]", "separator": "tr"}`
+	tests := []struct {
+		name    string
+		payload string
+		bad     bool  // the decode must fail
+		wantErr error // when non-nil, the error it must fail with
+	}{
+		{name: "current envelope", payload: `{"version": 2, "rules": [` + good + `]}`},
+		{name: "v1 envelope", payload: `{"version": 1, "rules": [` + good + `]}`},
+		{name: "legacy array", payload: `[` + good + `]`},
+		{name: "corrupt", payload: `{"version": 2, "rules": [{]}`, bad: true},
+		{name: "truncated", payload: `{"version": 2, "rules": [` + good, bad: true},
+		{name: "empty", payload: ``, bad: true},
+		{name: "open brace", payload: `{`, bad: true},
+		{name: "corrupt array", payload: `[{]`, bad: true},
+		{name: "string version", payload: `{"version":"x"}`, bad: true},
+		{name: "null then bracket", payload: `null[`, bad: true},
+		{
+			name:    "duplicate site",
+			payload: `{"version": 1, "rules": [` + good + `, ` + good + `]}`,
+			bad:     true, wantErr: ErrDuplicateSite,
+		},
+		{
+			name:    "duplicate site legacy array",
+			payload: `[` + good + `, ` + good + `]`,
+			bad:     true, wantErr: ErrDuplicateSite,
+		},
+		{
+			name:    "future version",
+			payload: `{"version": 99, "rules": [` + good + `]}`,
+			bad:     true, wantErr: ErrSnapshotVersion,
+		},
 	}
-}
-
-func TestRulesLoadReadsFarmSnapshot(t *testing.T) {
-	// The -rules flag contract: a farm snapshot is a valid rules.Store
-	// file (the envelope carries a superset of the legacy array).
-	data, err := EncodeSnapshot(Snapshot{Rules: []StoredRule{storedRule("compat.example")}})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	st := rules.NewStore()
-	if _, err := st.ReadFrom(bytes.NewReader(data)); err != nil {
-		t.Fatalf("rules.ReadFrom(farm snapshot): %v", err)
-	}
-	r, err := st.Get("compat.example")
-	if err != nil || r.Separator != "li" || r.Version != 3 {
-		t.Fatalf("rule through rules.Store = %+v err=%v", r, err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			snap, err := DecodeSnapshot([]byte(tt.payload))
+			if !tt.bad {
+				if err != nil {
+					t.Fatalf("DecodeSnapshot: %v", err)
+				}
+				if len(snap.Rules) != 1 || snap.Version != SnapshotVersion {
+					t.Fatalf("snapshot = %+v, want one rule at version %d", snap, SnapshotVersion)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("malformed snapshot accepted")
+			}
+			if tt.wantErr != nil && !errors.Is(err, tt.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tt.wantErr)
+			}
+		})
 	}
 }
 

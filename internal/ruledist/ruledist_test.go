@@ -249,41 +249,51 @@ func TestTombstonePropagation(t *testing.T) {
 }
 
 // TestCorruptTransferDiscarded: a peer that advertises rules but ships
-// garbage gets its transfer discarded whole — the farm stays untouched
-// and the corruption is counted.
+// a body the snapshot codec rejects — truncated, from a newer format,
+// or naming one site twice — gets its transfer discarded whole: the
+// farm stays untouched and the corruption is counted.
 func TestCorruptTransferDiscarded(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /rulesz", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("view") == "digest" {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"etag":"feedface00000000","rules":{"lie.example":3},"tombstones":{}}`))
-			return
-		}
+	lie := `{"site":"lie.example","subtreePath":"html[1]","separator":"li","version":3}`
+	for _, tc := range []struct{ name, body string }{
 		// A truncated snapshot: valid prefix, missing tail.
-		_, _ = w.Write([]byte(`{"version":2,"rules":[{"site":"lie.example","subtr`))
-	})
-	liar := httptest.NewServer(mux)
-	defer liar.Close()
+		{"truncated", `{"version":2,"rules":[{"site":"lie.example","subtr`},
+		{"too new", `{"version":99,"rules":[` + lie + `]}`},
+		{"duplicate site", `{"version":2,"rules":[` + lie + `,` + lie + `]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /rulesz", func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Query().Get("view") == "digest" {
+					w.Header().Set("Content-Type", "application/json")
+					_, _ = w.Write([]byte(`{"etag":"feedface00000000","rules":{"lie.example":3},"tombstones":{}}`))
+					return
+				}
+				_, _ = w.Write([]byte(tc.body))
+			})
+			liar := httptest.NewServer(mux)
+			defer liar.Close()
 
-	f, r, stats := newLocal(t, map[string]string{"liar": liar.URL}, func(c *Config) {
-		c.PullAttempts = 1
-	})
-	if err := r.SyncAll(context.Background()); err == nil {
-		t.Fatal("SyncAll accepted a corrupt transfer")
-	}
-	if f.Len() != 0 {
-		t.Fatalf("corrupt transfer leaked %d rules into the farm", f.Len())
-	}
-	if got := stats.Get(SeriesCorruptDiscarded); got == 0 {
-		t.Fatal("ruledist.corrupt_discarded = 0")
-	}
-	if got := stats.Get(SeriesPeerErrors); got != 1 {
-		t.Fatalf("ruledist.peer_errors = %d, want 1", got)
-	}
-	// The etag was not cached: the next round retries the diff rather
-	// than treating the failed pull as converged.
-	if r.lastEtag("liar") != "" {
-		t.Fatal("etag cached for a peer whose pull failed")
+			f, r, stats := newLocal(t, map[string]string{"liar": liar.URL}, func(c *Config) {
+				c.PullAttempts = 1
+			})
+			if err := r.SyncAll(context.Background()); err == nil {
+				t.Fatal("SyncAll accepted a corrupt transfer")
+			}
+			if f.Len() != 0 {
+				t.Fatalf("corrupt transfer leaked %d rules into the farm", f.Len())
+			}
+			if got := stats.Get(SeriesCorruptDiscarded); got == 0 {
+				t.Fatal("ruledist.corrupt_discarded = 0")
+			}
+			if got := stats.Get(SeriesPeerErrors); got != 1 {
+				t.Fatalf("ruledist.peer_errors = %d, want 1", got)
+			}
+			// The etag was not cached: the next round retries the diff
+			// rather than treating the failed pull as converged.
+			if r.lastEtag("liar") != "" {
+				t.Fatal("etag cached for a peer whose pull failed")
+			}
+		})
 	}
 }
 

@@ -3,10 +3,9 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
-
-	"omini/internal/rules"
 )
 
 func getStatus(t *testing.T, url string) int {
@@ -34,7 +33,7 @@ func TestReadyzImmediateWithoutSnapshot(t *testing.T) {
 // it into a crash loop.
 func TestReadyzGatedOnRuleSnapshot(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "rules.json")
-	if err := rules.NewStore().Save(good); err != nil {
+	if err := os.WriteFile(good, []byte("[]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{RulesFile: good})

@@ -54,7 +54,6 @@ import (
 	"omini/internal/nav"
 	"omini/internal/obs"
 	"omini/internal/resilience"
-	"omini/internal/rules"
 	"omini/internal/wrapgen"
 )
 
@@ -83,12 +82,13 @@ type Config struct {
 	// core.DefaultLimits(); violations surface as 413 (input too
 	// large), 422 (budget exceeded) or 504 (page deadline).
 	Limits core.Limits
-	// RulesFile optionally seeds the rule store from a rules.Save
-	// snapshot. Readiness (/readyz) is gated on the load: the server
+	// RulesFile optionally seeds the wrapper farm from a rule snapshot
+	// (the -rule-store format, a GET /rules dump, or a pre-envelope
+	// rules array). Readiness (/readyz) is gated on the load: the server
 	// answers 503 until the snapshot is in, so a load balancer or the
 	// cluster health checker never routes shard traffic to a node whose
 	// caches would miss. Empty means no snapshot and immediate
-	// readiness. Farm snapshots (the -rule-store format) load here too.
+	// readiness.
 	RulesFile string
 	// RuleStorePath persists the wrapper farm's learned rules as a
 	// versioned snapshot: loaded on boot, rewritten by the farm's
@@ -249,7 +249,10 @@ func New(cfg Config) *Server {
 	api := http.NewServeMux()
 	api.HandleFunc("POST /extract", s.handleExtract)
 	api.HandleFunc("POST /records", s.handleRecords)
-	api.HandleFunc("GET /rules", s.handleRules)
+	// The rules dump is the farm's wire snapshot, the format every
+	// rule reader decodes, so a dump seeds ominiserve -rules and omini
+	// -rules as it is.
+	api.HandleFunc("GET /rules", s.serveRuleszSync)
 
 	root := http.NewServeMux()
 	root.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -890,18 +893,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(out)
 	}
 	buf.release(out, buf.text, keys)
-}
-
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	// The legacy array format, so dumps keep working as -rules seeds.
-	st := rules.NewStore()
-	for _, sr := range s.farm.Rules() {
-		_ = st.Put(sr.Rule)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := st.WriteTo(w); err != nil {
-		httpError(r.Context(), w, err)
-	}
 }
 
 // ruleszRule is one row of the /rulesz farm inspection view.

@@ -22,16 +22,6 @@ type Object = extract.Object
 // separator tag) that can be cached and replayed.
 type Rule = rules.Rule
 
-// RuleStore is a concurrency-safe collection of rules with JSON
-// persistence.
-type RuleStore = rules.Store
-
-// NewRuleStore returns an empty rule store.
-func NewRuleStore() *RuleStore { return rules.NewStore() }
-
-// LoadRules reads a rule store previously written with (*RuleStore).Save.
-func LoadRules(path string) (*RuleStore, error) { return rules.Load(path) }
-
 // Result is the full outcome of one extraction: the objects, the discovered
 // subtree path and separator tag, and the combined candidate ranking.
 // Per-phase timings land in the context's obs registry as phase spans.

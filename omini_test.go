@@ -2,7 +2,6 @@ package omini
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,23 +29,7 @@ func TestExtractorLearnAndReplay(t *testing.T) {
 	if rule.Site != page.Site || rule.Separator != "table" {
 		t.Fatalf("rule = %+v", rule)
 	}
-	store := NewRuleStore()
-	if err := store.Put(rule); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "rules.json")
-	if err := store.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRules(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := loaded.Get(page.Site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := e.ExtractWithRule(page.HTML, cached)
+	fast, err := e.ExtractWithRule(page.HTML, rule)
 	if err != nil {
 		t.Fatalf("ExtractWithRule: %v", err)
 	}

@@ -7,6 +7,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# listen_addr waits for an ominiserve started with -addr 127.0.0.1:0 to
+# log its first line, JSON with an "addr" field naming the bound port,
+# and prints that address; it fails if none appears within 5 seconds.
+listen_addr() {
+    for _ in $(seq 1 50); do
+        a=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$1" | head -n 1)
+        [ -n "$a" ] && { echo "$a"; return 0; }
+        sleep 0.1
+    done
+    echo "ominiserve did not report a listen address" >&2
+    cat "$1" >&2
+    return 1
+}
+
 echo "==> gofmt -s"
 unformatted=$(gofmt -s -l .)
 if [ -n "$unformatted" ]; then
@@ -148,18 +162,7 @@ if [ "$OBS_SMOKE" != "0" ]; then
     go build -o "$tmpdir/ominiserve" ./cmd/ominiserve
     "$tmpdir/ominiserve" -addr 127.0.0.1:0 2> "$tmpdir/serve.log" &
     srv_pid=$!
-    # The first log line is JSON with an "addr" field naming the bound port.
-    addr=""
-    for _ in $(seq 1 50); do
-        addr=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$tmpdir/serve.log" | head -n 1)
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "ominiserve did not report a listen address" >&2
-        cat "$tmpdir/serve.log" >&2
-        exit 1
-    fi
+    addr=$(listen_addr "$tmpdir/serve.log")
     metrics=$(curl -sf "http://$addr/metricsz")
     echo "$metrics" | grep -q 'omini_phase_seconds_bucket{phase="tidy"' || {
         echo "/metricsz missing phase histograms:" >&2
@@ -221,17 +224,7 @@ if [ "$FARM_SMOKE" != "0" ]; then
     "$tmpdir/ominiserve" -addr 127.0.0.1:0 -rule-store "$tmpdir/rules.json" \
         2> "$tmpdir/serve.log" &
     srv_pid=$!
-    addr=""
-    for _ in $(seq 1 50); do
-        addr=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$tmpdir/serve.log" | head -n 1)
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "ominiserve did not report a listen address" >&2
-        cat "$tmpdir/serve.log" >&2
-        exit 1
-    fi
+    addr=$(listen_addr "$tmpdir/serve.log")
     for sitedir in "$tmpdir/corpus"/*/; do
         site=$(basename "$sitedir")
         for pagefile in "$sitedir"*.html; do
@@ -311,12 +304,42 @@ if [ "$FARM_SMOKE" != "0" ]; then
         exit 1
     }
     echo "    boundary: response header trace $hdr_tid served by /tracez"
+    curl -sf "http://$addr/rules" > "$tmpdir/dump.json"
     kill "$srv_pid"
     wait "$srv_pid" 2>/dev/null || true
     grep -q '"version": 2' "$tmpdir/rules.json" || {
         echo "-rule-store file missing or not a v2 snapshot after shutdown" >&2
         exit 1
     }
+    # One rule file, one codec: the CLI learning a new site into the
+    # server's store keeps it a v2 snapshot with training signatures.
+    go build -o "$tmpdir/omini" ./cmd/omini
+    "$tmpdir/omini" -rules "$tmpdir/rules.json" -site cli.example "$first_page" > /dev/null
+    grep -q '"version": 2' "$tmpdir/rules.json" && grep -q '"signature"' "$tmpdir/rules.json" &&
+        grep -q '"cli.example"' "$tmpdir/rules.json" || {
+        echo "omini -rules rewrote the -rule-store file without its v2 envelope or signatures" >&2
+        exit 1
+    }
+    # The GET /rules dump seeds a second server through -rules, which
+    # answers /readyz 200 only once the snapshot has loaded.
+    "$tmpdir/ominiserve" -addr 127.0.0.1:0 -rules "$tmpdir/dump.json" \
+        2> "$tmpdir/seed.log" &
+    srv_pid=$!
+    addr=$(listen_addr "$tmpdir/seed.log")
+    ready=""
+    for _ in $(seq 1 50); do
+        ready=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/readyz" || true)
+        [ "$ready" = 200 ] && break
+        sleep 0.1
+    done
+    if [ "$ready" != 200 ]; then
+        echo "ominiserve -rules with a GET /rules dump: /readyz = $ready, want 200" >&2
+        cat "$tmpdir/seed.log" >&2
+        exit 1
+    fi
+    echo "    rules: the CLI kept the store a v2 snapshot; the /rules dump seeded a ready server"
+    kill "$srv_pid"
+    wait "$srv_pid" 2>/dev/null || true
     trap - EXIT
     rm -rf "$tmpdir"
 fi
